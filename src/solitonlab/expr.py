@@ -19,6 +19,12 @@ non-positive value, division by zero, square root of a negative number, zero
 to a negative power, or any non-finite intermediate) either raise DomainError
 with the index of the offending point ("strict") or mark the point invalid in
 a returned mask ("masked").
+
+`eval_many` first runs a lean pass, one numpy call per node with
+floating-point faults raised.  Only after a fault, or on a non-finite input,
+an out-of-range coordinate or an unbound parameter, does it replay the
+evaluation in a checked interpreter that tests every node's domain.  The
+values, masks and errors are the same either way.
 """
 
 from __future__ import annotations
@@ -663,12 +669,12 @@ def _topo(roots):
         if done:
             order.append(node)
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
         stack.append((node, True))
         for c in reversed(node.args):
-            if id(c) not in seen:
+            if c not in seen:
                 stack.append((c, False))
     return order
 
@@ -697,6 +703,15 @@ def _first_true(mask):
     return int(np.argmax(a))
 
 
+def _points(points, mode):
+    if mode not in ("strict", "masked"):
+        raise ValueError("mode must be 'strict' or 'masked'")
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2:
+        raise ValueError("points must be a 2-d array of shape (N, dim)")
+    return pts
+
+
 def eval_many(exprs, points, binding=None, mode="strict"):
     """Evaluate expressions over a batch of points.
 
@@ -704,12 +719,74 @@ def eval_many(exprs, points, binding=None, mode="strict"):
     In "strict" mode any domain violation raises DomainError naming the first
     offending point; in "masked" mode the return value is (values, ok) where
     ok is an (N,) bool mask and masked lanes hold NaN.
+
+    A lean pass makes one numpy call per node, with overflow, division by
+    zero and invalid operations raised as faults.  On a fault, a non-finite
+    point or bound parameter, a coordinate index out of range or an unbound
+    parameter, the checked interpreter replays the whole evaluation, so the
+    values, masks and errors are the same either way.
     """
-    if mode not in ("strict", "masked"):
-        raise ValueError("mode must be 'strict' or 'masked'")
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2:
-        raise ValueError("points must be a 2-d array of shape (N, dim)")
+    pts = _points(points, mode)
+    roots = list(exprs)
+    binding = binding or {}
+    vals = _eval_lean(_topo(roots), pts, binding) if np.isfinite(pts).all() else None
+    if vals is None:
+        return _eval_checked(roots, pts, binding, mode)
+    out = np.empty((len(roots), len(pts)), dtype=float)
+    for i, r in enumerate(roots):
+        out[i, :] = vals[r]
+    if mode == "masked":
+        return out, np.ones(len(pts), dtype=bool)
+    return out
+
+
+def _eval_lean(order, pts, binding):
+    """Node values keyed by node, or None where `_eval_checked` must decide.
+
+    Returning None drops the values computed so far before the replay.
+    """
+    dim = pts.shape[1]
+    vals: dict = {}
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
+            for node in order:
+                k = node.kind
+                if k == "mul":
+                    v = vals[node.args[0]] * vals[node.args[1]]
+                elif k == "add":
+                    v = vals[node.args[0]] + vals[node.args[1]]
+                elif k == "sub":
+                    v = vals[node.args[0]] - vals[node.args[1]]
+                elif k == "const":
+                    v = np.float64(node.payload)
+                elif k == "coord":
+                    if node.payload >= dim:
+                        return None
+                    v = pts[:, node.payload]
+                elif k == "pow":
+                    # np.power, not `**`: on a scalar base `**` rounds differently
+                    v = np.power(vals[node.args[0]], node.payload)
+                elif k == "div":
+                    v = vals[node.args[0]] / vals[node.args[1]]
+                elif k == "neg":
+                    v = -vals[node.args[0]]
+                elif k == "param":
+                    if node.payload not in binding:
+                        return None
+                    v = np.float64(binding[node.payload])
+                    if not np.isfinite(v):
+                        return None
+                else:
+                    v = _NP_FUNC[k](vals[node.args[0]])
+                vals[node] = v
+    except FloatingPointError:
+        return None
+    return vals
+
+
+def _eval_checked(exprs, points, binding=None, mode="strict"):
+    """Reference interpreter for eval_many: checks every node's domain."""
+    pts = _points(points, mode)
     n_pts, dim = pts.shape
     binding = binding or {}
     roots = list(exprs)
@@ -721,7 +798,7 @@ def eval_many(exprs, points, binding=None, mode="strict"):
             k = node.kind
             hazard = None
             if k == "const":
-                v = node.payload
+                v = np.float64(node.payload)
             elif k == "coord":
                 if node.payload >= dim:
                     raise ValueError(
@@ -731,7 +808,7 @@ def eval_many(exprs, points, binding=None, mode="strict"):
                 v = pts[:, node.payload]
             elif k == "param":
                 try:
-                    v = float(binding[node.payload])
+                    v = np.float64(binding[node.payload])
                 except KeyError:
                     raise UnboundParameterError(
                         f"parameter {node.payload!r} has no bound value"

@@ -451,11 +451,6 @@ def tensor_norm(g: MetricField, T: SymTensorField, p, binding=None) -> float:
     return float(gnorm_sym2(tv, np.linalg.inv(gv))[0])
 
 
-def d_scalar(phi: ScalarField) -> OneFormField:
-    n = phi.chart.dim
-    return OneFormField(phi.chart, [ex.differentiate(phi.expr, i) for i in range(n)])
-
-
 def grad_norm2(g: MetricField, phi: ScalarField) -> ScalarField:
     """|grad phi|^2 = g^{ij} ∂_i phi ∂_j phi."""
     n = g.chart.dim

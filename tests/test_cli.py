@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -129,6 +133,21 @@ def test_verify_manifest_input_errors(tmp_path, capsys):
     code, out, err = run_cli(capsys, "verify-manifest", str(bad))
     assert code == 2
     assert "metric[2]" in err and "offset" in err
+
+
+def test_verify_manifest_scalar_division_by_zero_is_input_error(tmp_path):
+    doc, path = flat_manifest(tmp_path, name="h-over-zero.json")
+    doc["structure"] = {"vector_field": ["x1", "x2", "x3"]}  # h enters h/2 L_X g
+    doc["h"] = "1/0"
+    mf.write(doc, path)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "solitonlab.cli", "verify-manifest", path,
+                           "--points", "20"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert "division by zero" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_verify_manifest_gradient_suite(tmp_path, capsys):

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from solitonlab import expr as ex
+from solitonlab import geometry as geo
+from solitonlab import identities as idn
 
 NAMES = ("x1", "x2", "x3")
 
@@ -215,6 +217,59 @@ def test_eval_many_masked_mode():
     assert vals[0, 2] == pytest.approx(1.0)
 
 
+# expression over x1 (and parameters), x1 values, binding, reason, bad lanes
+@pytest.mark.parametrize("text,xs,binding,reason,bad", [
+    ("1/x1", [1.0, 0.0, 2.0, 0.0], {}, "division by zero", [0, 1, 0, 1]),
+    ("x1^-2", [1.0, 2.0, 0.0], {}, "zero raised to a negative power", [0, 0, 1]),
+    ("ln(x1)", [1.0, 0.0, -1.0], {}, "logarithm of a non-positive value", [0, 1, 1]),
+    ("sqrt(x1)", [4.0, -1.0, 0.0], {}, "square root of a negative value", [0, 1, 0]),
+    ("exp(x1)", [1.0, 2.0, 1000.0], {}, "non-finite result in exp", [0, 0, 1]),
+    ("tanh(a)*x1", [1.0, 2.0], {"a": math.inf}, "non-finite result in param", [1, 1]),
+    ("tanh(a)*x1", [1.0, 2.0], {"a": math.nan}, "non-finite result in param", [1, 1]),
+    ("x1 + 1", [1.0, math.nan, math.inf], {}, "non-finite result in coord", [0, 1, 1]),
+    # division by zero between scalars: a literal and a bound parameter
+    ("1/0 + x1", [1.0, 2.0], {}, "division by zero", [1, 1]),
+    ("a/b*x1", [1.0, 2.0], {"a": 1.0, "b": 0.0}, "division by zero", [1, 1]),
+])
+def test_eval_many_domain_errors_in_both_modes(text, xs, binding, reason, bad):
+    e = ex.parse_expression(text, ("x1", "x2"), tuple(binding))
+    bad = np.array(bad, dtype=bool)
+    pts = np.column_stack([xs, np.arange(1.0, len(xs) + 1.0)])
+    with pytest.raises(ex.DomainError) as info:
+        ex.eval_many([e, ex.coord(1)], pts, binding)
+    assert info.value.reason == reason
+    assert info.value.point_index == int(np.argmax(bad))
+    vals, ok = ex.eval_many([e, ex.coord(1)], pts, binding, mode="masked")
+    assert ok.tolist() == (~bad).tolist()
+    assert np.isnan(vals[:, bad]).all()
+    assert np.isfinite(vals[:, ~bad]).all()
+    np.testing.assert_array_equal(vals[1, ~bad], pts[~bad, 1])
+
+
+def test_eval_many_matches_checked_interpreter():
+    # Bianchi residual of a random dense metric, as the identity suite builds it
+    g = idn.suite_metrics(3, 1, 7)[0]
+    div_ric = geo.divergence_sym2(g, geo.ricci(g))
+    scal = geo.scalar_curvature(g).expr
+    comps = [ex.sub(div_ric.comps[j], ex.mul(ex.const(0.5), ex.differentiate(scal, j)))
+             for j in range(3)]
+    pts = np.random.default_rng(3).uniform(-1.0, 1.0, size=(100, 3))
+    assert np.array_equal(ex.eval_many(comps, pts), ex._eval_checked(comps, pts))
+    # subtrees over parameters alone evaluate to scalars; numpy's scalar `**`
+    # rounds a^3, b^-2 and c^-3 differently from the array power at these values
+    params = {"a": 2.586472402103951, "b": 1.8592437497248215, "c": 1.3257929414732095}
+    es = [P(t, tuple(params)) for t in
+          ("a^3*x1 + b^-2", "(a/c)^5 - x2^-1", "exp(b)^3/sqrt(c)*x3^2", "c^-3 + a*b")]
+    rng = np.random.default_rng(5)
+    es += [_random_tree(rng, 4) for _ in range(100)]
+    for n in (1, 100):
+        pts = rng.uniform(0.2, 1.2, size=(n, 3))
+        assert np.array_equal(ex.eval_many(es, pts, params),
+                              ex._eval_checked(es, pts, params))
+        vals, ok = ex.eval_many(es, pts, params, mode="masked")
+        assert ok.all() and np.array_equal(vals, ex._eval_checked(es, pts, params))
+
+
 def test_eval_many_rejects_bad_mode_and_shape():
     e = ex.coord(0)
     with pytest.raises(ValueError):
@@ -224,8 +279,16 @@ def test_eval_many_rejects_bad_mode_and_shape():
 
 
 def test_eval_many_coordinate_out_of_range():
-    with pytest.raises(ValueError, match="dimension"):
-        ex.eval_many([ex.coord(5)], np.zeros((1, 2)))
+    for mode in ("strict", "masked"):
+        with pytest.raises(ValueError, match="dimension"):
+            ex.eval_many([ex.coord(5)], np.zeros((1, 2)), mode=mode)
+
+
+def test_eval_many_unbound_parameter():
+    e = P("x1*tau", ("tau",))
+    for mode in ("strict", "masked"):
+        with pytest.raises(ex.UnboundParameterError, match="tau"):
+            ex.eval_many([e], np.ones((2, 3)), {"k": 1.0}, mode=mode)
 
 
 def test_nsum_empty_and_flat():
