@@ -4,12 +4,14 @@ Commands: verify-example, verify-manifest, check-identity, construct-warped,
 classify.  Every run prints a deterministic JSON report document to stdout
 (--json PATH writes the same bytes to a file) and exits 0 when all expected
 verdicts were realized, 1 when a numeric check failed, and 2 on input or
-precondition errors.  Identical flags always produce byte-identical reports.
+precondition errors (a stdout that cannot be written included).  Identical
+flags always produce byte-identical reports.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -338,9 +340,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command and return its exit code; argparse may raise SystemExit.
+
+    The cycle collector is off while the command runs: the expression DAGs
+    are acyclic, so its passes over them free nothing.  The caller's
+    ``gc.isenabled()`` state is restored on return.
+    """
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except mf.ManifestError as err:
         print(f"manifest error: {err}", file=sys.stderr)
         return EXIT_INPUT
@@ -353,13 +365,35 @@ def main(argv=None) -> int:
     except geo.GeometryError as err:
         print(f"geometry error: {err}", file=sys.stderr)
         return EXIT_INPUT
-    except ex.ExprError as err:
+    except (ex.ExprError, RecursionError) as err:
         print(f"expression error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as err:
         print(f"io error: {err}", file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
+def entry() -> None:
+    """Console entry point: exit with main's code, skipping interpreter teardown.
+
+    ``main`` has flushed stdout and closed every file it wrote, and no
+    ``atexit`` handler is registered, so teardown would only free memory.
+    """
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse: --version, --help and usage errors
+        code = exc.code
+        try:
+            sys.stdout.flush()
+        except OSError as err:
+            print(f"io error: {err}", file=sys.stderr)
+            code = EXIT_INPUT
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -1,5 +1,8 @@
 # command-line interface: report schema, exit codes, determinism
 
+import ast
+import gc
+import importlib
 import json
 import math
 import os
@@ -22,6 +25,21 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_entry(*argv, stdout=subprocess.PIPE, unbuffered=None):
+    """Run ``python -m solitonlab.cli`` in a fresh process; stdout stays bytes."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered is not None:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    proc = subprocess.run([sys.executable, "-m", "solitonlab.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, env=env)
+    return proc.returncode, proc.stdout, proc.stderr.decode()
 
 
 def flat_manifest(tmp_path, lam="0", name="flat.json"):
@@ -140,14 +158,10 @@ def test_verify_manifest_scalar_division_by_zero_is_input_error(tmp_path):
     doc["structure"] = {"vector_field": ["x1", "x2", "x3"]}  # h enters h/2 L_X g
     doc["h"] = "1/0"
     mf.write(doc, path)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-m", "solitonlab.cli", "verify-manifest", path,
-                           "--points", "20"], capture_output=True, text=True, env=env)
-    assert proc.returncode == 2
-    assert "division by zero" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    code, _, err = run_entry("verify-manifest", path, "--points", "20")
+    assert code == 2
+    assert "division by zero" in err
+    assert "Traceback" not in err
 
 
 def test_verify_manifest_gradient_suite(tmp_path, capsys):
@@ -249,3 +263,88 @@ def test_classify_needs_exactly_one_source(tmp_path, capsys):
     code, _, err = run_cli(capsys, "classify", "--example", "neg-m-sphere",
                            "--manifest", path)
     assert code == 2 and "exactly one" in err
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_is_io_error(unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        code, _, err = run_entry("verify-example", "neg-m-sphere", "--points", "20",
+                                 stdout=write_end, unbuffered=unbuffered)
+    finally:
+        os.close(write_end)
+    assert code == 2
+    assert err.startswith("io error: ")
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def test_deeply_nested_expression_is_expression_error(tmp_path):
+    doc, path = flat_manifest(tmp_path, name="deep.json")
+    doc["structure"] = {"potential": "1.0 + (x1^2 + x2^2) + 1e-30*("
+                                     + " + ".join(["x1*x2"] * 1500) + ")"}
+    mf.write(doc, path)
+    code, out, err = run_entry("verify-manifest", path, "--points", "20")
+    assert code == 2
+    assert out == b""
+    assert err.startswith("expression error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("lam,expected", [("0", 0), ("0.1", 1)])
+def test_entry_stdout_matches_main_and_json_file(lam, expected, tmp_path, capsys):
+    _, path = flat_manifest(tmp_path, lam=lam)
+    target = tmp_path / "report.json"
+    code, out, err = run_entry("verify-manifest", path, "--points", "40",
+                               "--json", str(target))
+    assert code == expected and err == ""
+    in_code, in_out, _ = run_cli(capsys, "verify-manifest", path, "--points", "40")
+    assert in_code == expected
+    assert out == in_out.encode() == target.read_bytes()
+
+
+def test_entry_version_and_usage_error():
+    from solitonlab import __version__
+    code, out, err = run_entry("--version")
+    assert (code, out, err) == (0, f"{__version__}\n".encode(), "")
+    code, out, err = run_entry("verify-example", "moebius-band")
+    assert code == 2 and out == b""
+    assert "invalid choice" in err and "Traceback" not in err
+
+
+def set_gc(enabled):
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_restores_gc_state(enabled, tmp_path):
+    _, path = flat_manifest(tmp_path)
+    was = gc.isenabled()
+    set_gc(enabled)
+    try:
+        assert cli.main(["verify-manifest", path, "--points", "20"]) == 0
+        assert gc.isenabled() is enabled
+        assert cli.main(["verify-manifest", str(tmp_path / "nope.json")]) == 2
+        assert gc.isenabled() is enabled
+        with pytest.raises(SystemExit):
+            cli.main(["verify-example", "moebius-band"])
+        assert gc.isenabled() is enabled
+    finally:
+        set_gc(was)
+
+
+def test_console_script_is_the_main_block_entry():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["solitonlab"]
+    module, _, attr = target.partition(":")
+    func = getattr(importlib.import_module(module), attr)
+    tree = ast.parse(Path(cli.__file__).read_text())
+    [block] = [node for node in tree.body if isinstance(node, ast.If)
+               and ast.unparse(node.test) == "__name__ == '__main__'"]
+    [stmt] = block.body
+    assert isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call)
+    assert getattr(cli, stmt.value.func.id) is func
