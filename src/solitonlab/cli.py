@@ -42,23 +42,6 @@ _PARAM_FLAGS = (
     ("--b", float), ("--h-expr", str),
 )
 
-_STRUCTURE_BUILDERS = {
-    "space-form-gradient": cat.example_space_form,
-    "euclidean-gradient": cat.example_euclidean_gradient,
-    "pseudo-hyperbolic": cat.example_pseudo_hyperbolic,
-    "neg-m-sphere": cat.example_neg_m_sphere,
-}
-
-
-def _build_catalog_structure(eid, overrides) -> so.SolitonStructure:
-    if eid not in cat.EXAMPLES:
-        raise ValueError(f"unknown example {eid!r}")
-    builder = _STRUCTURE_BUILDERS.get(eid)
-    if builder is None:
-        raise ValueError(f"example {eid!r} carries no soliton structure")
-    return builder(**cat.EXAMPLES[eid].params(overrides))
-
-
 def check_dict(rep: so.ResidualReport) -> dict:
     return {
         "name": rep.name,
@@ -167,25 +150,22 @@ def _identity_reports(args, tol):
 
     if name == "conformal-factor":
         S = sp.make_sphere(3)
+        g, n = S.metric, S.chart.dim
         rho = sp.height_function(S, (0.0, 0.0, 0.0, 1.0)).field
-        pts = geo.points_array(geo.sample_points(S.chart, count, args.seed))
-        reps = [so.conformal_factor_hessian_check(S.metric, rho, pts, tol)]
-        u = so.potential_from_factor(S.metric, rho, pts)
-        L = geo.lie_derivative_metric(S.metric, geo.gradient(S.metric, u))
-        n = S.chart.dim
-        comps = [[ex.sub(ex.mul(ex.const(0.5), L.comps[i][j]),
-                         ex.mul(rho.expr, S.metric.comps[i][j]))
+        pts = geo.sample_points(S.chart, count, args.seed)
+        reps = [so.conformal_factor_hessian_check(g, rho, pts, tol)]
+        u = so.potential_from_factor(g, rho, pts)
+        half_L = geo.half_lie_derivative_metric(g, geo.gradient(g, u))
+        comps = [[ex.sub(half_L.comps[i][j], ex.mul(rho.expr, g.comps[i][j]))
                   for j in range(n)] for i in range(n)]
-        _, ginv = geo.eval_metric(S.metric, pts)
-        tv = geo.eval_sym2_comps(comps, pts, S.chart)
         reps.append(so._report("factor-potential", tol, pts,
-                               geo.gnorm_sym2(tv, ginv)))
+                               geo.sym2_gnorms(g, comps, pts)))
         digest = mf.digest({"identity": name, "points": count, "seed": args.seed})
         return reps, digest
 
     # structure-bound identities, run on a catalog example
     default_example = "pseudo-hyperbolic" if name == "mu-const" else "neg-m-sphere"
-    s = _build_catalog_structure(args.example or default_example, _overrides(args))
+    s = cat.build_structure(args.example or default_example, _overrides(args))
     pts = so.default_points(s, count, args.seed)
     op = {"divric": so.divric_identity_residual, "eqpprinc": so.eqpprinc_residual,
           "mu-const": so.mu_field}[name]
@@ -205,7 +185,7 @@ def cmd_check_identity(args) -> int:
 def _base_structure(args) -> so.SolitonStructure:
     base = args.base
     if base in cat.EXAMPLES:
-        return _build_catalog_structure(base, _overrides(args))
+        return cat.build_structure(base, _overrides(args))
     if os.path.exists(base):
         return mf.load(base).build_structure()
     raise ValueError(f"--base {base!r} is neither a catalog id nor a manifest path")
@@ -223,12 +203,7 @@ def cmd_construct_warped(args) -> int:
     if args.fiber == "abstract" and args.out:
         raise ValueError("an abstract fiber has no chart; no manifest to write")
     pts = so.default_points(s, args.points, args.seed)
-    if args.fiber_mu is not None:
-        fiber_mu = args.fiber_mu
-    else:
-        murep = so.mu_field(s, pts)
-        fiber_mu = murep.metadata["mu_estimate"]
-    w, rep = so.warped_einstein_construct(s, fiber_dim, fiber_mu,
+    w, rep = so.warped_einstein_construct(s, fiber_dim, args.fiber_mu,
                                           fiber_kind=args.fiber, points=pts,
                                           seed=args.seed, tol=tol)
     lam_bar = rep.metadata["lambda"]
@@ -258,7 +233,7 @@ def cmd_classify(args) -> int:
     if (args.example is None) == (args.manifest is None):
         raise ValueError("give exactly one of --example or --manifest")
     if args.example is not None:
-        s = _build_catalog_structure(args.example, _overrides(args))
+        s = cat.build_structure(args.example, _overrides(args))
         digest = mf.digest(mf.structure_to_dict(s))
     else:
         man = mf.load(args.manifest)
@@ -287,8 +262,18 @@ def _add_common(p: argparse.ArgumentParser, param_flags=False):
                            help=argparse.SUPPRESS)
 
 
+class _Parser(argparse.ArgumentParser):
+    def _print_message(self, message, file=None):
+        # argparse drops a failed write; --help and --version on stdout must
+        # raise it, so that a closed stdout exits 2
+        if message and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="solitonlab",
         description="Construct and verify h-almost Ricci soliton structures "
                     "at sampled chart points.")

@@ -288,6 +288,30 @@ EXAMPLES = {
         expected_trivial=False),
 }
 
+# the catalog entries that carry a soliton structure, and their constructors
+STRUCTURE_BUILDERS = {
+    "space-form-gradient": example_space_form,
+    "euclidean-gradient": example_euclidean_gradient,
+    "pseudo-hyperbolic": example_pseudo_hyperbolic,
+    "neg-m-sphere": example_neg_m_sphere,
+}
+
+
+def _spec(example_id: str) -> ExampleSpec:
+    if example_id not in EXAMPLES:
+        known = ", ".join(sorted(EXAMPLES))
+        raise ValueError(f"unknown example {example_id!r} (known: {known})")
+    return EXAMPLES[example_id]
+
+
+def build_structure(example_id: str, params=None) -> so.SolitonStructure:
+    """The soliton structure of a catalog entry, defaults overridden by params."""
+    spec = _spec(example_id)
+    builder = STRUCTURE_BUILDERS.get(example_id)
+    if builder is None:
+        raise ValueError(f"example {example_id!r} carries no soliton structure")
+    return builder(**spec.params(params))
+
 
 @dataclass
 class ExampleRun:
@@ -328,10 +352,8 @@ def _hessian_equation_check(s: so.SolitonStructure, k: float, pts) -> so.Residua
     ku = ex.mul(ex.const(k), s.potential.expr)
     comps = [[ex.add(hess.comps[i][j], ex.mul(ku, g.comps[i][j]))
               for j in range(n)] for i in range(n)]
-    _, ginv = geo.eval_metric(g, pts, s.params)
-    tv = geo.eval_sym2_comps(comps, pts, g.chart, s.params)
     return so._report("potential-hessian-equation", HESSIAN_EQ_TOL, pts,
-                      geo.gnorm_sym2(tv, ginv))
+                      geo.sym2_gnorms(g, comps, pts, s.params))
 
 
 def _expected_classification(example_id: str, p: dict) -> str:
@@ -349,10 +371,7 @@ def run_example(example_id: str, params=None, count: int = 200,
                 tol: float = 1e-8, seed: int = 42) -> ExampleRun:
     """Build the catalog entry, run its suite, and compare against the
     expected verdicts (an expected failure that fails counts as success)."""
-    if example_id not in EXAMPLES:
-        known = ", ".join(sorted(EXAMPLES))
-        raise ValueError(f"unknown example {example_id!r} (known: {known})")
-    spec = EXAMPLES[example_id]
+    spec = _spec(example_id)
     p = spec.params(params)
     run = ExampleRun(example_id, p, [])
 
@@ -362,20 +381,14 @@ def run_example(example_id: str, params=None, count: int = 200,
                  else example_euclidean_corrected_conformal)
         X, expect_failure = build(**p)
         g = sp.make_euclidean(int(p["n"])).metric
-        pts = geo.points_array(geo.sample_points(g.chart, count, seed))
+        pts = geo.sample_points(g.chart, count, seed)
         verdict = so.conformal_killing_check(g, X, pts, tol)
         run.checks.append(so._report("conformal-killing", tol, pts, verdict.residuals))
         run.vector_field, run.metric = X, g
         if expect_failure:
             run.notes.append("conformal claim does not hold; failure expected")
     else:
-        builder = {
-            "space-form-gradient": example_space_form,
-            "euclidean-gradient": example_euclidean_gradient,
-            "pseudo-hyperbolic": example_pseudo_hyperbolic,
-            "neg-m-sphere": example_neg_m_sphere,
-        }[example_id]
-        s = builder(**p)
+        s = STRUCTURE_BUILDERS[example_id](**p)
         pts = so.default_points(s, count, seed)
         run.structure, run.metric = s, s.metric
         run.checks = structure_checks(s, pts, tol)

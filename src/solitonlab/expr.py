@@ -126,9 +126,6 @@ class Expression:
     def __neg__(self):
         return neg(self)
 
-    def diff(self, coord_index: int) -> "Expression":
-        return differentiate(self, coord_index)
-
 
 def _coerce(v):
     if isinstance(v, Expression):
@@ -593,37 +590,6 @@ def differentiate(e: Expression, coord_index: int) -> Expression:
             raise AssertionError(f"unhandled kind {k}")
     _DIFF[key] = d
     return d
-
-
-def simplify(e: Expression) -> Expression:
-    """Rebuild through the smart constructors; idempotent by construction.
-
-    Every reachable tree is already built through the constructors, so this is
-    a defensive fixed point: folding happens at construction time and
-    simplify(e) is e for such trees.
-    """
-    memo: dict = {}
-
-    def go(e):
-        hit = memo.get(e)
-        if hit is not None:
-            return hit
-        k = e.kind
-        if not e.args:
-            r = e
-        elif k == "pow":
-            r = powi(go(e.args[0]), e.payload)
-        elif k in ("add", "sub", "mul", "div"):
-            a, b = (go(c) for c in e.args)
-            r = {"add": add, "sub": sub, "mul": mul, "div": div}[k](a, b)
-        elif k == "neg":
-            r = neg(go(e.args[0]))
-        else:
-            r = _call(k, go(e.args[0]))
-        memo[e] = r
-        return r
-
-    return go(e)
 
 
 def substitute_coords(e: Expression, mapping: dict) -> Expression:

@@ -16,7 +16,7 @@ sqrt(g^{ik} g^{jl} T_ij T_kl), evaluated with numpy over point batches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -164,23 +164,9 @@ class MetricField:
         _check_square_sym(self.comps, self.chart.dim, "metric")
 
 
-@dataclass(frozen=True)
-class PointSample:
-    coords: tuple
-    admissible: bool = True
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(float(c) for c in self.coords))
-
-
 def points_array(points) -> np.ndarray:
-    """(N, n) float array from PointSamples, sequences, or an ndarray."""
-    if isinstance(points, np.ndarray):
-        return np.atleast_2d(np.asarray(points, dtype=float))
-    rows = []
-    for p in points:
-        rows.append(p.coords if isinstance(p, PointSample) else tuple(p))
-    return np.asarray(rows, dtype=float)
+    """(N, n) float array from an array or a sequence of coordinate rows."""
+    return np.atleast_2d(np.asarray(points, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +297,7 @@ def riemann_sectional(g: MetricField, p, u, v, binding=None) -> float:
     """Sectional curvature of span(u, v) at the point p."""
     n = g.chart.dim
     pt = points_array([p])
-    gv = eval_sym2_comps(g.comps, pt, g.chart, binding)[0]
+    gv = eval_sym2_comps(g.comps, pt, binding)[0]
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     uu = u @ gv @ u
@@ -371,6 +357,15 @@ def lie_derivative_metric(g: MetricField, X: VectorField) -> SymTensorField:
             rows[i][j] = val
             rows[j][i] = val
     return SymTensorField(g.chart, rows)
+
+
+def half_lie_derivative_metric(g: MetricField, X: VectorField) -> SymTensorField:
+    """½ L_X g, the X-term of the soliton equation for h = 1."""
+    n = g.chart.dim
+    L = lie_derivative_metric(g, X)
+    half = ex.const(0.5)
+    return SymTensorField(g.chart, [[ex.mul(half, L.comps[i][j]) for j in range(n)]
+                                    for i in range(n)])
 
 
 def divergence_vector(g: MetricField, X: VectorField) -> ScalarField:
@@ -445,10 +440,7 @@ def tensor_inner(g: MetricField, A: SymTensorField, B: SymTensorField) -> Scalar
 
 
 def tensor_norm(g: MetricField, T: SymTensorField, p, binding=None) -> float:
-    pt = points_array([p])
-    gv = eval_sym2_comps(g.comps, pt, g.chart, binding)
-    tv = eval_sym2_comps(T.comps, pt, g.chart, binding)
-    return float(gnorm_sym2(tv, np.linalg.inv(gv))[0])
+    return float(sym2_gnorms(g, T.comps, points_array([p]), binding)[0])
 
 
 def grad_norm2(g: MetricField, phi: ScalarField) -> ScalarField:
@@ -531,13 +523,13 @@ def eval_scalar(f: ScalarField, points, binding=None) -> np.ndarray:
     return ex.eval_many([f.expr], pts, binding)[0]
 
 
-def eval_components(comps, points, chart: Chart, binding=None) -> np.ndarray:
+def eval_components(comps, points, binding=None) -> np.ndarray:
     """(N, k) array for a flat sequence of k expressions."""
     pts = points_array(points)
     return ex.eval_many(list(comps), pts, binding).T
 
 
-def eval_sym2_comps(comps, points, chart: Chart, binding=None) -> np.ndarray:
+def eval_sym2_comps(comps, points, binding=None) -> np.ndarray:
     """(N, n, n) array for an n x n nested tuple of expressions."""
     n = len(comps)
     flat = [comps[i][j] for i in range(n) for j in range(n)]
@@ -548,13 +540,22 @@ def eval_sym2_comps(comps, points, chart: Chart, binding=None) -> np.ndarray:
 
 def eval_metric(g: MetricField, points, binding=None):
     """Metric values and numeric inverses: pair of (N, n, n) arrays."""
-    gv = eval_sym2_comps(g.comps, points, g.chart, binding)
+    gv = eval_sym2_comps(g.comps, points, binding)
     return gv, np.linalg.inv(gv)
 
 
 def gnorm_sym2(tv: np.ndarray, ginv: np.ndarray) -> np.ndarray:
     sq = np.einsum("nik,njl,nij,nkl->n", ginv, ginv, tv, tv)
     return np.sqrt(np.clip(sq, 0.0, None))
+
+
+def sym2_gnorms(g: MetricField, comps, points, binding=None) -> np.ndarray:
+    """g-norm of an n x n nested tuple of expressions at each point: (N,) array.
+
+    Every symmetric residual check reduces through here.
+    """
+    _, ginv = eval_metric(g, points, binding)
+    return gnorm_sym2(eval_sym2_comps(comps, points, binding), ginv)
 
 
 def gnorm_oneform(wv: np.ndarray, ginv: np.ndarray) -> np.ndarray:
@@ -583,7 +584,8 @@ def sample_points(chart: Chart, count: int, seed: int, *, metric: MetricField = 
 
     Draws uniformly from the chart box, keeps points where every domain
     predicate is > 0 and (when `metric` is given) the metric matrix is
-    positive definite with condition number below `cond_limit`.  Raises
+    positive definite with condition number below `cond_limit`, and returns
+    the first `count` of them as a (count, n) float array.  Raises
     SamplingError when acceptance stays under 1% after 1e5 draws.
     """
     if count < 1:
@@ -592,12 +594,13 @@ def sample_points(chart: Chart, count: int, seed: int, *, metric: MetricField = 
     lo = np.array([b[0] for b in chart.box])
     hi = np.array([b[1] for b in chart.box])
     rng = np.random.default_rng(seed)
-    out = []
+    chunks = []
+    accepted = 0
     drawn = 0
-    while len(out) < count:
+    while accepted < count:
         if drawn >= _MAX_DRAWS:
             raise SamplingError(
-                f"sampling exhausted after {drawn} draws ({len(out)}/{count} accepted)"
+                f"sampling exhausted after {drawn} draws ({accepted}/{count} accepted)"
             )
         batch = rng.uniform(lo, hi, size=(_BATCH, n))
         drawn += _BATCH
@@ -618,13 +621,12 @@ def sample_points(chart: Chart, count: int, seed: int, *, metric: MetricField = 
                 good = (eig[:, 0] > 0.0) & (eig[:, -1] < cond_limit * eig[:, 0])
                 bad_idx = idx[~good]
                 ok[bad_idx] = False
-        for row in batch[ok]:
-            out.append(PointSample(tuple(row)))
-            if len(out) == count:
-                break
-        if drawn >= _EXHAUSTION_DRAWS and len(out) < max(1, _EXHAUSTION_RATE * drawn):
+        rows = batch[ok][:count - accepted]
+        chunks.append(rows)
+        accepted += len(rows)
+        if drawn >= _EXHAUSTION_DRAWS and accepted < max(1, _EXHAUSTION_RATE * drawn):
             raise SamplingError(
-                f"acceptance rate {len(out)}/{drawn} below 1% — domain predicate "
+                f"acceptance rate {accepted}/{drawn} below 1% — domain predicate "
                 "too tight for the sampling box"
             )
-    return out
+    return np.concatenate(chunks)

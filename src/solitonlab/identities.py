@@ -93,8 +93,7 @@ def suite_metrics(dim: int = 3, metric_count: int = 20, seed: int = 7):
 
 
 def _suite_points(chart, point_count, seed, idx):
-    pts = geo.sample_points(chart, point_count, 7919 * seed + idx)
-    return geo.points_array(pts)
+    return geo.sample_points(chart, point_count, 7919 * seed + idx)
 
 
 def _aggregate(name, tol, pts_list, res_list, **metadata):
@@ -116,7 +115,7 @@ def bianchi_suite(dim: int = 3, metric_count: int = 20, point_count: int = 100,
                  for j in range(n)]
         pts = _suite_points(g.chart, point_count, seed, idx)
         _, ginv = geo.eval_metric(g, pts)
-        wv = geo.eval_components(comps, pts, g.chart)
+        wv = geo.eval_components(comps, pts)
         pts_list.append(pts)
         res_list.append(geo.gnorm_oneform(wv, ginv))
     return [_aggregate("bianchi", tol, pts_list, res_list,
@@ -158,7 +157,7 @@ def fg_formulas_suite(dim: int = 3, metric_count: int = 20, point_count: int = 1
                                ex.nsum(ex.mul(T.comps[i][j], grad_phi[i])
                                        for i in range(n))))
                  for j in range(n)]
-        wv = geo.eval_components(comps, pts, chart)
+        wv = geo.eval_components(comps, pts)
         pts_all["fg-div-product"].append(pts)
         res_all["fg-div-product"].append(geo.gnorm_oneform(wv, ginv))
 
@@ -170,7 +169,7 @@ def fg_formulas_suite(dim: int = 3, metric_count: int = 20, point_count: int = 1
                                  ex.mul(dphi[a], T.comps[i][j])))
                    for j in range(n)] for i in range(n)] for a in range(n)]
         flat = [rank3[a][i][j] for a in range(n) for i in range(n) for j in range(n)]
-        av = geo.eval_components(flat, pts, chart).reshape(len(pts), n, n, n)
+        av = geo.eval_components(flat, pts).reshape(len(pts), n, n, n)
         pts_all["fg-covariant-product"].append(pts)
         res_all["fg-covariant-product"].append(geo.gnorm_rank3(av, ginv))
 
@@ -182,7 +181,7 @@ def fg_formulas_suite(dim: int = 3, metric_count: int = 20, point_count: int = 1
                         ex.nsum(ex.mul(hess.comps[i][j], grad_phi[i])
                                 for i in range(n)))
                  for j in range(n)]
-        wv = geo.eval_components(comps, pts, chart)
+        wv = geo.eval_components(comps, pts)
         pts_all["fg-half-grad-square"].append(pts)
         res_all["fg-half-grad-square"].append(geo.gnorm_oneform(wv, ginv))
 
@@ -195,7 +194,7 @@ def fg_formulas_suite(dim: int = 3, metric_count: int = 20, point_count: int = 1
                                        for i in range(n)),
                                ex.differentiate(lap, j)))
                  for j in range(n)]
-        wv = geo.eval_components(comps, pts, chart)
+        wv = geo.eval_components(comps, pts)
         pts_all["fg-hessian-divergence"].append(pts)
         res_all["fg-hessian-divergence"].append(geo.gnorm_oneform(wv, ginv))
 
@@ -249,10 +248,9 @@ def oneill_suite(w, count: int = 100, seed: int = 7, tol: float = 1e-9,
     blockwise base/fiber formulas, componentwise sup over sampled points."""
     if w.chart is None:
         raise ValueError("the comparison needs an explicit product chart")
-    pts = geo.points_array(geo.sample_points(w.chart, count, seed,
-                                             metric=w.metric, binding=binding))
+    pts = geo.sample_points(w.chart, count, seed, metric=w.metric, binding=binding)
     ric = geo.ricci(w.metric)
-    direct = geo.eval_sym2_comps(ric.comps, pts, w.chart, binding)
+    direct = geo.eval_sym2_comps(ric.comps, pts, binding)
     res = np.empty(len(pts))
     for a, p in enumerate(pts):
         formula = sp.oneill_ricci(w, p, binding)

@@ -44,7 +44,6 @@ _FORMS = (FORM_FREE, FORM_M_OVER_U, FORM_NEG_M_OVER_U)
 
 LAMBDA_SPREAD_TOL = 1e-8       # h-Ricci soliton vs h-almost: constancy of lambda
 HOMOTHETY_SPREAD_TOL = 1e-6    # triviality: relative spread of (2/n) div X
-DEGENERATE_H = 1e-12           # points with |h| below this are excluded from rho
 STEADY_EPS = 1e-12
 
 
@@ -131,26 +130,19 @@ class DerivedFields:
     S0: SymTensorField         # traceless part
     ric0: SymTensorField
     div_x: ScalarField
-    rho: ScalarField           # (1/h)(lambda - R/n)
 
 
 @lru_cache(maxsize=None)
 def derive(s: SolitonStructure) -> DerivedFields:
     g = s.metric
-    n = g.chart.dim
     X = s.vector_field if s.vector_field is not None else geo.gradient(g, s.potential)
     ric = geo.ricci(g)
     scal = geo.scalar_curvature(g)
-    L = geo.lie_derivative_metric(g, X)
-    half = ex.const(0.5)
-    S = SymTensorField(g.chart, [[ex.mul(half, L.comps[i][j]) for j in range(n)]
-                                 for i in range(n)])
+    S = geo.half_lie_derivative_metric(g, X)
     S0 = geo.traceless(g, S)
     ric0 = geo.traceless(g, ric)
     div_x = geo.divergence_vector(g, X)
-    rho = ScalarField(g.chart, ex.div(
-        ex.sub(s.lam.expr, ex.div(scal.expr, ex.const(n))), s.h.expr))
-    return DerivedFields(X, ric, scal, S, S0, ric0, div_x, rho)
+    return DerivedFields(X, ric, scal, S, S0, ric0, div_x)
 
 
 @dataclass
@@ -181,8 +173,7 @@ def default_points(s, count: int = 200, seed: int = 42) -> np.ndarray:
         chart, metric, binding = s.chart, s, None
     else:
         chart, metric, binding = s, None, None
-    pts = geo.sample_points(chart, count, seed, metric=metric, binding=binding)
-    return geo.points_array(pts)
+    return geo.sample_points(chart, count, seed, metric=metric, binding=binding)
 
 
 def _combine_sym2(chart, n, build) -> SymTensorField:
@@ -193,13 +184,6 @@ def _combine_sym2(chart, n, build) -> SymTensorField:
             rows[i][j] = v
             rows[j][i] = v
     return SymTensorField(chart, rows)
-
-
-def _sym2_gnorms(s_or_metric, T: SymTensorField, pts, binding) -> np.ndarray:
-    g = s_or_metric.metric if isinstance(s_or_metric, SolitonStructure) else s_or_metric
-    _, ginv = geo.eval_metric(g, pts, binding)
-    tv = geo.eval_sym2_comps(T.comps, pts, g.chart, binding)
-    return geo.gnorm_sym2(tv, ginv)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +199,7 @@ def soliton_residual(s: SolitonStructure, points, tol: float = 1e-8) -> Residual
     T = _combine_sym2(g.chart, n, lambda i, j: ex.sub(
         ex.add(d.ric.comps[i][j], ex.mul(s.h.expr, d.S.comps[i][j])),
         ex.mul(s.lam.expr, g.comps[i][j])))
-    res = _sym2_gnorms(s, T, pts, s.params)
+    res = geo.sym2_gnorms(g, T.comps, pts, s.params)
     return _report("soliton-residual", tol, pts, res, form=s.h_form, **s.params)
 
 
@@ -231,7 +215,7 @@ def gradient_soliton_residual(s: SolitonStructure, points, tol: float = 1e-8) ->
     T = _combine_sym2(g.chart, n, lambda i, j: ex.sub(
         ex.add(ric.comps[i][j], ex.mul(s.h.expr, hess.comps[i][j])),
         ex.mul(s.lam.expr, g.comps[i][j])))
-    res = _sym2_gnorms(s, T, pts, s.params)
+    res = geo.sym2_gnorms(g, T.comps, pts, s.params)
     return _report("gradient-soliton-residual", tol, pts, res, form=s.h_form, **s.params)
 
 
@@ -247,10 +231,8 @@ def quasi_einstein_residual(q: QuasiEinsteinStructure, points, tol: float = 1e-8
         ex.add(ric.comps[i][j], hess.comps[i][j]),
         ex.add(ex.mul(q.mu_qe.expr, ex.mul(df[i], df[j])),
                ex.mul(q.lam.expr, g.comps[i][j]))))
-    _, ginv = geo.eval_metric(g, pts, q.params)
-    tv = geo.eval_sym2_comps(T.comps, pts, g.chart, q.params)
-    return _report("quasi-einstein-residual", tol, pts, geo.gnorm_sym2(tv, ginv),
-                   **q.params)
+    res = geo.sym2_gnorms(g, T.comps, pts, q.params)
+    return _report("quasi-einstein-residual", tol, pts, res, **q.params)
 
 
 def substitute_u_for_f(q: QuasiEinsteinStructure, m: float) -> SolitonStructure:
@@ -317,7 +299,7 @@ def triviality_check(s: SolitonStructure, points, tol: float = 1e-8) -> Triviali
     pts = geo.points_array(points)
     d = derive(s)
     n = s.chart.dim
-    sup0 = float(np.max(_sym2_gnorms(s, d.S0, pts, s.params)))
+    sup0 = float(np.max(geo.sym2_gnorms(s.metric, d.S0.comps, pts, s.params)))
     c_vals = (2.0 / n) * geo.eval_scalar(d.div_x, pts, s.params)
     mean = float(np.mean(c_vals))
     spread = float((np.max(c_vals) - np.min(c_vals)) / max(1.0, abs(mean)))
@@ -346,14 +328,8 @@ def conformal_killing_check(g: MetricField, X: VectorField, points,
     vanishes at the points; the conformal factor is rho = div X / n."""
     pts = geo.points_array(points)
     n = g.chart.dim
-    L = geo.lie_derivative_metric(g, X)
-    half = ex.const(0.5)
-    S = SymTensorField(g.chart, [[ex.mul(half, L.comps[i][j]) for j in range(n)]
-                                 for i in range(n)])
-    S0 = geo.traceless(g, S)
-    _, ginv = geo.eval_metric(g, pts, binding)
-    tv = geo.eval_sym2_comps(S0.comps, pts, g.chart, binding)
-    norms = geo.gnorm_sym2(tv, ginv)
+    S0 = geo.traceless(g, geo.half_lie_derivative_metric(g, X))
+    norms = geo.sym2_gnorms(g, S0.comps, pts, binding)
     sup0 = float(np.max(norms))
     rho = ScalarField(g.chart, ex.div(geo.divergence_vector(g, X).expr, ex.const(n)))
     rho_vals = geo.eval_scalar(rho, pts, binding)
@@ -370,9 +346,8 @@ def conformal_factor_hessian_check(g: MetricField, rho: ScalarField, points,
     coef = ex.mul(ex.div(scal.expr, ex.const(n * (n - 1))), rho.expr)
     T = _combine_sym2(g.chart, n, lambda i, j: ex.add(
         hess.comps[i][j], ex.mul(coef, g.comps[i][j])))
-    _, ginv = geo.eval_metric(g, pts, binding)
-    tv = geo.eval_sym2_comps(T.comps, pts, g.chart, binding)
-    return _report("conformal-factor-hessian", tol, pts, geo.gnorm_sym2(tv, ginv))
+    res = geo.sym2_gnorms(g, T.comps, pts, binding)
+    return _report("conformal-factor-hessian", tol, pts, res)
 
 
 def potential_from_factor(g: MetricField, rho: ScalarField, points,
@@ -502,7 +477,7 @@ def eqpprinc_residual(s: SolitonStructure, points, tol: float = 1e-8,
         comps.append(ex.sub(dphi, ex.mul(ex.mul(c2, s.lam.expr), du2)))
     w = OneFormField(g.chart, comps)
     _, ginv = geo.eval_metric(g, pts, s.params)
-    wv = geo.eval_components(w.comps, pts, g.chart, s.params)
+    wv = geo.eval_components(w.comps, pts, s.params)
     vals = geo.gnorm_oneform(wv, ginv)
     return _report("eqpprinc-identity", tol, pts, vals, precheck_sup=pre.sup, m=m)
 
@@ -511,18 +486,19 @@ def eqpprinc_residual(s: SolitonStructure, points, tol: float = 1e-8,
 # the warped-Einstein construction
 
 
-def warped_einstein_construct(s: SolitonStructure, fiber_dim: int, fiber_mu: float,
-                              fiber_kind: str = "auto", *, points=None,
-                              count: int = 200, seed: int = 42,
+def warped_einstein_construct(s: SolitonStructure, fiber_dim: int,
+                              fiber_mu: float = None, fiber_kind: str = "auto", *,
+                              points=None, count: int = 200, seed: int = 42,
                               tol: float = 1e-8):
     """Build B x_u F^m from a gradient (-m/u)-Ricci soliton and verify Einstein.
 
     The fiber is Einstein with Ric_F = fiber_mu <,>, which must match the
-    conserved quantity of the base within 1e-7; lambda must be constant.  For
-    an explicit fiber (flat, sphere, or scaled hyperbolic, chosen by the sign
-    of fiber_mu under "auto") the assembled product metric's Ricci tensor is
-    compared against lambda g; for an abstract fiber only the base block and
-    the scalar fiber relation are checkable.  Returns (WarpedProduct, report).
+    conserved quantity mu of the base within 1e-7 (fiber_mu=None takes mu);
+    lambda must be constant.  For an explicit fiber (flat, sphere, or scaled
+    hyperbolic, chosen by the sign of fiber_mu under "auto") the assembled
+    product metric's Ricci tensor is compared against lambda g; for an
+    abstract fiber only the base block and the scalar fiber relation are
+    checkable.  Returns (WarpedProduct, report).
     """
     if isinstance(fiber_dim, float):
         if not fiber_dim.is_integer():
@@ -534,7 +510,6 @@ def warped_einstein_construct(s: SolitonStructure, fiber_dim: int, fiber_mu: flo
         raise ValueError(
             f"fiber dimension {fiber_dim} must equal the m = {s.m:g} of the "
             "declared h = -m/u form")
-    fiber_mu = float(fiber_mu)
     pts = geo.points_array(points) if points is not None else default_points(s, count, seed)
     murep = mu_field(s, pts)
     if not murep.passed:
@@ -542,6 +517,7 @@ def warped_einstein_construct(s: SolitonStructure, fiber_dim: int, fiber_mu: flo
             f"conserved quantity is not constant (deviation {murep.sup:.3e})")
     mu_est = murep.metadata["mu_estimate"]
     lam_est = murep.metadata["lambda_estimate"]
+    fiber_mu = mu_est if fiber_mu is None else float(fiber_mu)
     if abs(mu_est - fiber_mu) > 1e-7:
         raise ValueError(
             f"fiber Einstein constant {fiber_mu:g} does not match the base's "
@@ -557,16 +533,15 @@ def warped_einstein_construct(s: SolitonStructure, fiber_dim: int, fiber_mu: flo
                              "not enforced"),
     }
     if w.chart is not None:
-        prod_pts = geo.points_array(geo.sample_points(
-            w.chart, len(pts), seed, metric=w.metric, binding=s.params))
+        prod_pts = geo.sample_points(w.chart, len(pts), seed, metric=w.metric,
+                                     binding=s.params)
         n_tot = w.chart.dim
         prod_ric = geo.ricci(w.metric)
         T = _combine_sym2(w.chart, n_tot, lambda i, j: ex.sub(
             prod_ric.comps[i][j],
             ex.mul(ex.const(lam_est), w.metric.comps[i][j])))
-        _, ginv = geo.eval_metric(w.metric, prod_pts, s.params)
-        tv = geo.eval_sym2_comps(T.comps, prod_pts, w.chart, s.params)
-        rep = _report("warped-einstein", tol, prod_pts, geo.gnorm_sym2(tv, ginv), **meta)
+        res = geo.sym2_gnorms(w.metric, T.comps, prod_pts, s.params)
+        rep = _report("warped-einstein", tol, prod_pts, res, **meta)
     else:
         g = s.metric
         n = g.chart.dim
@@ -575,7 +550,7 @@ def warped_einstein_construct(s: SolitonStructure, fiber_dim: int, fiber_mu: flo
         T = _combine_sym2(g.chart, n, lambda i, j: ex.sub(
             ex.sub(geo.ricci(g).comps[i][j], ex.mul(mh, hess.comps[i][j])),
             ex.mul(ex.const(lam_est), g.comps[i][j])))
-        res = _sym2_gnorms(g, T, pts, s.params)
+        res = geo.sym2_gnorms(g, T.comps, pts, s.params)
         meta["fiber_relation_deviation"] = murep.sup
         rep = _report("warped-einstein-base-block", tol, pts, res, **meta)
     return w, rep

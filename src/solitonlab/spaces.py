@@ -23,9 +23,8 @@ import numpy as np
 
 from . import expr as ex
 from .geometry import (
-    Chart, GeometryError, MetricField, PointSample, ScalarField, SymTensorField,
-    eval_scalar, eval_sym2_comps, gradient, hessian, laplacian, metric_determinant,
-    points_array, ricci, sample_points, sym_rows,
+    Chart, GeometryError, MetricField, ScalarField, eval_scalar, eval_sym2_comps,
+    hessian, ricci, sample_points, sym_rows,
 )
 from . import geometry as geo
 
@@ -208,7 +207,7 @@ def make_warped(base, fiber, f: ScalarField, *, fiber_mu=None, binding=None,
     pts = sample_points(base_chart, check_count, seed, binding=binding)
     fv = eval_scalar(f, pts, binding)
     if not np.all(fv > 0.0):
-        bad = points_array(pts)[int(np.argmin(fv))]
+        bad = pts[int(np.argmin(fv))]
         raise GeometryError(f"non-positive warping at sample {tuple(bad)}")
 
     if isinstance(fiber, AbstractFiber):
@@ -252,15 +251,12 @@ def oneill_ricci(w: WarpedProduct, p, binding=None) -> np.ndarray:
     identity).
     """
     nb, m = w.base_chart.dim, w.fiber_dim
-    if isinstance(p, PointSample):
-        p = p.coords
     p = np.asarray(p, dtype=float).ravel()
     base_pt = p[:nb].reshape(1, -1)
 
     gB, gBinv = geo.eval_metric(w.base_metric, base_pt, binding)
-    ricB = eval_sym2_comps(ricci(w.base_metric).comps, base_pt, w.base_chart, binding)[0]
-    hessf = eval_sym2_comps(hessian(w.base_metric, w.warping).comps, base_pt,
-                            w.base_chart, binding)[0]
+    ricB = eval_sym2_comps(ricci(w.base_metric).comps, base_pt, binding)[0]
+    hessf = eval_sym2_comps(hessian(w.base_metric, w.warping).comps, base_pt, binding)[0]
     df = ex.eval_many([ex.differentiate(w.warping.expr, i) for i in range(nb)],
                       base_pt, binding)[:, 0]
     fval = float(eval_scalar(w.warping, base_pt, binding)[0])
@@ -279,8 +275,8 @@ def oneill_ricci(w: WarpedProduct, p, binding=None) -> np.ndarray:
     if p.size != d:
         raise ValueError(f"point must have {d} coordinates for an explicit fiber")
     fib_pt = p[nb:].reshape(1, -1)
-    ricF = eval_sym2_comps(ricci(w.fiber_metric).comps, fib_pt, w.fiber_chart, binding)[0]
-    gF = eval_sym2_comps(w.fiber_metric.comps, fib_pt, w.fiber_chart, binding)[0]
+    ricF = eval_sym2_comps(ricci(w.fiber_metric).comps, fib_pt, binding)[0]
+    gF = eval_sym2_comps(w.fiber_metric.comps, fib_pt, binding)[0]
     out[nb:, nb:] = ricF - coef * fval ** 2 * gF
     return out
 

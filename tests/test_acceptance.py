@@ -51,7 +51,7 @@ def test_criterion_03_height_function_hessian():
     T = [[ex.add(hess.comps[i][j], ex.mul(hf.field.expr, space.metric.comps[i][j]))
           for j in range(n)] for i in range(n)]
     _, ginv = geo.eval_metric(space.metric, pts)
-    tv = geo.eval_sym2_comps(T, pts, space.chart)
+    tv = geo.eval_sym2_comps(T, pts)
     sup = float(np.max(geo.gnorm_sym2(tv, ginv)))
     _line(3, f"height-function Hessian equation on the unit 3-sphere "
              f"(sup {sup:.2e} < 1e-9)", sup < 1e-9)
@@ -63,8 +63,8 @@ def test_criterion_04_oneill_oracle():
     w = sp.make_warped((base.chart, base), sp.make_euclidean(2), f)
     ric = geo.ricci(w.metric)
     pts = geo.points_array(geo.sample_points(w.chart, 100, seed=42))
-    rv = geo.eval_sym2_comps(ric.comps, pts, w.chart)
-    gv = geo.eval_sym2_comps(w.metric.comps, pts, w.chart)
+    rv = geo.eval_sym2_comps(ric.comps, pts)
+    gv = geo.eval_sym2_comps(w.metric.comps, pts)
     worst_formula = worst_einstein = 0.0
     for a, p in enumerate(pts):
         formulas = sp.oneill_ricci(w, p)
@@ -106,8 +106,8 @@ def test_criterion_07_warped_einstein_construction():
     lam = rep.metadata["lambda"]
     # direct spot check: Ric of the 5-dim product equals -4 g
     pts = geo.points_array(geo.sample_points(w.chart, 50, seed=42, metric=w.metric))
-    rv = geo.eval_sym2_comps(geo.ricci(w.metric).comps, pts, w.chart)
-    gv = geo.eval_sym2_comps(w.metric.comps, pts, w.chart)
+    rv = geo.eval_sym2_comps(geo.ricci(w.metric).comps, pts)
+    gv = geo.eval_sym2_comps(w.metric.comps, pts)
     direct = float(np.max(np.abs(rv + 4.0 * gv)))
     _line(7, f"5-dimensional warped product is Einstein with lambda = {lam:g} "
              f"(report sup {rep.sup:.2e}, direct check {direct:.2e}, both < 1e-8)",
@@ -166,7 +166,7 @@ def test_criterion_10_conformal_factor_equation():
                  ex.mul(hf.field.expr, space.metric.comps[i][j]))
           for j in range(n)] for i in range(n)]
     _, ginv = geo.eval_metric(space.metric, pts)
-    tv = geo.eval_sym2_comps(T, pts, space.chart)
+    tv = geo.eval_sym2_comps(T, pts)
     lie_dev = float(np.max(geo.gnorm_sym2(tv, ginv)))
     _line(10, f"conformal-factor equation on the unit 3-sphere (R = 6, residual "
               f"{rep.sup:.2e} < 1e-9) and its potential u = -h_v reproduces the "

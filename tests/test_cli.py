@@ -15,6 +15,7 @@ import pytest
 from solitonlab import cli
 from solitonlab import examples as exm
 from solitonlab import manifest as mf
+from solitonlab import soliton as so
 
 REPORT_KEYS = {"version", "manifest_digest", "checks", "classification",
                "trivial", "pass"}
@@ -231,6 +232,20 @@ def test_construct_warped_rejections(tmp_path, capsys):
     assert code == 2 and "no manifest" in err
 
 
+def test_construct_warped_runs_mu_field_once(capsys, monkeypatch):
+    calls = []
+    mu_field = so.mu_field
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return mu_field(*args, **kwargs)
+
+    monkeypatch.setattr(so, "mu_field", counted)
+    code, _, _ = run_cli(capsys, "construct-warped", "--base", "pseudo-hyperbolic",
+                         "--points", "40")
+    assert code == 0 and len(calls) == 1
+
+
 def test_construct_warped_abstract_fiber(capsys):
     code, out, _ = run_cli(capsys, "construct-warped", "--base", "pseudo-hyperbolic",
                            "--fiber", "abstract", "--points", "50")
@@ -265,13 +280,22 @@ def test_classify_needs_exactly_one_source(tmp_path, capsys):
     assert code == 2 and "exactly one" in err
 
 
-@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
-def test_closed_stdout_is_io_error(unbuffered):
+_REPORT_ARGV = ("verify-example", "neg-m-sphere", "--points", "20")
+
+
+@pytest.mark.parametrize("argv,unbuffered", [
+    pytest.param(_REPORT_ARGV, None, id="buffered"),
+    pytest.param(_REPORT_ARGV, "1", id="unbuffered"),
+    pytest.param(("--version",), None, id="version-buffered"),
+    pytest.param(("--version",), "1", id="version-unbuffered"),
+    pytest.param(("--help",), None, id="help-buffered"),
+    pytest.param(("--help",), "1", id="help-unbuffered"),
+])
+def test_closed_stdout_is_io_error(argv, unbuffered):
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        code, _, err = run_entry("verify-example", "neg-m-sphere", "--points", "20",
-                                 stdout=write_end, unbuffered=unbuffered)
+        code, _, err = run_entry(*argv, stdout=write_end, unbuffered=unbuffered)
     finally:
         os.close(write_end)
     assert code == 2

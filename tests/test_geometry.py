@@ -107,8 +107,8 @@ def test_sphere_curvatures(n, r):
     ric = geo.ricci(g)
     R = geo.scalar_curvature(g)
     pts = geo.points_array(geo.sample_points(space.chart, 25, seed=5))
-    rv = geo.eval_sym2_comps(ric.comps, pts, space.chart)
-    gv = geo.eval_sym2_comps(g.comps, pts, space.chart)
+    rv = geo.eval_sym2_comps(ric.comps, pts)
+    gv = geo.eval_sym2_comps(g.comps, pts)
     mu = (n - 1) / r ** 2
     assert np.max(np.abs(rv - mu * gv)) < 1e-9
     Rv = geo.eval_scalar(R, pts)
@@ -126,8 +126,8 @@ def test_hyperbolic_curvatures():
     g = space.metric
     ric = geo.ricci(g)
     pts = geo.points_array(geo.sample_points(space.chart, 25, seed=5))
-    rv = geo.eval_sym2_comps(ric.comps, pts, space.chart)
-    gv = geo.eval_sym2_comps(g.comps, pts, space.chart)
+    rv = geo.eval_sym2_comps(ric.comps, pts)
+    gv = geo.eval_sym2_comps(g.comps, pts)
     assert np.max(np.abs(rv + 2.0 * gv)) < 1e-9
     Rv = geo.eval_scalar(geo.scalar_curvature(g), pts)
     assert np.max(np.abs(Rv + 6.0)) < 1e-9
@@ -157,8 +157,8 @@ def test_inverse_metric_and_determinant():
     inv = geo.inverse_metric(g)
     det = geo.metric_determinant(g)
     pts = np.random.default_rng(0).uniform(-1, 1, size=(20, 3))
-    gv = geo.eval_sym2_comps(g.comps, pts, chart)
-    iv = geo.eval_sym2_comps(inv, pts, chart)
+    gv = geo.eval_sym2_comps(g.comps, pts)
+    iv = geo.eval_sym2_comps(inv, pts)
     for a in range(20):
         np.testing.assert_allclose(gv[a] @ iv[a], np.eye(3), atol=1e-11)
     dv = geo.eval_scalar(det, pts)
@@ -183,9 +183,9 @@ def test_gradient_hessian_laplacian_flat():
     hess = geo.hessian(g, phi)
     lap = geo.laplacian(g, phi)
     pts = np.array([[0.2, -0.4, 1.0]])
-    gvec = geo.eval_components(grad.comps, pts, chart)[0]
+    gvec = geo.eval_components(grad.comps, pts)[0]
     np.testing.assert_allclose(gvec, [0.4, -0.8, 2.0], atol=1e-14)
-    hv = geo.eval_sym2_comps(hess.comps, pts, chart)[0]
+    hv = geo.eval_sym2_comps(hess.comps, pts)[0]
     np.testing.assert_allclose(hv, 2.0 * np.eye(3), atol=1e-14)
     assert geo.eval_scalar(lap, pts)[0] == pytest.approx(6.0)
     gn = geo.eval_scalar(geo.grad_norm2(g, phi), pts)[0]
@@ -198,9 +198,9 @@ def test_height_function_hessian_equation_sphere():
     hf = sp.height_function(space, (0.0, 0.0, 0.0, 1.0))
     hess = geo.hessian(space.metric, hf.field)
     pts = geo.points_array(geo.sample_points(space.chart, 40, seed=2))
-    hv = geo.eval_sym2_comps(hess.comps, pts, space.chart)
+    hv = geo.eval_sym2_comps(hess.comps, pts)
     hval = geo.eval_scalar(hf.field, pts)
-    gv = geo.eval_sym2_comps(space.metric.comps, pts, space.chart)
+    gv = geo.eval_sym2_comps(space.metric.comps, pts)
     resid = hv + hval[:, None, None] * gv
     assert np.max(np.abs(resid)) < 1e-9
 
@@ -210,9 +210,9 @@ def test_height_function_hessian_equation_hyperbolic():
     hf = sp.height_function(space, (0.0, 0.0, 0.0, 1.0))
     hess = geo.hessian(space.metric, hf.field)
     pts = geo.points_array(geo.sample_points(space.chart, 40, seed=2))
-    hv = geo.eval_sym2_comps(hess.comps, pts, space.chart)
+    hv = geo.eval_sym2_comps(hess.comps, pts)
     hval = geo.eval_scalar(hf.field, pts)
-    gv = geo.eval_sym2_comps(space.metric.comps, pts, space.chart)
+    gv = geo.eval_sym2_comps(space.metric.comps, pts)
     resid = hv - hval[:, None, None] * gv  # c = -1
     assert np.max(np.abs(resid)) < 1e-9
 
@@ -223,8 +223,8 @@ def test_lie_derivative_of_gradient_is_twice_hessian():
     lie = geo.lie_derivative_metric(g, geo.gradient(g, phi))
     hess = geo.hessian(g, phi)
     pts = np.random.default_rng(4).uniform(-1, 1, size=(30, 3))
-    lv = geo.eval_sym2_comps(lie.comps, pts, chart)
-    hv = geo.eval_sym2_comps(hess.comps, pts, chart)
+    lv = geo.eval_sym2_comps(lie.comps, pts)
+    hv = geo.eval_sym2_comps(hess.comps, pts)
     assert np.max(np.abs(lv - 2.0 * hv)) < 1e-10
 
 
@@ -242,7 +242,7 @@ def test_trace_and_traceless():
     pts = np.random.default_rng(6).uniform(-1, 1, size=(10, 3))
     np.testing.assert_allclose(geo.eval_scalar(tr, pts), 3.0, atol=1e-12)
     T0 = geo.traceless(g, T)
-    vals = geo.eval_sym2_comps(T0.comps, pts, chart)
+    vals = geo.eval_sym2_comps(T0.comps, pts)
     assert np.max(np.abs(vals)) < 1e-12
     inner = geo.tensor_inner(g, T, T)
     np.testing.assert_allclose(geo.eval_scalar(inner, pts), 3.0, atol=1e-12)
@@ -253,8 +253,8 @@ def test_musical_isomorphisms_round_trip():
     X = geo.VectorField(chart, (chart.parse("x2"), chart.parse("exp(x1)"), ex.ONE))
     back = geo.oneform_to_vector(g, geo.vector_to_oneform(g, X))
     pts = np.random.default_rng(7).uniform(-1, 1, size=(15, 3))
-    xv = geo.eval_components(X.comps, pts, chart)
-    bv = geo.eval_components(back.comps, pts, chart)
+    xv = geo.eval_components(X.comps, pts)
+    bv = geo.eval_components(back.comps, pts)
     np.testing.assert_allclose(xv, bv, atol=1e-11)
 
 
@@ -265,8 +265,8 @@ def test_sym2_apply_on_metric_is_identity():
     TX = geo.sym2_apply(g, T, X)
     pts = np.random.default_rng(8).uniform(-1, 1, size=(15, 3))
     np.testing.assert_allclose(
-        geo.eval_components(TX.comps, pts, chart),
-        geo.eval_components(X.comps, pts, chart), atol=1e-11)
+        geo.eval_components(TX.comps, pts),
+        geo.eval_components(X.comps, pts), atol=1e-11)
 
 
 def test_gnorm_against_direct_contraction():
@@ -274,10 +274,12 @@ def test_gnorm_against_direct_contraction():
     T = geo.SymTensorField(chart, geo.sym_rows([chart.parse("x1"), ex.ONE, chart.parse("x2^2")]))
     pts = np.random.default_rng(3).uniform(-1, 1, size=(12, 2))
     gv, ginv = geo.eval_metric(g, pts)
-    tv = geo.eval_sym2_comps(T.comps, pts, chart)
+    tv = geo.eval_sym2_comps(T.comps, pts)
     got = geo.gnorm_sym2(tv, ginv)
     want = np.sqrt(np.einsum("aik,ajl,aij,akl->a", ginv, ginv, tv, tv))
     np.testing.assert_allclose(got, want, atol=1e-12)
+    # the one residual path gives the same norms, bit for bit
+    np.testing.assert_array_equal(geo.sym2_gnorms(g, T.comps, pts), got)
     # tensor_norm agrees pointwise
     assert geo.tensor_norm(g, T, pts[0]) == pytest.approx(got[0])
 
@@ -285,21 +287,21 @@ def test_gnorm_against_direct_contraction():
 def test_sample_points_deterministic_and_admissible():
     space = sp.make_hyperbolic(3)
     a = geo.sample_points(space.chart, 50, seed=123)
+    assert isinstance(a, np.ndarray)
+    assert a.shape == (50, 3) and a.dtype == np.float64
     b = geo.sample_points(space.chart, 50, seed=123)
-    assert [p.coords for p in a] == [p.coords for p in b]
+    assert np.array_equal(a, b)
     c = geo.sample_points(space.chart, 50, seed=124)
-    assert [p.coords for p in a] != [p.coords for p in c]
-    for p in a:
-        assert p.coords[2] > 0.0  # domain predicate x3 > 0
-        assert p.admissible
+    assert not np.array_equal(a, c)
+    assert np.all(a[:, 2] > 0.0)  # domain predicate x3 > 0
 
 
 def test_sample_points_respects_domain_predicate():
     chart = geo.Chart(("x1", "x2"), ((-1, 1), (-1, 1)),
                       domain=(ex.sub(ex.coord(0), ex.coord(1)),))
     pts = geo.sample_points(chart, 200, seed=0)
-    for p in pts:
-        assert p.coords[0] > p.coords[1]
+    assert pts.shape == (200, 2)
+    assert np.all(pts[:, 0] > pts[:, 1])
 
 
 def test_sample_points_spd_guard():
@@ -307,16 +309,16 @@ def test_sample_points_spd_guard():
     chart = geo.Chart(("x1", "x2"), ((-1, 1), (-1, 1)))
     g = geo.MetricField(chart, geo.sym_rows([ex.ONE, ex.ZERO, ex.coord(0)]))
     pts = geo.sample_points(chart, 100, seed=1, metric=g)
-    for p in pts:
-        assert p.coords[0] > 0.0
+    assert pts.shape == (100, 2)
+    assert np.all(pts[:, 0] > 0.0)
 
 
 def test_sample_points_condition_limit():
     chart = geo.Chart(("x1", "x2"), ((-1, 1), (-1, 1)))
     g = geo.MetricField(chart, geo.sym_rows([ex.ONE, ex.ZERO, ex.powi(ex.coord(0), 2)]))
     pts = geo.sample_points(chart, 100, seed=1, metric=g, cond_limit=100.0)
-    for p in pts:
-        assert abs(p.coords[0]) > 0.1 - 1e-12
+    assert pts.shape == (100, 2)
+    assert np.all(np.abs(pts[:, 0]) > 0.1 - 1e-12)
 
 
 def test_sample_points_exhaustion():
@@ -329,7 +331,10 @@ def test_sample_points_exhaustion():
 
 
 def test_points_array_forms():
-    pts = geo.points_array([geo.PointSample((1.0, 2.0)), (3.0, 4.0)])
+    pts = geo.points_array([(1, 2.0), np.array([3.0, 4.0])])
     np.testing.assert_allclose(pts, [[1.0, 2.0], [3.0, 4.0]])
+    assert pts.dtype == np.float64
     arr = np.array([5.0, 6.0])
     assert geo.points_array(arr).shape == (1, 2)
+    sample = geo.sample_points(geo.Chart(("x1", "x2"), ((-1, 1), (-1, 1))), 4, seed=0)
+    assert np.array_equal(geo.points_array(sample), sample)

@@ -12,7 +12,7 @@ def test_random_perturbed_metric_is_spd_on_box():
     rng = np.random.default_rng(17)
     g = idn.random_perturbed_metric(rng, 3)
     pts = np.random.default_rng(1).uniform(-1, 1, size=(200, 3))
-    gv = geo.eval_sym2_comps(g.comps, pts, g.chart)
+    gv = geo.eval_sym2_comps(g.comps, pts)
     eig = np.linalg.eigvalsh(gv)
     assert np.all(eig[:, 0] > 0.1)  # comfortably positive definite
 

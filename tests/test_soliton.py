@@ -345,8 +345,8 @@ def test_einstein_fiber_kinds():
     chart, gm = so.einstein_fiber(2, -3.0)
     ric = geo.ricci(gm)
     pts = geo.points_array(geo.sample_points(chart, 20, seed=1))
-    rv = geo.eval_sym2_comps(ric.comps, pts, chart)
-    gv = geo.eval_sym2_comps(gm.comps, pts, chart)
+    rv = geo.eval_sym2_comps(ric.comps, pts)
+    gv = geo.eval_sym2_comps(gm.comps, pts)
     assert np.max(np.abs(rv + 3.0 * gv)) < 1e-10
     ab = so.einstein_fiber(7, 1.5, "abstract")
     assert isinstance(ab, sp.AbstractFiber) and ab.dim == 7

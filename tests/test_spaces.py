@@ -64,9 +64,9 @@ def test_height_function_tilted_direction():
     hf = sp.height_function(space, tuple(v))
     hess = geo.hessian(space.metric, hf.field)
     pts = geo.points_array(geo.sample_points(space.chart, 30, seed=9))
-    hv = geo.eval_sym2_comps(hess.comps, pts, space.chart)
+    hv = geo.eval_sym2_comps(hess.comps, pts)
     hval = geo.eval_scalar(hf.field, pts)
-    gv = geo.eval_sym2_comps(space.metric.comps, pts, space.chart)
+    gv = geo.eval_sym2_comps(space.metric.comps, pts)
     assert np.max(np.abs(hv + hval[:, None, None] * gv)) < 1e-9
     assert np.max(np.abs(hval)) <= 1.0 + 1e-12
 
@@ -120,7 +120,7 @@ def test_make_warped_block_structure():
     assert w.chart.coords == ("t", "x1", "x2")
     # no cross terms, fiber block carries f^2
     pt = np.array([[0.3, 0.1, -0.2]])
-    gv = geo.eval_sym2_comps(w.metric.comps, pt, w.chart)[0]
+    gv = geo.eval_sym2_comps(w.metric.comps, pt)[0]
     assert gv[0, 1] == 0.0 and gv[0, 2] == 0.0
     assert gv[0, 0] == 1.0
     e2t = math.exp(0.6)
@@ -142,8 +142,8 @@ def test_make_warped_propagates_domains():
     # base predicate stays at slot 1, fiber predicate shifts to slot 3
     assert len(w.chart.domain) == 2
     pts = geo.sample_points(w.chart, 40, seed=0)
-    for p in pts:
-        assert p.coords[1] > 0 and p.coords[3] > 0
+    assert pts.shape == (40, 4)
+    assert np.all(pts[:, 1] > 0) and np.all(pts[:, 3] > 0)
 
 
 def test_make_warped_rejects_nonpositive_warping():
@@ -173,8 +173,8 @@ def test_oneill_matches_direct_ricci_exponential_line():
     w = sp.make_warped((base.chart, base), sp.make_euclidean(2), f)
     ric = geo.ricci(w.metric)
     pts = geo.points_array(geo.sample_points(w.chart, 25, seed=11))
-    rv = geo.eval_sym2_comps(ric.comps, pts, w.chart)
-    gv = geo.eval_sym2_comps(w.metric.comps, pts, w.chart)
+    rv = geo.eval_sym2_comps(ric.comps, pts)
+    gv = geo.eval_sym2_comps(w.metric.comps, pts)
     for a, p in enumerate(pts):
         formulas = sp.oneill_ricci(w, p)
         np.testing.assert_allclose(rv[a], formulas, atol=1e-9)
@@ -186,7 +186,7 @@ def test_oneill_matches_direct_ricci_curved_fiber():
     w = sp.make_warped((f.chart, sp.line_metric(f.chart)), sp.make_sphere(2, 1.0), f)
     ric = geo.ricci(w.metric)
     pts = geo.points_array(geo.sample_points(w.chart, 15, seed=4))
-    rv = geo.eval_sym2_comps(ric.comps, pts, w.chart)
+    rv = geo.eval_sym2_comps(ric.comps, pts)
     for a, p in enumerate(pts):
         np.testing.assert_allclose(rv[a], sp.oneill_ricci(w, p), atol=1e-8)
 
