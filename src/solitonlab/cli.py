@@ -159,7 +159,7 @@ def _identity_reports(args, tol):
         comps = [[ex.sub(half_L.comps[i][j], ex.mul(rho.expr, g.comps[i][j]))
                   for j in range(n)] for i in range(n)]
         reps.append(so._report("factor-potential", tol, pts,
-                               geo.sym2_gnorms(g, comps, pts)))
+                               geo.gnorms(g, comps, pts)))
         digest = mf.digest({"identity": name, "points": count, "seed": args.seed})
         return reps, digest
 

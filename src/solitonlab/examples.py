@@ -353,7 +353,7 @@ def _hessian_equation_check(s: so.SolitonStructure, k: float, pts) -> so.Residua
     comps = [[ex.add(hess.comps[i][j], ex.mul(ku, g.comps[i][j]))
               for j in range(n)] for i in range(n)]
     return so._report("potential-hessian-equation", HESSIAN_EQ_TOL, pts,
-                      geo.sym2_gnorms(g, comps, pts, s.params))
+                      geo.gnorms(g, comps, pts, s.params))
 
 
 def _expected_classification(example_id: str, p: dict) -> str:

@@ -10,8 +10,9 @@ the metric).
 
 Vector fields are stored contravariantly, one-forms covariantly; symmetric
 tensors store the full matrix with mirrored upper-triangle nodes, so stored
-symmetry is exact by construction.  Residual magnitudes use the g-norm
-sqrt(g^{ik} g^{jl} T_ij T_kl), evaluated with numpy over point batches.
+symmetry is exact by construction.  Residual magnitudes use the g-norm,
+sqrt(g^{ik} g^{jl} T_ij T_kl) at rank 2 and alike at ranks 1 and 3 (|f| at
+rank 0), evaluated with numpy over point batches.
 """
 
 from __future__ import annotations
@@ -426,21 +427,8 @@ def traceless(g: MetricField, T: SymTensorField) -> SymTensorField:
     return SymTensorField(g.chart, rows)
 
 
-def tensor_inner(g: MetricField, A: SymTensorField, B: SymTensorField) -> ScalarField:
-    """⟨A, B⟩ = g^{ik} g^{jl} A_ij B_kl."""
-    n = g.chart.dim
-    inv = inverse_metric(g)
-    terms = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    terms.append(ex.mul(ex.mul(inv[i][k], inv[j][l]), ex.mul(A.comps[i][j], B.comps[k][l])))
-    return ScalarField(g.chart, ex.nsum(terms))
-
-
 def tensor_norm(g: MetricField, T: SymTensorField, p, binding=None) -> float:
-    return float(sym2_gnorms(g, T.comps, points_array([p]), binding)[0])
+    return float(gnorms(g, T.comps, points_array([p]), binding)[0])
 
 
 def grad_norm2(g: MetricField, phi: ScalarField) -> ScalarField:
@@ -486,6 +474,10 @@ def inner_rank2(g: MetricField, A, B) -> ScalarField:
     return ScalarField(g.chart, ex.nsum(terms))
 
 
+# the symmetric case of inner_rank2; perfbench/tracer.py wraps this name too
+tensor_inner = inner_rank2
+
+
 def vector_to_oneform(g: MetricField, X: VectorField) -> OneFormField:
     n = g.chart.dim
     return OneFormField(g.chart, [
@@ -523,12 +515,6 @@ def eval_scalar(f: ScalarField, points, binding=None) -> np.ndarray:
     return ex.eval_many([f.expr], pts, binding)[0]
 
 
-def eval_components(comps, points, binding=None) -> np.ndarray:
-    """(N, k) array for a flat sequence of k expressions."""
-    pts = points_array(points)
-    return ex.eval_many(list(comps), pts, binding).T
-
-
 def eval_sym2_comps(comps, points, binding=None) -> np.ndarray:
     """(N, n, n) array for an n x n nested tuple of expressions."""
     n = len(comps)
@@ -549,15 +535,6 @@ def gnorm_sym2(tv: np.ndarray, ginv: np.ndarray) -> np.ndarray:
     return np.sqrt(np.clip(sq, 0.0, None))
 
 
-def sym2_gnorms(g: MetricField, comps, points, binding=None) -> np.ndarray:
-    """g-norm of an n x n nested tuple of expressions at each point: (N,) array.
-
-    Every symmetric residual check reduces through here.
-    """
-    _, ginv = eval_metric(g, points, binding)
-    return gnorm_sym2(eval_sym2_comps(comps, points, binding), ginv)
-
-
 def gnorm_oneform(wv: np.ndarray, ginv: np.ndarray) -> np.ndarray:
     sq = np.einsum("nij,ni,nj->n", ginv, wv, wv)
     return np.sqrt(np.clip(sq, 0.0, None))
@@ -566,6 +543,26 @@ def gnorm_oneform(wv: np.ndarray, ginv: np.ndarray) -> np.ndarray:
 def gnorm_rank3(av: np.ndarray, ginv: np.ndarray) -> np.ndarray:
     sq = np.einsum("nad,nbe,ncf,nabc,ndef->n", ginv, ginv, ginv, av, av)
     return np.sqrt(np.clip(sq, 0.0, None))
+
+
+def gnorms(g: MetricField, comps, points, binding=None) -> np.ndarray:
+    """g-norm of a residual at each point: (N,) array.
+
+    `comps` is one expression (rank 0, reduced by its absolute value) or
+    nested n-tuples of them (ranks 1-3, reduced with the metric's inverse).
+    Every residual check reduces through here.
+    """
+    arr = np.array(comps, dtype=object)
+    pts = points_array(points)
+    if arr.ndim == 0:
+        return np.abs(ex.eval_many([comps], pts, binding)[0])
+    _, ginv = eval_metric(g, pts, binding)
+    tv = ex.eval_many(list(arr.flat), pts, binding).T.reshape((len(pts),) + arr.shape)
+    if arr.ndim == 1:
+        return gnorm_oneform(tv, ginv)
+    if arr.ndim == 2:
+        return gnorm_sym2(tv, ginv)
+    return gnorm_rank3(tv, ginv)
 
 
 # ---------------------------------------------------------------------------

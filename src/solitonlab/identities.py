@@ -96,135 +96,114 @@ def _suite_points(chart, point_count, seed, idx):
     return geo.sample_points(chart, point_count, 7919 * seed + idx)
 
 
-def _aggregate(name, tol, pts_list, res_list, **metadata):
-    return so._report(name, tol, np.concatenate(pts_list),
-                      np.concatenate(res_list), **metadata)
+def _run_suite(gs, point_count, seed, tol, residuals):
+    """One report per residual, over the sampled points of every metric.
+
+    `residuals(idx, g)` returns {name: comps} in report order; each residual
+    is reduced by geo.gnorms at metric idx's own points.
+    """
+    pts_list, res_all = [], {}
+    for idx, g in enumerate(gs):
+        comps = residuals(idx, g)
+        pts = _suite_points(g.chart, point_count, seed, idx)
+        pts_list.append(pts)
+        for name, c in comps.items():
+            res_all.setdefault(name, []).append(geo.gnorms(g, c, pts))
+    pts = np.concatenate(pts_list)
+    return [so._report(name, tol, pts, np.concatenate(res), metrics=len(gs),
+                       points_per_metric=point_count, seed=seed)
+            for name, res in res_all.items()]
 
 
 def bianchi_suite(dim: int = 3, metric_count: int = 20, point_count: int = 100,
                   seed: int = 7, tol: float = SUITE_TOL, metrics=None):
     """Contracted Bianchi: div Ric = (1/2) dR on random metrics."""
     gs = metrics if metrics is not None else suite_metrics(dim, metric_count, seed)
-    pts_list, res_list = [], []
-    for idx, g in enumerate(gs):
-        n = g.chart.dim
+
+    def residuals(idx, g):
         div_ric = geo.divergence_sym2(g, geo.ricci(g))
         scal = geo.scalar_curvature(g)
-        comps = [ex.sub(div_ric.comps[j],
-                        ex.mul(ex.const(0.5), ex.differentiate(scal.expr, j)))
-                 for j in range(n)]
-        pts = _suite_points(g.chart, point_count, seed, idx)
-        _, ginv = geo.eval_metric(g, pts)
-        wv = geo.eval_components(comps, pts)
-        pts_list.append(pts)
-        res_list.append(geo.gnorm_oneform(wv, ginv))
-    return [_aggregate("bianchi", tol, pts_list, res_list,
-                       metrics=len(gs), points_per_metric=point_count, seed=seed)]
+        return {"bianchi": [ex.sub(div_ric.comps[j],
+                                   ex.mul(ex.const(0.5), ex.differentiate(scal.expr, j)))
+                            for j in range(g.chart.dim)]}
 
-
-def _grad_comps(g, phi_expr):
-    n = g.chart.dim
-    inv = geo.inverse_metric(g)
-    dphi = [ex.differentiate(phi_expr, i) for i in range(n)]
-    return [ex.nsum(ex.mul(inv[i][j], dphi[j]) for j in range(n)) for i in range(n)], dphi
+    return _run_suite(gs, point_count, seed, tol, residuals)
 
 
 def fg_formulas_suite(dim: int = 3, metric_count: int = 20, point_count: int = 100,
                       seed: int = 7, tol: float = SUITE_TOL, metrics=None):
     """The four product/derivative formulas, one aggregated report each."""
     gs = metrics if metrics is not None else suite_metrics(dim, metric_count, seed)
-    names = ("fg-div-product", "fg-covariant-product", "fg-half-grad-square",
-             "fg-hessian-divergence")
-    pts_all = {nm: [] for nm in names}
-    res_all = {nm: [] for nm in names}
-    for idx, g in enumerate(gs):
+
+    def residuals(idx, g):
         n = g.chart.dim
         chart = g.chart
         rng = np.random.default_rng((seed, idx, _TAGS["fg"]))
         phi = random_polynomial(rng, n)
         T = random_sym2(rng, chart)
-        pts = _suite_points(chart, point_count, seed, idx)
-        _, ginv = geo.eval_metric(g, pts)
-        grad_phi, dphi = _grad_comps(g, phi)
+        phi_f = ScalarField(chart, phi)
+        grad_phi = geo.gradient(g, phi_f).comps
+        dphi = [ex.differentiate(phi, a) for a in range(n)]
+        out = {}
 
         phiT = SymTensorField(chart, [[ex.mul(phi, T.comps[i][j]) for j in range(n)]
                                       for i in range(n)])
         # div(phi T) - phi div T - T(grad phi, .)
         lhs = geo.divergence_sym2(g, phiT)
         rhs_div = geo.divergence_sym2(g, T)
-        comps = [ex.sub(lhs.comps[j],
-                        ex.add(ex.mul(phi, rhs_div.comps[j]),
-                               ex.nsum(ex.mul(T.comps[i][j], grad_phi[i])
-                                       for i in range(n))))
-                 for j in range(n)]
-        wv = geo.eval_components(comps, pts)
-        pts_all["fg-div-product"].append(pts)
-        res_all["fg-div-product"].append(geo.gnorm_oneform(wv, ginv))
+        out["fg-div-product"] = [
+            ex.sub(lhs.comps[j],
+                   ex.add(ex.mul(phi, rhs_div.comps[j]),
+                          ex.nsum(ex.mul(T.comps[i][j], grad_phi[i]) for i in range(n))))
+            for j in range(n)]
 
         # nabla(phi T) - phi nabla T - d phi (x) T
         lhs3 = geo.covariant_derivative_sym2(g, phiT)
         rhs3 = geo.covariant_derivative_sym2(g, T)
-        rank3 = [[[ex.sub(lhs3[a][i][j],
-                          ex.add(ex.mul(phi, rhs3[a][i][j]),
-                                 ex.mul(dphi[a], T.comps[i][j])))
-                   for j in range(n)] for i in range(n)] for a in range(n)]
-        flat = [rank3[a][i][j] for a in range(n) for i in range(n) for j in range(n)]
-        av = geo.eval_components(flat, pts).reshape(len(pts), n, n, n)
-        pts_all["fg-covariant-product"].append(pts)
-        res_all["fg-covariant-product"].append(geo.gnorm_rank3(av, ginv))
+        out["fg-covariant-product"] = [
+            [[ex.sub(lhs3[a][i][j],
+                     ex.add(ex.mul(phi, rhs3[a][i][j]), ex.mul(dphi[a], T.comps[i][j])))
+              for j in range(n)] for i in range(n)] for a in range(n)]
 
         # (1/2) d|grad phi|^2 - Hess phi(grad phi, .)
-        phi_f = ScalarField(chart, phi)
         gn2 = geo.grad_norm2(g, phi_f).expr
         hess = geo.hessian(g, phi_f)
-        comps = [ex.sub(ex.mul(ex.const(0.5), ex.differentiate(gn2, j)),
-                        ex.nsum(ex.mul(hess.comps[i][j], grad_phi[i])
-                                for i in range(n)))
-                 for j in range(n)]
-        wv = geo.eval_components(comps, pts)
-        pts_all["fg-half-grad-square"].append(pts)
-        res_all["fg-half-grad-square"].append(geo.gnorm_oneform(wv, ginv))
+        out["fg-half-grad-square"] = [
+            ex.sub(ex.mul(ex.const(0.5), ex.differentiate(gn2, j)),
+                   ex.nsum(ex.mul(hess.comps[i][j], grad_phi[i]) for i in range(n)))
+            for j in range(n)]
 
         # div Hess phi - Ric(grad phi, .) - d(lap phi)
         div_hess = geo.divergence_sym2(g, hess)
         ric = geo.ricci(g)
         lap = geo.laplacian(g, phi_f).expr
-        comps = [ex.sub(div_hess.comps[j],
-                        ex.add(ex.nsum(ex.mul(ric.comps[i][j], grad_phi[i])
-                                       for i in range(n)),
-                               ex.differentiate(lap, j)))
-                 for j in range(n)]
-        wv = geo.eval_components(comps, pts)
-        pts_all["fg-hessian-divergence"].append(pts)
-        res_all["fg-hessian-divergence"].append(geo.gnorm_oneform(wv, ginv))
+        out["fg-hessian-divergence"] = [
+            ex.sub(div_hess.comps[j],
+                   ex.add(ex.nsum(ex.mul(ric.comps[i][j], grad_phi[i]) for i in range(n)),
+                          ex.differentiate(lap, j)))
+            for j in range(n)]
+        return out
 
-    return [_aggregate(nm, tol, pts_all[nm], res_all[nm],
-                       metrics=len(gs), points_per_metric=point_count, seed=seed)
-            for nm in names]
+    return _run_suite(gs, point_count, seed, tol, residuals)
 
 
 def lemma21_suite(dim: int = 3, metric_count: int = 20, point_count: int = 100,
                   seed: int = 7, tol: float = SUITE_TOL, metrics=None):
     """div(T(phi Z)) = phi (div T)(Z) + phi <nabla Z, T> + T(grad phi, Z)."""
     gs = metrics if metrics is not None else suite_metrics(dim, metric_count, seed)
-    pts_list, res_list = [], []
-    for idx, g in enumerate(gs):
+
+    def residuals(idx, g):
         n = g.chart.dim
         chart = g.chart
         rng = np.random.default_rng((seed, idx, _TAGS["lemma21"]))
         phi = random_polynomial(rng, n)
         T = random_sym2(rng, chart)
         Z = random_vector(rng, chart)
-        inv = geo.inverse_metric(g)
-        grad_phi, _ = _grad_comps(g, phi)
+        grad_phi = geo.gradient(g, ScalarField(chart, phi)).comps
 
-        # vector W^i = g^{ij} T_jk (phi Z)^k, LHS = div W
-        W = VectorField(chart, [
-            ex.nsum(ex.mul(ex.mul(inv[i][j], T.comps[j][k]),
-                           ex.mul(phi, Z.comps[k]))
-                    for j in range(n) for k in range(n))
-            for i in range(n)])
-        lhs = geo.divergence_vector(g, W).expr
+        # LHS = div W with the vector W = T(phi Z)
+        phi_z = VectorField(chart, [ex.mul(phi, Z.comps[k]) for k in range(n)])
+        lhs = geo.divergence_vector(g, geo.sym2_apply(g, T, phi_z)).expr
 
         div_t = geo.divergence_sym2(g, T)
         term1 = ex.mul(phi, ex.nsum(ex.mul(div_t.comps[j], Z.comps[j])
@@ -233,13 +212,9 @@ def lemma21_suite(dim: int = 3, metric_count: int = 20, point_count: int = 100,
         term2 = ex.mul(phi, geo.inner_rank2(g, nabla_z, T).expr)
         term3 = ex.nsum(ex.mul(T.comps[i][j], ex.mul(grad_phi[i], Z.comps[j]))
                         for i in range(n) for j in range(n))
-        resid = ex.sub(lhs, ex.add(ex.add(term1, term2), term3))
-        pts = _suite_points(chart, point_count, seed, idx)
-        vals = np.abs(ex.eval_many([resid], pts)[0])
-        pts_list.append(pts)
-        res_list.append(vals)
-    return [_aggregate("lemma21", tol, pts_list, res_list,
-                       metrics=len(gs), points_per_metric=point_count, seed=seed)]
+        return {"lemma21": ex.sub(lhs, ex.add(ex.add(term1, term2), term3))}
+
+    return _run_suite(gs, point_count, seed, tol, residuals)
 
 
 def oneill_suite(w, count: int = 100, seed: int = 7, tol: float = 1e-9,

@@ -33,9 +33,7 @@ import numpy as np
 from . import expr as ex
 from . import geometry as geo
 from . import spaces as sp
-from .geometry import (
-    MetricField, OneFormField, ScalarField, SymTensorField, VectorField,
-)
+from .geometry import MetricField, ScalarField, SymTensorField, VectorField
 
 FORM_FREE = "free"
 FORM_M_OVER_U = "m-over-u"
@@ -166,14 +164,21 @@ def _report(name, tol, pts, res, **metadata) -> ResidualReport:
 
 
 def default_points(s, count: int = 200, seed: int = 42) -> np.ndarray:
-    """Seeded admissible samples for a structure (or metric, or chart)."""
+    """Seeded admissible samples for a structure (or metric, or chart).
+
+    For a structure, h, lambda and u (or X) are evaluated strictly at the
+    samples, so a field that is undefined there raises DomainError even when
+    constant folding drops it from every residual.
+    """
     if isinstance(s, SolitonStructure):
-        chart, metric, binding = s.chart, s.metric, s.params
-    elif isinstance(s, MetricField):
-        chart, metric, binding = s.chart, s, None
-    else:
-        chart, metric, binding = s, None, None
-    return geo.sample_points(chart, count, seed, metric=metric, binding=binding)
+        pts = geo.sample_points(s.chart, count, seed, metric=s.metric, binding=s.params)
+        fields = (s.h.expr, s.lam.expr) + (
+            (s.potential.expr,) if s.is_gradient else s.vector_field.comps)
+        ex.eval_many(fields, pts, s.params)
+        return pts
+    if isinstance(s, MetricField):
+        return geo.sample_points(s.chart, count, seed, metric=s)
+    return geo.sample_points(s, count, seed)
 
 
 def _combine_sym2(chart, n, build) -> SymTensorField:
@@ -199,7 +204,7 @@ def soliton_residual(s: SolitonStructure, points, tol: float = 1e-8) -> Residual
     T = _combine_sym2(g.chart, n, lambda i, j: ex.sub(
         ex.add(d.ric.comps[i][j], ex.mul(s.h.expr, d.S.comps[i][j])),
         ex.mul(s.lam.expr, g.comps[i][j])))
-    res = geo.sym2_gnorms(g, T.comps, pts, s.params)
+    res = geo.gnorms(g, T.comps, pts, s.params)
     return _report("soliton-residual", tol, pts, res, form=s.h_form, **s.params)
 
 
@@ -215,7 +220,7 @@ def gradient_soliton_residual(s: SolitonStructure, points, tol: float = 1e-8) ->
     T = _combine_sym2(g.chart, n, lambda i, j: ex.sub(
         ex.add(ric.comps[i][j], ex.mul(s.h.expr, hess.comps[i][j])),
         ex.mul(s.lam.expr, g.comps[i][j])))
-    res = geo.sym2_gnorms(g, T.comps, pts, s.params)
+    res = geo.gnorms(g, T.comps, pts, s.params)
     return _report("gradient-soliton-residual", tol, pts, res, form=s.h_form, **s.params)
 
 
@@ -231,7 +236,7 @@ def quasi_einstein_residual(q: QuasiEinsteinStructure, points, tol: float = 1e-8
         ex.add(ric.comps[i][j], hess.comps[i][j]),
         ex.add(ex.mul(q.mu_qe.expr, ex.mul(df[i], df[j])),
                ex.mul(q.lam.expr, g.comps[i][j]))))
-    res = geo.sym2_gnorms(g, T.comps, pts, q.params)
+    res = geo.gnorms(g, T.comps, pts, q.params)
     return _report("quasi-einstein-residual", tol, pts, res, **q.params)
 
 
@@ -254,11 +259,16 @@ def substitute_u_for_f(q: QuasiEinsteinStructure, m: float) -> SolitonStructure:
                             h_form=form, m=abs(m))
 
 
+def _mean_spread(vals):
+    """(mean, (max - min) / max(1, |mean|)) of sampled values."""
+    mean = float(np.mean(vals))
+    return mean, float((np.max(vals) - np.min(vals)) / max(1.0, abs(mean)))
+
+
 def lambda_is_constant(s: SolitonStructure, points) -> bool:
     """Relative spread of lambda below 1e-8: h-Ricci soliton, not just almost."""
     vals = geo.eval_scalar(s.lam, geo.points_array(points), s.params)
-    mean = float(np.mean(vals))
-    return float(np.max(vals) - np.min(vals)) < LAMBDA_SPREAD_TOL * max(1.0, abs(mean))
+    return _mean_spread(vals)[1] < LAMBDA_SPREAD_TOL
 
 
 def classify_lambda(s: SolitonStructure, points) -> str:
@@ -299,13 +309,9 @@ def triviality_check(s: SolitonStructure, points, tol: float = 1e-8) -> Triviali
     pts = geo.points_array(points)
     d = derive(s)
     n = s.chart.dim
-    sup0 = float(np.max(geo.sym2_gnorms(s.metric, d.S0.comps, pts, s.params)))
-    c_vals = (2.0 / n) * geo.eval_scalar(d.div_x, pts, s.params)
-    mean = float(np.mean(c_vals))
-    spread = float((np.max(c_vals) - np.min(c_vals)) / max(1.0, abs(mean)))
-    lam_vals = geo.eval_scalar(s.lam, pts, s.params)
-    lam_spread = float((np.max(lam_vals) - np.min(lam_vals))
-                       / max(1.0, abs(float(np.mean(lam_vals)))))
+    sup0 = float(np.max(geo.gnorms(s.metric, d.S0.comps, pts, s.params)))
+    mean, spread = _mean_spread((2.0 / n) * geo.eval_scalar(d.div_x, pts, s.params))
+    _, lam_spread = _mean_spread(geo.eval_scalar(s.lam, pts, s.params))
     trivial = (sup0 <= tol and spread < HOMOTHETY_SPREAD_TOL
                and lam_spread < LAMBDA_SPREAD_TOL)
     return TrivialityVerdict(trivial, mean, sup0, spread, lam_spread)
@@ -329,7 +335,7 @@ def conformal_killing_check(g: MetricField, X: VectorField, points,
     pts = geo.points_array(points)
     n = g.chart.dim
     S0 = geo.traceless(g, geo.half_lie_derivative_metric(g, X))
-    norms = geo.sym2_gnorms(g, S0.comps, pts, binding)
+    norms = geo.gnorms(g, S0.comps, pts, binding)
     sup0 = float(np.max(norms))
     rho = ScalarField(g.chart, ex.div(geo.divergence_vector(g, X).expr, ex.const(n)))
     rho_vals = geo.eval_scalar(rho, pts, binding)
@@ -346,7 +352,7 @@ def conformal_factor_hessian_check(g: MetricField, rho: ScalarField, points,
     coef = ex.mul(ex.div(scal.expr, ex.const(n * (n - 1))), rho.expr)
     T = _combine_sym2(g.chart, n, lambda i, j: ex.add(
         hess.comps[i][j], ex.mul(coef, g.comps[i][j])))
-    res = geo.sym2_gnorms(g, T.comps, pts, binding)
+    res = geo.gnorms(g, T.comps, pts, binding)
     return _report("conformal-factor-hessian", tol, pts, res)
 
 
@@ -358,9 +364,7 @@ def potential_from_factor(g: MetricField, rho: ScalarField, points,
     """
     pts = geo.points_array(points)
     n = g.chart.dim
-    rv = geo.eval_scalar(geo.scalar_curvature(g), pts, binding)
-    mean = float(np.mean(rv))
-    spread = float((np.max(rv) - np.min(rv)) / max(1.0, abs(mean)))
+    mean, spread = _mean_spread(geo.eval_scalar(geo.scalar_curvature(g), pts, binding))
     if spread >= 1e-8:
         raise PreconditionError(
             f"scalar curvature is not constant (relative spread {spread:.3e})")
@@ -396,10 +400,10 @@ def divric_identity_residual(s: SolitonStructure, points, tol: float = 1e-7,
     dr = [ex.differentiate(d.scal.expr, j) for j in range(n)]
     rhs1 = ex.mul(ex.const((n - 2) / (2.0 * n)),
                   ex.nsum(ex.mul(dr[j], d.X.comps[j]) for j in range(n)))
-    s0_sq = geo.tensor_inner(g, d.S0, d.S0).expr
+    s0_sq = geo.inner_rank2(g, d.S0, d.S0).expr
     rhs2 = ex.mul(s.h.expr, s0_sq)
     resid = ex.sub(ex.add(lhs1, lhs2), ex.sub(rhs1, rhs2))
-    vals = np.abs(ex.eval_many([resid], pts, s.params)[0])
+    vals = geo.gnorms(g, resid, pts, s.params)
     return _report("divric-identity", tol, pts, vals, precheck_sup=pre.sup)
 
 
@@ -435,9 +439,7 @@ def mu_field(s: SolitonStructure, points, tol: float = 1e-9) -> ResidualReport:
     """
     pts = geo.points_array(points)
     m = _require_neg_form(s, pts)
-    lam_vals = geo.eval_scalar(s.lam, pts, s.params)
-    lam_mean = float(np.mean(lam_vals))
-    lam_spread = float((np.max(lam_vals) - np.min(lam_vals)) / max(1.0, abs(lam_mean)))
+    lam_mean, lam_spread = _mean_spread(geo.eval_scalar(s.lam, pts, s.params))
     if lam_spread >= LAMBDA_SPREAD_TOL:
         raise PreconditionError(
             f"lambda is not constant (relative spread {lam_spread:.3e}); "
@@ -475,10 +477,7 @@ def eqpprinc_residual(s: SolitonStructure, points, tol: float = 1e-8,
         dphi = ex.differentiate(phi, j)
         du2 = ex.differentiate(u2, j)
         comps.append(ex.sub(dphi, ex.mul(ex.mul(c2, s.lam.expr), du2)))
-    w = OneFormField(g.chart, comps)
-    _, ginv = geo.eval_metric(g, pts, s.params)
-    wv = geo.eval_components(w.comps, pts, s.params)
-    vals = geo.gnorm_oneform(wv, ginv)
+    vals = geo.gnorms(g, comps, pts, s.params)
     return _report("eqpprinc-identity", tol, pts, vals, precheck_sup=pre.sup, m=m)
 
 
@@ -540,7 +539,7 @@ def warped_einstein_construct(s: SolitonStructure, fiber_dim: int,
         T = _combine_sym2(w.chart, n_tot, lambda i, j: ex.sub(
             prod_ric.comps[i][j],
             ex.mul(ex.const(lam_est), w.metric.comps[i][j])))
-        res = geo.sym2_gnorms(w.metric, T.comps, prod_pts, s.params)
+        res = geo.gnorms(w.metric, T.comps, prod_pts, s.params)
         rep = _report("warped-einstein", tol, prod_pts, res, **meta)
     else:
         g = s.metric
@@ -550,7 +549,7 @@ def warped_einstein_construct(s: SolitonStructure, fiber_dim: int,
         T = _combine_sym2(g.chart, n, lambda i, j: ex.sub(
             ex.sub(geo.ricci(g).comps[i][j], ex.mul(mh, hess.comps[i][j])),
             ex.mul(ex.const(lam_est), g.comps[i][j])))
-        res = geo.sym2_gnorms(g, T.comps, pts, s.params)
+        res = geo.gnorms(g, T.comps, pts, s.params)
         meta["fiber_relation_deviation"] = murep.sup
         rep = _report("warped-einstein-base-block", tol, pts, res, **meta)
     return w, rep

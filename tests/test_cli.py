@@ -165,6 +165,23 @@ def test_verify_manifest_scalar_division_by_zero_is_input_error(tmp_path):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [("verify-manifest",), ("classify", "--manifest")],
+                         ids=["verify-manifest", "classify"])
+def test_folded_field_is_still_evaluated(tmp_path, argv):
+    # Hess x1 = 0 on the flat plane, so h Hess u folds to 0 and no residual
+    # evaluates h; sampling must still find h undefined at x1 <= 0
+    path = tmp_path / "ln-h.json"
+    mf.write({"schema": mf.SCHEMA, "dimension": 2, "coordinates": ["x1", "x2"],
+              "box": [[-1.0, 1.0], [-1.0, 1.0]], "metric": ["1", "0", "1"],
+              "structure": {"potential": "x1"}, "h": "ln(x1)", "lambda": "0"},
+             str(path))
+    code, out, err = run_entry(*argv, str(path), "--points", "20")
+    assert code == 2
+    assert out == b""
+    assert err.strip() == ("expression error: logarithm of a non-positive value "
+                           "at point index 2")
+
+
 def test_verify_manifest_gradient_suite(tmp_path, capsys):
     s = exm.example_pseudo_hyperbolic(3, -1.0, 1.0, 0.0, m=2.0)
     path = tmp_path / "ph.json"

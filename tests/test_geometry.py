@@ -1,5 +1,8 @@
 # chart-level tensor calculus: curvature oracles, operators, sampling
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -183,7 +186,7 @@ def test_gradient_hessian_laplacian_flat():
     hess = geo.hessian(g, phi)
     lap = geo.laplacian(g, phi)
     pts = np.array([[0.2, -0.4, 1.0]])
-    gvec = geo.eval_components(grad.comps, pts)[0]
+    gvec = ex.eval_many(grad.comps, pts).T[0]
     np.testing.assert_allclose(gvec, [0.4, -0.8, 2.0], atol=1e-14)
     hv = geo.eval_sym2_comps(hess.comps, pts)[0]
     np.testing.assert_allclose(hv, 2.0 * np.eye(3), atol=1e-14)
@@ -253,8 +256,8 @@ def test_musical_isomorphisms_round_trip():
     X = geo.VectorField(chart, (chart.parse("x2"), chart.parse("exp(x1)"), ex.ONE))
     back = geo.oneform_to_vector(g, geo.vector_to_oneform(g, X))
     pts = np.random.default_rng(7).uniform(-1, 1, size=(15, 3))
-    xv = geo.eval_components(X.comps, pts)
-    bv = geo.eval_components(back.comps, pts)
+    xv = ex.eval_many(X.comps, pts).T
+    bv = ex.eval_many(back.comps, pts).T
     np.testing.assert_allclose(xv, bv, atol=1e-11)
 
 
@@ -265,8 +268,8 @@ def test_sym2_apply_on_metric_is_identity():
     TX = geo.sym2_apply(g, T, X)
     pts = np.random.default_rng(8).uniform(-1, 1, size=(15, 3))
     np.testing.assert_allclose(
-        geo.eval_components(TX.comps, pts),
-        geo.eval_components(X.comps, pts), atol=1e-11)
+        ex.eval_many(TX.comps, pts).T,
+        ex.eval_many(X.comps, pts).T, atol=1e-11)
 
 
 def test_gnorm_against_direct_contraction():
@@ -278,10 +281,53 @@ def test_gnorm_against_direct_contraction():
     got = geo.gnorm_sym2(tv, ginv)
     want = np.sqrt(np.einsum("aik,ajl,aij,akl->a", ginv, ginv, tv, tv))
     np.testing.assert_allclose(got, want, atol=1e-12)
-    # the one residual path gives the same norms, bit for bit
-    np.testing.assert_array_equal(geo.sym2_gnorms(g, T.comps, pts), got)
+    # the one residual path gives the same norms at every rank, bit for bit
+    np.testing.assert_array_equal(geo.gnorms(g, T.comps, pts), got)
+    f = chart.parse("x1*x2 - 0.3")
+    np.testing.assert_array_equal(geo.gnorms(g, f, pts), np.abs(ex.eval_many([f], pts)[0]))
+    w = [chart.parse("x1^2"), chart.parse("sin(x2)")]
+    np.testing.assert_array_equal(
+        geo.gnorms(g, w, pts), geo.gnorm_oneform(ex.eval_many(w, pts).T, ginv))
+    D = geo.covariant_derivative_sym2(g, T)
+    flat = [D[a][i][j] for a in range(2) for i in range(2) for j in range(2)]
+    av = ex.eval_many(flat, pts).T.reshape(len(pts), 2, 2, 2)
+    np.testing.assert_array_equal(geo.gnorms(g, D, pts), geo.gnorm_rank3(av, ginv))
     # tensor_norm agrees pointwise
     assert geo.tensor_norm(g, T, pts[0]) == pytest.approx(got[0])
+
+
+REDUCTIONS = {"gnorm_sym2", "gnorm_oneform", "gnorm_rank3"}
+
+
+def reduction_uses(source):
+    """(enclosing function, name) for every use of a g-norm reduction."""
+    uses = []
+
+    def walk(node, func):
+        for child in ast.iter_child_nodes(node):
+            inner = (child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     else func)
+            name = (child.id if isinstance(child, ast.Name)
+                    else child.attr if isinstance(child, ast.Attribute) else None)
+            if name in REDUCTIONS:
+                uses.append((func, name))
+            walk(child, inner)
+
+    walk(ast.parse(source), None)
+    return uses
+
+
+def test_only_gnorms_reduces():
+    # every residual reaches gnorm_* through geometry.gnorms alone
+    src = Path(geo.__file__).resolve().parent
+    stray = [(path.name, func, name) for path in sorted(src.glob("*.py"))
+             for func, name in reduction_uses(path.read_text(encoding="utf-8"))
+             if (path.name, func) != ("geometry.py", "gnorms")]
+    assert stray == []
+    assert sorted(n for _, n in reduction_uses((src / "geometry.py").read_text(
+        encoding="utf-8"))) == sorted(REDUCTIONS)
+    assert reduction_uses("def f(g):\n    return geo.gnorm_oneform(1, 2)\n") == [
+        ("f", "gnorm_oneform")]
 
 
 def test_sample_points_deterministic_and_admissible():

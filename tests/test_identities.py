@@ -93,5 +93,8 @@ def test_oneill_suite_curved_fiber():
 
 def test_dimension_two_guard_or_support():
     # the identity suites run in any dimension >= 2
-    reports = idn.bianchi_suite(dim=2, metric_count=3, point_count=30)
-    assert reports[0].passed
+    for suite, count in ((idn.bianchi_suite, 1), (idn.fg_formulas_suite, 4),
+                         (idn.lemma21_suite, 1)):
+        reports = suite(dim=2, metric_count=3, point_count=30)
+        assert len(reports) == count
+        assert all(r.passed and len(r.residuals) == 90 for r in reports)
