@@ -248,6 +248,14 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
+def positive_int(text: str) -> int:
+    """argparse type for a count of at least 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _add_common(p: argparse.ArgumentParser, param_flags=False):
     p.add_argument("--points", type=int, default=200,
                    help="admissible sample count (default 200)")
@@ -292,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-identity", help="run a structural identity suite")
     p.add_argument("name", choices=IDENTITY_NAMES)
-    p.add_argument("--random-metrics", type=int, default=20,
+    p.add_argument("--random-metrics", type=positive_int, default=20,
                    help="perturbed metrics for the universal suites (default 20)")
     p.add_argument("--dim", type=int, default=3,
                    help="dimension for random metrics (default 3)")

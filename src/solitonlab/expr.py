@@ -20,11 +20,11 @@ to a negative power, or any non-finite intermediate) either raise DomainError
 with the index of the offending point ("strict") or mark the point invalid in
 a returned mask ("masked").
 
-`eval_many` first runs a lean pass, one numpy call per node with
-floating-point faults raised.  Only after a fault, or on a non-finite input,
-an out-of-range coordinate or an unbound parameter, does it replay the
-evaluation in a checked interpreter that tests every node's domain.  The
-values, masks and errors are the same either way.
+`eval_many` has one interpreter: a pass over the DAG in topological order,
+one numpy call per node, with floating-point faults raised.  A fault, or a
+non-finite input, replays the same pass with faults ignored, and the first
+node with a non-finite lane locates the error.  There is no second
+interpreter that checks every node's domain.
 """
 
 from __future__ import annotations
@@ -662,13 +662,6 @@ def count_nodes(*roots) -> int:
 # evaluation
 
 
-def _first_true(mask):
-    a = np.asarray(mask)
-    if a.ndim == 0:
-        return 0
-    return int(np.argmax(a))
-
-
 def _points(points, mode):
     if mode not in ("strict", "masked"):
         raise ValueError("mode must be 'strict' or 'masked'")
@@ -686,165 +679,114 @@ def eval_many(exprs, points, binding=None, mode="strict"):
     offending point; in "masked" mode the return value is (values, ok) where
     ok is an (N,) bool mask and masked lanes hold NaN.
 
-    A lean pass makes one numpy call per node, with overflow, division by
-    zero and invalid operations raised as faults.  On a fault, a non-finite
-    point or bound parameter, a coordinate index out of range or an unbound
-    parameter, the checked interpreter replays the whole evaluation, so the
-    values, masks and errors are the same either way.
+    One pass makes one numpy call per node, with overflow, division by zero
+    and invalid operations raised as faults.  After a fault, or on a
+    non-finite point or bound value, the same pass is replayed from the
+    faulting node with faults ignored, and the first node in topological
+    order with a non-finite lane locates the error.  A coordinate index out
+    of range raises ValueError, and an unbound parameter
+    UnboundParameterError, unless a strict-mode fault comes before it.
     """
     pts = _points(points, mode)
     roots = list(exprs)
     binding = binding or {}
-    vals = _eval_lean(_topo(roots), pts, binding) if np.isfinite(pts).all() else None
-    if vals is None:
-        return _eval_checked(roots, pts, binding, mode)
+    order = _topo(roots)
+    vals: dict = {}
+    ok = np.ones(len(pts), dtype=bool)
+    faulted = not (np.isfinite(pts).all()
+                   and np.isfinite(np.fromiter(binding.values(), float, len(binding))).all())
+    if not faulted:
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
+                _eval_nodes(order, pts, binding, vals)
+        except FloatingPointError:
+            faulted = True
+    if faulted:
+        # every node before the fault is in `vals` already, with the same value
+        try:
+            with np.errstate(all="ignore"):
+                _eval_nodes(order[len(vals):], pts, binding, vals)
+        finally:
+            ok = _locate(vals, len(pts), mode)
     out = np.empty((len(roots), len(pts)), dtype=float)
     for i, r in enumerate(roots):
         out[i, :] = vals[r]
     if mode == "masked":
-        return out, np.ones(len(pts), dtype=bool)
-    return out
-
-
-def _eval_lean(order, pts, binding):
-    """Node values keyed by node, or None where `_eval_checked` must decide.
-
-    Returning None drops the values computed so far before the replay.
-    """
-    dim = pts.shape[1]
-    vals: dict = {}
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
-            for node in order:
-                k = node.kind
-                if k == "mul":
-                    v = vals[node.args[0]] * vals[node.args[1]]
-                elif k == "add":
-                    v = vals[node.args[0]] + vals[node.args[1]]
-                elif k == "sub":
-                    v = vals[node.args[0]] - vals[node.args[1]]
-                elif k == "const":
-                    v = np.float64(node.payload)
-                elif k == "coord":
-                    if node.payload >= dim:
-                        return None
-                    v = pts[:, node.payload]
-                elif k == "pow":
-                    # np.power, not `**`: on a scalar base `**` rounds differently
-                    v = np.power(vals[node.args[0]], node.payload)
-                elif k == "div":
-                    v = vals[node.args[0]] / vals[node.args[1]]
-                elif k == "neg":
-                    v = -vals[node.args[0]]
-                elif k == "param":
-                    if node.payload not in binding:
-                        return None
-                    v = np.float64(binding[node.payload])
-                    if not np.isfinite(v):
-                        return None
-                else:
-                    v = _NP_FUNC[k](vals[node.args[0]])
-                vals[node] = v
-    except FloatingPointError:
-        return None
-    return vals
-
-
-def _eval_checked(exprs, points, binding=None, mode="strict"):
-    """Reference interpreter for eval_many: checks every node's domain."""
-    pts = _points(points, mode)
-    n_pts, dim = pts.shape
-    binding = binding or {}
-    roots = list(exprs)
-
-    bad_total = np.zeros(n_pts, dtype=bool)
-    vals: dict = {}
-    with np.errstate(all="ignore"):
-        for node in _topo(roots):
-            k = node.kind
-            hazard = None
-            if k == "const":
-                v = np.float64(node.payload)
-            elif k == "coord":
-                if node.payload >= dim:
-                    raise ValueError(
-                        f"expression uses coordinate index {node.payload} "
-                        f"but points have dimension {dim}"
-                    )
-                v = pts[:, node.payload]
-            elif k == "param":
-                try:
-                    v = np.float64(binding[node.payload])
-                except KeyError:
-                    raise UnboundParameterError(
-                        f"parameter {node.payload!r} has no bound value"
-                    ) from None
-            elif k == "add":
-                v = vals[id(node.args[0])] + vals[id(node.args[1])]
-            elif k == "sub":
-                v = vals[id(node.args[0])] - vals[id(node.args[1])]
-            elif k == "neg":
-                v = -vals[id(node.args[0])]
-            elif k == "mul":
-                v = vals[id(node.args[0])] * vals[id(node.args[1])]
-            elif k == "div":
-                b = vals[id(node.args[1])]
-                hazard = (np.asarray(b) == 0.0, "division by zero")
-                v = vals[id(node.args[0])] / b
-            elif k == "pow":
-                b = vals[id(node.args[0])]
-                if node.payload < 0:
-                    hazard = (np.asarray(b) == 0.0, "zero raised to a negative power")
-                v = np.asarray(b) ** node.payload
-            elif k == "ln":
-                c = vals[id(node.args[0])]
-                hazard = (np.asarray(c) <= 0.0, "logarithm of a non-positive value")
-                v = np.log(c)
-            elif k == "sqrt":
-                c = vals[id(node.args[0])]
-                hazard = (np.asarray(c) < 0.0, "square root of a negative value")
-                v = np.sqrt(c)
-            else:
-                v = _NP_FUNC[k](vals[id(node.args[0])])
-
-            bad = ~np.isfinite(np.asarray(v))
-            reason = f"non-finite result in {k}"
-            if hazard is not None and np.any(hazard[0]):
-                bad = bad | hazard[0]
-                reason = hazard[1]
-            if np.any(bad):
-                if mode == "strict":
-                    raise DomainError(reason, _first_true(bad))
-                bad_total |= np.broadcast_to(np.asarray(bad), (n_pts,))
-                v = np.where(np.asarray(bad), np.nan, v) if np.asarray(v).ndim else np.nan
-            vals[id(node)] = v
-
-    out = np.empty((len(roots), n_pts), dtype=float)
-    for i, r in enumerate(roots):
-        out[i, :] = vals[id(r)]
-    if mode == "masked":
-        ok = ~bad_total
-        out[:, bad_total] = np.nan
+        out[:, ~ok] = np.nan
         return out, ok
     return out
+
+
+def _eval_nodes(order, pts, binding, vals):
+    """Store each node's value in `vals`, keyed by node, in topological order."""
+    dim = pts.shape[1]
+    for node in order:
+        k = node.kind
+        if k == "mul":
+            v = vals[node.args[0]] * vals[node.args[1]]
+        elif k == "add":
+            v = vals[node.args[0]] + vals[node.args[1]]
+        elif k == "sub":
+            v = vals[node.args[0]] - vals[node.args[1]]
+        elif k == "const":
+            v = np.float64(node.payload)
+        elif k == "coord":
+            if node.payload >= dim:
+                raise ValueError(f"expression uses coordinate index {node.payload} "
+                                 f"but points have dimension {dim}")
+            v = pts[:, node.payload]
+        elif k == "pow":
+            # np.power, not `**`: on a scalar base `**` rounds differently
+            v = np.power(vals[node.args[0]], node.payload)
+        elif k == "div":
+            v = vals[node.args[0]] / vals[node.args[1]]
+        elif k == "neg":
+            v = -vals[node.args[0]]
+        elif k == "param":
+            try:
+                v = np.float64(binding[node.payload])
+            except KeyError:
+                raise UnboundParameterError(
+                    f"parameter {node.payload!r} has no bound value") from None
+        else:
+            v = _NP_FUNC[k](vals[node.args[0]])
+        vals[node] = v
+
+
+# kind -> (argument index, lanes where that argument leaves the domain, reason)
+_HAZARDS = {
+    "div": (1, lambda b, k: b == 0.0, "division by zero"),
+    "pow": (0, lambda b, k: k < 0 and b == 0.0, "zero raised to a negative power"),
+    "ln": (0, lambda c, k: c <= 0.0, "logarithm of a non-positive value"),
+    "sqrt": (0, lambda c, k: c < 0.0, "square root of a negative value"),
+}
+
+
+def _locate(vals, n_pts, mode):
+    """The valid-point mask of a replayed pass; strict mode raises at the first fault.
+
+    `vals` is in insertion order, which is topological order, so the first
+    node with a non-finite lane is where the fault arose.  Its reason is the
+    hazard's if any lane meets the hazard, else "non-finite result in {kind}".
+    """
+    ok = np.ones(n_pts, dtype=bool)
+    for node, v in vals.items():
+        bad = ~np.isfinite(v)
+        if not bad.any():
+            continue
+        if mode == "masked":
+            ok &= ~bad
+            continue
+        reason = f"non-finite result in {node.kind}"
+        if node.kind in _HAZARDS:
+            arg, hazard, why = _HAZARDS[node.kind]
+            if np.any(hazard(vals[node.args[arg]], node.payload)):
+                reason = why
+        raise DomainError(reason, int(np.argmax(bad)))
+    return ok
 
 
 def evaluate(e: Expression, point, binding=None) -> float:
     """Evaluate a single expression at one point (strict semantics)."""
     pt = np.asarray(point, dtype=float).reshape(1, -1)
     return float(eval_many([e], pt, binding)[0, 0])
-
-
-def finite_difference(e: Expression, coord_index: int, point, binding=None, step=1e-4):
-    """Richardson-extrapolated central difference; oracle for differentiate."""
-    pt = np.asarray(point, dtype=float)
-
-    def central(h):
-        lo, hi = pt.copy(), pt.copy()
-        hi[coord_index] += h
-        lo[coord_index] -= h
-        return (evaluate(e, hi, binding) - evaluate(e, lo, binding)) / (2.0 * h)
-
-    d1 = central(step)
-    d2 = central(step / 2.0)
-    return (4.0 * d2 - d1) / 3.0

@@ -427,10 +427,6 @@ def traceless(g: MetricField, T: SymTensorField) -> SymTensorField:
     return SymTensorField(g.chart, rows)
 
 
-def tensor_norm(g: MetricField, T: SymTensorField, p, binding=None) -> float:
-    return float(gnorms(g, T.comps, points_array([p]), binding)[0])
-
-
 def grad_norm2(g: MetricField, phi: ScalarField) -> ScalarField:
     """|grad phi|^2 = g^{ij} ∂_i phi ∂_j phi."""
     n = g.chart.dim

@@ -1,0 +1,112 @@
+"""Reference implementations that tests compare the package against.
+
+`eval_checked` is the interpreter `expr.eval_many` replaced: it tests every
+node's domain as it goes.  `finite_difference` is the numeric oracle for
+`expr.differentiate`.
+"""
+
+import numpy as np
+
+from solitonlab.expr import (_NP_FUNC, DomainError, Expression, UnboundParameterError,
+                             _points, _topo, evaluate)
+
+
+def _first_true(mask):
+    a = np.asarray(mask)
+    if a.ndim == 0:
+        return 0
+    return int(np.argmax(a))
+
+
+def eval_checked(exprs, points, binding=None, mode="strict"):
+    """Reference interpreter for eval_many: checks every node's domain."""
+    pts = _points(points, mode)
+    n_pts, dim = pts.shape
+    binding = binding or {}
+    roots = list(exprs)
+
+    bad_total = np.zeros(n_pts, dtype=bool)
+    vals: dict = {}
+    with np.errstate(all="ignore"):
+        for node in _topo(roots):
+            k = node.kind
+            hazard = None
+            if k == "const":
+                v = np.float64(node.payload)
+            elif k == "coord":
+                if node.payload >= dim:
+                    raise ValueError(
+                        f"expression uses coordinate index {node.payload} "
+                        f"but points have dimension {dim}"
+                    )
+                v = pts[:, node.payload]
+            elif k == "param":
+                try:
+                    v = np.float64(binding[node.payload])
+                except KeyError:
+                    raise UnboundParameterError(
+                        f"parameter {node.payload!r} has no bound value"
+                    ) from None
+            elif k == "add":
+                v = vals[id(node.args[0])] + vals[id(node.args[1])]
+            elif k == "sub":
+                v = vals[id(node.args[0])] - vals[id(node.args[1])]
+            elif k == "neg":
+                v = -vals[id(node.args[0])]
+            elif k == "mul":
+                v = vals[id(node.args[0])] * vals[id(node.args[1])]
+            elif k == "div":
+                b = vals[id(node.args[1])]
+                hazard = (np.asarray(b) == 0.0, "division by zero")
+                v = vals[id(node.args[0])] / b
+            elif k == "pow":
+                b = vals[id(node.args[0])]
+                if node.payload < 0:
+                    hazard = (np.asarray(b) == 0.0, "zero raised to a negative power")
+                v = np.asarray(b) ** node.payload
+            elif k == "ln":
+                c = vals[id(node.args[0])]
+                hazard = (np.asarray(c) <= 0.0, "logarithm of a non-positive value")
+                v = np.log(c)
+            elif k == "sqrt":
+                c = vals[id(node.args[0])]
+                hazard = (np.asarray(c) < 0.0, "square root of a negative value")
+                v = np.sqrt(c)
+            else:
+                v = _NP_FUNC[k](vals[id(node.args[0])])
+
+            bad = ~np.isfinite(np.asarray(v))
+            reason = f"non-finite result in {k}"
+            if hazard is not None and np.any(hazard[0]):
+                bad = bad | hazard[0]
+                reason = hazard[1]
+            if np.any(bad):
+                if mode == "strict":
+                    raise DomainError(reason, _first_true(bad))
+                bad_total |= np.broadcast_to(np.asarray(bad), (n_pts,))
+                v = np.where(np.asarray(bad), np.nan, v) if np.asarray(v).ndim else np.nan
+            vals[id(node)] = v
+
+    out = np.empty((len(roots), n_pts), dtype=float)
+    for i, r in enumerate(roots):
+        out[i, :] = vals[id(r)]
+    if mode == "masked":
+        ok = ~bad_total
+        out[:, bad_total] = np.nan
+        return out, ok
+    return out
+
+
+def finite_difference(e: Expression, coord_index: int, point, binding=None, step=1e-4):
+    """Richardson-extrapolated central difference; oracle for differentiate."""
+    pt = np.asarray(point, dtype=float)
+
+    def central(h):
+        lo, hi = pt.copy(), pt.copy()
+        hi[coord_index] += h
+        lo[coord_index] -= h
+        return (evaluate(e, hi, binding) - evaluate(e, lo, binding)) / (2.0 * h)
+
+    d1 = central(step)
+    d2 = central(step / 2.0)
+    return (4.0 * d2 - d1) / 3.0

@@ -216,6 +216,16 @@ def test_check_identity_unknown_name(capsys):
         cli.main(["check-identity", "gauss-bonnet"])
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_check_identity_random_metrics_below_one_is_usage_error(count, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["check-identity", "bianchi", "--random-metrics", count])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --random-metrics: must be at least 1, got {count}" in err
+    assert "Traceback" not in err
+
+
 def test_construct_warped_round_trip(tmp_path, capsys):
     out_path = tmp_path / "product.json"
     code, out, _ = run_cli(capsys, "construct-warped", "--base", "pseudo-hyperbolic",

@@ -1,10 +1,13 @@
 # expression kernel: parsing, interning, differentiation, evaluation
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oracles
 from solitonlab import expr as ex
 from solitonlab import geometry as geo
 from solitonlab import identities as idn
@@ -149,7 +152,7 @@ def test_differentiate_against_finite_differences():
             continue  # cancellation would swamp the difference quotient
         i = int(rng.integers(3))
         exact = ex.evaluate(ex.differentiate(e, i), pt)
-        approx = ex.finite_difference(e, i, pt)
+        approx = oracles.finite_difference(e, i, pt)
         scale = max(1.0, abs(exact))
         assert abs(exact - approx) < 1e-6 * scale, ex.to_text(e, NAMES)
         checked += 1
@@ -222,6 +225,9 @@ def test_eval_many_masked_mode():
     # division by zero between scalars: a literal and a bound parameter
     ("1/0 + x1", [1.0, 2.0], {}, "division by zero", [1, 1]),
     ("a/b*x1", [1.0, 2.0], {"a": 1.0, "b": 0.0}, "division by zero", [1, 1]),
+    # overflow without a zero divisor; a zero divisor in any lane names the reason
+    ("x1/1e-300", [1.0, 1e10], {}, "non-finite result in div", [0, 1]),
+    ("1e300/(x1 - 1)", [1.0 + 2.0**-40, 1.0], {}, "division by zero", [1, 1]),
 ])
 def test_eval_many_domain_errors_in_both_modes(text, xs, binding, reason, bad):
     e = ex.parse_expression(text, ("x1", "x2"), tuple(binding))
@@ -246,7 +252,7 @@ def test_eval_many_matches_checked_interpreter():
     comps = [ex.sub(div_ric.comps[j], ex.mul(ex.const(0.5), ex.differentiate(scal, j)))
              for j in range(3)]
     pts = np.random.default_rng(3).uniform(-1.0, 1.0, size=(100, 3))
-    assert np.array_equal(ex.eval_many(comps, pts), ex._eval_checked(comps, pts))
+    assert np.array_equal(ex.eval_many(comps, pts), oracles.eval_checked(comps, pts))
     # subtrees over parameters alone evaluate to scalars; numpy's scalar `**`
     # rounds a^3, b^-2 and c^-3 differently from the array power at these values
     params = {"a": 2.586472402103951, "b": 1.8592437497248215, "c": 1.3257929414732095}
@@ -257,9 +263,107 @@ def test_eval_many_matches_checked_interpreter():
     for n in (1, 100):
         pts = rng.uniform(0.2, 1.2, size=(n, 3))
         assert np.array_equal(ex.eval_many(es, pts, params),
-                              ex._eval_checked(es, pts, params))
+                              oracles.eval_checked(es, pts, params))
         vals, ok = ex.eval_many(es, pts, params, mode="masked")
-        assert ok.all() and np.array_equal(vals, ex._eval_checked(es, pts, params))
+        assert ok.all() and np.array_equal(vals, oracles.eval_checked(es, pts, params))
+
+
+EDGES = (0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300, math.inf, -math.inf, math.nan)
+
+
+def _faulty_tree(rng, depth):
+    """Random expression over x1, x2, a and b, with domain faults planted."""
+    if depth == 0 or rng.random() < 0.2:
+        r = rng.random()
+        if r < 0.5:
+            return ex.coord(int(rng.integers(2)))
+        if r < 0.75:
+            return ex.param(("a", "b")[int(rng.integers(2))])
+        return ex.const(float(rng.choice([0.5, -1.5, 2.0, 800.0])))
+    op = int(rng.integers(7))
+    a = _faulty_tree(rng, depth - 1)
+    if op < 4:
+        return (ex.add, ex.sub, ex.mul, ex.div)[op](a, _faulty_tree(rng, depth - 1))
+    if op == 4:
+        return ex.powi(a, int(rng.choice([-3, -2, -1, 2, 3])))
+    return ex._call(ex.FUNCTIONS[int(rng.integers(len(ex.FUNCTIONS)))], a)
+
+
+def _edgy(rng, size, share):
+    """Uniform values on (-2, 2), about `share` of them replaced by an edge value."""
+    v = rng.uniform(-2.0, 2.0, size=size)
+    edge = rng.random(size) < share
+    v[edge] = rng.choice(EDGES, size=int(edge.sum()))
+    return v
+
+
+def _outcome(exprs, pts, binding, mode, evaluator):
+    try:
+        return evaluator(exprs, pts, binding, mode=mode)
+    except ex.DomainError as err:
+        return ("DomainError", err.reason, err.point_index)
+    except (ValueError, ex.UnboundParameterError) as err:
+        return (type(err).__name__, str(err))
+
+
+def test_eval_many_matches_checked_interpreter_on_faults():
+    rng = np.random.default_rng(11)
+    raised = set()
+    for case in range(300):
+        es = [_faulty_tree(rng, int(rng.integers(3, 6))) for _ in range(3)]
+        pts = _edgy(rng, (4, 2), 0.1)
+        binding = dict(zip(("a", "b"), _edgy(rng, 2, 0.25)))
+        if case % 10 == 0:
+            del binding["b"]
+        for mode in ("strict", "masked"):
+            got = _outcome(es, pts, binding, mode, ex.eval_many)
+            want = _outcome(es, pts, binding, mode, oracles.eval_checked)
+            if isinstance(want, tuple) and isinstance(want[0], str):
+                assert got == want, (case, mode)
+                raised.add(want[:2])
+            elif mode == "strict":
+                assert np.array_equal(got, want), (case, mode)
+            else:
+                assert np.array_equal(got[1], want[1]), (case, mode)
+                assert np.array_equal(got[0], want[0], equal_nan=True), (case, mode)
+    # every planted fault was located at least once
+    assert {r for _, r in raised} >= {
+        "division by zero", "zero raised to a negative power",
+        "logarithm of a non-positive value", "square root of a negative value",
+        "non-finite result in exp", "non-finite result in coord",
+        "non-finite result in param", "parameter 'b' has no bound value"}
+
+
+def test_eval_many_fault_before_bad_coordinate():
+    # a strict-mode fault earlier in topological order wins over the bad index
+    es = [P("ln(x1)"), ex.coord(4)]
+    pts = np.array([[1.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(ex.DomainError) as info:
+        ex.eval_many(es, pts)
+    assert (info.value.reason, info.value.point_index) == (
+        "logarithm of a non-positive value", 1)
+    with pytest.raises(ValueError, match="dimension 2"):
+        ex.eval_many(es, pts, mode="masked")
+    for mode in ("strict", "masked"):
+        assert (_outcome(es, pts, {}, mode, ex.eval_many)
+                == _outcome(es, pts, {}, mode, oracles.eval_checked))
+
+
+def np_func_users(source):
+    """Names of the functions whose bodies name `_NP_FUNC`, sorted."""
+    return sorted({f.name for f in ast.walk(ast.parse(source))
+                   if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for n in ast.walk(f)
+                   if getattr(n, "id", getattr(n, "attr", None)) == "_NP_FUNC"})
+
+
+def test_eval_nodes_is_the_only_evaluator():
+    # a second interpreter would need the numpy function table too
+    src = Path(ex.__file__).resolve().parent
+    users = {path.name: np_func_users(path.read_text(encoding="utf-8"))
+             for path in sorted(src.glob("*.py"))}
+    assert {name: u for name, u in users.items() if u} == {"expr.py": ["_eval_nodes"]}
+    assert np_func_users("def f(k):\n    return ex._NP_FUNC[k](1.0)\n") == ["f"]
 
 
 def test_eval_many_rejects_bad_mode_and_shape():
