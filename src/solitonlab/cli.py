@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import os
 import sys
 
@@ -36,10 +37,35 @@ _IDENTITY_TOL = {
     "mu-const": 1e-9, "conformal-factor": 1e-9, "oneill": 1e-9,
 }
 
+
+def positive_int(text: str) -> int:
+    """argparse type for a count of at least 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
+def finite_float(text: str) -> float:
+    """argparse type for a finite number."""
+    v = float(text)
+    if not math.isfinite(v):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return v
+
+
+def tolerance(text: str) -> float:
+    """argparse type for a finite tolerance of at least 0."""
+    v = finite_float(text)
+    if v < 0.0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {text}")
+    return v
+
+
 _PARAM_FLAGS = (
-    ("--c", int), ("--n", int), ("--m", float), ("--tau", float),
-    ("--k", float), ("--A", float), ("--l", float), ("--a", float),
-    ("--b", float), ("--h-expr", str),
+    ("--c", int), ("--n", int), ("--m", finite_float), ("--tau", finite_float),
+    ("--k", finite_float), ("--A", finite_float), ("--l", finite_float),
+    ("--a", finite_float), ("--b", finite_float), ("--h-expr", str),
 )
 
 def check_dict(rep: so.ResidualReport) -> dict:
@@ -248,18 +274,10 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def positive_int(text: str) -> int:
-    """argparse type for a count of at least 1."""
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
-
-
 def _add_common(p: argparse.ArgumentParser, param_flags=False):
-    p.add_argument("--points", type=int, default=200,
+    p.add_argument("--points", type=positive_int, default=200,
                    help="admissible sample count (default 200)")
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=tolerance, default=None,
                    help="residual tolerance (default 1e-8, or the identity's own)")
     p.add_argument("--seed", type=int, default=42, help="sampler seed (default 42)")
     p.add_argument("--json", metavar="PATH", default=None,
@@ -302,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=IDENTITY_NAMES)
     p.add_argument("--random-metrics", type=positive_int, default=20,
                    help="perturbed metrics for the universal suites (default 20)")
-    p.add_argument("--dim", type=int, default=3,
+    p.add_argument("--dim", type=positive_int, default=3,
                    help="dimension for random metrics (default 3)")
     p.add_argument("--example", default=None,
                    help="catalog structure for divric/eqpprinc/mu-const")
@@ -317,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", required=True,
                    help="catalog id or manifest path of the base structure")
     p.add_argument("--fiber-dim", type=int, default=None)
-    p.add_argument("--fiber-mu", type=float, default=None)
+    p.add_argument("--fiber-mu", type=finite_float, default=None)
     p.add_argument("--fiber", default="auto",
                    choices=("auto", "flat", "sphere", "hyperbolic", "abstract"))
     p.add_argument("--out", default=None, help="write the product manifest here")

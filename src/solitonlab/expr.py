@@ -21,10 +21,15 @@ with the index of the offending point ("strict") or mark the point invalid in
 a returned mask ("masked").
 
 `eval_many` has one interpreter: a pass over the DAG in topological order,
-one numpy call per node, with floating-point faults raised.  A fault, or a
-non-finite input, replays the same pass with faults ignored, and the first
-node with a non-finite lane locates the error.  There is no second
-interpreter that checks every node's domain.
+one numpy call per node, with floating-point faults raised.  The pass keeps
+only the values of shared nodes (nodes with more than one consumer) and of
+roots; a node with one consumer is dropped once that consumer has run, and an
+add, sub, mul or div consumer writes into the dropped operand's buffer.  The
+values stay bit-identical, and the memory an evaluation holds is bounded by
+the DAG's shared nodes, not by its size.  A fault, or a non-finite input,
+replays the pass from the first node with every value kept and faults
+ignored, and the first node with a non-finite lane locates the error.  There
+is no second interpreter that checks every node's domain.
 """
 
 from __future__ import annotations
@@ -627,8 +632,14 @@ def shift_coordinates(e: Expression, offset: int) -> Expression:
 
 
 def _topo(roots):
-    """Deduplicated post-order over the DAG spanned by `roots`."""
-    order, seen = [], set()
+    """Deduplicated post-order over the DAG spanned by `roots`, and its shared nodes.
+
+    A node is shared when the walk reaches it more than once: it is an
+    argument of two nodes, both arguments of one (`a*a`), or a repeated root
+    or a root that another root uses.  Every other node has at most one
+    consumer.
+    """
+    order, seen, shared = [], set(), set()
     stack = [(r, False) for r in reversed(roots)]
     while stack:
         node, done = stack.pop()
@@ -636,26 +647,29 @@ def _topo(roots):
             order.append(node)
             continue
         if node in seen:
+            shared.add(node)
             continue
         seen.add(node)
         stack.append((node, True))
         for c in reversed(node.args):
-            if c not in seen:
+            if c in seen:
+                shared.add(c)
+            else:
                 stack.append((c, False))
-    return order
+    return order, shared
 
 
 def free_coords(e: Expression) -> set:
-    return {n.payload for n in _topo([e]) if n.kind == "coord"}
+    return {n.payload for n in _topo([e])[0] if n.kind == "coord"}
 
 
 def free_params(e: Expression) -> set:
-    return {n.payload for n in _topo([e]) if n.kind == "param"}
+    return {n.payload for n in _topo([e])[0] if n.kind == "param"}
 
 
 def count_nodes(*roots) -> int:
     """Number of distinct DAG nodes reachable from the given roots."""
-    return len(_topo(list(roots)))
+    return len(_topo(list(roots))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -680,17 +694,24 @@ def eval_many(exprs, points, binding=None, mode="strict"):
     ok is an (N,) bool mask and masked lanes hold NaN.
 
     One pass makes one numpy call per node, with overflow, division by zero
-    and invalid operations raised as faults.  After a fault, or on a
-    non-finite point or bound value, the same pass is replayed from the
-    faulting node with faults ignored, and the first node in topological
-    order with a non-finite lane locates the error.  A coordinate index out
-    of range raises ValueError, and an unbound parameter
-    UnboundParameterError, unless a strict-mode fault comes before it.
+    and invalid operations raised as faults.  It keeps the values of the
+    roots and of the nodes that `_topo` reaches more than once; any other
+    node has one consumer, and its value is dropped once that consumer has
+    run.  An add, sub, mul or div consumer writes its result into such an
+    operand's buffer when the pass allocated it, never into a view of
+    `points` or a scalar, so neither `points` nor an earlier result is
+    written.  After a fault, or on a non-finite point or bound value, the
+    pass starts over from the first node with every value kept and faults
+    ignored, and the first node in topological order with a non-finite lane
+    locates the error; the values the fast pass dropped before its fault
+    were finite, so the located node is the same.  A coordinate index out of
+    range raises ValueError, and an unbound parameter UnboundParameterError,
+    unless a strict-mode fault comes before it.
     """
     pts = _points(points, mode)
     roots = list(exprs)
     binding = binding or {}
-    order = _topo(roots)
+    order, shared = _topo(roots)
     vals: dict = {}
     ok = np.ones(len(pts), dtype=bool)
     faulted = not (np.isfinite(pts).all()
@@ -698,14 +719,15 @@ def eval_many(exprs, points, binding=None, mode="strict"):
     if not faulted:
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
-                _eval_nodes(order, pts, binding, vals)
+                _eval_nodes(order, pts, binding, vals, shared)
         except FloatingPointError:
             faulted = True
     if faulted:
-        # every node before the fault is in `vals` already, with the same value
+        # the fast pass dropped and overwrote values: start over, keeping every one
+        vals.clear()
         try:
             with np.errstate(all="ignore"):
-                _eval_nodes(order[len(vals):], pts, binding, vals)
+                _eval_nodes(order, pts, binding, vals, set(order))
         finally:
             ok = _locate(vals, len(pts), mode)
     out = np.empty((len(roots), len(pts)), dtype=float)
@@ -717,17 +739,42 @@ def eval_many(exprs, points, binding=None, mode="strict"):
     return out
 
 
-def _eval_nodes(order, pts, binding, vals):
-    """Store each node's value in `vals`, keyed by node, in topological order."""
+_BINARY = {"add": np.add, "sub": np.subtract, "mul": np.multiply, "div": np.divide}
+
+
+def _eval_nodes(order, pts, binding, vals, keep):
+    """Store each node's value in `vals`, keyed by node, in topological order.
+
+    A node not in `keep` has one consumer, and its value leaves `vals` when
+    that consumer runs.  An add, sub, mul or div consumer writes its result
+    into such an operand's buffer if this loop allocated it, which gives the
+    same bits because each is one IEEE operation per lane; coordinate columns
+    (views of the caller's points) and scalars are never written.
+    """
     dim = pts.shape[1]
+    ndarray = np.ndarray
+    pop = vals.pop
     for node in order:
         k = node.kind
-        if k == "mul":
-            v = vals[node.args[0]] * vals[node.args[1]]
-        elif k == "add":
-            v = vals[node.args[0]] + vals[node.args[1]]
-        elif k == "sub":
-            v = vals[node.args[0]] - vals[node.args[1]]
+        ufunc = _BINARY.get(k)
+        if ufunc is not None:
+            a, b = node.args
+            if a in keep:
+                x = vals[a]
+                if b in keep:
+                    v = ufunc(x, vals[b])
+                else:
+                    y = pop(b)
+                    v = ufunc(x, y, y) if type(y) is ndarray and y.base is None else ufunc(x, y)
+            else:
+                x = pop(a)
+                y = vals[b] if b in keep else pop(b)
+                if type(x) is ndarray and x.base is None:
+                    v = ufunc(x, y, x)
+                elif b not in keep and type(y) is ndarray and y.base is None:
+                    v = ufunc(x, y, y)
+                else:
+                    v = ufunc(x, y)
         elif k == "const":
             v = np.float64(node.payload)
         elif k == "coord":
@@ -735,13 +782,6 @@ def _eval_nodes(order, pts, binding, vals):
                 raise ValueError(f"expression uses coordinate index {node.payload} "
                                  f"but points have dimension {dim}")
             v = pts[:, node.payload]
-        elif k == "pow":
-            # np.power, not `**`: on a scalar base `**` rounds differently
-            v = np.power(vals[node.args[0]], node.payload)
-        elif k == "div":
-            v = vals[node.args[0]] / vals[node.args[1]]
-        elif k == "neg":
-            v = -vals[node.args[0]]
         elif k == "param":
             try:
                 v = np.float64(binding[node.payload])
@@ -749,7 +789,15 @@ def _eval_nodes(order, pts, binding, vals):
                 raise UnboundParameterError(
                     f"parameter {node.payload!r} has no bound value") from None
         else:
-            v = _NP_FUNC[k](vals[node.args[0]])
+            a = node.args[0]
+            x = vals[a] if a in keep else pop(a)
+            if k == "pow":
+                # np.power, not `**`: on a scalar base `**` rounds differently
+                v = np.power(x, node.payload)
+            elif k == "neg":
+                v = -x
+            else:
+                v = _NP_FUNC[k](x)
         vals[node] = v
 
 

@@ -28,7 +28,7 @@ def eval_checked(exprs, points, binding=None, mode="strict"):
     bad_total = np.zeros(n_pts, dtype=bool)
     vals: dict = {}
     with np.errstate(all="ignore"):
-        for node in _topo(roots):
+        for node in _topo(roots)[0]:
             k = node.kind
             hazard = None
             if k == "const":

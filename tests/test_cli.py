@@ -226,6 +226,41 @@ def test_check_identity_random_metrics_below_one_is_usage_error(count, capsys):
     assert "Traceback" not in err
 
 
+BAD_NUMBERS = [
+    (("verify-example", "neg-m-sphere", "--tol", "nan"), "--tol: must be finite, got nan"),
+    (("classify", "--example", "neg-m-sphere", "--tol", "nan"), "--tol: must be finite, got nan"),
+    (("check-identity", "divric", "--tol", "inf"), "--tol: must be finite, got inf"),
+    (("verify-example", "neg-m-sphere", "--tol", "-1"), "--tol: must be at least 0, got -1"),
+    (("verify-example", "neg-m-sphere", "--points", "0"), "--points: must be at least 1, got 0"),
+    (("check-identity", "bianchi", "--points", "-3"), "--points: must be at least 1, got -3"),
+    (("check-identity", "bianchi", "--dim", "0"), "--dim: must be at least 1, got 0"),
+    (("construct-warped", "--base", "neg-m-sphere", "--fiber-mu", "inf"),
+     "--fiber-mu: must be finite, got inf"),
+] + [(("verify-example", "pseudo-hyperbolic", f"{flag}={value}"),
+      f"{flag}: must be finite, got {value}")
+     for flag, value in (("--m", "nan"), ("--tau", "inf"), ("--k", "-inf"), ("--A", "1e999"),
+                         ("--l", "NaN"), ("--a", "-Infinity"), ("--b", "nan"))]
+
+
+@pytest.mark.parametrize("argv,message", BAD_NUMBERS)
+def test_bad_numeric_flag_is_usage_error(argv, message, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(list(argv))
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {message}" in err
+    assert "Traceback" not in err
+
+
+def test_numeric_flags_keep_finite_values():
+    args = cli.build_parser().parse_args(
+        ["verify-example", "pseudo-hyperbolic", "--tol", "0", "--points", "7",
+         "--k", "-16", "--A", "1e-300", "--m", "2.5"])
+    assert (args.tol, args.points, args.k, args.A, args.m) == (0.0, 7, -16.0, 1e-300, 2.5)
+    args = cli.build_parser().parse_args(["construct-warped", "--base", "x", "--fiber-mu", "-0.5"])
+    assert args.fiber_mu == -0.5
+
+
 def test_construct_warped_round_trip(tmp_path, capsys):
     out_path = tmp_path / "product.json"
     code, out, _ = run_cli(capsys, "construct-warped", "--base", "pseudo-hyperbolic",

@@ -2,6 +2,7 @@
 
 import ast
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -347,6 +348,114 @@ def test_eval_many_fault_before_bad_coordinate():
     for mode in ("strict", "masked"):
         assert (_outcome(es, pts, {}, mode, ex.eval_many)
                 == _outcome(es, pts, {}, mode, oracles.eval_checked))
+
+
+def _shared_dag(rng, size):
+    """Random DAG over x1..x3, a and b whose nodes reuse earlier nodes, and its roots.
+
+    Most nodes take the newest node as an operand, so most have one consumer;
+    the others draw from every node built so far, which shares them.  The
+    roots repeat nodes and include interior nodes, leaves and subtrees over
+    the parameters alone, which evaluate to scalars.
+    """
+    a, b = ex.param("a"), ex.param("b")
+    pool = [ex.coord(0), ex.coord(1), ex.coord(2), a, b, ex.add(ex.mul(a, b), ex.const(0.5))]
+    for _ in range(size):
+        x = pool[-1] if rng.random() < 0.6 else pool[int(rng.integers(len(pool)))]
+        y = pool[int(rng.integers(len(pool)))]
+        op = int(rng.integers(8))
+        if op < 4:
+            node = (ex.add, ex.sub, ex.mul, ex.div)[op](x, y)
+        elif op == 4:
+            node = ex.mul(x, x)
+        elif op == 5:
+            node = ex.neg(x)
+        else:
+            node = ex.tanh(x) if op == 6 else ex.powi(x, 2)
+        pool.append(node)
+    picks = rng.integers(len(pool), size=4)
+    roots = [pool[-1], pool[int(picks[0])], pool[int(picks[0])], pool[int(picks[1])],
+             ex.coord(int(picks[2]) % 3), a, pool[5], pool[-1]]
+    return roots
+
+
+def test_eval_many_bit_identical_on_shared_dags():
+    rng = np.random.default_rng(17)
+    clean = 0
+    for case in range(200):
+        roots = _shared_dag(rng, int(rng.integers(5, 60)))
+        pts = rng.uniform(0.5, 1.5, size=(int(rng.integers(1, 9)), 3))
+        if case % 2:
+            pts = np.asfortranarray(pts)
+        binding = {"a": float(rng.uniform(0.5, 1.5)), "b": float(rng.uniform(0.5, 1.5))}
+        before = pts.copy()
+        for mode in ("strict", "masked"):
+            got = _outcome(roots, pts, binding, mode, ex.eval_many)
+            want = _outcome(roots, pts, binding, mode, oracles.eval_checked)
+            np.testing.assert_array_equal(pts, before)
+            if isinstance(want, tuple) and isinstance(want[0], str):
+                assert got == want, (case, mode)
+            elif mode == "strict":
+                np.testing.assert_array_equal(got, want)
+                clean += 1
+            else:
+                np.testing.assert_array_equal(got[1], want[1])
+                np.testing.assert_array_equal(got[0], want[0])
+    # most cases take the fast pass, where operands are dropped and overwritten
+    assert clean >= 150
+
+
+def test_eval_many_writes_neither_points_nor_earlier_results():
+    x1, x2 = ex.coord(0), ex.coord(1)
+    e = ex.nsum([ex.mul(ex.add(x1, ex.const(float(i))), ex.sub(x2, ex.const(float(i))))
+                 for i in range(1, 40)])
+    pts = np.random.default_rng(2).uniform(-1.0, 1.0, size=(50, 2))
+    before = pts.copy()
+    first = ex.eval_many([e, x1, e], pts)
+    kept = first.copy()
+    second, ok = ex.eval_many([e, x2], pts, mode="masked")
+    np.testing.assert_array_equal(pts, before)
+    np.testing.assert_array_equal(first, kept)
+    np.testing.assert_array_equal(first[0], second[0])
+    np.testing.assert_array_equal(first[1], pts[:, 0])
+    assert ok.all()
+
+
+@pytest.mark.parametrize("text,pts", [
+    # x1*x2 + x1 is written into x1*x2's buffer, then the division faults
+    ("(x1*x2 + x1) / (x1 - x2)", [[1.0, 2.0], [2.0, 3.0], [1.5, 1.5], [3.0, 1.0], [2.0, 2.0]]),
+    ("ln(x1*x2 - x2*x1 + x1 - 1)", [[2.0, 1.0], [1.0, 3.0], [0.5, 2.0]]),
+    ("sqrt((x1 + x2)*(x1 - x2)) * (x1 + 1)", [[2.0, 1.0], [1.0, 3.0], [3.0, 1.0]]),
+])
+def test_eval_many_fault_after_in_place_update(text, pts):
+    e = P(text)
+    es = [e, ex.coord(1), ex.mul(e, ex.coord(0))]
+    pts = np.array(pts)
+    for mode in ("strict", "masked"):
+        got = _outcome(es, pts, {}, mode, ex.eval_many)
+        want = _outcome(es, pts, {}, mode, oracles.eval_checked)
+        if mode == "strict":
+            assert got == want and got[0] == "DomainError"
+        else:
+            np.testing.assert_array_equal(got[1], want[1])
+            assert not got[1].all()
+            np.testing.assert_array_equal(got[0], want[0])
+
+
+def test_eval_many_memory_is_bounded_by_shared_nodes():
+    # 2,000 single-use products: keeping every node's value would take about
+    # 64 MB at 1,000 points; dropping dead values keeps a few live arrays
+    x1, x2 = ex.coord(0), ex.coord(1)
+    e = ex.nsum([ex.mul(ex.add(x1, ex.const(float(i))), ex.add(x2, ex.const(float(i))))
+                 for i in range(1, 2001)])
+    pts = np.random.default_rng(4).uniform(-1.0, 1.0, size=(1000, 2))
+    tracemalloc.start()
+    try:
+        ex.eval_many([e], pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def np_func_users(source):
