@@ -15,6 +15,7 @@ import gc
 import json
 import math
 import os
+import re
 import sys
 
 from . import __version__
@@ -289,6 +290,14 @@ def _add_common(p: argparse.ArgumentParser, param_flags=False):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes `-1e1`, `-.5e1` and `-inf` for options (its pattern
+        # knows only `-16` and `-1.5`); every negative float literal is a value,
+        # as in `--k=-1e1`
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)(e[+-]?\d+)?|inf|infinity|nan)$", re.IGNORECASE)
+
     def _print_message(self, message, file=None):
         # argparse drops a failed write; --help and --version on stdout must
         # raise it, so that a closed stdout exits 2

@@ -1,8 +1,13 @@
 """Closed symbolic expression language with exact derivatives.
 
-Expressions are immutable DAG nodes interned in a global table: building the
+Expressions are immutable DAG nodes interned in global tables: building the
 same expression twice returns the same object, so structural equality is
 identity (`a is b`) and derivative/evaluation caches key on object identity.
+There is one table per kind.  A leaf is keyed by its payload (the constant,
+the coordinate index or the parameter name), a power by `(k, args)`, and
+every other node by its own `args` tuple, so a node carries no key of its
+own.  `differentiate` memoizes in one `{node: derivative}` table per
+coordinate index.
 Smart constructors fold constants and eliminate `x+0`, `x*1`, `x*0` at build
 time, which keeps node counts small when curvature formulas contract over
 mostly-zero metric components.
@@ -89,9 +94,6 @@ class UnboundParameterError(ExprError):
     """Evaluation referenced a parameter missing from the binding."""
 
 
-_TABLE: dict = {}
-
-
 class Expression:
     """Interned immutable expression node; construct via module functions."""
 
@@ -132,6 +134,11 @@ class Expression:
         return neg(self)
 
 
+# kind -> {key: node}; see _node for the key of each kind
+_TABLE: dict = {k: {} for k in ("const", "coord", "param", "add", "sub", "mul", "div",
+                                "neg", "pow") + FUNCTIONS}
+
+
 def _coerce(v):
     if isinstance(v, Expression):
         return v
@@ -141,15 +148,18 @@ def _coerce(v):
 
 
 def _node(kind, payload, args) -> Expression:
-    key = (kind, payload, args)
-    hit = _TABLE.get(key)
+    # a leaf is keyed by its payload, pow by (k, args), any other node by the
+    # args tuple it keeps anyway, so an interned node owns no separate key
+    table = _TABLE[kind]
+    key = payload if not args else args if payload is None else (payload, args)
+    hit = table.get(key)
     if hit is not None:
         return hit
     e = Expression.__new__(Expression)
     e.kind = kind
     e.payload = payload
     e.args = args
-    _TABLE[key] = e
+    table[key] = e
     return e
 
 
@@ -542,39 +552,46 @@ def to_text(e: Expression, coord_names=None) -> str:
 # ---------------------------------------------------------------------------
 # calculus
 
+# coordinate index -> {node: its partial derivative}; a hit allocates nothing
 _DIFF: dict = {}
 
 
 def differentiate(e: Expression, coord_index: int) -> Expression:
     """Exact partial derivative with respect to coordinate `coord_index`."""
-    key = (e, coord_index)
-    hit = _DIFF.get(key)
+    memo = _DIFF.get(coord_index)
+    if memo is None:
+        memo = _DIFF[coord_index] = {}
+    return _derive(e, coord_index, memo)
+
+
+def _derive(e, i, memo):
+    hit = memo.get(e)
     if hit is not None:
         return hit
     k = e.kind
     if k in ("const", "param"):
         d = ZERO
     elif k == "coord":
-        d = ONE if e.payload == coord_index else ZERO
+        d = ONE if e.payload == i else ZERO
     elif k == "add":
-        d = add(differentiate(e.args[0], coord_index), differentiate(e.args[1], coord_index))
+        d = add(_derive(e.args[0], i, memo), _derive(e.args[1], i, memo))
     elif k == "sub":
-        d = sub(differentiate(e.args[0], coord_index), differentiate(e.args[1], coord_index))
+        d = sub(_derive(e.args[0], i, memo), _derive(e.args[1], i, memo))
     elif k == "neg":
-        d = neg(differentiate(e.args[0], coord_index))
+        d = neg(_derive(e.args[0], i, memo))
     elif k == "mul":
         a, b = e.args
-        d = add(mul(differentiate(a, coord_index), b), mul(a, differentiate(b, coord_index)))
+        d = add(mul(_derive(a, i, memo), b), mul(a, _derive(b, i, memo)))
     elif k == "div":
         a, b = e.args
-        num = sub(mul(differentiate(a, coord_index), b), mul(a, differentiate(b, coord_index)))
+        num = sub(mul(_derive(a, i, memo), b), mul(a, _derive(b, i, memo)))
         d = div(num, powi(b, 2))
     elif k == "pow":
         a = e.args[0]
-        d = mul(mul(const(e.payload), powi(a, e.payload - 1)), differentiate(a, coord_index))
+        d = mul(mul(const(e.payload), powi(a, e.payload - 1)), _derive(a, i, memo))
     else:
         a = e.args[0]
-        da = differentiate(a, coord_index)
+        da = _derive(a, i, memo)
         if k == "exp":
             d = mul(e, da)
         elif k == "ln":
@@ -593,7 +610,7 @@ def differentiate(e: Expression, coord_index: int) -> Expression:
             d = mul(sub(ONE, powi(e, 2)), da)
         else:
             raise AssertionError(f"unhandled kind {k}")
-    _DIFF[key] = d
+    memo[e] = d
     return d
 
 

@@ -241,44 +241,55 @@ def make_warped(base, fiber, f: ScalarField, *, fiber_mu=None, binding=None,
                          _fiber_mu_of(fiber, fiber_mu), f, chart, metric)
 
 
-def oneill_ricci(w: WarpedProduct, p, binding=None) -> np.ndarray:
-    """Product Ricci at p assembled from the base/fiber formulas.
+def oneill_ricci(w: WarpedProduct, points, binding=None) -> np.ndarray:
+    """Product Ricci assembled from the base/fiber formulas.
 
     Horizontal block Ric_B - (m/f) Hess_B f; mixed block zero; vertical block
     Ric_F - (lap f / f + (m-1) |grad f|^2 / f^2) * f^2 g_F.  For an abstract
-    fiber, p carries base coordinates only and the fiber block is reported in
-    an orthonormal-at-the-point fiber frame (g_F = identity, Ric_F = mu *
-    identity).
+    fiber, a point carries base coordinates only and the fiber block is
+    reported in an orthonormal-at-the-point fiber frame (g_F = identity,
+    Ric_F = mu * identity).
+
+    `points` is one point, giving a (d, d) array, or an (N, d) batch, giving
+    (N, d, d).  Each base and fiber DAG is evaluated once over the batch; the
+    small-matrix arithmetic runs point by point, so a batch gives the same
+    bits as its points one at a time.
     """
     nb, m = w.base_chart.dim, w.fiber_dim
-    p = np.asarray(p, dtype=float).ravel()
-    base_pt = p[:nb].reshape(1, -1)
+    pts = np.asarray(points, dtype=float)
+    single = pts.ndim == 1
+    pts = pts.reshape(-1, pts.shape[-1])
+    base_pts = pts[:, :nb]
 
-    gB, gBinv = geo.eval_metric(w.base_metric, base_pt, binding)
-    ricB = eval_sym2_comps(ricci(w.base_metric).comps, base_pt, binding)[0]
-    hessf = eval_sym2_comps(hessian(w.base_metric, w.warping).comps, base_pt, binding)[0]
+    gBinv = geo.eval_metric(w.base_metric, base_pts, binding)[1]
+    ricB = eval_sym2_comps(ricci(w.base_metric).comps, base_pts, binding)
+    hessf = eval_sym2_comps(hessian(w.base_metric, w.warping).comps, base_pts, binding)
     df = ex.eval_many([ex.differentiate(w.warping.expr, i) for i in range(nb)],
-                      base_pt, binding)[:, 0]
-    fval = float(eval_scalar(w.warping, base_pt, binding)[0])
-    lapf = float(np.einsum("ij,ij->", gBinv[0], hessf))
-    grad2 = float(df @ gBinv[0] @ df)
+                      base_pts, binding).T
+    fvals = eval_scalar(w.warping, base_pts, binding)
 
     d = nb + m
-    out = np.zeros((d, d))
-    out[:nb, :nb] = ricB - (m / fval) * hessf
-    coef = lapf / fval + (m - 1) * grad2 / fval ** 2
     if w.fiber_chart is None:
         if w.fiber_mu is None:
             raise GeometryError("abstract fiber needs a declared Einstein constant")
-        out[nb:, nb:] = (w.fiber_mu - coef * fval ** 2) * np.eye(m)
-        return out
-    if p.size != d:
-        raise ValueError(f"point must have {d} coordinates for an explicit fiber")
-    fib_pt = p[nb:].reshape(1, -1)
-    ricF = eval_sym2_comps(ricci(w.fiber_metric).comps, fib_pt, binding)[0]
-    gF = eval_sym2_comps(w.fiber_metric.comps, fib_pt, binding)[0]
-    out[nb:, nb:] = ricF - coef * fval ** 2 * gF
-    return out
+    else:
+        if pts.shape[1] != d:
+            raise ValueError(f"point must have {d} coordinates for an explicit fiber")
+        fib_pts = pts[:, nb:]
+        ricF = eval_sym2_comps(ricci(w.fiber_metric).comps, fib_pts, binding)
+        gF = eval_sym2_comps(w.fiber_metric.comps, fib_pts, binding)
+    out = np.zeros((len(pts), d, d))
+    for a in range(len(pts)):
+        fval = float(fvals[a])
+        lapf = float(np.einsum("ij,ij->", gBinv[a], hessf[a]))
+        grad2 = float(df[a] @ gBinv[a] @ df[a])
+        out[a, :nb, :nb] = ricB[a] - (m / fval) * hessf[a]
+        coef = lapf / fval + (m - 1) * grad2 / fval ** 2
+        if w.fiber_chart is None:
+            out[a, nb:, nb:] = (w.fiber_mu - coef * fval ** 2) * np.eye(m)
+        else:
+            out[a, nb:, nb:] = ricF[a] - coef * fval ** 2 * gF[a]
+    return out[0] if single else out
 
 
 # ---------------------------------------------------------------------------

@@ -261,6 +261,56 @@ def test_numeric_flags_keep_finite_values():
     assert args.fiber_mu == -0.5
 
 
+FLOAT_FLAGS = [("verify-example", "pseudo-hyperbolic", flag)
+               for flag in ("--m", "--tau", "--k", "--A", "--l", "--a", "--b")] + [
+               ("construct-warped", "--base", "x", "--fiber-mu")]
+
+
+@pytest.mark.parametrize("value", ["-1e1", "-.5e1", "-1.5E+2", "-2.e-1", "-16"])
+@pytest.mark.parametrize("prefix", FLOAT_FLAGS, ids=lambda p: p[-1])
+def test_negative_float_flag_values_parse_in_both_forms(prefix, value):
+    *head, flag = prefix
+    dest = flag.lstrip("-").replace("-", "_")
+    apart = cli.build_parser().parse_args([*head, flag, value])
+    joined = cli.build_parser().parse_args([*head, f"{flag}={value}"])
+    assert getattr(apart, dest) == getattr(joined, dest) == float(value)
+
+
+@pytest.mark.parametrize("value", ["-1e-3", "-.5e1", "-2"])
+def test_negative_tolerance_is_rejected_in_both_forms(value, capsys):
+    for argv in (["--tol", value], [f"--tol={value}"]):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["verify-example", "neg-m-sphere", *argv])
+        assert info.value.code == 2
+        assert f"argument --tol: must be at least 0, got {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["-inf", "-Infinity", "-nan", "-1e999"])
+def test_negative_non_finite_value_is_rejected_in_both_forms(value, capsys):
+    for argv in (["--k", value], [f"--k={value}"]):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["verify-example", "pseudo-hyperbolic", *argv])
+        assert info.value.code == 2
+        assert f"argument --k: must be finite, got {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--k", "-abc"], ["--k=-abc"], ["--k", "-1e1x"],
+                                  ["--k", "-e1"], ["--k", "-infx"]])
+def test_non_numeric_float_flag_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["verify-example", "pseudo-hyperbolic", *argv])
+    assert info.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_negative_exponent_flag_runs_like_joined_form(capsys):
+    apart = run_cli(capsys, "verify-example", "pseudo-hyperbolic", "--k", "-1e1",
+                    "--points", "20")
+    joined = run_cli(capsys, "verify-example", "pseudo-hyperbolic", "--k=-1e1",
+                     "--points", "20")
+    assert apart == joined and apart[0] == 0
+
+
 def test_construct_warped_round_trip(tmp_path, capsys):
     out_path = tmp_path / "product.json"
     code, out, _ = run_cli(capsys, "construct-warped", "--base", "pseudo-hyperbolic",

@@ -2,6 +2,9 @@
 
 import ast
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -9,11 +12,13 @@ import numpy as np
 import pytest
 
 import oracles
+from solitonlab import examples as exm
 from solitonlab import expr as ex
 from solitonlab import geometry as geo
 from solitonlab import identities as idn
 
 NAMES = ("x1", "x2", "x3")
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def P(text, params=()):
@@ -86,6 +91,69 @@ def test_interning_shares_nodes():
     # structurally equal subtrees are the same object
     c = ex.add(ex.coord(0), ex.coord(1))
     assert c is a
+
+
+def test_interning_keeps_kinds_and_payloads_apart():
+    # the tables are per kind, and payload 1 of a coordinate equals 1.0
+    x = ex.coord(0)
+    leaves = [ex.const(1.0), ex.coord(1), ex.param("a")]
+    assert [e.kind for e in leaves] == ["const", "coord", "param"]
+    assert ex.powi(x, 2) is not ex.powi(x, 3)
+    assert (ex.powi(x, 2).payload, ex.powi(x, 3).payload) == (2, 3)
+    # neg and exp share their args tuple's contents, not their node
+    assert ex.neg(x) is not ex.exp(x)
+    assert (ex.neg(x).kind, ex.exp(x).kind) == ("neg", "exp")
+    assert ex.add(x, ex.ONE) is not ex.mul(x, ex.const(2.0))
+    assert ex.sub(x, ex.ONE) is not ex.add(x, ex.ONE)
+
+
+def test_interning_has_one_zero():
+    assert ex.const(-0.0) is ex.const(0.0) is ex.ZERO
+    assert math.copysign(1.0, ex.const(-0.0).payload) == 1.0
+
+
+def test_differentiate_is_memoized_per_coordinate():
+    e = P("x1*x2 + sin(x3)")
+    d = [ex.differentiate(e, i) for i in range(3)]
+    assert all(ex.differentiate(e, i) is d[i] for i in range(3))
+    assert d[0] is ex.coord(1) and d[1] is ex.coord(0) and d[2] is ex.cos(ex.coord(2))
+
+
+@pytest.mark.parametrize("example_id", sorted(exm.STRUCTURE_BUILDERS))
+def test_text_round_trip_on_catalog_metrics(example_id):
+    g = exm.build_structure(example_id).metric
+    chart = g.chart
+    for row in g.comps:
+        for e in row:
+            text = ex.to_text(e, chart.coords)
+            assert ex.parse_expression(text, chart.coords, chart.params) is e
+
+
+_FOOTPRINT = """
+import gc, tracemalloc
+from solitonlab import expr as ex, geometry as geo, identities as idn
+def nodes():
+    return sum(type(o) is ex.Expression for o in gc.get_objects())
+g = idn.suite_metrics(4, 1, 7)[0]
+before = nodes()
+tracemalloc.start()
+geo.divergence_sym2(g, geo.ricci(g))
+held = tracemalloc.get_traced_memory()[0]
+tracemalloc.stop()
+print(nodes() - before, held)
+"""
+
+
+def test_interned_node_footprint():
+    # a fresh process, so that every node of the build is new; a node that
+    # carried its own (kind, payload, args) key took about 287 bytes here
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", _FOOTPRINT], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    nodes, held = map(int, out.split())
+    assert nodes > 20000
+    assert held / nodes <= 220
 
 
 def test_constant_folding():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from solitonlab import examples as exm
 from solitonlab import expr as ex
 from solitonlab import geometry as geo
 from solitonlab import spaces as sp
@@ -189,6 +190,26 @@ def test_oneill_matches_direct_ricci_curved_fiber():
     rv = geo.eval_sym2_comps(ric.comps, pts)
     for a, p in enumerate(pts):
         np.testing.assert_allclose(rv[a], sp.oneill_ricci(w, p), atol=1e-8)
+
+
+@pytest.mark.parametrize("params", [{}, {"k": -16.0, "A": 10.0, "l": 4.0}])
+def test_oneill_batch_is_bitwise_the_per_point_formula(params):
+    p = exm.EXAMPLES["pseudo-hyperbolic"].params(params)
+    w, _ = exm.pseudo_hyperbolic_product(p["n"], p["k"], p["A"], p["l"])
+    pts = geo.sample_points(w.chart, 200, 42, metric=w.metric)
+    batch = sp.oneill_ricci(w, pts)
+    assert batch.shape == (200, w.chart.dim, w.chart.dim)
+    np.testing.assert_array_equal(batch, [sp.oneill_ricci(w, q) for q in pts])
+
+
+def test_oneill_batch_on_abstract_fiber_over_a_3d_base():
+    S = sp.make_sphere(3, 1.3)
+    x1, x2, x3 = (ex.coord(i) for i in range(3))
+    f = geo.ScalarField(S.chart, ex.const(2.0) + ex.sin(x1) * ex.cos(x2 * x3))
+    w = sp.make_warped((S.chart, S.metric), sp.AbstractFiber(2, 0.5), f)
+    pts = geo.sample_points(S.chart, 100, 5)
+    np.testing.assert_array_equal(sp.oneill_ricci(w, pts),
+                                  [sp.oneill_ricci(w, q) for q in pts])
 
 
 def test_oneill_abstract_matches_explicit():
