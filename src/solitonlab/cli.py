@@ -47,6 +47,14 @@ def positive_int(text: str) -> int:
     return n
 
 
+def non_negative_int(text: str) -> int:
+    """argparse type for an integer of at least 0, such as a seed."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {n}")
+    return n
+
+
 def finite_float(text: str) -> float:
     """argparse type for a finite number."""
     v = float(text)
@@ -183,8 +191,8 @@ def _identity_reports(args, tol):
         reps = [so.conformal_factor_hessian_check(g, rho, pts, tol)]
         u = so.potential_from_factor(g, rho, pts)
         half_L = geo.half_lie_derivative_metric(g, geo.gradient(g, u))
-        comps = [[ex.sub(half_L.comps[i][j], ex.mul(rho.expr, g.comps[i][j]))
-                  for j in range(n)] for i in range(n)]
+        comps = geo.sym2(n, lambda i, j: ex.sub(half_L.comps[i][j],
+                                                ex.mul(rho.expr, g.comps[i][j])))
         reps.append(so._report("factor-potential", tol, pts,
                                geo.gnorms(g, comps, pts)))
         digest = mf.digest({"identity": name, "points": count, "seed": args.seed})
@@ -280,7 +288,8 @@ def _add_common(p: argparse.ArgumentParser, param_flags=False):
                    help="admissible sample count (default 200)")
     p.add_argument("--tol", type=tolerance, default=None,
                    help="residual tolerance (default 1e-8, or the identity's own)")
-    p.add_argument("--seed", type=int, default=42, help="sampler seed (default 42)")
+    p.add_argument("--seed", type=non_negative_int, default=42,
+                   help="sampler seed (default 42)")
     p.add_argument("--json", metavar="PATH", default=None,
                    help="also write the JSON report to PATH")
     if param_flags:

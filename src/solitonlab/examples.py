@@ -19,15 +19,6 @@ from . import soliton as so
 from . import spaces as sp
 from .geometry import Chart, MetricField, ScalarField, VectorField
 
-EXAMPLE_IDS = (
-    "space-form-gradient",
-    "euclidean-gradient",
-    "euclidean-conformal-claimed",
-    "euclidean-conformal-corrected",
-    "pseudo-hyperbolic",
-    "neg-m-sphere",
-)
-
 HESSIAN_EQ_TOL = 1e-9   # |Hess u + k u g| on the pseudo-hyperbolic examples
 
 
@@ -288,6 +279,8 @@ EXAMPLES = {
         expected_trivial=False),
 }
 
+EXAMPLE_IDS = tuple(EXAMPLES)
+
 # the catalog entries that carry a soliton structure, and their constructors
 STRUCTURE_BUILDERS = {
     "space-form-gradient": example_space_form,
@@ -323,8 +316,6 @@ class ExampleRun:
     triviality: so.TrivialityVerdict = None
     passed: bool = False
     structure: so.SolitonStructure = None
-    vector_field: VectorField = None
-    metric: MetricField = None
     notes: list = dc_field(default_factory=list)
 
 
@@ -350,8 +341,7 @@ def _hessian_equation_check(s: so.SolitonStructure, k: float, pts) -> so.Residua
     n = g.chart.dim
     hess = geo.hessian(g, s.potential)
     ku = ex.mul(ex.const(k), s.potential.expr)
-    comps = [[ex.add(hess.comps[i][j], ex.mul(ku, g.comps[i][j]))
-              for j in range(n)] for i in range(n)]
+    comps = geo.sym2(n, lambda i, j: ex.add(hess.comps[i][j], ex.mul(ku, g.comps[i][j])))
     return so._report("potential-hessian-equation", HESSIAN_EQ_TOL, pts,
                       geo.gnorms(g, comps, pts, s.params))
 
@@ -384,13 +374,12 @@ def run_example(example_id: str, params=None, count: int = 200,
         pts = geo.sample_points(g.chart, count, seed)
         verdict = so.conformal_killing_check(g, X, pts, tol)
         run.checks.append(so._report("conformal-killing", tol, pts, verdict.residuals))
-        run.vector_field, run.metric = X, g
         if expect_failure:
             run.notes.append("conformal claim does not hold; failure expected")
     else:
         s = STRUCTURE_BUILDERS[example_id](**p)
         pts = so.default_points(s, count, seed)
-        run.structure, run.metric = s, s.metric
+        run.structure = s
         run.checks = structure_checks(s, pts, tol)
         if example_id == "pseudo-hyperbolic":
             run.checks.append(_hessian_equation_check(s, float(p["k"]), pts))

@@ -10,9 +10,11 @@ the metric).
 
 Vector fields are stored contravariantly, one-forms covariantly; symmetric
 tensors store the full matrix with mirrored upper-triangle nodes, so stored
-symmetry is exact by construction.  Residual magnitudes use the g-norm,
-sqrt(g^{ik} g^{jl} T_ij T_kl) at rank 2 and alike at ranks 1 and 3 (|f| at
-rank 0), evaluated with numpy over point batches.
+symmetry is exact by construction.  `sym2` is the one place that storage
+rule is written: every symmetric 2-tensor in the package is built by it.
+Residual magnitudes use the g-norm, sqrt(g^{ik} g^{jl} T_ij T_kl) at rank 2
+and alike at ranks 1 and 3 (|f| at rank 0), evaluated with numpy over point
+batches.
 """
 
 from __future__ import annotations
@@ -92,7 +94,21 @@ def _check_square_sym(comps, n, what):
     for i in range(n):
         for j in range(i + 1, n):
             if comps[i][j] is not comps[j][i]:
-                raise ValueError(f"{what} must be stored symmetrically (use sym_rows)")
+                raise ValueError(
+                    f"{what} must be stored symmetrically (use sym2 or sym_rows)")
+
+
+def sym2(n, entry):
+    """n x n symmetric rows with entry(i, j) at (i, j) and (j, i).
+
+    `entry` is called once for each i <= j, in row-major order over the upper
+    triangle, and the lower triangle holds the same node.
+    """
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = entry(i, j)
+    return _as_tuple_matrix(rows)
 
 
 def sym_rows(entries):
@@ -107,14 +123,8 @@ def sym_rows(entries):
     n = int((np.sqrt(8 * count + 1) - 1) / 2)
     if n * (n + 1) // 2 != count:
         raise ValueError(f"{count} entries is not an upper triangle count n(n+1)/2")
-    rows = [[None] * n for _ in range(n)]
     it = iter(entries)
-    for i in range(n):
-        for j in range(i, n):
-            e = next(it)
-            rows[i][j] = e
-            rows[j][i] = e
-    return _as_tuple_matrix(rows)
+    return sym2(n, lambda i, j: next(it))
 
 
 @dataclass(frozen=True)
@@ -210,18 +220,16 @@ def inverse_metric(g: MetricField):
     idx = tuple(range(n))
     memo: dict = {}
     det = _det(g.comps, idx, idx, memo)
-    rows = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            sub_rows = tuple(r for r in idx if r != j)
-            sub_cols = tuple(c for c in idx if c != i)
-            cof = _det(g.comps, sub_rows, sub_cols, memo) if n > 1 else ex.ONE
-            if (i + j) % 2:
-                cof = ex.neg(cof)
-            entry = ex.div(cof, det)
-            rows[i][j] = entry
-            rows[j][i] = entry
-    return _as_tuple_matrix(rows)
+
+    def entry(i, j):
+        sub_rows = tuple(r for r in idx if r != j)
+        sub_cols = tuple(c for c in idx if c != i)
+        cof = _det(g.comps, sub_rows, sub_cols, memo) if n > 1 else ex.ONE
+        if (i + j) % 2:
+            cof = ex.neg(cof)
+        return ex.div(cof, det)
+
+    return sym2(n, entry)
 
 
 # ---------------------------------------------------------------------------
@@ -235,18 +243,15 @@ def christoffel(g: MetricField):
     inv = inverse_metric(g)
     dg = [[[ex.differentiate(g.comps[i][j], a) for j in range(n)] for i in range(n)] for a in range(n)]
     half = ex.const(0.5)
-    gamma = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for k in range(n):
-        for i in range(n):
-            for j in range(i, n):
-                terms = []
-                for l in range(n):
-                    bracket = ex.sub(ex.add(dg[i][l][j], dg[j][l][i]), dg[l][i][j])
-                    terms.append(ex.mul(inv[k][l], bracket))
-                val = ex.mul(half, ex.nsum(terms))
-                gamma[k][i][j] = val
-                gamma[k][j][i] = val
-    return tuple(_as_tuple_matrix(m) for m in gamma)
+
+    def gamma(k, i, j):
+        terms = []
+        for l in range(n):
+            bracket = ex.sub(ex.add(dg[i][l][j], dg[j][l][i]), dg[l][i][j])
+            terms.append(ex.mul(inv[k][l], bracket))
+        return ex.mul(half, ex.nsum(terms))
+
+    return tuple(sym2(n, lambda i, j: gamma(k, i, j)) for k in range(n))
 
 
 @lru_cache(maxsize=None)
@@ -254,17 +259,15 @@ def ricci(g: MetricField) -> SymTensorField:
     """Ric_jk = ∂_iΓ^i_jk − ∂_jΓ^i_ik + Γ^i_ipΓ^p_jk − Γ^i_jpΓ^p_ik."""
     n = g.chart.dim
     gam = christoffel(g)
-    rows = [[None] * n for _ in range(n)]
-    for j in range(n):
-        for k in range(j, n):
-            t1 = ex.nsum(ex.differentiate(gam[i][j][k], i) for i in range(n))
-            t2 = ex.nsum(ex.differentiate(gam[i][i][k], j) for i in range(n))
-            t3 = ex.nsum(ex.mul(gam[i][i][p], gam[p][j][k]) for i in range(n) for p in range(n))
-            t4 = ex.nsum(ex.mul(gam[i][j][p], gam[p][i][k]) for i in range(n) for p in range(n))
-            val = ex.sub(ex.add(ex.sub(t1, t2), t3), t4)
-            rows[j][k] = val
-            rows[k][j] = val
-    return SymTensorField(g.chart, rows)
+
+    def entry(j, k):
+        t1 = ex.nsum(ex.differentiate(gam[i][j][k], i) for i in range(n))
+        t2 = ex.nsum(ex.differentiate(gam[i][i][k], j) for i in range(n))
+        t3 = ex.nsum(ex.mul(gam[i][i][p], gam[p][j][k]) for i in range(n) for p in range(n))
+        t4 = ex.nsum(ex.mul(gam[i][j][p], gam[p][i][k]) for i in range(n) for p in range(n))
+        return ex.sub(ex.add(ex.sub(t1, t2), t3), t4)
+
+    return SymTensorField(g.chart, sym2(n, entry))
 
 
 @lru_cache(maxsize=None)
@@ -330,15 +333,13 @@ def hessian(g: MetricField, phi: ScalarField) -> SymTensorField:
     n = g.chart.dim
     gam = christoffel(g)
     dphi = [ex.differentiate(phi.expr, k) for k in range(n)]
-    rows = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            second = ex.differentiate(dphi[j], i)
-            corr = ex.nsum(ex.mul(gam[k][i][j], dphi[k]) for k in range(n))
-            val = ex.sub(second, corr)
-            rows[i][j] = val
-            rows[j][i] = val
-    return SymTensorField(g.chart, rows)
+
+    def entry(i, j):
+        second = ex.differentiate(dphi[j], i)
+        corr = ex.nsum(ex.mul(gam[k][i][j], dphi[k]) for k in range(n))
+        return ex.sub(second, corr)
+
+    return SymTensorField(g.chart, sym2(n, entry))
 
 
 def laplacian(g: MetricField, phi: ScalarField) -> ScalarField:
@@ -348,16 +349,14 @@ def laplacian(g: MetricField, phi: ScalarField) -> ScalarField:
 def lie_derivative_metric(g: MetricField, X: VectorField) -> SymTensorField:
     """(L_X g)_ij = X^k ∂_k g_ij + g_kj ∂_i X^k + g_ik ∂_j X^k."""
     n = g.chart.dim
-    rows = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            t1 = ex.nsum(ex.mul(X.comps[k], ex.differentiate(g.comps[i][j], k)) for k in range(n))
-            t2 = ex.nsum(ex.mul(g.comps[k][j], ex.differentiate(X.comps[k], i)) for k in range(n))
-            t3 = ex.nsum(ex.mul(g.comps[i][k], ex.differentiate(X.comps[k], j)) for k in range(n))
-            val = ex.add(ex.add(t1, t2), t3)
-            rows[i][j] = val
-            rows[j][i] = val
-    return SymTensorField(g.chart, rows)
+
+    def entry(i, j):
+        t1 = ex.nsum(ex.mul(X.comps[k], ex.differentiate(g.comps[i][j], k)) for k in range(n))
+        t2 = ex.nsum(ex.mul(g.comps[k][j], ex.differentiate(X.comps[k], i)) for k in range(n))
+        t3 = ex.nsum(ex.mul(g.comps[i][k], ex.differentiate(X.comps[k], j)) for k in range(n))
+        return ex.add(ex.add(t1, t2), t3)
+
+    return SymTensorField(g.chart, sym2(n, entry))
 
 
 def half_lie_derivative_metric(g: MetricField, X: VectorField) -> SymTensorField:
@@ -365,8 +364,7 @@ def half_lie_derivative_metric(g: MetricField, X: VectorField) -> SymTensorField
     n = g.chart.dim
     L = lie_derivative_metric(g, X)
     half = ex.const(0.5)
-    return SymTensorField(g.chart, [[ex.mul(half, L.comps[i][j]) for j in range(n)]
-                                    for i in range(n)])
+    return SymTensorField(g.chart, sym2(n, lambda i, j: ex.mul(half, L.comps[i][j])))
 
 
 def divergence_vector(g: MetricField, X: VectorField) -> ScalarField:
@@ -418,13 +416,8 @@ def trace(g: MetricField, T: SymTensorField) -> ScalarField:
 def traceless(g: MetricField, T: SymTensorField) -> SymTensorField:
     n = g.chart.dim
     tr_over_n = ex.div(trace(g, T).expr, ex.const(n))
-    rows = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            val = ex.sub(T.comps[i][j], ex.mul(tr_over_n, g.comps[i][j]))
-            rows[i][j] = val
-            rows[j][i] = val
-    return SymTensorField(g.chart, rows)
+    return SymTensorField(g.chart, sym2(n, lambda i, j: ex.sub(
+        T.comps[i][j], ex.mul(tr_over_n, g.comps[i][j]))))
 
 
 def grad_norm2(g: MetricField, phi: ScalarField) -> ScalarField:

@@ -60,14 +60,12 @@ def random_perturbed_metric(rng, n: int) -> MetricField:
     chart = _chart(n)
     terms_per_entry = 1 + n + n * (n + 1) // 2
     scale = 0.4 / (n * terms_per_entry)
-    rows = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            q = random_polynomial(rng, n, scale)
-            e = ex.add(ex.ONE, q) if i == j else q
-            rows[i][j] = e
-            rows[j][i] = e
-    return MetricField(chart, rows)
+
+    def entry(i, j):
+        q = random_polynomial(rng, n, scale)
+        return ex.add(ex.ONE, q) if i == j else q
+
+    return MetricField(chart, geo.sym2(n, entry))
 
 
 def random_vector(rng, chart: Chart, scale: float = 0.5) -> VectorField:
@@ -77,13 +75,7 @@ def random_vector(rng, chart: Chart, scale: float = 0.5) -> VectorField:
 
 def random_sym2(rng, chart: Chart, scale: float = 0.5) -> SymTensorField:
     n = chart.dim
-    rows = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            e = random_polynomial(rng, n, scale)
-            rows[i][j] = e
-            rows[j][i] = e
-    return SymTensorField(chart, rows)
+    return SymTensorField(chart, geo.sym2(n, lambda i, j: random_polynomial(rng, n, scale)))
 
 
 def suite_metrics(dim: int = 3, metric_count: int = 20, seed: int = 7):
@@ -146,8 +138,7 @@ def fg_formulas_suite(dim: int = 3, metric_count: int = 20, point_count: int = 1
         dphi = [ex.differentiate(phi, a) for a in range(n)]
         out = {}
 
-        phiT = SymTensorField(chart, [[ex.mul(phi, T.comps[i][j]) for j in range(n)]
-                                      for i in range(n)])
+        phiT = SymTensorField(chart, geo.sym2(n, lambda i, j: ex.mul(phi, T.comps[i][j])))
         # div(phi T) - phi div T - T(grad phi, .)
         lhs = geo.divergence_sym2(g, phiT)
         rhs_div = geo.divergence_sym2(g, T)

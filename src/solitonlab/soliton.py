@@ -99,27 +99,6 @@ class SolitonStructure:
 
 
 @dataclass(frozen=True)
-class QuasiEinsteinStructure:
-    """Ric + Hess f - mu_qe df⊗df = lambda g."""
-
-    metric: MetricField
-    f: ScalarField
-    mu_qe: ScalarField
-    lam: ScalarField
-    binding: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "binding", _normalize_binding(self.binding))
-        if not isinstance(self.mu_qe, ScalarField):
-            object.__setattr__(
-                self, "mu_qe", ScalarField(self.metric.chart, ex.const(self.mu_qe)))
-
-    @property
-    def params(self) -> dict:
-        return dict(self.binding)
-
-
-@dataclass(frozen=True)
 class DerivedFields:
     X: VectorField
     ric: SymTensorField
@@ -181,82 +160,34 @@ def default_points(s, count: int = 200, seed: int = 42) -> np.ndarray:
     return geo.sample_points(s, count, seed)
 
 
-def _combine_sym2(chart, n, build) -> SymTensorField:
-    rows = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            v = build(i, j)
-            rows[i][j] = v
-            rows[j][i] = v
-    return SymTensorField(chart, rows)
-
-
 # ---------------------------------------------------------------------------
 # residual operators
 
 
+def _soliton_residual(s: SolitonStructure, points, tol, name,
+                      term: SymTensorField) -> ResidualReport:
+    """g-norm of Ric + h term - lambda g, with term the X-term of the form."""
+    pts = geo.points_array(points)
+    g = s.metric
+    ric = geo.ricci(g)
+    T = geo.sym2(g.chart.dim, lambda i, j: ex.sub(
+        ex.add(ric.comps[i][j], ex.mul(s.h.expr, term.comps[i][j])),
+        ex.mul(s.lam.expr, g.comps[i][j])))
+    res = geo.gnorms(g, T, pts, s.params)
+    return _report(name, tol, pts, res, form=s.h_form, **s.params)
+
+
 def soliton_residual(s: SolitonStructure, points, tol: float = 1e-8) -> ResidualReport:
     """g-norm of Ric + (h/2) L_X g - lambda g at the given points."""
-    pts = geo.points_array(points)
-    d = derive(s)
-    g = s.metric
-    n = g.chart.dim
-    T = _combine_sym2(g.chart, n, lambda i, j: ex.sub(
-        ex.add(d.ric.comps[i][j], ex.mul(s.h.expr, d.S.comps[i][j])),
-        ex.mul(s.lam.expr, g.comps[i][j])))
-    res = geo.gnorms(g, T.comps, pts, s.params)
-    return _report("soliton-residual", tol, pts, res, form=s.h_form, **s.params)
+    return _soliton_residual(s, points, tol, "soliton-residual", derive(s).S)
 
 
 def gradient_soliton_residual(s: SolitonStructure, points, tol: float = 1e-8) -> ResidualReport:
     """g-norm of Ric + h Hess u - lambda g; needs a potential."""
     if not s.is_gradient:
         raise PreconditionError("gradient residual needs a structure with a potential")
-    pts = geo.points_array(points)
-    g = s.metric
-    n = g.chart.dim
-    ric = geo.ricci(g)
-    hess = geo.hessian(g, s.potential)
-    T = _combine_sym2(g.chart, n, lambda i, j: ex.sub(
-        ex.add(ric.comps[i][j], ex.mul(s.h.expr, hess.comps[i][j])),
-        ex.mul(s.lam.expr, g.comps[i][j])))
-    res = geo.gnorms(g, T.comps, pts, s.params)
-    return _report("gradient-soliton-residual", tol, pts, res, form=s.h_form, **s.params)
-
-
-def quasi_einstein_residual(q: QuasiEinsteinStructure, points, tol: float = 1e-8) -> ResidualReport:
-    """g-norm of Ric + Hess f - mu_qe df⊗df - lambda g."""
-    pts = geo.points_array(points)
-    g = q.metric
-    n = g.chart.dim
-    ric = geo.ricci(g)
-    hess = geo.hessian(g, q.f)
-    df = [ex.differentiate(q.f.expr, i) for i in range(n)]
-    T = _combine_sym2(g.chart, n, lambda i, j: ex.sub(
-        ex.add(ric.comps[i][j], hess.comps[i][j]),
-        ex.add(ex.mul(q.mu_qe.expr, ex.mul(df[i], df[j])),
-               ex.mul(q.lam.expr, g.comps[i][j]))))
-    res = geo.gnorms(g, T.comps, pts, q.params)
-    return _report("quasi-einstein-residual", tol, pts, res, **q.params)
-
-
-def substitute_u_for_f(q: QuasiEinsteinStructure, m: float) -> SolitonStructure:
-    """Rewrite the quasi-Einstein data through u = exp(f/m), h = m/u.
-
-    Requires the df⊗df coefficient mu_qe = -1/m (checked when it is a
-    constant), which is exactly when the two equations are equivalent; a
-    negative m realizes the (-m/u) form.
-    """
-    m = float(m)
-    if m == 0:
-        raise ValueError("m must be nonzero")
-    if q.mu_qe.expr.kind == "const" and abs(q.mu_qe.expr.payload + 1.0 / m) > 1e-12:
-        raise ValueError("substitution needs mu_qe = -1/m")
-    u = ScalarField(q.metric.chart, ex.exp(ex.div(q.f.expr, ex.const(m))))
-    h = ScalarField(q.metric.chart, ex.div(ex.const(m), u.expr))
-    form = FORM_M_OVER_U if m > 0 else FORM_NEG_M_OVER_U
-    return SolitonStructure(q.metric, h, q.lam, potential=u, binding=q.binding,
-                            h_form=form, m=abs(m))
+    return _soliton_residual(s, points, tol, "gradient-soliton-residual",
+                             geo.hessian(s.metric, s.potential))
 
 
 def _mean_spread(vals):
@@ -350,9 +281,8 @@ def conformal_factor_hessian_check(g: MetricField, rho: ScalarField, points,
     hess = geo.hessian(g, rho)
     scal = geo.scalar_curvature(g)
     coef = ex.mul(ex.div(scal.expr, ex.const(n * (n - 1))), rho.expr)
-    T = _combine_sym2(g.chart, n, lambda i, j: ex.add(
-        hess.comps[i][j], ex.mul(coef, g.comps[i][j])))
-    res = geo.gnorms(g, T.comps, pts, binding)
+    T = geo.sym2(n, lambda i, j: ex.add(hess.comps[i][j], ex.mul(coef, g.comps[i][j])))
+    res = geo.gnorms(g, T, pts, binding)
     return _report("conformal-factor-hessian", tol, pts, res)
 
 
@@ -536,20 +466,20 @@ def warped_einstein_construct(s: SolitonStructure, fiber_dim: int,
                                      binding=s.params)
         n_tot = w.chart.dim
         prod_ric = geo.ricci(w.metric)
-        T = _combine_sym2(w.chart, n_tot, lambda i, j: ex.sub(
+        T = geo.sym2(n_tot, lambda i, j: ex.sub(
             prod_ric.comps[i][j],
             ex.mul(ex.const(lam_est), w.metric.comps[i][j])))
-        res = geo.gnorms(w.metric, T.comps, prod_pts, s.params)
+        res = geo.gnorms(w.metric, T, prod_pts, s.params)
         rep = _report("warped-einstein", tol, prod_pts, res, **meta)
     else:
         g = s.metric
         n = g.chart.dim
         hess = geo.hessian(g, s.potential)
         mh = ex.div(ex.const(float(fiber_dim)), s.potential.expr)
-        T = _combine_sym2(g.chart, n, lambda i, j: ex.sub(
+        T = geo.sym2(n, lambda i, j: ex.sub(
             ex.sub(geo.ricci(g).comps[i][j], ex.mul(mh, hess.comps[i][j])),
             ex.mul(ex.const(lam_est), g.comps[i][j])))
-        res = geo.gnorms(g, T.comps, pts, s.params)
+        res = geo.gnorms(g, T, pts, s.params)
         meta["fiber_relation_deviation"] = murep.sup
         rep = _report("warped-einstein-base-block", tol, pts, res, **meta)
     return w, rep
@@ -575,7 +505,6 @@ def einstein_fiber(dim: int, mu: float, kind: str = "auto"):
             raise ValueError("a hyperbolic fiber needs mu < 0")
         model = sp.make_hyperbolic(dim)
         scale = ex.const((dim - 1) / (-mu))
-        comps = [[ex.mul(scale, model.metric.comps[i][j]) for j in range(dim)]
-                 for i in range(dim)]
+        comps = geo.sym2(dim, lambda i, j: ex.mul(scale, model.metric.comps[i][j]))
         return (model.chart, MetricField(model.chart, comps))
     raise ValueError(f"unknown fiber kind {kind!r}")

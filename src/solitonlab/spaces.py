@@ -24,7 +24,7 @@ import numpy as np
 from . import expr as ex
 from .geometry import (
     Chart, GeometryError, MetricField, ScalarField, eval_scalar, eval_sym2_comps,
-    hessian, ricci, sample_points, sym_rows,
+    hessian, ricci, sample_points, sym2,
 )
 from . import geometry as geo
 
@@ -84,8 +84,7 @@ def make_euclidean(n: int, half_width: float = 1.5) -> ModelSpace:
     if n < 2:
         raise ValueError("model spaces need dimension >= 2")
     chart = Chart(_coord_names("x", n), ((-half_width, half_width),) * n)
-    rows = sym_rows([ex.ONE if i == j else ex.ZERO
-                     for i in range(n) for j in range(i, n)])
+    rows = sym2(n, lambda i, j: ex.ONE if i == j else ex.ZERO)
     return ModelSpace("euclidean", n, 0.0, 0.0, chart, MetricField(chart, rows))
 
 
@@ -97,8 +96,7 @@ def make_sphere(n: int, r: float = 1.0) -> ModelSpace:
     chart = Chart(_coord_names("x", n), ((-2.0 * r, 2.0 * r),) * n)
     norm2 = ex.nsum(ex.powi(ex.coord(i), 2) for i in range(n))
     conf = ex.div(ex.const(4.0 * r ** 4), ex.powi(ex.add(ex.const(r * r), norm2), 2))
-    rows = sym_rows([conf if i == j else ex.ZERO
-                     for i in range(n) for j in range(i, n)])
+    rows = sym2(n, lambda i, j: conf if i == j else ex.ZERO)
     return ModelSpace("sphere", n, r, 1.0 / r ** 2, chart, MetricField(chart, rows))
 
 
@@ -108,8 +106,7 @@ def make_hyperbolic(n: int) -> ModelSpace:
     box = ((-1.0, 1.0),) * (n - 1) + ((0.4, 2.5),)
     chart = Chart(_coord_names("x", n), box, domain=(ex.coord(n - 1),))
     w = ex.powi(ex.coord(n - 1), -2)
-    rows = sym_rows([w if i == j else ex.ZERO
-                     for i in range(n) for j in range(i, n)])
+    rows = sym2(n, lambda i, j: w if i == j else ex.ZERO)
     return ModelSpace("hyperbolic", n, 0.0, -1.0, chart, MetricField(chart, rows))
 
 
@@ -227,16 +224,16 @@ def make_warped(base, fiber, f: ScalarField, *, fiber_mu=None, binding=None,
                   domain=base_chart.domain + shifted_domain,
                   params=params)
     f2 = ex.powi(f.expr, 2)
-    d = nb + m
-    rows = [[ex.ZERO] * d for _ in range(d)]
-    for i in range(nb):
-        for j in range(nb):
-            rows[i][j] = base_metric.comps[i][j]
-    for a in range(m):
-        for b in range(m):
-            comp = ex.shift_coordinates(fiber_metric.comps[a][b], nb)
-            rows[nb + a][nb + b] = ex.mul(f2, comp)
-    metric = MetricField(chart, rows)
+
+    def block(i, j):
+        if j < nb:
+            return base_metric.comps[i][j]
+        if i < nb:
+            return ex.ZERO
+        comp = ex.shift_coordinates(fiber_metric.comps[i - nb][j - nb], nb)
+        return ex.mul(f2, comp)
+
+    metric = MetricField(chart, sym2(nb + m, block))
     return WarpedProduct(base_chart, base_metric, fiber_chart, fiber_metric, m,
                          _fiber_mu_of(fiber, fiber_mu), f, chart, metric)
 

@@ -1,5 +1,6 @@
 # command-line interface: report schema, exit codes, determinism
 
+import argparse
 import ast
 import gc
 import importlib
@@ -224,6 +225,37 @@ def test_check_identity_random_metrics_below_one_is_usage_error(count, capsys):
     err = capsys.readouterr().err
     assert f"argument --random-metrics: must be at least 1, got {count}" in err
     assert "Traceback" not in err
+
+
+SEED_ARGVS = {
+    "verify-example": ("verify-example", "neg-m-sphere"),
+    "verify-manifest": ("verify-manifest", "missing.json"),
+    "check-identity": ("check-identity", "bianchi"),
+    "construct-warped": ("construct-warped", "--base", "neg-m-sphere"),
+    "classify": ("classify", "--example", "neg-m-sphere"),
+}
+
+
+def test_seed_cases_cover_every_subcommand():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(SEED_ARGVS)
+
+
+@pytest.mark.parametrize("seed", ["-1", "-3"])
+@pytest.mark.parametrize("command", sorted(SEED_ARGVS))
+def test_negative_seed_is_usage_error(command, seed, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main([*SEED_ARGVS[command], "--seed", seed])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --seed: must be at least 0, got {seed}" in err
+    assert "Traceback" not in err
+
+
+def test_seed_zero_parses_to_int_zero():
+    args = cli.build_parser().parse_args(["check-identity", "oneill", "--seed", "0"])
+    assert args.seed == 0 and type(args.seed) is int
 
 
 BAD_NUMBERS = [

@@ -53,6 +53,21 @@ def test_sym_rows_counts_and_sharing():
         geo.sym_rows([1.0, 2.0])  # 2 is not n(n+1)/2
 
 
+def test_sym2_calls_entry_once_per_upper_entry_in_row_major_order():
+    for n in range(5):
+        calls = []
+
+        def entry(i, j):
+            calls.append((i, j))
+            return object()
+
+        rows = geo.sym2(n, entry)
+        assert calls == [(i, j) for i in range(n) for j in range(i, n)]
+        assert len(calls) == n * (n + 1) // 2
+        assert len(rows) == n and all(len(r) == n for r in rows)
+        assert all(rows[i][j] is rows[j][i] for i in range(n) for j in range(n))
+
+
 def test_tensor_field_shape_checks():
     chart, g = euclidean_setup(2)
     with pytest.raises(ValueError):
@@ -326,6 +341,40 @@ def test_only_gnorms_reduces():
         encoding="utf-8"))) == sorted(REDUCTIONS)
     assert reduction_uses("def f(g):\n    return geo.gnorm_oneform(1, 2)\n") == [
         ("f", "gnorm_oneform")]
+
+
+def mirror_writers(source):
+    """Functions that store both x[a][b] and x[b][a] for one x and a != b."""
+    found = []
+
+    def walk(node, stores):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = set()
+                walk(child, inner)
+                if any((x, b, a) in inner for x, a, b in inner if a != b):
+                    found.append(child.name)
+                continue
+            if (isinstance(child, ast.Subscript) and isinstance(child.ctx, ast.Store)
+                    and isinstance(child.value, ast.Subscript)):
+                stores.add((ast.dump(child.value.value), ast.dump(child.value.slice),
+                            ast.dump(child.slice)))
+            walk(child, stores)
+
+    walk(ast.parse(source), set())
+    return sorted(found)
+
+
+def test_sym2_is_the_only_mirror_writer():
+    # every symmetric 2-tensor gets its lower triangle from geometry.sym2
+    src = Path(geo.__file__).resolve().parent
+    writers = {path.name: mirror_writers(path.read_text(encoding="utf-8"))
+               for path in sorted(src.glob("*.py"))}
+    assert {name: w for name, w in writers.items() if w} == {"geometry.py": ["sym2"]}
+    assert mirror_writers("def f(r, i, j, v):\n    r[i][j] = r[j][i] = v\n") == ["f"]
+    assert mirror_writers("def f(r, k, i, j, v):\n    r[k][i][j] = v\n"
+                          "    r[k][j][i] = v\n") == ["f"]
+    assert mirror_writers("def f(r, i, j, v):\n    r[i][j] = v\n    r[i][i] = v\n") == []
 
 
 def test_sample_points_deterministic_and_admissible():

@@ -96,37 +96,6 @@ def test_gradient_residual_needs_potential():
         so.gradient_soliton_residual(s, so.default_points(s, count=10))
 
 
-def test_quasi_einstein_bridge():
-    # f = m ln u with mu_qe = -1/m reproduces the gradient structure
-    base = flat_gradient_structure(m=3.0)
-    chart = base.chart
-    m = 3.0
-    f = ScalarField(chart, ex.mul(ex.const(m), ex.ln(base.potential.expr)))
-    q = so.QuasiEinsteinStructure(base.metric, f, -1.0 / m, base.lam)
-    pts = so.default_points(base, count=50)
-    qrep = so.quasi_einstein_residual(q, pts)
-    assert qrep.passed and qrep.sup < 1e-10
-    s2 = so.substitute_u_for_f(q, m)
-    assert s2.h_form == so.FORM_M_OVER_U and s2.m == m
-    u_vals = geo.eval_scalar(s2.potential, pts)
-    np.testing.assert_allclose(u_vals, geo.eval_scalar(base.potential, pts), atol=1e-11)
-    assert so.gradient_soliton_residual(s2, pts).passed
-
-
-def test_substitute_u_for_f_validation():
-    base = flat_gradient_structure()
-    q = so.QuasiEinsteinStructure(base.metric,
-                                  ScalarField(base.chart, ex.coord(0)), -0.5, base.lam)
-    with pytest.raises(ValueError, match="mu_qe"):
-        so.substitute_u_for_f(q, 3.0)
-    with pytest.raises(ValueError):
-        so.substitute_u_for_f(q, 0.0)
-    q2 = so.QuasiEinsteinStructure(base.metric,
-                                   ScalarField(base.chart, ex.coord(0)), 0.5, base.lam)
-    s = so.substitute_u_for_f(q2, -2.0)
-    assert s.h_form == so.FORM_NEG_M_OVER_U and s.m == 2.0
-
-
 def test_classify_lambda():
     pts = np.zeros((5, 3)) + 0.1
     assert so.classify_lambda(einstein_sphere_structure(lam=2.0), pts) == "shrinking"
