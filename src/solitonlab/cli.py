@@ -138,7 +138,7 @@ def cmd_verify_example(args) -> int:
 
 def cmd_verify_manifest(args) -> int:
     man = mf.load(args.path)
-    s = man.build_structure()
+    s = man.structure
     tol = args.tol if args.tol is not None else 1e-8
     pts = so.default_points(s, args.points, args.seed)
     checks = [so.soliton_residual(s, pts, tol)]
@@ -170,15 +170,12 @@ def _identity_reports(args, tol):
         return reps, digest
 
     if name == "oneill":
-        wid = args.warped or "pseudo-hyperbolic"
-        if wid != "pseudo-hyperbolic":
-            raise ValueError(f"unknown warped space {wid!r}")
         p = cat.EXAMPLES["pseudo-hyperbolic"].params(
             {k: v for k, v in _overrides(args).items()
              if k in ("n", "k", "A", "l")})
         w, _ = cat.pseudo_hyperbolic_product(p["n"], p["k"], p["A"], p["l"])
         reps = idn.oneill_suite(w, count=count, seed=args.seed, tol=tol)
-        digest = mf.digest({"identity": name, "warped": wid,
+        digest = mf.digest({"identity": name, "warped": "pseudo-hyperbolic",
                             "parameters": {k: p[k] for k in ("n", "k", "A", "l")},
                             "points": count, "seed": args.seed})
         return reps, digest
@@ -222,7 +219,7 @@ def _base_structure(args) -> so.SolitonStructure:
     if base in cat.EXAMPLES:
         return cat.build_structure(base, _overrides(args))
     if os.path.exists(base):
-        return mf.load(base).build_structure()
+        return mf.load(base).structure
     raise ValueError(f"--base {base!r} is neither a catalog id nor a manifest path")
 
 
@@ -242,24 +239,19 @@ def cmd_construct_warped(args) -> int:
                                           fiber_kind=args.fiber, points=pts,
                                           seed=args.seed, tol=tol)
     lam_bar = rep.metadata["lambda"]
-    if abs(lam_bar) <= so.STEADY_EPS:
-        classification = "steady"
-    else:
-        classification = "shrinking" if lam_bar > 0 else "expanding"
     if w.chart is not None:
         d = w.chart.dim
         prod = so.SolitonStructure(
             w.metric, ScalarField(w.chart, ex.ONE),
             ScalarField(w.chart, ex.const(lam_bar)),
-            vector_field=VectorField(w.chart, [ex.ZERO] * d),
-            binding=s.params)
+            vector_field=VectorField(w.chart, [ex.ZERO] * d))
         out_doc = mf.structure_to_dict(prod)
         if args.out:
             mf.write(out_doc, args.out)
         digest = mf.digest(out_doc)
     else:
         digest = mf.digest(mf.structure_to_dict(s))
-    doc = report_document(digest, [check_dict(rep)], classification, True)
+    doc = report_document(digest, [check_dict(rep)], so.lambda_class(lam_bar), True)
     emit(doc, args.json)
     return EXIT_OK if rep.passed else EXIT_FAIL
 
@@ -272,7 +264,7 @@ def cmd_classify(args) -> int:
         digest = mf.digest(mf.structure_to_dict(s))
     else:
         man = mf.load(args.manifest)
-        s = man.build_structure()
+        s = man.structure
         digest = man.digest
     pts = so.default_points(s, args.points, args.seed)
     tol = args.tol if args.tol is not None else 1e-8
@@ -342,8 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dimension for random metrics (default 3)")
     p.add_argument("--example", default=None,
                    help="catalog structure for divric/eqpprinc/mu-const")
-    p.add_argument("--warped", default=None,
-                   help="warped space for the oneill comparison")
     _add_common(p, param_flags=True)
     p.set_defaults(func=cmd_check_identity)
 

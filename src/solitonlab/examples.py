@@ -343,17 +343,14 @@ def _hessian_equation_check(s: so.SolitonStructure, k: float, pts) -> so.Residua
     ku = ex.mul(ex.const(k), s.potential.expr)
     comps = geo.sym2(n, lambda i, j: ex.add(hess.comps[i][j], ex.mul(ku, g.comps[i][j])))
     return so._report("potential-hessian-equation", HESSIAN_EQ_TOL, pts,
-                      geo.gnorms(g, comps, pts, s.params))
+                      geo.gnorms(g, comps, pts))
 
 
 def _expected_classification(example_id: str, p: dict) -> str:
     if example_id == "euclidean-gradient":
         return "shrinking" if p["m"] > 0 else "expanding"
     if example_id == "pseudo-hyperbolic" and p.get("h_expr") is None:
-        sig = (p["n"] + p["m"] - 1) * p["k"]
-        if abs(sig) <= so.STEADY_EPS:
-            return "steady"
-        return "shrinking" if sig > 0 else "expanding"
+        return so.lambda_class((p["n"] + p["m"] - 1) * p["k"])
     return None
 
 

@@ -102,49 +102,10 @@ class Expression:
     def __repr__(self):
         return f"Expression({to_text(self)})"
 
-    # Operator sugar so callers can write `a*b + c` between nodes and numbers.
-    def __add__(self, other):
-        return add(self, _coerce(other))
-
-    def __radd__(self, other):
-        return add(_coerce(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _coerce(other))
-
-    def __rsub__(self, other):
-        return sub(_coerce(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _coerce(other))
-
-    def __rmul__(self, other):
-        return mul(_coerce(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _coerce(other))
-
-    def __rtruediv__(self, other):
-        return div(_coerce(other), self)
-
-    def __pow__(self, k):
-        return powi(self, k)
-
-    def __neg__(self):
-        return neg(self)
-
 
 # kind -> {key: node}; see _node for the key of each kind
 _TABLE: dict = {k: {} for k in ("const", "coord", "param", "add", "sub", "mul", "div",
                                 "neg", "pow") + FUNCTIONS}
-
-
-def _coerce(v):
-    if isinstance(v, Expression):
-        return v
-    if isinstance(v, (int, float)):
-        return const(v)
-    return NotImplemented
 
 
 def _node(kind, payload, args) -> Expression:

@@ -43,6 +43,11 @@ class DegeneratePlaneError(GeometryError):
 class Chart:
     """Coordinate chart: names, sampling box, domain predicate, parameters.
 
+    `params` holds each named parameter with its value, as sorted
+    (name, value) pairs; `binding` is the same as a dict.  The chart is the
+    one home of these values: every evaluator that is given a chart, or a
+    field on one, reads them from here.  So two charts that differ in one
+    value are unequal, and share no cached curvature.
     Domain predicate expressions are required to be > 0 at admissible points.
     """
 
@@ -55,27 +60,34 @@ class Chart:
         object.__setattr__(self, "coords", tuple(self.coords))
         object.__setattr__(self, "box", tuple(tuple(b) for b in self.box))
         object.__setattr__(self, "domain", tuple(self.domain))
-        object.__setattr__(self, "params", tuple(self.params))
-        ex.check_names(self.coords, self.params)
+        object.__setattr__(self, "params",
+                           tuple(sorted((k, float(v)) for k, v in self.params)))
+        ex.check_names(self.coords, [k for k, _ in self.params])
         if len(self.coords) < 1:
             raise ValueError("chart needs at least one coordinate")
         if len(self.box) != len(self.coords):
             raise ValueError("sampling box must have one interval per coordinate")
         for lo, hi in self.box:
-            if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-                raise ValueError(f"degenerate box interval ({lo}, {hi})")
+            # the sampler draws lo + (hi - lo) * U, so the width must be finite too
+            if not (lo < hi and np.isfinite(float(hi) - float(lo))):
+                raise ValueError(f"box interval ({lo}, {hi}) must have lo < hi "
+                                 "and a finite width")
         for e in self.domain:
             if not ex.free_coords(e) <= set(range(self.dim)):
                 raise ValueError("domain predicate references unknown coordinates")
-            if not ex.free_params(e) <= set(self.params):
+            if not ex.free_params(e) <= self.binding.keys():
                 raise ValueError("domain predicate references undeclared parameters")
 
     @property
     def dim(self) -> int:
         return len(self.coords)
 
+    @property
+    def binding(self) -> dict:
+        return dict(self.params)
+
     def parse(self, text: str) -> ex.Expression:
-        return ex.parse_expression(text, self.coords, self.params)
+        return ex.parse_expression(text, self.coords, self.binding)
 
     def text(self, e: ex.Expression) -> str:
         return ex.to_text(e, self.coords)
@@ -297,11 +309,11 @@ def riemann_up(g: MetricField):
     return tuple(tuple(tuple(tuple(r) for r in m) for m in b) for b in out)
 
 
-def riemann_sectional(g: MetricField, p, u, v, binding=None) -> float:
+def riemann_sectional(g: MetricField, p, u, v) -> float:
     """Sectional curvature of span(u, v) at the point p."""
     n = g.chart.dim
     pt = points_array([p])
-    gv = eval_sym2_comps(g.comps, pt, binding)[0]
+    gv = eval_sym2_comps(g.comps, pt, g.chart.binding)[0]
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     uu = u @ gv @ u
@@ -312,7 +324,7 @@ def riemann_sectional(g: MetricField, p, u, v, binding=None) -> float:
         raise DegeneratePlaneError("plane is degenerate at the given point")
     rup = riemann_up(g)
     flat = [rup[l][k][i][j] for l in range(n) for k in range(n) for i in range(n) for j in range(n)]
-    rv = ex.eval_many(flat, pt, binding)[:, 0].reshape(n, n, n, n)
+    rv = ex.eval_many(flat, pt, g.chart.binding)[:, 0].reshape(n, n, n, n)
     # g(R(u,v)v, u) with R(u,v)w = u^i v^j w^k R[l][k][i][j] ∂_l
     rw = np.einsum("lkij,i,j,k->l", rv, u, v, v)
     num = rw @ gv @ u
@@ -499,9 +511,9 @@ def sym2_apply(g: MetricField, T: SymTensorField, X: VectorField) -> VectorField
 # numeric evaluation over batches
 
 
-def eval_scalar(f: ScalarField, points, binding=None) -> np.ndarray:
+def eval_scalar(f: ScalarField, points) -> np.ndarray:
     pts = points_array(points)
-    return ex.eval_many([f.expr], pts, binding)[0]
+    return ex.eval_many([f.expr], pts, f.chart.binding)[0]
 
 
 def eval_sym2_comps(comps, points, binding=None) -> np.ndarray:
@@ -513,9 +525,9 @@ def eval_sym2_comps(comps, points, binding=None) -> np.ndarray:
     return vals.T.reshape(-1, n, n)
 
 
-def eval_metric(g: MetricField, points, binding=None):
+def eval_metric(g: MetricField, points):
     """Metric values and numeric inverses: pair of (N, n, n) arrays."""
-    gv = eval_sym2_comps(g.comps, points, binding)
+    gv = eval_sym2_comps(g.comps, points, g.chart.binding)
     return gv, np.linalg.inv(gv)
 
 
@@ -534,18 +546,20 @@ def gnorm_rank3(av: np.ndarray, ginv: np.ndarray) -> np.ndarray:
     return np.sqrt(np.clip(sq, 0.0, None))
 
 
-def gnorms(g: MetricField, comps, points, binding=None) -> np.ndarray:
+def gnorms(g: MetricField, comps, points) -> np.ndarray:
     """g-norm of a residual at each point: (N,) array.
 
     `comps` is one expression (rank 0, reduced by its absolute value) or
     nested n-tuples of them (ranks 1-3, reduced with the metric's inverse).
-    Every residual check reduces through here.
+    Every residual check reduces through here; parameters take the values
+    of the metric's chart.
     """
     arr = np.array(comps, dtype=object)
     pts = points_array(points)
+    binding = g.chart.binding
     if arr.ndim == 0:
         return np.abs(ex.eval_many([comps], pts, binding)[0])
-    _, ginv = eval_metric(g, pts, binding)
+    _, ginv = eval_metric(g, pts)
     tv = ex.eval_many(list(arr.flat), pts, binding).T.reshape((len(pts),) + arr.shape)
     if arr.ndim == 1:
         return gnorm_oneform(tv, ginv)
@@ -565,7 +579,7 @@ _COND_LIMIT = 1e8
 
 
 def sample_points(chart: Chart, count: int, seed: int, *, metric: MetricField = None,
-                  binding=None, cond_limit: float = _COND_LIMIT):
+                  cond_limit: float = _COND_LIMIT):
     """Deterministic rejection sampling of admissible chart points.
 
     Draws uniformly from the chart box, keeps points where every domain
@@ -579,6 +593,7 @@ def sample_points(chart: Chart, count: int, seed: int, *, metric: MetricField = 
     n = chart.dim
     lo = np.array([b[0] for b in chart.box])
     hi = np.array([b[1] for b in chart.box])
+    binding = chart.binding
     rng = np.random.default_rng(seed)
     chunks = []
     accepted = 0

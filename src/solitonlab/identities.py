@@ -208,14 +208,12 @@ def lemma21_suite(dim: int = 3, metric_count: int = 20, point_count: int = 100,
     return _run_suite(gs, point_count, seed, tol, residuals)
 
 
-def oneill_suite(w, count: int = 100, seed: int = 7, tol: float = 1e-9,
-                 binding=None):
+def oneill_suite(w, count: int = 100, seed: int = 7, tol: float = 1e-9):
     """Direct symbolic Ricci of an assembled warped product against the
     blockwise base/fiber formulas, componentwise sup over sampled points."""
     if w.chart is None:
         raise ValueError("the comparison needs an explicit product chart")
-    pts = geo.sample_points(w.chart, count, seed, metric=w.metric, binding=binding)
-    ric = geo.ricci(w.metric)
-    direct = geo.eval_sym2_comps(ric.comps, pts, binding)
-    res = np.max(np.abs(direct - sp.oneill_ricci(w, pts, binding)), axis=(1, 2))
+    pts = geo.sample_points(w.chart, count, seed, metric=w.metric)
+    direct = geo.eval_sym2_comps(geo.ricci(w.metric).comps, pts, w.chart.binding)
+    res = np.max(np.abs(direct - sp.oneill_ricci(w, pts)), axis=(1, 2))
     return [so._report("oneill", tol, pts, res, points_per_metric=count, seed=seed)]

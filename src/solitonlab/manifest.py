@@ -3,9 +3,10 @@
 A manifest fully describes one structure: coordinates, sampling box, domain
 predicates, parameter values, the metric's upper triangle, either a potential
 or a vector field, and the h and lambda expressions — everything as strings
-in the expression grammar.  Loading validates the schema and parses every
-expression against the declared names, reporting the exact offset of any
-syntax error.  The digest (sha256 over a canonical single-line JSON
+in the expression grammar.  The parameter values go onto the chart, which
+every evaluator of the structure reads them from.  Loading validates the
+schema and parses every expression against the declared names, reporting the
+exact offset of any syntax error.  The digest (sha256 over a canonical single-line JSON
 serialization) identifies the manifest in reports.
 """
 
@@ -33,24 +34,12 @@ class ManifestError(Exception):
 
 @dataclass
 class Manifest:
-    document: dict
-    chart: Chart
-    metric: MetricField
-    binding: dict
-    structure_kind: str          # "potential" | "vector_field"
-    potential: ScalarField
-    vector_field: VectorField
-    h: ScalarField
-    lam: ScalarField
-    form_tag: str
-    form_m: float
-    digest: str
+    """A loaded manifest: its JSON document, the structure it declares (with
+    the parameter values on the structure's chart), and the document's digest."""
 
-    def build_structure(self) -> so.SolitonStructure:
-        return so.SolitonStructure(
-            self.metric, self.h, self.lam,
-            vector_field=self.vector_field, potential=self.potential,
-            binding=self.binding, h_form=self.form_tag, m=self.form_m)
+    document: dict
+    structure: so.SolitonStructure
+    digest: str
 
 
 def canonical_bytes(doc: dict) -> bytes:
@@ -122,7 +111,6 @@ def from_dict(doc: dict) -> Manifest:
                 or not math.isfinite(val):
             _fail(f"parameter {name!r} must be a finite number", field="parameters")
         binding[str(name)] = float(val)
-    params = tuple(sorted(binding))
 
     metric_texts = _need(doc, "metric", list)
     want = n * (n + 1) // 2
@@ -133,13 +121,14 @@ def from_dict(doc: dict) -> Manifest:
     if not isinstance(domain_texts, list):
         _fail("domain must be a list of predicate expressions", field="domain")
 
-    domain = tuple(_parse(t, coords, params, f"domain[{i}]")
+    domain = tuple(_parse(t, coords, binding, f"domain[{i}]")
                    for i, t in enumerate(domain_texts))
     try:
-        chart = Chart(tuple(coords), tuple(box_t), domain=domain, params=params)
+        chart = Chart(tuple(coords), tuple(box_t), domain=domain,
+                      params=binding.items())
     except Exception as err:
         _fail(f"invalid chart: {err}")
-    entries = [_parse(t, coords, params, f"metric[{i}]")
+    entries = [_parse(t, coords, binding, f"metric[{i}]")
                for i, t in enumerate(metric_texts)]
     try:
         metric = MetricField(chart, sym_rows(entries))
@@ -152,20 +141,18 @@ def from_dict(doc: dict) -> Manifest:
         _fail("structure needs exactly one of 'potential' or 'vector_field'",
               field="structure")
     if "potential" in block:
-        kind = "potential"
-        potential = ScalarField(chart, _parse(block["potential"], coords, params,
+        potential = ScalarField(chart, _parse(block["potential"], coords, binding,
                                               "structure.potential"))
     else:
-        kind = "vector_field"
         comps = block["vector_field"]
         if not isinstance(comps, list) or len(comps) != n:
             _fail(f"vector_field must list {n} components", field="structure")
         vector_field = VectorField(chart, [
-            _parse(t, coords, params, f"structure.vector_field[{i}]")
+            _parse(t, coords, binding, f"structure.vector_field[{i}]")
             for i, t in enumerate(comps)])
 
-    h = ScalarField(chart, _parse(_need(doc, "h", str), coords, params, "h"))
-    lam = ScalarField(chart, _parse(_need(doc, "lambda", str), coords, params,
+    h = ScalarField(chart, _parse(_need(doc, "h", str), coords, binding, "h"))
+    lam = ScalarField(chart, _parse(_need(doc, "lambda", str), coords, binding,
                                     "lambda"))
 
     form_tag, form_m = so.FORM_FREE, None
@@ -181,13 +168,12 @@ def from_dict(doc: dict) -> Manifest:
                 _fail("form needs m > 0", field="form")
             form_m = float(m_val)
 
-    man = Manifest(doc, chart, metric, binding, kind, potential, vector_field,
-                   h, lam, form_tag, form_m, digest(doc))
     try:
-        man.build_structure()
+        structure = so.SolitonStructure(metric, h, lam, vector_field=vector_field,
+                                        potential=potential, h_form=form_tag, m=form_m)
     except ValueError as err:
         _fail(f"inconsistent structure: {err}")
-    return man
+    return Manifest(doc, structure, digest(doc))
 
 
 def load(path: str) -> Manifest:
@@ -217,8 +203,8 @@ def structure_to_dict(s: so.SolitonStructure) -> dict:
     }
     if chart.domain:
         doc["domain"] = [chart.text(e) for e in chart.domain]
-    if s.binding:
-        doc["parameters"] = {k: v for k, v in s.binding}
+    if chart.params:
+        doc["parameters"] = chart.binding
     if s.potential is not None:
         doc["structure"] = {"potential": chart.text(s.potential.expr)}
     else:

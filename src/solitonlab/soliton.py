@@ -49,14 +49,6 @@ class PreconditionError(Exception):
     """A check was invoked on a structure that fails its preconditions."""
 
 
-def _normalize_binding(binding):
-    if binding is None:
-        return ()
-    if isinstance(binding, dict):
-        return tuple(sorted((str(k), float(v)) for k, v in binding.items()))
-    return tuple(sorted((str(k), float(v)) for k, v in binding))
-
-
 @dataclass(frozen=True)
 class SolitonStructure:
     metric: MetricField
@@ -64,12 +56,10 @@ class SolitonStructure:
     lam: ScalarField
     vector_field: VectorField = None
     potential: ScalarField = None
-    binding: tuple = ()
     h_form: str = FORM_FREE
     m: float = None
 
     def __post_init__(self):
-        object.__setattr__(self, "binding", _normalize_binding(self.binding))
         if self.vector_field is None and self.potential is None:
             raise ValueError("need a vector field or a potential")
         if self.vector_field is not None and self.potential is not None:
@@ -92,10 +82,6 @@ class SolitonStructure:
     @property
     def is_gradient(self) -> bool:
         return self.potential is not None
-
-    @property
-    def params(self) -> dict:
-        return dict(self.binding)
 
 
 @dataclass(frozen=True)
@@ -150,10 +136,10 @@ def default_points(s, count: int = 200, seed: int = 42) -> np.ndarray:
     constant folding drops it from every residual.
     """
     if isinstance(s, SolitonStructure):
-        pts = geo.sample_points(s.chart, count, seed, metric=s.metric, binding=s.params)
+        pts = geo.sample_points(s.chart, count, seed, metric=s.metric)
         fields = (s.h.expr, s.lam.expr) + (
             (s.potential.expr,) if s.is_gradient else s.vector_field.comps)
-        ex.eval_many(fields, pts, s.params)
+        ex.eval_many(fields, pts, s.chart.binding)
         return pts
     if isinstance(s, MetricField):
         return geo.sample_points(s.chart, count, seed, metric=s)
@@ -173,8 +159,8 @@ def _soliton_residual(s: SolitonStructure, points, tol, name,
     T = geo.sym2(g.chart.dim, lambda i, j: ex.sub(
         ex.add(ric.comps[i][j], ex.mul(s.h.expr, term.comps[i][j])),
         ex.mul(s.lam.expr, g.comps[i][j])))
-    res = geo.gnorms(g, T, pts, s.params)
-    return _report(name, tol, pts, res, form=s.h_form, **s.params)
+    res = geo.gnorms(g, T, pts)
+    return _report(name, tol, pts, res, form=s.h_form, parameters=s.chart.binding)
 
 
 def soliton_residual(s: SolitonStructure, points, tol: float = 1e-8) -> ResidualReport:
@@ -198,18 +184,20 @@ def _mean_spread(vals):
 
 def lambda_is_constant(s: SolitonStructure, points) -> bool:
     """Relative spread of lambda below 1e-8: h-Ricci soliton, not just almost."""
-    vals = geo.eval_scalar(s.lam, geo.points_array(points), s.params)
+    vals = geo.eval_scalar(s.lam, points)
     return _mean_spread(vals)[1] < LAMBDA_SPREAD_TOL
 
 
 def classify_lambda(s: SolitonStructure, points) -> str:
-    """expanding / steady / shrinking per the sign of lambda (steady: |lambda|
-    < 1e-12 everywhere; mixed signs: undefined).  Note the convention:
-    expanding means lambda < 0."""
-    pts = geo.points_array(points)
-    vals = geo.eval_scalar(s.lam, pts, s.params)
-    zero = np.abs(vals) <= STEADY_EPS
-    if np.all(zero):
+    """The class of lambda's values at the points; see lambda_class."""
+    return lambda_class(geo.eval_scalar(s.lam, points))
+
+
+def lambda_class(vals) -> str:
+    """expanding / steady / shrinking per the sign of lambda, a value or an
+    array of them (steady: |lambda| <= 1e-12 everywhere; mixed signs:
+    undefined).  Note the convention: expanding means lambda < 0."""
+    if np.all(np.abs(vals) <= STEADY_EPS):
         return "steady"
     if np.all(vals > STEADY_EPS):
         return "shrinking"
@@ -240,9 +228,9 @@ def triviality_check(s: SolitonStructure, points, tol: float = 1e-8) -> Triviali
     pts = geo.points_array(points)
     d = derive(s)
     n = s.chart.dim
-    sup0 = float(np.max(geo.gnorms(s.metric, d.S0.comps, pts, s.params)))
-    mean, spread = _mean_spread((2.0 / n) * geo.eval_scalar(d.div_x, pts, s.params))
-    _, lam_spread = _mean_spread(geo.eval_scalar(s.lam, pts, s.params))
+    sup0 = float(np.max(geo.gnorms(s.metric, d.S0.comps, pts)))
+    mean, spread = _mean_spread((2.0 / n) * geo.eval_scalar(d.div_x, pts))
+    _, lam_spread = _mean_spread(geo.eval_scalar(s.lam, pts))
     trivial = (sup0 <= tol and spread < HOMOTHETY_SPREAD_TOL
                and lam_spread < LAMBDA_SPREAD_TOL)
     return TrivialityVerdict(trivial, mean, sup0, spread, lam_spread)
@@ -260,21 +248,21 @@ class ConformalVerdict:
 
 
 def conformal_killing_check(g: MetricField, X: VectorField, points,
-                            tol: float = 1e-8, binding=None) -> ConformalVerdict:
+                            tol: float = 1e-8) -> ConformalVerdict:
     """Does L_X g = 2 rho g hold?  Passes iff the traceless part of ½ L_X g
     vanishes at the points; the conformal factor is rho = div X / n."""
     pts = geo.points_array(points)
     n = g.chart.dim
     S0 = geo.traceless(g, geo.half_lie_derivative_metric(g, X))
-    norms = geo.gnorms(g, S0.comps, pts, binding)
+    norms = geo.gnorms(g, S0.comps, pts)
     sup0 = float(np.max(norms))
     rho = ScalarField(g.chart, ex.div(geo.divergence_vector(g, X).expr, ex.const(n)))
-    rho_vals = geo.eval_scalar(rho, pts, binding)
+    rho_vals = geo.eval_scalar(rho, pts)
     return ConformalVerdict(sup0 <= tol, sup0, rho_vals, rho, S0, pts, norms)
 
 
 def conformal_factor_hessian_check(g: MetricField, rho: ScalarField, points,
-                                   tol: float = 1e-9, binding=None) -> ResidualReport:
+                                   tol: float = 1e-9) -> ResidualReport:
     """g-norm of Hess rho + (R/(n(n-1))) rho g (the conformal-factor equation)."""
     pts = geo.points_array(points)
     n = g.chart.dim
@@ -282,19 +270,18 @@ def conformal_factor_hessian_check(g: MetricField, rho: ScalarField, points,
     scal = geo.scalar_curvature(g)
     coef = ex.mul(ex.div(scal.expr, ex.const(n * (n - 1))), rho.expr)
     T = geo.sym2(n, lambda i, j: ex.add(hess.comps[i][j], ex.mul(coef, g.comps[i][j])))
-    res = geo.gnorms(g, T, pts, binding)
+    res = geo.gnorms(g, T, pts)
     return _report("conformal-factor-hessian", tol, pts, res)
 
 
-def potential_from_factor(g: MetricField, rho: ScalarField, points,
-                          binding=None) -> ScalarField:
+def potential_from_factor(g: MetricField, rho: ScalarField, points) -> ScalarField:
     """u = -(n(n-1)/R) rho, for constant nonzero scalar curvature.
 
     The returned potential satisfies ½ L_{grad u} g = rho g on the samples.
     """
     pts = geo.points_array(points)
     n = g.chart.dim
-    mean, spread = _mean_spread(geo.eval_scalar(geo.scalar_curvature(g), pts, binding))
+    mean, spread = _mean_spread(geo.eval_scalar(geo.scalar_curvature(g), pts))
     if spread >= 1e-8:
         raise PreconditionError(
             f"scalar curvature is not constant (relative spread {spread:.3e})")
@@ -333,7 +320,7 @@ def divric_identity_residual(s: SolitonStructure, points, tol: float = 1e-7,
     s0_sq = geo.inner_rank2(g, d.S0, d.S0).expr
     rhs2 = ex.mul(s.h.expr, s0_sq)
     resid = ex.sub(ex.add(lhs1, lhs2), ex.sub(rhs1, rhs2))
-    vals = geo.gnorms(g, resid, pts, s.params)
+    vals = geo.gnorms(g, resid, pts)
     return _report("divric-identity", tol, pts, vals, precheck_sup=pre.sup)
 
 
@@ -342,7 +329,7 @@ def _require_neg_form(s: SolitonStructure, pts) -> float:
         raise PreconditionError("this check needs the declared form h = -m/u")
     m = float(s.m)
     probe = ex.add(ex.mul(s.h.expr, s.potential.expr), ex.const(m))
-    dev = float(np.max(np.abs(ex.eval_many([probe], pts, s.params)[0])))
+    dev = float(np.max(np.abs(ex.eval_many([probe], pts, s.chart.binding)[0])))
     if dev > 1e-8 * max(1.0, m):
         raise PreconditionError(
             f"declared form h = -m/u is inconsistent with h (deviation {dev:.3e})")
@@ -369,12 +356,12 @@ def mu_field(s: SolitonStructure, points, tol: float = 1e-9) -> ResidualReport:
     """
     pts = geo.points_array(points)
     m = _require_neg_form(s, pts)
-    lam_mean, lam_spread = _mean_spread(geo.eval_scalar(s.lam, pts, s.params))
+    lam_mean, lam_spread = _mean_spread(geo.eval_scalar(s.lam, pts))
     if lam_spread >= LAMBDA_SPREAD_TOL:
         raise PreconditionError(
             f"lambda is not constant (relative spread {lam_spread:.3e}); "
             "the conserved quantity needs an h-Ricci soliton")
-    mu_vals = geo.eval_scalar(mu_scalar_field(s), pts, s.params)
+    mu_vals = geo.eval_scalar(mu_scalar_field(s), pts)
     mu_mean = float(np.mean(mu_vals))
     dev = np.abs(mu_vals - mu_mean)
     return _report("mu-constancy", tol, pts, dev, mu_estimate=mu_mean,
@@ -407,7 +394,7 @@ def eqpprinc_residual(s: SolitonStructure, points, tol: float = 1e-8,
         dphi = ex.differentiate(phi, j)
         du2 = ex.differentiate(u2, j)
         comps.append(ex.sub(dphi, ex.mul(ex.mul(c2, s.lam.expr), du2)))
-    vals = geo.gnorms(g, comps, pts, s.params)
+    vals = geo.gnorms(g, comps, pts)
     return _report("eqpprinc-identity", tol, pts, vals, precheck_sup=pre.sup, m=m)
 
 
@@ -454,7 +441,7 @@ def warped_einstein_construct(s: SolitonStructure, fiber_dim: int,
 
     fiber = einstein_fiber(fiber_dim, fiber_mu, fiber_kind)
     w = sp.make_warped((s.chart, s.metric), fiber, s.potential,
-                       fiber_mu=fiber_mu, binding=s.params, seed=seed)
+                       fiber_mu=fiber_mu, seed=seed)
     meta = {
         "lambda": lam_est, "mu": mu_est, "fiber_kind": fiber_kind,
         "lambda_positive": lam_est > 0,
@@ -462,14 +449,13 @@ def warped_einstein_construct(s: SolitonStructure, fiber_dim: int,
                              "not enforced"),
     }
     if w.chart is not None:
-        prod_pts = geo.sample_points(w.chart, len(pts), seed, metric=w.metric,
-                                     binding=s.params)
+        prod_pts = geo.sample_points(w.chart, len(pts), seed, metric=w.metric)
         n_tot = w.chart.dim
         prod_ric = geo.ricci(w.metric)
         T = geo.sym2(n_tot, lambda i, j: ex.sub(
             prod_ric.comps[i][j],
             ex.mul(ex.const(lam_est), w.metric.comps[i][j])))
-        res = geo.gnorms(w.metric, T, prod_pts, s.params)
+        res = geo.gnorms(w.metric, T, prod_pts)
         rep = _report("warped-einstein", tol, prod_pts, res, **meta)
     else:
         g = s.metric
@@ -479,7 +465,7 @@ def warped_einstein_construct(s: SolitonStructure, fiber_dim: int,
         T = geo.sym2(n, lambda i, j: ex.sub(
             ex.sub(geo.ricci(g).comps[i][j], ex.mul(mh, hess.comps[i][j])),
             ex.mul(ex.const(lam_est), g.comps[i][j])))
-        res = geo.gnorms(g, T, pts, s.params)
+        res = geo.gnorms(g, T, pts)
         meta["fiber_relation_deviation"] = murep.sup
         rep = _report("warped-einstein-base-block", tol, pts, res, **meta)
     return w, rep

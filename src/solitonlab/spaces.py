@@ -189,20 +189,21 @@ def _fresh_names(taken, count):
     raise ValueError("could not find fresh fiber coordinate names")
 
 
-def make_warped(base, fiber, f: ScalarField, *, fiber_mu=None, binding=None,
+def make_warped(base, fiber, f: ScalarField, *, fiber_mu=None,
                 seed: int = 0, check_count: int = 64) -> WarpedProduct:
     """Assemble B x_f F with metric g_B + f^2 g_F (blockwise, no cross terms).
 
     `fiber` may be a ModelSpace, a (chart, metric) pair, or an AbstractFiber;
     in the abstract case no product chart is assembled and the O'Neill
     formulas work from (m, mu) alone.  The warping f must be a positive
-    scalar on the base chart, checked at seeded samples.
+    scalar on the base chart, checked at seeded samples.  The product chart
+    carries the parameters of both charts, which must have distinct names.
     """
     base_chart, base_metric = _as_chart_metric(base)
     if f.chart != base_chart:
         raise ValueError("warping function must live on the base chart")
-    pts = sample_points(base_chart, check_count, seed, binding=binding)
-    fv = eval_scalar(f, pts, binding)
+    pts = sample_points(base_chart, check_count, seed)
+    fv = eval_scalar(f, pts)
     if not np.all(fv > 0.0):
         bad = pts[int(np.argmin(fv))]
         raise GeometryError(f"non-positive warping at sample {tuple(bad)}")
@@ -217,12 +218,10 @@ def make_warped(base, fiber, f: ScalarField, *, fiber_mu=None, binding=None,
     if set(fiber_names) & set(base_chart.coords):
         fiber_names = _fresh_names(base_chart.coords, m)
     shifted_domain = tuple(ex.shift_coordinates(e, nb) for e in fiber_chart.domain)
-    params = base_chart.params + tuple(p for p in fiber_chart.params
-                                       if p not in base_chart.params)
     chart = Chart(base_chart.coords + fiber_names,
                   base_chart.box + fiber_chart.box,
                   domain=base_chart.domain + shifted_domain,
-                  params=params)
+                  params=base_chart.params + fiber_chart.params)
     f2 = ex.powi(f.expr, 2)
 
     def block(i, j):
@@ -238,7 +237,7 @@ def make_warped(base, fiber, f: ScalarField, *, fiber_mu=None, binding=None,
                          _fiber_mu_of(fiber, fiber_mu), f, chart, metric)
 
 
-def oneill_ricci(w: WarpedProduct, points, binding=None) -> np.ndarray:
+def oneill_ricci(w: WarpedProduct, points) -> np.ndarray:
     """Product Ricci assembled from the base/fiber formulas.
 
     Horizontal block Ric_B - (m/f) Hess_B f; mixed block zero; vertical block
@@ -258,12 +257,13 @@ def oneill_ricci(w: WarpedProduct, points, binding=None) -> np.ndarray:
     pts = pts.reshape(-1, pts.shape[-1])
     base_pts = pts[:, :nb]
 
-    gBinv = geo.eval_metric(w.base_metric, base_pts, binding)[1]
+    binding = w.base_chart.binding
+    gBinv = geo.eval_metric(w.base_metric, base_pts)[1]
     ricB = eval_sym2_comps(ricci(w.base_metric).comps, base_pts, binding)
     hessf = eval_sym2_comps(hessian(w.base_metric, w.warping).comps, base_pts, binding)
     df = ex.eval_many([ex.differentiate(w.warping.expr, i) for i in range(nb)],
                       base_pts, binding).T
-    fvals = eval_scalar(w.warping, base_pts, binding)
+    fvals = eval_scalar(w.warping, base_pts)
 
     d = nb + m
     if w.fiber_chart is None:
@@ -273,8 +273,9 @@ def oneill_ricci(w: WarpedProduct, points, binding=None) -> np.ndarray:
         if pts.shape[1] != d:
             raise ValueError(f"point must have {d} coordinates for an explicit fiber")
         fib_pts = pts[:, nb:]
-        ricF = eval_sym2_comps(ricci(w.fiber_metric).comps, fib_pts, binding)
-        gF = eval_sym2_comps(w.fiber_metric.comps, fib_pts, binding)
+        fiber_binding = w.fiber_chart.binding
+        ricF = eval_sym2_comps(ricci(w.fiber_metric).comps, fib_pts, fiber_binding)
+        gF = eval_sym2_comps(w.fiber_metric.comps, fib_pts, fiber_binding)
     out = np.zeros((len(pts), d, d))
     for a in range(len(pts)):
         fval = float(fvals[a])

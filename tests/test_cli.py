@@ -166,6 +166,36 @@ def test_verify_manifest_scalar_division_by_zero_is_input_error(tmp_path):
     assert "Traceback" not in err
 
 
+def test_box_wider_than_a_float_spans_is_manifest_error(tmp_path):
+    doc, path = flat_manifest(tmp_path, name="wide.json")
+    doc["box"] = [[-1e308, 1e308]] * 3
+    mf.write(doc, path)
+    code, out, err = run_entry("verify-manifest", path, "--points", "20")
+    assert code == 2 and out == b""
+    assert err.startswith("manifest error: invalid chart:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["form", "tol", "res", "pts", "name"])
+def test_parameter_named_like_a_report_field(name, tmp_path, capsys):
+    # the flat m-over-u manifest with its constant 1.0 made a parameter
+    source = ROOT / "perfbench" / "manifests" / "flat-m-over-u.json"
+    doc = json.loads(source.read_text())
+    for block, key in ((doc, "h"), (doc, "lambda"), (doc["structure"], "potential")):
+        assert "1.0 +" in block[key]
+        block[key] = block[key].replace("1.0 +", f"{name} +")
+    doc["parameters"] = {name: 1.0}
+    path = tmp_path / "renamed.json"
+    mf.write(doc, str(path))
+    code, out, err = run_cli(capsys, "verify-manifest", str(path), "--points", "40")
+    assert code == 0 and err == ""
+    want = json.loads(run_cli(capsys, "verify-manifest", str(source), "--points", "40")[1])
+    got = json.loads(out)
+    assert got.pop("manifest_digest") == mf.digest(doc)
+    want.pop("manifest_digest")
+    assert got == want
+
+
 @pytest.mark.parametrize("argv", [("verify-manifest",), ("classify", "--manifest")],
                          ids=["verify-manifest", "classify"])
 def test_folded_field_is_still_evaluated(tmp_path, argv):
@@ -354,7 +384,7 @@ def test_construct_warped_round_trip(tmp_path, capsys):
     assert doc["checks"][0]["name"] == "warped-einstein"
     # the written manifest is a 5-dimensional Einstein product
     man = mf.load(str(out_path))
-    assert man.chart.dim == 5
+    assert man.structure.chart.dim == 5
     assert man.document["lambda"] == "-4.0"
     code, out, _ = run_cli(capsys, "verify-manifest", str(out_path), "--points", "50")
     assert code == 0

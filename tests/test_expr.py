@@ -570,13 +570,6 @@ def test_nsum_empty_and_flat():
     assert ex.evaluate(e, (1.0, 3.0, 0.0)) == 6.0
 
 
-def test_operator_sugar():
-    x, y = ex.coord(0), ex.coord(1)
-    e = (x + y) * 2 - x / (y + 3) + (-x) ** 2
-    v = ex.evaluate(e, (1.0, 2.0, 0.0))
-    assert v == pytest.approx(6.0 - 0.2 + 1.0)
-
-
 def test_free_coords_and_params():
     e = P("tau*x1 + x3^2", ("tau",))
     assert ex.free_coords(e) == {0, 2}

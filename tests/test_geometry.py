@@ -1,6 +1,7 @@
 # chart-level tensor calculus: curvature oracles, operators, sampling
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 
 from solitonlab import expr as ex
 from solitonlab import geometry as geo
+from solitonlab import manifest as mf
+from solitonlab import soliton as so
 from solitonlab import spaces as sp
 
 
@@ -377,6 +380,28 @@ def test_sym2_is_the_only_mirror_writer():
     assert mirror_writers("def f(r, i, j, v):\n    r[i][j] = v\n    r[i][i] = v\n") == []
 
 
+def binding_takers(source):
+    """Functions, nested ones too, with a parameter named `binding`."""
+    return sorted(node.name for node in ast.walk(ast.parse(source))
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and "binding" in {a.arg for a in ast.walk(node.args)
+                                    if isinstance(a, ast.arg)})
+
+
+def test_parameter_values_live_on_the_chart():
+    # an evaluator given a chart, or a field on one, reads the values there;
+    # only the expression layer, which sees bare component arrays, takes them
+    src = Path(geo.__file__).resolve().parent
+    takers = {f"{path.stem}.{name}" for path in sorted(src.glob("*.py"))
+              for name in binding_takers(path.read_text(encoding="utf-8"))}
+    assert takers == {"expr.eval_many", "expr.evaluate", "expr._eval_nodes",
+                      "geometry.eval_sym2_comps"}
+    assert binding_takers("def f(g, *, binding=None):\n    pass\n") == ["f"]
+    assert "binding" not in {f.name for f in dataclasses.fields(so.SolitonStructure)}
+    assert [f.name for f in dataclasses.fields(mf.Manifest)] == [
+        "document", "structure", "digest"]
+
+
 def test_sample_points_deterministic_and_admissible():
     space = sp.make_hyperbolic(3)
     a = geo.sample_points(space.chart, 50, seed=123)
@@ -421,6 +446,39 @@ def test_sample_points_exhaustion():
         geo.sample_points(chart, 10, seed=0)
     with pytest.raises(ValueError):
         geo.sample_points(chart, 0, seed=0)
+
+
+def test_chart_parameters_drive_sampling_and_evaluation():
+    a = ex.param("a")
+    chart = geo.Chart(("x1", "x2"), ((-1, 1), (-1, 1)), params=(("a", 0.5),),
+                      domain=(ex.sub(ex.coord(0), a),))
+    assert chart.params == (("a", 0.5),) and chart.binding == {"a": 0.5}
+    pts = geo.sample_points(chart, 50, seed=0)
+    assert np.all(pts[:, 0] > 0.5)
+    ax2 = ex.mul(a, ex.coord(1))
+    np.testing.assert_array_equal(geo.eval_scalar(geo.ScalarField(chart, ax2), pts),
+                                  0.5 * pts[:, 1])
+    g = geo.MetricField(chart, geo.sym_rows([a, ex.ZERO, a]))
+    np.testing.assert_array_equal(geo.gnorms(g, ax2, pts), np.abs(0.5 * pts[:, 1]))
+    # g = a * delta, so a one-form w has |w|_g = |w| / sqrt(a)
+    np.testing.assert_allclose(geo.gnorms(g, [ex.coord(0), ex.coord(1)], pts),
+                               np.hypot(pts[:, 0], pts[:, 1]) / np.sqrt(0.5))
+
+
+def test_charts_differing_in_a_parameter_value_share_no_curvature():
+    def sphere(r):
+        chart = geo.Chart(("x1", "x2"), ((-1, 1), (-1, 1)), params=(("r", r),))
+        conf = chart.parse("4*r^4/(r^2 + x1^2 + x2^2)^2")
+        return geo.MetricField(chart, geo.sym_rows([conf, ex.ZERO, conf]))
+
+    g1, g2 = sphere(1.0), sphere(2.0)
+    assert g1.comps == g2.comps and g1.chart != g2.chart and g1 != g2
+    pts = geo.sample_points(g1.chart, 20, seed=0)
+    # the radius-1 curvature is cached first; radius 2 must not be served it
+    for g, r in ((g1, 1.0), (g2, 2.0)):
+        R = geo.scalar_curvature(g)
+        assert R.chart is g.chart
+        np.testing.assert_allclose(geo.eval_scalar(R, pts), 2.0 / r ** 2, rtol=1e-12)
 
 
 def test_points_array_forms():

@@ -28,9 +28,9 @@ def flat_doc(**overrides):
 
 def test_valid_flat_manifest():
     man = mf.from_dict(flat_doc())
-    assert man.structure_kind == "vector_field"
-    assert man.chart.dim == 3
-    s = man.build_structure()
+    assert not man.structure.is_gradient
+    assert man.structure.chart.dim == 3
+    s = man.structure
     rep = so.soliton_residual(s, so.default_points(s, count=20))
     assert rep.passed and rep.sup == 0.0
 
@@ -108,7 +108,7 @@ def test_expression_identifiers_restricted_to_declared_names():
     # but a declared parameter is fine
     doc = flat_doc(parameters={"tau": 2.5}, h="tau")
     man = mf.from_dict(doc)
-    assert man.binding == {"tau": 2.5}
+    assert man.structure.chart.binding == {"tau": 2.5}
 
 
 def test_form_block_round_trip_consistency():
@@ -119,7 +119,7 @@ def test_form_block_round_trip_consistency():
     doc = flat_doc(structure={"potential": "x1"},
                    form={"tag": "neg-m-over-u", "m": 2.0})
     man = mf.from_dict(doc)
-    s = man.build_structure()
+    s = man.structure
     assert s.h_form == so.FORM_NEG_M_OVER_U and s.m == 2.0
 
 
@@ -131,7 +131,7 @@ def test_structure_to_dict_round_trip():
     assert doc["form"] == {"tag": "neg-m-over-u", "m": 2.0}
     assert "parameters" not in doc          # example carries no binding
     man = mf.from_dict(doc)
-    s2 = man.build_structure()
+    s2 = man.structure
     pts = so.default_points(s2, count=40)
     rep = so.gradient_soliton_residual(s2, pts)
     assert rep.passed
@@ -145,8 +145,8 @@ def test_structure_to_dict_emits_domain():
     doc = mf.structure_to_dict(s)
     assert "domain" in doc and len(doc["domain"]) == 2
     man = mf.from_dict(doc)
-    assert len(man.chart.domain) == 2
-    s2 = man.build_structure()
+    assert len(man.structure.chart.domain) == 2
+    s2 = man.structure
     assert so.gradient_soliton_residual(s2, so.default_points(s2, count=40)).passed
 
 

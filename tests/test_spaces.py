@@ -205,7 +205,8 @@ def test_oneill_batch_is_bitwise_the_per_point_formula(params):
 def test_oneill_batch_on_abstract_fiber_over_a_3d_base():
     S = sp.make_sphere(3, 1.3)
     x1, x2, x3 = (ex.coord(i) for i in range(3))
-    f = geo.ScalarField(S.chart, ex.const(2.0) + ex.sin(x1) * ex.cos(x2 * x3))
+    f = geo.ScalarField(S.chart, ex.add(ex.const(2.0),
+                                        ex.mul(ex.sin(x1), ex.cos(ex.mul(x2, x3)))))
     w = sp.make_warped((S.chart, S.metric), sp.AbstractFiber(2, 0.5), f)
     pts = geo.sample_points(S.chart, 100, 5)
     np.testing.assert_array_equal(sp.oneill_ricci(w, pts),
