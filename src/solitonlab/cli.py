@@ -141,13 +141,7 @@ def cmd_verify_manifest(args) -> int:
     s = man.structure
     tol = args.tol if args.tol is not None else 1e-8
     pts = so.default_points(s, args.points, args.seed)
-    checks = [so.soliton_residual(s, pts, tol)]
-    if s.is_gradient:
-        checks.append(so.gradient_soliton_residual(s, pts, tol))
-    if checks[0].passed and s.h_form == so.FORM_NEG_M_OVER_U:
-        if so.lambda_is_constant(s, pts):
-            checks.append(so.mu_field(s, pts))
-        checks.append(so.eqpprinc_residual(s, pts))
+    checks = cat.structure_checks(s, pts, tol, divric=False)
     classification = so.classify_lambda(s, pts)
     verdict = so.triviality_check(s, pts, tol)
     doc = report_document(man.digest, [check_dict(r) for r in checks],
@@ -190,8 +184,7 @@ def _identity_reports(args, tol):
         half_L = geo.half_lie_derivative_metric(g, geo.gradient(g, u))
         comps = geo.sym2(n, lambda i, j: ex.sub(half_L.comps[i][j],
                                                 ex.mul(rho.expr, g.comps[i][j])))
-        reps.append(so._report("factor-potential", tol, pts,
-                               geo.gnorms(g, comps, pts)))
+        reps += so.run_checks(g, pts, [("factor-potential", tol, comps)])
         digest = mf.digest({"identity": name, "points": count, "seed": args.seed})
         return reps, digest
 

@@ -319,31 +319,36 @@ class ExampleRun:
     notes: list = dc_field(default_factory=list)
 
 
-def structure_checks(s: so.SolitonStructure, pts, tol: float) -> list:
-    """The declared suite for a structure: the defining residual(s), then the
-    identities its form makes applicable."""
-    checks = [so.soliton_residual(s, pts, tol)]
+def structure_checks(s: so.SolitonStructure, pts, tol: float, divric: bool = True) -> list:
+    """The declared suite for a structure, in two stages of one evaluation each.
+
+    Stage 1 is the defining residual(s) at `tol`.  Stage 2, the identities
+    the form makes applicable, runs only when stage 1's soliton residual
+    passes; their prechecks read the stage-1 reports.  `divric=False` leaves
+    the divergence identity out (the manifest report does not list it).
+    """
+    stage1 = [so.soliton_check(s, tol)]
     if s.is_gradient:
-        checks.append(so.gradient_soliton_residual(s, pts, tol))
-    verified = checks[0].passed
-    if verified:
-        checks.append(so.divric_identity_residual(s, pts))
-    if verified and s.h_form == so.FORM_NEG_M_OVER_U:
+        stage1.append(so.soliton_check(s, tol, gradient=True))
+    reports = so.run_checks(s.metric, pts, stage1)
+    if not reports[0].passed:
+        return reports
+    stage2, meta, mu = [], [], None
+    if divric:
+        stage2.append(so.divric_check(s))
+        meta.append({"precheck_sup": reports[0].sup})
+    if s.h_form == so.FORM_NEG_M_OVER_U:
+        m = so.neg_form_m(s, pts)
+        meta.append({"precheck_sup": so.verified_sup(reports[1]), "m": m})
         if so.lambda_is_constant(s, pts):
-            checks.append(so.mu_field(s, pts))
-        checks.append(so.eqpprinc_residual(s, pts))
-    return checks
-
-
-def _hessian_equation_check(s: so.SolitonStructure, k: float, pts) -> so.ResidualReport:
-    # Hess u + k u g = 0 characterizes the pseudo-hyperbolic potential
-    g = s.metric
-    n = g.chart.dim
-    hess = geo.hessian(g, s.potential)
-    ku = ex.mul(ex.const(k), s.potential.expr)
-    comps = geo.sym2(n, lambda i, j: ex.add(hess.comps[i][j], ex.mul(ku, g.comps[i][j])))
-    return so._report("potential-hessian-equation", HESSIAN_EQ_TOL, pts,
-                      geo.gnorms(g, comps, pts))
+            mu = so.mu_report(s, pts, m)
+        stage2.append(so.eqpprinc_check(s, m))
+    second = so.run_checks(s.metric, pts, stage2) if stage2 else []
+    for rep, md in zip(second, meta):
+        rep.metadata.update(md)
+    if mu is not None:
+        second.insert(len(second) - 1, mu)  # listed before eqpprinc-identity
+    return reports + second
 
 
 def _expected_classification(example_id: str, p: dict) -> str:
@@ -379,7 +384,13 @@ def run_example(example_id: str, params=None, count: int = 200,
         run.structure = s
         run.checks = structure_checks(s, pts, tol)
         if example_id == "pseudo-hyperbolic":
-            run.checks.append(_hessian_equation_check(s, float(p["k"]), pts))
+            # Hess u + k u g = 0 characterizes the pseudo-hyperbolic potential
+            g, ku = s.metric, ex.mul(ex.const(float(p["k"])), s.potential.expr)
+            hess = geo.hessian(g, s.potential)
+            T = geo.sym2(g.chart.dim, lambda i, j: ex.add(
+                hess.comps[i][j], ex.mul(ku, g.comps[i][j])))
+            run.checks += so.run_checks(
+                g, pts, [("potential-hessian-equation", HESSIAN_EQ_TOL, T)])
         run.classification = so.classify_lambda(s, pts)
         tv = so.triviality_check(s, pts, tol)
         run.triviality, run.trivial = tv, tv.trivial

@@ -14,7 +14,8 @@ symmetry is exact by construction.  `sym2` is the one place that storage
 rule is written: every symmetric 2-tensor in the package is built by it.
 Residual magnitudes use the g-norm, sqrt(g^{ik} g^{jl} T_ij T_kl) at rank 2
 and alike at ranks 1 and 3 (|f| at rank 0), evaluated with numpy over point
-batches.
+batches.  `gnorms` is the one reduction: it takes a list of residuals and
+evaluates the metric and all their components in one pass over the points.
 """
 
 from __future__ import annotations
@@ -33,10 +34,6 @@ class GeometryError(Exception):
 
 class SamplingError(GeometryError):
     """Rejection sampling could not produce enough admissible points."""
-
-
-class DegeneratePlaneError(GeometryError):
-    """Sectional curvature requested for a degenerate 2-plane."""
 
 
 @dataclass(frozen=True)
@@ -309,28 +306,6 @@ def riemann_up(g: MetricField):
     return tuple(tuple(tuple(tuple(r) for r in m) for m in b) for b in out)
 
 
-def riemann_sectional(g: MetricField, p, u, v) -> float:
-    """Sectional curvature of span(u, v) at the point p."""
-    n = g.chart.dim
-    pt = points_array([p])
-    gv = eval_sym2_comps(g.comps, pt, g.chart.binding)[0]
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    uu = u @ gv @ u
-    vv = v @ gv @ v
-    uv = u @ gv @ v
-    denom = uu * vv - uv * uv
-    if denom <= 1e-12:
-        raise DegeneratePlaneError("plane is degenerate at the given point")
-    rup = riemann_up(g)
-    flat = [rup[l][k][i][j] for l in range(n) for k in range(n) for i in range(n) for j in range(n)]
-    rv = ex.eval_many(flat, pt, g.chart.binding)[:, 0].reshape(n, n, n, n)
-    # g(R(u,v)v, u) with R(u,v)w = u^i v^j w^k R[l][k][i][j] ∂_l
-    rw = np.einsum("lkij,i,j,k->l", rv, u, v, v)
-    num = rw @ gv @ u
-    return float(num / denom)
-
-
 def gradient(g: MetricField, phi: ScalarField) -> VectorField:
     n = g.chart.dim
     inv = inverse_metric(g)
@@ -546,26 +521,32 @@ def gnorm_rank3(av: np.ndarray, ginv: np.ndarray) -> np.ndarray:
     return np.sqrt(np.clip(sq, 0.0, None))
 
 
-def gnorms(g: MetricField, comps, points) -> np.ndarray:
-    """g-norm of a residual at each point: (N,) array.
+def gnorms(g: MetricField, residuals, points) -> list:
+    """g-norm of each residual at each point: one (N,) array per residual.
 
-    `comps` is one expression (rank 0, reduced by its absolute value) or
+    A residual is one expression (rank 0, reduced by its absolute value) or
     nested n-tuples of them (ranks 1-3, reduced with the metric's inverse).
-    Every residual check reduces through here; parameters take the values
-    of the metric's chart.
+    One strict eval_many evaluates the metric's entries first, when some
+    residual has rank 1 or more, and then every residual's components in
+    list order; so the metric raises before any residual, and a residual
+    before the ones after it.  Every residual check reduces through here;
+    parameters take the values of the metric's chart.
     """
-    arr = np.array(comps, dtype=object)
     pts = points_array(points)
-    binding = g.chart.binding
-    if arr.ndim == 0:
-        return np.abs(ex.eval_many([comps], pts, binding)[0])
-    _, ginv = eval_metric(g, pts)
-    tv = ex.eval_many(list(arr.flat), pts, binding).T.reshape((len(pts),) + arr.shape)
-    if arr.ndim == 1:
-        return gnorm_oneform(tv, ginv)
-    if arr.ndim == 2:
-        return gnorm_sym2(tv, ginv)
-    return gnorm_rank3(tv, ginv)
+    arrs = [np.array(r, dtype=object) for r in residuals]
+    n = g.chart.dim
+    head = ([g.comps[i][j] for i in range(n) for j in range(n)]
+            if any(a.ndim for a in arrs) else [])
+    vals = ex.eval_many(head + [e for a in arrs for e in a.flat], pts, g.chart.binding)
+    if head:
+        ginv = np.linalg.inv(vals[:n * n].T.reshape(-1, n, n))
+    out, start = [], len(head)
+    for a in arrs:
+        tv = vals[start:start + a.size].T.reshape((len(pts),) + a.shape)
+        start += a.size
+        out.append(np.abs(tv) if a.ndim == 0 else
+                   (gnorm_oneform, gnorm_sym2, gnorm_rank3)[a.ndim - 1](tv, ginv))
+    return out
 
 
 # ---------------------------------------------------------------------------

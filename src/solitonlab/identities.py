@@ -91,20 +91,16 @@ def _suite_points(chart, point_count, seed, idx):
 def _run_suite(gs, point_count, seed, tol, residuals):
     """One report per residual, over the sampled points of every metric.
 
-    `residuals(idx, g)` returns {name: comps} in report order; each residual
-    is reduced by geo.gnorms at metric idx's own points.
+    `residuals(idx, g)` returns {name: comps} in report order; one
+    so.run_checks call evaluates them all at metric idx's own points.
     """
-    pts_list, res_all = [], {}
-    for idx, g in enumerate(gs):
-        comps = residuals(idx, g)
-        pts = _suite_points(g.chart, point_count, seed, idx)
-        pts_list.append(pts)
-        for name, c in comps.items():
-            res_all.setdefault(name, []).append(geo.gnorms(g, c, pts))
-    pts = np.concatenate(pts_list)
-    return [so._report(name, tol, pts, np.concatenate(res), metrics=len(gs),
-                       points_per_metric=point_count, seed=seed)
-            for name, res in res_all.items()]
+    runs = [so.run_checks(g, _suite_points(g.chart, point_count, seed, idx),
+                          [(name, tol, c) for name, c in residuals(idx, g).items()])
+            for idx, g in enumerate(gs)]
+    pts = np.concatenate([reps[0].points for reps in runs])
+    return [so._report(col[0].name, tol, pts, np.concatenate([r.residuals for r in col]),
+                       metrics=len(gs), points_per_metric=point_count, seed=seed)
+            for col in zip(*runs)]
 
 
 def bianchi_suite(dim: int = 3, metric_count: int = 20, point_count: int = 100,

@@ -67,6 +67,17 @@ def _need(doc, key, kind, field=None):
     return v
 
 
+def _number(v):
+    """float(v) for a JSON number that is finite as a float, else None."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return None
+    try:
+        v = float(v)
+    except OverflowError:  # an integer past the float range
+        return None
+    return v if math.isfinite(v) else None
+
+
 def _parse(text, coords, params, field):
     if not isinstance(text, str):
         _fail(f"{field} must be an expression string", field=field)
@@ -94,23 +105,21 @@ def from_dict(doc: dict) -> Manifest:
         _fail(f"box must have {n} intervals", field="box")
     box_t = []
     for i, pair in enumerate(box):
-        ok = (isinstance(pair, list) and len(pair) == 2
-              and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                      and math.isfinite(v) for v in pair)
-              and pair[0] < pair[1])
-        if not ok:
+        lo, hi = (map(_number, pair) if isinstance(pair, list) and len(pair) == 2
+                  else (None, None))
+        if lo is None or hi is None or not lo < hi:
             _fail(f"box[{i}] must be [lo, hi] with lo < hi", field="box")
-        box_t.append((float(pair[0]), float(pair[1])))
+        box_t.append((lo, hi))
 
     raw_params = doc.get("parameters", {})
     if not isinstance(raw_params, dict):
         _fail("parameters must be an object of name: value", field="parameters")
     binding = {}
     for name, val in raw_params.items():
-        if not isinstance(val, (int, float)) or isinstance(val, bool) \
-                or not math.isfinite(val):
+        v = _number(val)
+        if v is None:
             _fail(f"parameter {name!r} must be a finite number", field="parameters")
-        binding[str(name)] = float(val)
+        binding[str(name)] = v
 
     metric_texts = _need(doc, "metric", list)
     want = n * (n + 1) // 2
@@ -162,11 +171,9 @@ def from_dict(doc: dict) -> Manifest:
         if form_tag not in _FORM_TAGS:
             _fail(f"unknown form tag {form_tag!r}", field="form")
         if form_tag != so.FORM_FREE:
-            m_val = fb.get("m")
-            if not isinstance(m_val, (int, float)) or isinstance(m_val, bool) \
-                    or not m_val > 0:
-                _fail("form needs m > 0", field="form")
-            form_m = float(m_val)
+            form_m = _number(fb.get("m"))
+            if form_m is None or not form_m > 0:
+                _fail("form needs a finite m > 0", field="form")
 
     try:
         structure = so.SolitonStructure(metric, h, lam, vector_field=vector_field,

@@ -7,10 +7,10 @@ function lambda, satisfying
     Ric + (h/2) L_X g = lambda g          (vector form)
     Ric + h Hess u    = lambda g          (gradient form)
 
-when the structure is genuine.  Residual operators evaluate the g-norm of the
-defect tensor at sampled points and return ResidualReports.  Sign convention:
-the soliton is expanding when lambda < 0, steady when lambda = 0, shrinking
-when lambda > 0.
+when the structure is genuine.  A check is a (name, tol, residual) triple;
+run_checks evaluates a list of them together at sampled points and returns
+their ResidualReports.  Sign convention: the soliton is expanding when
+lambda < 0, steady when lambda = 0, shrinking when lambda > 0.
 
 For gradient structures with h = -m/u the module also checks the conserved
 quantity mu = lambda u^2 + u lap u + (m-1)|grad u|^2 (constant when lambda
@@ -150,30 +150,45 @@ def default_points(s, count: int = 200, seed: int = 42) -> np.ndarray:
 # residual operators
 
 
-def _soliton_residual(s: SolitonStructure, points, tol, name,
-                      term: SymTensorField) -> ResidualReport:
-    """g-norm of Ric + h term - lambda g, with term the X-term of the form."""
+def run_checks(g: MetricField, points, checks, **metadata) -> list:
+    """One ResidualReport per (name, tol, residual) check, in order, from one
+    geo.gnorms call; each report gets its own copy of `metadata`."""
     pts = geo.points_array(points)
+    res = geo.gnorms(g, [c[2] for c in checks], pts)
+    return [_report(name, tol, pts, r, **metadata) for (name, tol, _), r in zip(checks, res)]
+
+
+def soliton_check(s: SolitonStructure, tol: float = 1e-8, gradient: bool = False):
+    """The check Ric + (h/2) L_X g - lambda g = 0, or with `gradient` the
+    check Ric + h Hess u - lambda g = 0, which needs a potential."""
+    if gradient and not s.is_gradient:
+        raise PreconditionError("gradient residual needs a structure with a potential")
     g = s.metric
+    term = geo.hessian(g, s.potential) if gradient else derive(s).S
     ric = geo.ricci(g)
     T = geo.sym2(g.chart.dim, lambda i, j: ex.sub(
         ex.add(ric.comps[i][j], ex.mul(s.h.expr, term.comps[i][j])),
         ex.mul(s.lam.expr, g.comps[i][j])))
-    res = geo.gnorms(g, T, pts)
-    return _report(name, tol, pts, res, form=s.h_form, parameters=s.chart.binding)
+    return ("gradient-soliton-residual" if gradient else "soliton-residual"), tol, T
 
 
 def soliton_residual(s: SolitonStructure, points, tol: float = 1e-8) -> ResidualReport:
     """g-norm of Ric + (h/2) L_X g - lambda g at the given points."""
-    return _soliton_residual(s, points, tol, "soliton-residual", derive(s).S)
+    return run_checks(s.metric, points, [soliton_check(s, tol)])[0]
 
 
 def gradient_soliton_residual(s: SolitonStructure, points, tol: float = 1e-8) -> ResidualReport:
     """g-norm of Ric + h Hess u - lambda g; needs a potential."""
-    if not s.is_gradient:
-        raise PreconditionError("gradient residual needs a structure with a potential")
-    return _soliton_residual(s, points, tol, "gradient-soliton-residual",
-                             geo.hessian(s.metric, s.potential))
+    return run_checks(s.metric, points, [soliton_check(s, tol, gradient=True)])[0]
+
+
+def verified_sup(rep: ResidualReport, why: str = "") -> float:
+    """The sup of a passing defining report, which an identity's precheck
+    reads; PreconditionError when the report failed."""
+    if not rep.passed:
+        raise PreconditionError(f"{rep.name.replace('-', ' ')} {rep.sup:.3e} "
+                                f"exceeds {rep.tolerance:g}{why}")
+    return rep.sup
 
 
 def _mean_spread(vals):
@@ -228,7 +243,7 @@ def triviality_check(s: SolitonStructure, points, tol: float = 1e-8) -> Triviali
     pts = geo.points_array(points)
     d = derive(s)
     n = s.chart.dim
-    sup0 = float(np.max(geo.gnorms(s.metric, d.S0.comps, pts)))
+    sup0 = float(np.max(geo.gnorms(s.metric, [d.S0.comps], pts)[0]))
     mean, spread = _mean_spread((2.0 / n) * geo.eval_scalar(d.div_x, pts))
     _, lam_spread = _mean_spread(geo.eval_scalar(s.lam, pts))
     trivial = (sup0 <= tol and spread < HOMOTHETY_SPREAD_TOL
@@ -254,7 +269,7 @@ def conformal_killing_check(g: MetricField, X: VectorField, points,
     pts = geo.points_array(points)
     n = g.chart.dim
     S0 = geo.traceless(g, geo.half_lie_derivative_metric(g, X))
-    norms = geo.gnorms(g, S0.comps, pts)
+    norms = geo.gnorms(g, [S0.comps], pts)[0]
     sup0 = float(np.max(norms))
     rho = ScalarField(g.chart, ex.div(geo.divergence_vector(g, X).expr, ex.const(n)))
     rho_vals = geo.eval_scalar(rho, pts)
@@ -264,14 +279,12 @@ def conformal_killing_check(g: MetricField, X: VectorField, points,
 def conformal_factor_hessian_check(g: MetricField, rho: ScalarField, points,
                                    tol: float = 1e-9) -> ResidualReport:
     """g-norm of Hess rho + (R/(n(n-1))) rho g (the conformal-factor equation)."""
-    pts = geo.points_array(points)
     n = g.chart.dim
     hess = geo.hessian(g, rho)
     scal = geo.scalar_curvature(g)
     coef = ex.mul(ex.div(scal.expr, ex.const(n * (n - 1))), rho.expr)
     T = geo.sym2(n, lambda i, j: ex.add(hess.comps[i][j], ex.mul(coef, g.comps[i][j])))
-    res = geo.gnorms(g, T, pts)
-    return _report("conformal-factor-hessian", tol, pts, res)
+    return run_checks(g, points, [("conformal-factor-hessian", tol, T)])[0]
 
 
 def potential_from_factor(g: MetricField, rho: ScalarField, points) -> ScalarField:
@@ -294,19 +307,8 @@ def potential_from_factor(g: MetricField, rho: ScalarField, points) -> ScalarFie
 # structural identities of verified structures
 
 
-def divric_identity_residual(s: SolitonStructure, points, tol: float = 1e-7,
-                             precheck_tol: float = 1e-8) -> ResidualReport:
-    """|div(Ric0(X)) - (n-2)/(2n) <grad R, X> + h |S0|^2| at the points.
-
-    The left side is expanded as (div Ric0)(X) + <grad X, Ric0>.  Requires the
-    structure to satisfy the soliton equation first.
-    """
-    pts = geo.points_array(points)
-    pre = soliton_residual(s, pts, precheck_tol)
-    if not pre.passed:
-        raise PreconditionError(
-            f"soliton residual {pre.sup:.3e} exceeds {precheck_tol:g}; "
-            "the divergence identity only holds on verified structures")
+def divric_check(s: SolitonStructure, tol: float = 1e-7):
+    """The check of divric_identity_residual."""
     d = derive(s)
     g = s.metric
     n = g.chart.dim
@@ -319,17 +321,28 @@ def divric_identity_residual(s: SolitonStructure, points, tol: float = 1e-7,
                   ex.nsum(ex.mul(dr[j], d.X.comps[j]) for j in range(n)))
     s0_sq = geo.inner_rank2(g, d.S0, d.S0).expr
     rhs2 = ex.mul(s.h.expr, s0_sq)
-    resid = ex.sub(ex.add(lhs1, lhs2), ex.sub(rhs1, rhs2))
-    vals = geo.gnorms(g, resid, pts)
-    return _report("divric-identity", tol, pts, vals, precheck_sup=pre.sup)
+    return "divric-identity", tol, ex.sub(ex.add(lhs1, lhs2), ex.sub(rhs1, rhs2))
 
 
-def _require_neg_form(s: SolitonStructure, pts) -> float:
+def divric_identity_residual(s: SolitonStructure, points, tol: float = 1e-7,
+                             precheck_tol: float = 1e-8) -> ResidualReport:
+    """|div(Ric0(X)) - (n-2)/(2n) <grad R, X> + h |S0|^2| at the points.
+
+    The left side is expanded as (div Ric0)(X) + <grad X, Ric0>.  Requires the
+    structure to satisfy the soliton equation first.
+    """
+    pre = verified_sup(soliton_residual(s, points, precheck_tol),
+                       "; the divergence identity only holds on verified structures")
+    return run_checks(s.metric, points, [divric_check(s, tol)], precheck_sup=pre)[0]
+
+
+def neg_form_m(s: SolitonStructure, points) -> float:
+    """The m of a structure declared h = -m/u, once h u + m = 0 at the points."""
     if s.h_form != FORM_NEG_M_OVER_U:
         raise PreconditionError("this check needs the declared form h = -m/u")
     m = float(s.m)
     probe = ex.add(ex.mul(s.h.expr, s.potential.expr), ex.const(m))
-    dev = float(np.max(np.abs(ex.eval_many([probe], pts, s.chart.binding)[0])))
+    dev = float(np.max(geo.gnorms(s.metric, [probe], points)[0]))
     if dev > 1e-8 * max(1.0, m):
         raise PreconditionError(
             f"declared form h = -m/u is inconsistent with h (deviation {dev:.3e})")
@@ -348,14 +361,9 @@ def mu_scalar_field(s: SolitonStructure) -> ScalarField:
     return ScalarField(g.chart, mu)
 
 
-def mu_field(s: SolitonStructure, points, tol: float = 1e-9) -> ResidualReport:
-    """Constancy of mu = lambda u^2 + u lap u + (m-1)|grad u|^2.
-
-    Needs the declared form h = -m/u and constant lambda; the report carries
-    the mu estimate (mean over points) and the max deviation from it.
-    """
+def mu_report(s: SolitonStructure, points, m: float, tol: float = 1e-9) -> ResidualReport:
+    """The report of mu_field, for a structure whose h = -m/u was checked."""
     pts = geo.points_array(points)
-    m = _require_neg_form(s, pts)
     lam_mean, lam_spread = _mean_spread(geo.eval_scalar(s.lam, pts))
     if lam_spread >= LAMBDA_SPREAD_TOL:
         raise PreconditionError(
@@ -368,17 +376,17 @@ def mu_field(s: SolitonStructure, points, tol: float = 1e-9) -> ResidualReport:
                    lambda_estimate=lam_mean, m=m)
 
 
-def eqpprinc_residual(s: SolitonStructure, points, tol: float = 1e-8,
-                      precheck_tol: float = 1e-8) -> ResidualReport:
-    """g-norm of the 1-form
-    d((n-2)/m u^2 lambda - u lap u - (m-1)|grad u|^2) - ((m+n-2)/m) lambda d(u^2),
-    which vanishes on gradient (-m/u)-almost structures."""
-    pts = geo.points_array(points)
-    m = _require_neg_form(s, pts)
-    pre = gradient_soliton_residual(s, pts, precheck_tol)
-    if not pre.passed:
-        raise PreconditionError(
-            f"gradient soliton residual {pre.sup:.3e} exceeds {precheck_tol:g}")
+def mu_field(s: SolitonStructure, points, tol: float = 1e-9) -> ResidualReport:
+    """Constancy of mu = lambda u^2 + u lap u + (m-1)|grad u|^2.
+
+    Needs the declared form h = -m/u and constant lambda; the report carries
+    the mu estimate (mean over points) and the max deviation from it.
+    """
+    return mu_report(s, points, neg_form_m(s, points), tol)
+
+
+def eqpprinc_check(s: SolitonStructure, m: float, tol: float = 1e-8):
+    """The check of eqpprinc_residual, for h = -m/u."""
     g = s.metric
     n = g.chart.dim
     u = s.potential.expr
@@ -389,13 +397,21 @@ def eqpprinc_residual(s: SolitonStructure, points, tol: float = 1e-8,
                         ex.mul(u, lap)),
                  ex.mul(ex.const(m - 1.0), grad2))
     c2 = ex.const((m + n - 2) / m)
-    comps = []
-    for j in range(n):
-        dphi = ex.differentiate(phi, j)
-        du2 = ex.differentiate(u2, j)
-        comps.append(ex.sub(dphi, ex.mul(ex.mul(c2, s.lam.expr), du2)))
-    vals = geo.gnorms(g, comps, pts)
-    return _report("eqpprinc-identity", tol, pts, vals, precheck_sup=pre.sup, m=m)
+    return "eqpprinc-identity", tol, [
+        ex.sub(ex.differentiate(phi, j), ex.mul(ex.mul(c2, s.lam.expr),
+                                                ex.differentiate(u2, j)))
+        for j in range(n)]
+
+
+def eqpprinc_residual(s: SolitonStructure, points, tol: float = 1e-8,
+                      precheck_tol: float = 1e-8) -> ResidualReport:
+    """g-norm of the 1-form
+    d((n-2)/m u^2 lambda - u lap u - (m-1)|grad u|^2) - ((m+n-2)/m) lambda d(u^2),
+    which vanishes on gradient (-m/u)-almost structures."""
+    m = neg_form_m(s, points)
+    pre = verified_sup(gradient_soliton_residual(s, points, precheck_tol))
+    return run_checks(s.metric, points, [eqpprinc_check(s, m, tol)],
+                      precheck_sup=pre, m=m)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -450,24 +466,20 @@ def warped_einstein_construct(s: SolitonStructure, fiber_dim: int,
     }
     if w.chart is not None:
         prod_pts = geo.sample_points(w.chart, len(pts), seed, metric=w.metric)
-        n_tot = w.chart.dim
         prod_ric = geo.ricci(w.metric)
-        T = geo.sym2(n_tot, lambda i, j: ex.sub(
+        T = geo.sym2(w.chart.dim, lambda i, j: ex.sub(
             prod_ric.comps[i][j],
             ex.mul(ex.const(lam_est), w.metric.comps[i][j])))
-        res = geo.gnorms(w.metric, T, prod_pts)
-        rep = _report("warped-einstein", tol, prod_pts, res, **meta)
+        rep = run_checks(w.metric, prod_pts, [("warped-einstein", tol, T)], **meta)[0]
     else:
         g = s.metric
-        n = g.chart.dim
         hess = geo.hessian(g, s.potential)
         mh = ex.div(ex.const(float(fiber_dim)), s.potential.expr)
-        T = geo.sym2(n, lambda i, j: ex.sub(
+        T = geo.sym2(g.chart.dim, lambda i, j: ex.sub(
             ex.sub(geo.ricci(g).comps[i][j], ex.mul(mh, hess.comps[i][j])),
             ex.mul(ex.const(lam_est), g.comps[i][j])))
-        res = geo.gnorms(g, T, pts)
-        meta["fiber_relation_deviation"] = murep.sup
-        rep = _report("warped-einstein-base-block", tol, pts, res, **meta)
+        rep = run_checks(g, pts, [("warped-einstein-base-block", tol, T)],
+                         fiber_relation_deviation=murep.sup, **meta)[0]
     return w, rep
 
 

@@ -2,11 +2,13 @@
 
 `eval_checked` is the interpreter `expr.eval_many` replaced: it tests every
 node's domain as it goes.  `finite_difference` is the numeric oracle for
-`expr.differentiate`.
+`expr.differentiate`.  `riemann_sectional` reads sectional curvatures off
+`geometry.riemann_up`, for the model spaces' known constants.
 """
 
 import numpy as np
 
+from solitonlab import geometry as geo
 from solitonlab.expr import (_NP_FUNC, DomainError, Expression, UnboundParameterError,
                              _points, _topo, evaluate)
 
@@ -110,3 +112,30 @@ def finite_difference(e: Expression, coord_index: int, point, binding=None, step
     d1 = central(step)
     d2 = central(step / 2.0)
     return (4.0 * d2 - d1) / 3.0
+
+
+class DegeneratePlaneError(geo.GeometryError):
+    """Sectional curvature requested for a degenerate 2-plane."""
+
+
+def riemann_sectional(g, p, u, v) -> float:
+    """Sectional curvature of span(u, v) at the point p."""
+    n = g.chart.dim
+    pt = geo.points_array([p])
+    gv = eval_checked([g.comps[i][j] for i in range(n) for j in range(n)],
+                      pt, g.chart.binding)[:, 0].reshape(n, n)
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    uu = u @ gv @ u
+    vv = v @ gv @ v
+    uv = u @ gv @ v
+    denom = uu * vv - uv * uv
+    if denom <= 1e-12:
+        raise DegeneratePlaneError("plane is degenerate at the given point")
+    rup = geo.riemann_up(g)
+    flat = [rup[l][k][i][j] for l in range(n) for k in range(n) for i in range(n) for j in range(n)]
+    rv = eval_checked(flat, pt, g.chart.binding)[:, 0].reshape(n, n, n, n)
+    # g(R(u,v)v, u) with R(u,v)w = u^i v^j w^k R[l][k][i][j] ∂_l
+    rw = np.einsum("lkij,i,j,k->l", rv, u, v, v)
+    num = rw @ gv @ u
+    return float(num / denom)

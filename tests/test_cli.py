@@ -176,6 +176,45 @@ def test_box_wider_than_a_float_spans_is_manifest_error(tmp_path):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("where,number,message", [
+    ("box", "1" + "0" * 400, "box[0] must be [lo, hi] with lo < hi"),
+    ("parameters", "1" + "0" * 400, "parameter 'a' must be a finite number"),
+    ("form", "1" + "0" * 400, "form needs a finite m > 0"),
+    ("form", "1e400", "form needs a finite m > 0"),
+], ids=["box-int", "parameter-int", "m-int", "m-float"])
+def test_number_past_the_float_range_is_manifest_error(where, number, message, tmp_path):
+    doc, path = flat_manifest(tmp_path, name="big.json")
+    if where == "box":
+        doc["box"][0] = [-1.0, "BIG"]
+    elif where == "parameters":
+        doc["parameters"] = {"a": "BIG"}
+    else:
+        doc["form"] = {"tag": "m-over-u", "m": "BIG"}
+    Path(path).write_text(json.dumps(doc).replace('"BIG"', number))
+    code, out, err = run_entry("verify-manifest", path, "--points", "20")
+    assert code == 2 and out == b""
+    assert err.strip() == f"manifest error: {message}"
+
+
+def test_stage_one_report_gates_stage_two(tmp_path, capsys):
+    # lambda off by 1e-7: the defining residuals are 1.7e-7, so the suite
+    # stops after stage 1 at the default tolerance, and at 1e-5 runs eqpprinc,
+    # whose precheck reads the passing stage-1 report
+    doc = json.loads((ROOT / "perfbench" / "manifests" / "shell-neg-m-over-u.json")
+                     .read_text())
+    doc["lambda"] = "1e-7 - 4.0/(x1^2 + x2^2 + x3^2 + tau)"
+    path = tmp_path / "shell-shifted.json"
+    mf.write(doc, str(path))
+    for tol, want in ((None, [False, False]), ("1e-5", [True, True, False])):
+        code, out, err = run_cli(capsys, "verify-manifest", str(path),
+                                 *(("--tol", tol) if tol else ()))
+        checks = json.loads(out)["checks"]
+        assert code == 1 and err == ""
+        assert [c["pass"] for c in checks] == want
+        assert checks[0]["sup_residual"] == pytest.approx(math.sqrt(3) * 1e-7, rel=1e-6)
+    assert checks[2]["name"] == "eqpprinc-identity"
+
+
 @pytest.mark.parametrize("name", ["form", "tol", "res", "pts", "name"])
 def test_parameter_named_like_a_report_field(name, tmp_path, capsys):
     # the flat m-over-u manifest with its constant 1.0 made a parameter

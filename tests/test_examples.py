@@ -207,3 +207,57 @@ def test_runs_are_seed_deterministic():
     b = exm.run_example("neg-m-sphere", count=60, seed=9)
     assert a.checks[0].sup == b.checks[0].sup
     assert a.checks[0].worst_point == b.checks[0].worst_point
+
+
+def strict_calls(monkeypatch):
+    """Record the roots of every strict ex.eval_many call from now on."""
+    calls = []
+    eval_many = ex.eval_many
+
+    def recorded(exprs, points, binding=None, mode="strict"):
+        exprs = list(exprs)
+        if mode == "strict":
+            calls.append(exprs)
+        return eval_many(exprs, points, binding, mode)
+
+    monkeypatch.setattr(ex, "eval_many", recorded)
+    return calls
+
+
+def test_structure_checks_evaluate_each_defining_residual_once(monkeypatch):
+    s = exm.build_structure("neg-m-sphere")
+    pts = so.default_points(s, 60)
+    calls = strict_calls(monkeypatch)
+    reps = exm.structure_checks(s, pts, 1e-8)
+    assert [r.name for r in reps] == ["soliton-residual", "gradient-soliton-residual",
+                                      "divric-identity", "eqpprinc-identity"]
+    # stage 1, the h = -m/u probe, lambda's constancy and stage 2
+    assert len(calls) == 4
+    for check in (so.soliton_check(s), so.soliton_check(s, gradient=True)):
+        roots = {e for row in check[2] for e in row}
+        assert sum(bool(roots & set(c)) for c in calls) == 1
+    # the prechecks read the stage-1 reports
+    assert reps[2].metadata["precheck_sup"] == reps[0].sup
+    assert reps[3].metadata["precheck_sup"] == reps[1].sup
+
+
+def test_stage_two_runs_when_stage_one_passes_at_its_own_tolerance():
+    # lambda off by 1e-7 leaves the defining residuals near 1.7e-7: past the
+    # identities' own 1e-8 prechecks, within a stage-1 tolerance of 1e-5
+    s = exm.build_structure("neg-m-sphere")
+    shifted = so.SolitonStructure(
+        s.metric, s.h, geo.ScalarField(s.chart, ex.add(s.lam.expr, ex.const(1e-7))),
+        potential=s.potential, h_form=s.h_form, m=s.m)
+    pts = so.default_points(shifted, 60)
+    assert [r.name for r in exm.structure_checks(shifted, pts, 1e-8)] == [
+        "soliton-residual", "gradient-soliton-residual"]
+    reps = exm.structure_checks(shifted, pts, 1e-5)
+    assert [r.name for r in reps] == ["soliton-residual", "gradient-soliton-residual",
+                                      "divric-identity", "eqpprinc-identity"]
+    assert reps[0].passed and 1e-8 < reps[0].sup < 1e-6
+    assert reps[2].metadata["precheck_sup"] == reps[0].sup
+    # the standalone identities keep their fixed 1e-8 precheck
+    with pytest.raises(so.PreconditionError, match="exceeds 1e-08"):
+        so.divric_identity_residual(shifted, pts)
+    with pytest.raises(so.PreconditionError, match="exceeds 1e-08"):
+        so.eqpprinc_residual(shifted, pts)

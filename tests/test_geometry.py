@@ -13,6 +13,8 @@ from solitonlab import manifest as mf
 from solitonlab import soliton as so
 from solitonlab import spaces as sp
 
+from oracles import DegeneratePlaneError, eval_checked, riemann_sectional
+
 
 def euclidean_setup(n=3):
     space = sp.make_euclidean(n)
@@ -156,21 +158,21 @@ def test_hyperbolic_curvatures():
 
 def test_sectional_curvature_space_forms():
     s3 = sp.make_sphere(3, 1.0)
-    val = geo.riemann_sectional(s3.metric, (0.3, -0.2, 0.5), (1, 0, 0), (0, 1, 0))
+    val = riemann_sectional(s3.metric, (0.3, -0.2, 0.5), (1, 0, 0), (0, 1, 0))
     assert val == pytest.approx(1.0, abs=1e-10)
     h3 = sp.make_hyperbolic(3)
-    val = geo.riemann_sectional(h3.metric, (0.1, 0.2, 1.3), (1, 0, 0), (0, 0, 1))
+    val = riemann_sectional(h3.metric, (0.1, 0.2, 1.3), (1, 0, 0), (0, 0, 1))
     assert val == pytest.approx(-1.0, abs=1e-10)
     # radius scales sectional curvature by 1/r^2
     s2 = sp.make_sphere(2, 2.0)
-    val = geo.riemann_sectional(s2.metric, (0.4, 0.1), (1, 0), (0, 1))
+    val = riemann_sectional(s2.metric, (0.4, 0.1), (1, 0), (0, 1))
     assert val == pytest.approx(0.25, abs=1e-10)
 
 
 def test_sectional_degenerate_plane():
     s3 = sp.make_sphere(3, 1.0)
-    with pytest.raises(geo.DegeneratePlaneError):
-        geo.riemann_sectional(s3.metric, (0.0, 0.0, 0.0), (1, 0, 0), (2, 0, 0))
+    with pytest.raises(DegeneratePlaneError):
+        riemann_sectional(s3.metric, (0.0, 0.0, 0.0), (1, 0, 0), (2, 0, 0))
 
 
 def test_inverse_metric_and_determinant():
@@ -299,24 +301,46 @@ def test_gnorm_against_direct_contraction():
     got = geo.gnorm_sym2(tv, ginv)
     want = np.sqrt(np.einsum("aik,ajl,aij,akl->a", ginv, ginv, tv, tv))
     np.testing.assert_allclose(got, want, atol=1e-12)
-    # the one residual path gives the same norms at every rank, bit for bit
-    np.testing.assert_array_equal(geo.gnorms(g, T.comps, pts), got)
+    # one list-form call over ranks 0-3 gives, for each residual, the g-norm of
+    # the reference interpreter's values, bit for bit
     f = chart.parse("x1*x2 - 0.3")
-    np.testing.assert_array_equal(geo.gnorms(g, f, pts), np.abs(ex.eval_many([f], pts)[0]))
     w = [chart.parse("x1^2"), chart.parse("sin(x2)")]
-    np.testing.assert_array_equal(
-        geo.gnorms(g, w, pts), geo.gnorm_oneform(ex.eval_many(w, pts).T, ginv))
-    D = geo.covariant_derivative_sym2(g, T)
-    flat = [D[a][i][j] for a in range(2) for i in range(2) for j in range(2)]
-    av = ex.eval_many(flat, pts).T.reshape(len(pts), 2, 2, 2)
-    np.testing.assert_array_equal(geo.gnorms(g, D, pts), geo.gnorm_rank3(av, ginv))
+    folded = [ex.mul(ex.ZERO, f), ex.const(0.5)]
+    assert all(e.kind == "const" for e in folded)
+    residuals = [f, T.comps, w, geo.covariant_derivative_sym2(g, T), folded]
+    norms = geo.gnorms(g, residuals, pts)
+    assert len(norms) == len(residuals)
+    np.testing.assert_array_equal(norms[1], got)
+    flat_g = [g.comps[i][j] for i in range(2) for j in range(2)]
+    ginv_ref = np.linalg.inv(eval_checked(flat_g, pts).T.reshape(-1, 2, 2))
+    reduce = {1: geo.gnorm_oneform, 2: geo.gnorm_sym2, 3: geo.gnorm_rank3}
+    for r, got_r in zip(residuals, norms):
+        arr = np.array(r, dtype=object)
+        vals = eval_checked(list(arr.flat), pts).T.reshape((len(pts),) + arr.shape)
+        want_r = np.abs(vals) if arr.ndim == 0 else reduce[arr.ndim](vals, ginv_ref)
+        assert got_r.shape == (len(pts),)
+        np.testing.assert_array_equal(got_r, want_r)
+    # rank-0 residuals alone never evaluate the metric, which is undefined at x1 = 0
+    g0 = geo.MetricField(chart, geo.sym_rows([chart.parse("1/x1"), ex.ZERO, ex.ONE]))
+    at_zero = np.array([[0.5, 0.5], [0.0, 0.25]])
+    scalars = geo.gnorms(g0, [f, chart.parse("x2")], at_zero)
+    np.testing.assert_array_equal(scalars[0], np.abs(at_zero[:, 0] * at_zero[:, 1] - 0.3))
+    np.testing.assert_array_equal(scalars[1], at_zero[:, 1])
+    with pytest.raises(ex.DomainError, match="division by zero at point index 1"):
+        geo.gnorms(g0, [f, w], at_zero)
+    # a residual raises before the ones after it, as if each were evaluated alone
+    ln_x2, inv_x1 = chart.parse("ln(x2 - 0.3)"), chart.parse("1/x1")
+    for first, why in ((ln_x2, "logarithm of a non-positive value at point index 1"),
+                       (inv_x1, "division by zero at point index 1")):
+        with pytest.raises(ex.DomainError, match=why):
+            geo.gnorms(g, [first, [ln_x2, inv_x1]], at_zero)
 
 
 REDUCTIONS = {"gnorm_sym2", "gnorm_oneform", "gnorm_rank3"}
 
 
-def reduction_uses(source):
-    """(enclosing function, name) for every use of a g-norm reduction."""
+def name_uses(source, names=REDUCTIONS):
+    """(enclosing function, name) for every use of one of `names`."""
     uses = []
 
     def walk(node, func):
@@ -325,7 +349,7 @@ def reduction_uses(source):
                      else func)
             name = (child.id if isinstance(child, ast.Name)
                     else child.attr if isinstance(child, ast.Attribute) else None)
-            if name in REDUCTIONS:
+            if name in names:
                 uses.append((func, name))
             walk(child, inner)
 
@@ -333,17 +357,32 @@ def reduction_uses(source):
     return uses
 
 
+SRC = Path(geo.__file__).resolve().parent
+
+
+def uses_in_src(names):
+    return {(path.name, func) for path in sorted(SRC.glob("*.py"))
+            for func, _ in name_uses(path.read_text(encoding="utf-8"), names)}
+
+
 def test_only_gnorms_reduces():
     # every residual reaches gnorm_* through geometry.gnorms alone
-    src = Path(geo.__file__).resolve().parent
-    stray = [(path.name, func, name) for path in sorted(src.glob("*.py"))
-             for func, name in reduction_uses(path.read_text(encoding="utf-8"))
-             if (path.name, func) != ("geometry.py", "gnorms")]
-    assert stray == []
-    assert sorted(n for _, n in reduction_uses((src / "geometry.py").read_text(
+    assert uses_in_src(REDUCTIONS) == {("geometry.py", "gnorms")}
+    assert sorted(n for _, n in name_uses((SRC / "geometry.py").read_text(
         encoding="utf-8"))) == sorted(REDUCTIONS)
-    assert reduction_uses("def f(g):\n    return geo.gnorm_oneform(1, 2)\n") == [
+    assert name_uses("def f(g):\n    return geo.gnorm_oneform(1, 2)\n") == [
         ("f", "gnorm_oneform")]
+
+
+def test_eval_many_callers_are_pinned():
+    # residual checks evaluate through geometry's evaluators, never eval_many itself
+    assert uses_in_src({"eval_many"}) == {
+        ("expr.py", "evaluate"),
+        ("geometry.py", "eval_scalar"), ("geometry.py", "eval_sym2_comps"),
+        ("geometry.py", "gnorms"), ("geometry.py", "sample_points"),
+        ("soliton.py", "default_points"),
+        ("spaces.py", "oneill_ricci"),
+    }
 
 
 def mirror_writers(source):
@@ -459,9 +498,9 @@ def test_chart_parameters_drive_sampling_and_evaluation():
     np.testing.assert_array_equal(geo.eval_scalar(geo.ScalarField(chart, ax2), pts),
                                   0.5 * pts[:, 1])
     g = geo.MetricField(chart, geo.sym_rows([a, ex.ZERO, a]))
-    np.testing.assert_array_equal(geo.gnorms(g, ax2, pts), np.abs(0.5 * pts[:, 1]))
+    np.testing.assert_array_equal(geo.gnorms(g, [ax2], pts)[0], np.abs(0.5 * pts[:, 1]))
     # g = a * delta, so a one-form w has |w|_g = |w| / sqrt(a)
-    np.testing.assert_allclose(geo.gnorms(g, [ex.coord(0), ex.coord(1)], pts),
+    np.testing.assert_allclose(geo.gnorms(g, [[ex.coord(0), ex.coord(1)]], pts)[0],
                                np.hypot(pts[:, 0], pts[:, 1]) / np.sqrt(0.5))
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from solitonlab import examples as exm
+from solitonlab import expr as ex
 from solitonlab import geometry as geo
 from solitonlab import identities as idn
 
@@ -98,3 +99,17 @@ def test_dimension_two_guard_or_support():
         reports = suite(dim=2, metric_count=3, point_count=30)
         assert len(reports) == count
         assert all(r.passed and len(r.residuals) == 90 for r in reports)
+
+
+def test_fg_formulas_suite_makes_one_strict_call_per_metric(monkeypatch):
+    calls = []
+    eval_many = ex.eval_many
+
+    def counted(exprs, points, binding=None, mode="strict"):
+        calls.append(mode)
+        return eval_many(exprs, points, binding, mode)
+
+    monkeypatch.setattr(ex, "eval_many", counted)
+    reports = idn.fg_formulas_suite(metric_count=3, point_count=20)
+    assert len(reports) == 4 and all(r.passed for r in reports)
+    assert calls == ["strict"] * 3
