@@ -142,10 +142,9 @@ def cmd_verify_manifest(args) -> int:
     tol = args.tol if args.tol is not None else 1e-8
     pts = so.default_points(s, args.points, args.seed)
     checks = cat.structure_checks(s, pts, tol, divric=False)
-    classification = so.classify_lambda(s, pts)
     verdict = so.triviality_check(s, pts, tol)
     doc = report_document(man.digest, [check_dict(r) for r in checks],
-                          classification, verdict.trivial)
+                          verdict.classification, verdict.trivial)
     emit(doc, args.json)
     return EXIT_OK if doc["pass"] else EXIT_FAIL
 
@@ -262,7 +261,7 @@ def cmd_classify(args) -> int:
     pts = so.default_points(s, args.points, args.seed)
     tol = args.tol if args.tol is not None else 1e-8
     verdict = so.triviality_check(s, pts, tol)
-    doc = report_document(digest, [], so.classify_lambda(s, pts), verdict.trivial,
+    doc = report_document(digest, [], verdict.classification, verdict.trivial,
                           passed=True)
     emit(doc, args.json)
     return EXIT_OK

@@ -391,9 +391,8 @@ def run_example(example_id: str, params=None, count: int = 200,
                 hess.comps[i][j], ex.mul(ku, g.comps[i][j])))
             run.checks += so.run_checks(
                 g, pts, [("potential-hessian-equation", HESSIAN_EQ_TOL, T)])
-        run.classification = so.classify_lambda(s, pts)
         tv = so.triviality_check(s, pts, tol)
-        run.triviality, run.trivial = tv, tv.trivial
+        run.triviality, run.trivial, run.classification = tv, tv.trivial, tv.classification
 
     ok = all(rep.passed != (rep.name in spec.expect_fail) for rep in run.checks)
     want = _expected_classification(example_id, p)

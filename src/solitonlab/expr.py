@@ -810,9 +810,3 @@ def _locate(vals, n_pts, mode):
                 reason = why
         raise DomainError(reason, int(np.argmax(bad)))
     return ok
-
-
-def evaluate(e: Expression, point, binding=None) -> float:
-    """Evaluate a single expression at one point (strict semantics)."""
-    pt = np.asarray(point, dtype=float).reshape(1, -1)
-    return float(eval_many([e], pt, binding)[0, 0])

@@ -12,10 +12,10 @@ Vector fields are stored contravariantly, one-forms covariantly; symmetric
 tensors store the full matrix with mirrored upper-triangle nodes, so stored
 symmetry is exact by construction.  `sym2` is the one place that storage
 rule is written: every symmetric 2-tensor in the package is built by it.
-Residual magnitudes use the g-norm, sqrt(g^{ik} g^{jl} T_ij T_kl) at rank 2
-and alike at ranks 1 and 3 (|f| at rank 0), evaluated with numpy over point
-batches.  `gnorms` is the one reduction: it takes a list of residuals and
-evaluates the metric and all their components in one pass over the points.
+`eval_tensors`, the one strict evaluator, evaluates rank-0 to rank-3 tensors
+at the points in one pass; `gnorms`, the one reduction, evaluates the metric
+and a list of residuals through it and returns their g-norms, sqrt(g^{ik}
+g^{jl} T_ij T_kl) at rank 2 and alike at ranks 1 and 3 (|f| at rank 0).
 """
 
 from __future__ import annotations
@@ -206,6 +206,9 @@ def _det(rows, idx_rows, idx_cols, memo):
         terms = []
         for pos, c in enumerate(idx_cols):
             entry = rows[r][c]
+            if entry is ex.ZERO:  # its term folds to ZERO: skip the minor
+                terms.append(ex.ZERO)
+                continue
             sub_cols = idx_cols[:pos] + idx_cols[pos + 1:]
             minor = _det(rows, rest, sub_cols, memo)
             t = ex.mul(entry, minor)
@@ -486,9 +489,24 @@ def sym2_apply(g: MetricField, T: SymTensorField, X: VectorField) -> VectorField
 # numeric evaluation over batches
 
 
-def eval_scalar(f: ScalarField, points) -> np.ndarray:
+def eval_tensors(chart: Chart, tensors, points) -> list:
+    """Each rank-0 to rank-3 tensor's values at the points, an (N,) + shape array.
+
+    A tensor is one expression or nested n-tuples of them.  One strict
+    eval_many evaluates all their components, in list order and row-major
+    within each, with the chart's parameter values: a tensor raises
+    DomainError before those after it.  Every strict evaluation at sample
+    points goes through here.
+    """
     pts = points_array(points)
-    return ex.eval_many([f.expr], pts, f.chart.binding)[0]
+    arrs = [np.array(t, dtype=object) for t in tensors]
+    vals = ex.eval_many([e for a in arrs for e in a.flat], pts, chart.binding)
+    ends = np.cumsum([a.size for a in arrs], dtype=int)
+    return [vals[e - a.size:e].T.reshape((len(pts),) + a.shape) for a, e in zip(arrs, ends)]
+
+
+def eval_scalar(f: ScalarField, points) -> np.ndarray:
+    return eval_tensors(f.chart, [f.expr], points)[0]
 
 
 def eval_sym2_comps(comps, points, binding=None) -> np.ndarray:
@@ -502,7 +520,7 @@ def eval_sym2_comps(comps, points, binding=None) -> np.ndarray:
 
 def eval_metric(g: MetricField, points):
     """Metric values and numeric inverses: pair of (N, n, n) arrays."""
-    gv = eval_sym2_comps(g.comps, points, g.chart.binding)
+    gv = eval_tensors(g.chart, [g.comps], points)[0]
     return gv, np.linalg.inv(gv)
 
 
@@ -526,27 +544,21 @@ def gnorms(g: MetricField, residuals, points) -> list:
 
     A residual is one expression (rank 0, reduced by its absolute value) or
     nested n-tuples of them (ranks 1-3, reduced with the metric's inverse).
-    One strict eval_many evaluates the metric's entries first, when some
-    residual has rank 1 or more, and then every residual's components in
-    list order; so the metric raises before any residual, and a residual
-    before the ones after it.  Every residual check reduces through here;
-    parameters take the values of the metric's chart.
+    One eval_tensors call evaluates the metric first, when some residual
+    has rank 1 or more, and then the residuals, so the metric raises before
+    any of them.  A g-norm that overflows raises DomainError at its first
+    such point.  Every residual check reduces through here.
     """
-    pts = points_array(points)
-    arrs = [np.array(r, dtype=object) for r in residuals]
-    n = g.chart.dim
-    head = ([g.comps[i][j] for i in range(n) for j in range(n)]
-            if any(a.ndim for a in arrs) else [])
-    vals = ex.eval_many(head + [e for a in arrs for e in a.flat], pts, g.chart.binding)
-    if head:
-        ginv = np.linalg.inv(vals[:n * n].T.reshape(-1, n, n))
-    out, start = [], len(head)
-    for a in arrs:
-        tv = vals[start:start + a.size].T.reshape((len(pts),) + a.shape)
-        start += a.size
-        out.append(np.abs(tv) if a.ndim == 0 else
-                   (gnorm_oneform, gnorm_sym2, gnorm_rank3)[a.ndim - 1](tv, ginv))
-    return out
+    head = [g.comps] if any(not isinstance(r, ex.Expression) for r in residuals) else []
+    vals = eval_tensors(g.chart, head + list(residuals), points)
+    ginv = np.linalg.inv(vals[0]) if head else None
+    norms = [np.abs(tv) if tv.ndim == 1 else
+             (gnorm_oneform, gnorm_sym2, gnorm_rank3)[tv.ndim - 2](tv, ginv)
+             for tv in vals[len(head):]]
+    for r in norms:
+        if not np.isfinite(r).all():
+            raise ex.DomainError("non-finite g-norm", int(np.argmax(~np.isfinite(r))))
+    return norms
 
 
 # ---------------------------------------------------------------------------

@@ -210,6 +210,6 @@ def oneill_suite(w, count: int = 100, seed: int = 7, tol: float = 1e-9):
     if w.chart is None:
         raise ValueError("the comparison needs an explicit product chart")
     pts = geo.sample_points(w.chart, count, seed, metric=w.metric)
-    direct = geo.eval_sym2_comps(geo.ricci(w.metric).comps, pts, w.chart.binding)
+    direct = geo.eval_tensors(w.chart, [geo.ricci(w.metric).comps], pts)[0]
     res = np.max(np.abs(direct - sp.oneill_ricci(w, pts)), axis=(1, 2))
     return [so._report("oneill", tol, pts, res, points_per_metric=count, seed=seed)]

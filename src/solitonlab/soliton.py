@@ -137,9 +137,8 @@ def default_points(s, count: int = 200, seed: int = 42) -> np.ndarray:
     """
     if isinstance(s, SolitonStructure):
         pts = geo.sample_points(s.chart, count, seed, metric=s.metric)
-        fields = (s.h.expr, s.lam.expr) + (
-            (s.potential.expr,) if s.is_gradient else s.vector_field.comps)
-        ex.eval_many(fields, pts, s.chart.binding)
+        geo.eval_tensors(s.chart, [s.h.expr, s.lam.expr, s.potential.expr
+                                   if s.is_gradient else s.vector_field.comps], pts)
         return pts
     if isinstance(s, MetricField):
         return geo.sample_points(s.chart, count, seed, metric=s)
@@ -228,6 +227,7 @@ class TrivialityVerdict:
     sup_traceless: float
     spread: float
     lambda_spread: float = 0.0
+    classification: str = None     # lambda_class of the lambda values
 
 
 def triviality_check(s: SolitonStructure, points, tol: float = 1e-8) -> TrivialityVerdict:
@@ -240,15 +240,15 @@ def triviality_check(s: SolitonStructure, points, tol: float = 1e-8) -> Triviali
     gradient example has X = 2x but is a genuinely non-Einstein almost
     structure, and its source labels it nontrivial on those grounds.
     """
-    pts = geo.points_array(points)
     d = derive(s)
     n = s.chart.dim
-    sup0 = float(np.max(geo.gnorms(s.metric, [d.S0.comps], pts)[0]))
-    mean, spread = _mean_spread((2.0 / n) * geo.eval_scalar(d.div_x, pts))
-    _, lam_spread = _mean_spread(geo.eval_scalar(s.lam, pts))
+    sup0 = float(np.max(geo.gnorms(s.metric, [d.S0.comps], points)[0]))
+    div_x, lam = geo.eval_tensors(s.chart, [d.div_x.expr, s.lam.expr], points)
+    mean, spread = _mean_spread((2.0 / n) * div_x)
+    _, lam_spread = _mean_spread(lam)
     trivial = (sup0 <= tol and spread < HOMOTHETY_SPREAD_TOL
                and lam_spread < LAMBDA_SPREAD_TOL)
-    return TrivialityVerdict(trivial, mean, sup0, spread, lam_spread)
+    return TrivialityVerdict(trivial, mean, sup0, spread, lam_spread, lambda_class(lam))
 
 
 @dataclass

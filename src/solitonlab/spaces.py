@@ -23,10 +23,9 @@ import numpy as np
 
 from . import expr as ex
 from .geometry import (
-    Chart, GeometryError, MetricField, ScalarField, eval_scalar, eval_sym2_comps,
+    Chart, GeometryError, MetricField, ScalarField, eval_scalar, eval_tensors,
     hessian, ricci, sample_points, sym2,
 )
-from . import geometry as geo
 
 
 @dataclass(frozen=True)
@@ -247,23 +246,21 @@ def oneill_ricci(w: WarpedProduct, points) -> np.ndarray:
     Ric_F = mu * identity).
 
     `points` is one point, giving a (d, d) array, or an (N, d) batch, giving
-    (N, d, d).  Each base and fiber DAG is evaluated once over the batch; the
-    small-matrix arithmetic runs point by point, so a batch gives the same
-    bits as its points one at a time.
+    (N, d, d).  One eval_tensors call evaluates the base fields (metric,
+    Ricci, Hess f, df, f) and one the fiber's (Ricci, metric) over the batch;
+    the small-matrix arithmetic runs point by point, so a batch gives the
+    same bits as its points one at a time.
     """
     nb, m = w.base_chart.dim, w.fiber_dim
     pts = np.asarray(points, dtype=float)
     single = pts.ndim == 1
     pts = pts.reshape(-1, pts.shape[-1])
-    base_pts = pts[:, :nb]
 
-    binding = w.base_chart.binding
-    gBinv = geo.eval_metric(w.base_metric, base_pts)[1]
-    ricB = eval_sym2_comps(ricci(w.base_metric).comps, base_pts, binding)
-    hessf = eval_sym2_comps(hessian(w.base_metric, w.warping).comps, base_pts, binding)
-    df = ex.eval_many([ex.differentiate(w.warping.expr, i) for i in range(nb)],
-                      base_pts, binding).T
-    fvals = eval_scalar(w.warping, base_pts)
+    g, f = w.base_metric, w.warping
+    gB, ricB, hessf, df, fvals = eval_tensors(w.base_chart, [
+        g.comps, ricci(g).comps, hessian(g, f).comps,
+        [ex.differentiate(f.expr, i) for i in range(nb)], f.expr], pts[:, :nb])
+    gBinv = np.linalg.inv(gB)
 
     d = nb + m
     if w.fiber_chart is None:
@@ -272,10 +269,8 @@ def oneill_ricci(w: WarpedProduct, points) -> np.ndarray:
     else:
         if pts.shape[1] != d:
             raise ValueError(f"point must have {d} coordinates for an explicit fiber")
-        fib_pts = pts[:, nb:]
-        fiber_binding = w.fiber_chart.binding
-        ricF = eval_sym2_comps(ricci(w.fiber_metric).comps, fib_pts, fiber_binding)
-        gF = eval_sym2_comps(w.fiber_metric.comps, fib_pts, fiber_binding)
+        ricF, gF = eval_tensors(w.fiber_chart, [ricci(w.fiber_metric).comps,
+                                                w.fiber_metric.comps], pts[:, nb:])
     out = np.zeros((len(pts), d, d))
     for a in range(len(pts)):
         fval = float(fvals[a])

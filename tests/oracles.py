@@ -1,7 +1,8 @@
 """Reference implementations that tests compare the package against.
 
 `eval_checked` is the interpreter `expr.eval_many` replaced: it tests every
-node's domain as it goes.  `finite_difference` is the numeric oracle for
+node's domain as it goes.  `evaluate` reads one expression at one point
+through `eval_many`.  `finite_difference` is the numeric oracle for
 `expr.differentiate`.  `riemann_sectional` reads sectional curvatures off
 `geometry.riemann_up`, for the model spaces' known constants.
 """
@@ -10,7 +11,7 @@ import numpy as np
 
 from solitonlab import geometry as geo
 from solitonlab.expr import (_NP_FUNC, DomainError, Expression, UnboundParameterError,
-                             _points, _topo, evaluate)
+                             _points, _topo, eval_many)
 
 
 def _first_true(mask):
@@ -97,6 +98,12 @@ def eval_checked(exprs, points, binding=None, mode="strict"):
         out[:, bad_total] = np.nan
         return out, ok
     return out
+
+
+def evaluate(e: Expression, point, binding=None) -> float:
+    """Evaluate a single expression at one point (strict semantics)."""
+    pt = np.asarray(point, dtype=float).reshape(1, -1)
+    return float(eval_many([e], pt, binding)[0, 0])
 
 
 def finite_difference(e: Expression, coord_index: int, point, binding=None, step=1e-4):

@@ -196,6 +196,17 @@ def test_number_past_the_float_range_is_manifest_error(where, number, message, t
     assert err.strip() == f"manifest error: {message}"
 
 
+@pytest.mark.parametrize("argv", [("verify-example", "neg-m-sphere"),
+                                  ("check-identity", "eqpprinc")],
+                         ids=["verify-example", "eqpprinc"])
+def test_overflowing_gnorm_is_an_expression_error(argv):
+    # at m = 1e200 the residual components are finite, but their squares in
+    # the g-norm overflow: that is a domain fault, not an inf in the report
+    code, out, err = run_entry(*argv, "--m", "1e200", "--points", "20")
+    assert code == 2 and out == b""
+    assert err == "expression error: non-finite g-norm at point index 0\n"
+
+
 def test_stage_one_report_gates_stage_two(tmp_path, capsys):
     # lambda off by 1e-7: the defining residuals are 1.7e-7, so the suite
     # stops after stage 1 at the default tolerance, and at 1e-5 runs eqpprinc,

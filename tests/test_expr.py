@@ -27,23 +27,23 @@ def P(text, params=()):
 
 def test_parse_basic_arithmetic():
     e = P("2*x1 + x2^2 - x3/4")
-    assert ex.evaluate(e, (1.0, 3.0, 8.0)) == pytest.approx(2.0 + 9.0 - 2.0)
+    assert oracles.evaluate(e, (1.0, 3.0, 8.0)) == pytest.approx(2.0 + 9.0 - 2.0)
 
 
 def test_parse_precedence_and_unary():
     # unary minus is part of the base, so -x1^2 = (-x1)^2
-    assert ex.evaluate(P("-x1^2"), (3.0, 0, 0)) == 9.0
-    assert ex.evaluate(P("-(x1^2)"), (3.0, 0, 0)) == -9.0
-    assert ex.evaluate(P("2 + 3*4^2"), (0, 0, 0)) == 50.0
-    assert ex.evaluate(P("x1 - -x2"), (1.0, 2.0, 0)) == 3.0
+    assert oracles.evaluate(P("-x1^2"), (3.0, 0, 0)) == 9.0
+    assert oracles.evaluate(P("-(x1^2)"), (3.0, 0, 0)) == -9.0
+    assert oracles.evaluate(P("2 + 3*4^2"), (0, 0, 0)) == 50.0
+    assert oracles.evaluate(P("x1 - -x2"), (1.0, 2.0, 0)) == 3.0
 
 
 def test_parse_functions():
     e = P("exp(x1) + ln(x2) + sqrt(x3)")
-    v = ex.evaluate(e, (1.0, math.e, 4.0))
+    v = oracles.evaluate(e, (1.0, math.e, 4.0))
     assert v == pytest.approx(math.e + 1.0 + 2.0)
     e = P("sin(x1)*cos(x1) + sinh(x2)*cosh(x2) + tanh(x3)")
-    v = ex.evaluate(e, (0.3, 0.2, 0.1))
+    v = oracles.evaluate(e, (0.3, 0.2, 0.1))
     assert v == pytest.approx(
         math.sin(0.3) * math.cos(0.3) + math.sinh(0.2) * math.cosh(0.2) + math.tanh(0.1)
     )
@@ -51,14 +51,14 @@ def test_parse_functions():
 
 def test_parse_parameters():
     e = P("tau*x1 + k", ("tau", "k"))
-    assert ex.evaluate(e, (2.0, 0, 0), {"tau": 3.0, "k": 1.0}) == 7.0
+    assert oracles.evaluate(e, (2.0, 0, 0), {"tau": 3.0, "k": 1.0}) == 7.0
     with pytest.raises(ex.UnboundParameterError):
-        ex.evaluate(e, (2.0, 0, 0), {"tau": 3.0})
+        oracles.evaluate(e, (2.0, 0, 0), {"tau": 3.0})
 
 
 def test_parse_integer_exponents_only():
-    assert ex.evaluate(P("x1^-2"), (2.0, 0, 0)) == 0.25
-    assert ex.evaluate(P("x1^0"), (5.0, 0, 0)) == 1.0
+    assert oracles.evaluate(P("x1^-2"), (2.0, 0, 0)) == 0.25
+    assert oracles.evaluate(P("x1^0"), (5.0, 0, 0)) == 1.0
     for bad in ("x1^x2", "x1^2.5", "x1^(-2)"):
         with pytest.raises(ex.ParseError):
             P(bad)
@@ -217,10 +217,10 @@ def test_differentiate_against_finite_differences():
     while checked < 300:
         e = _random_tree(rng, 4)
         pt = rng.uniform(0.2, 1.2, size=3)
-        if abs(ex.evaluate(e, pt)) > 1e6:
+        if abs(oracles.evaluate(e, pt)) > 1e6:
             continue  # cancellation would swamp the difference quotient
         i = int(rng.integers(3))
-        exact = ex.evaluate(ex.differentiate(e, i), pt)
+        exact = oracles.evaluate(ex.differentiate(e, i), pt)
         approx = oracles.finite_difference(e, i, pt)
         scale = max(1.0, abs(exact))
         assert abs(exact - approx) < 1e-6 * scale, ex.to_text(e, NAMES)
@@ -233,8 +233,8 @@ def test_differentiate_chain_and_quotient():
     d1 = ex.differentiate(e, 1)
     pt = (0.7, 0.4, 0.0)
     x, y = 0.7, 0.4
-    assert ex.evaluate(d0, pt) == pytest.approx(2 * x * math.cos(x * x) / math.cosh(y))
-    assert ex.evaluate(d1, pt) == pytest.approx(
+    assert oracles.evaluate(d0, pt) == pytest.approx(2 * x * math.cos(x * x) / math.cosh(y))
+    assert oracles.evaluate(d1, pt) == pytest.approx(
         -math.sin(x * x) * math.sinh(y) / math.cosh(y) ** 2
     )
 
@@ -567,7 +567,7 @@ def test_eval_many_unbound_parameter():
 def test_nsum_empty_and_flat():
     assert ex.nsum([]) is ex.ZERO
     e = ex.nsum([ex.coord(0), ex.coord(1), ex.const(2.0)])
-    assert ex.evaluate(e, (1.0, 3.0, 0.0)) == 6.0
+    assert oracles.evaluate(e, (1.0, 3.0, 0.0)) == 6.0
 
 
 def test_free_coords_and_params():
@@ -579,7 +579,7 @@ def test_free_coords_and_params():
 def test_substitute_coords():
     e = P("x1^2 + x2")
     sub = ex.substitute_coords(e, {0: ex.coord(2), 1: ex.const(5.0)})
-    assert ex.evaluate(sub, (0.0, 0.0, 3.0)) == 14.0
+    assert oracles.evaluate(sub, (0.0, 0.0, 3.0)) == 14.0
 
 
 def test_check_names_rejects_collisions_and_reserved():

@@ -13,7 +13,7 @@ from solitonlab import manifest as mf
 from solitonlab import soliton as so
 from solitonlab import spaces as sp
 
-from oracles import DegeneratePlaneError, eval_checked, riemann_sectional
+from oracles import DegeneratePlaneError, eval_checked, evaluate, riemann_sectional
 
 
 def euclidean_setup(n=3):
@@ -98,7 +98,7 @@ def test_christoffel_stereographic_sphere_origin():
     for k in range(2):
         for i in range(2):
             for j in range(2):
-                assert ex.evaluate(gam[k][i][j], (0.0, 0.0)) == pytest.approx(0.0, abs=1e-14)
+                assert evaluate(gam[k][i][j], (0.0, 0.0)) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_christoffel_half_plane_hand_values():
@@ -111,7 +111,7 @@ def test_christoffel_half_plane_hand_values():
         for i in range(2):
             for j in range(2):
                 want = expected.get((k, i, j), 0.0)
-                assert ex.evaluate(gam[k][i][j], pt) == pytest.approx(want, abs=1e-12)
+                assert evaluate(gam[k][i][j], pt) == pytest.approx(want, abs=1e-12)
 
 
 def test_christoffel_symmetry_random_metric():
@@ -186,6 +186,40 @@ def test_inverse_metric_and_determinant():
         np.testing.assert_allclose(gv[a] @ iv[a], np.eye(3), atol=1e-11)
     dv = geo.eval_scalar(det, pts)
     np.testing.assert_allclose(dv, np.linalg.det(gv), atol=1e-12)
+
+
+def full_expansion(rows, idx_rows, idx_cols):
+    """Laplace expansion along the first row, every minor expanded."""
+    if len(idx_rows) == 1:
+        return rows[idx_rows[0]][idx_cols[0]]
+    terms = []
+    for pos, c in enumerate(idx_cols):
+        minor = full_expansion(rows, idx_rows[1:], idx_cols[:pos] + idx_cols[pos + 1:])
+        t = ex.mul(rows[idx_rows[0]][c], minor)
+        terms.append(t if pos % 2 == 0 else ex.neg(t))
+    return ex.nsum(terms)
+
+
+def test_determinant_skips_the_minors_of_zero_entries(monkeypatch):
+    # a zero entry's term folds to zero, so its minor is never expanded: the
+    # nodes are those of the full expansion, built with far fewer expansions
+    S = sp.make_sphere(2)
+    w = sp.make_warped(S, sp.make_hyperbolic(2), geo.ScalarField(S.chart, S.chart.parse("2 + x1^2")))
+    for g in (sp.make_sphere(4).metric, sp.make_hyperbolic(4).metric, w.metric):
+        n, idx = g.chart.dim, tuple(range(g.chart.dim))
+        det = full_expansion(g.comps, idx, idx)
+        assert geo.metric_determinant.__wrapped__(g).expr is det
+        inv = geo.inverse_metric.__wrapped__(g)
+        for i in range(n):
+            for j in range(n):
+                cof = full_expansion(g.comps, tuple(r for r in idx if r != j),
+                                     tuple(c for c in idx if c != i))
+                assert inv[i][j] is ex.div(ex.neg(cof) if (i + j) % 2 else cof, det)
+    calls = []
+    expand = geo._det
+    monkeypatch.setattr(geo, "_det", lambda *args: calls.append(args) or expand(*args))
+    geo.inverse_metric.__wrapped__(sp.make_sphere(10).metric)
+    assert 0 < len(calls) < 300  # 32,163 when every minor was expanded
 
 
 def test_metric_compatibility():
@@ -375,14 +409,43 @@ def test_only_gnorms_reduces():
 
 
 def test_eval_many_callers_are_pinned():
-    # residual checks evaluate through geometry's evaluators, never eval_many itself
+    # every strict evaluation at sample points goes through eval_tensors; the
+    # sampler's masked calls and eval_sym2_comps, which takes a bare binding,
+    # are the only other callers
     assert uses_in_src({"eval_many"}) == {
-        ("expr.py", "evaluate"),
-        ("geometry.py", "eval_scalar"), ("geometry.py", "eval_sym2_comps"),
-        ("geometry.py", "gnorms"), ("geometry.py", "sample_points"),
-        ("soliton.py", "default_points"),
-        ("spaces.py", "oneill_ricci"),
+        ("geometry.py", "eval_tensors"), ("geometry.py", "eval_sym2_comps"),
+        ("geometry.py", "sample_points"),
     }
+
+
+def test_eval_tensors_matches_the_reference_interpreter():
+    # each tensor's values are the reference interpreter's, bit for bit, at
+    # ranks 0-3, for a folded constant and for a chart parameter
+    chart = geo.Chart(("x1", "x2"), ((-1, 1), (-1, 1)), params=(("a", 0.7),))
+    g = geo.MetricField(chart, geo.sym_rows([chart.parse("1 + a*x1^2"), ex.ZERO, ex.ONE]))
+    T = geo.SymTensorField(chart, geo.sym_rows(
+        [chart.parse("x1"), chart.parse("a"), chart.parse("x2^2")]))
+    folded = ex.mul(ex.ZERO, chart.parse("x1*x2"))
+    assert folded.kind == "const"
+    tensors = [chart.parse("a*x1*x2 - 0.3"), [chart.parse("x1^2"), chart.parse("sin(a*x2)")],
+               T.comps, geo.covariant_derivative_sym2(g, T), folded, [folded, ex.const(0.5)]]
+    pts = np.random.default_rng(5).uniform(-1, 1, size=(9, 2))
+    got = geo.eval_tensors(chart, tensors, pts)
+    assert len(got) == len(tensors)
+    for t, v in zip(tensors, got):
+        arr = np.array(t, dtype=object)
+        want = eval_checked(list(arr.flat), pts, chart.binding)
+        assert v.shape == (len(pts),) + arr.shape
+        np.testing.assert_array_equal(v, want.T.reshape(v.shape))
+    # a rank-0 value is a contiguous row, so reductions over it see today's strides
+    assert got[0].flags.c_contiguous
+    # the first faulting tensor in the list names the error
+    at_zero = np.array([[0.5, 0.5], [0.0, 0.25]])
+    ln_x2, inv_x1 = chart.parse("ln(x2 - 0.3)"), chart.parse("1/x1")
+    for first, why in ((ln_x2, "logarithm of a non-positive value at point index 1"),
+                       ([[inv_x1]], "division by zero at point index 1")):
+        with pytest.raises(ex.DomainError, match=why):
+            geo.eval_tensors(chart, [first, [ln_x2, inv_x1]], at_zero)
 
 
 def mirror_writers(source):
@@ -433,8 +496,7 @@ def test_parameter_values_live_on_the_chart():
     src = Path(geo.__file__).resolve().parent
     takers = {f"{path.stem}.{name}" for path in sorted(src.glob("*.py"))
               for name in binding_takers(path.read_text(encoding="utf-8"))}
-    assert takers == {"expr.eval_many", "expr.evaluate", "expr._eval_nodes",
-                      "geometry.eval_sym2_comps"}
+    assert takers == {"expr.eval_many", "expr._eval_nodes", "geometry.eval_sym2_comps"}
     assert binding_takers("def f(g, *, binding=None):\n    pass\n") == ["f"]
     assert "binding" not in {f.name for f in dataclasses.fields(so.SolitonStructure)}
     assert [f.name for f in dataclasses.fields(mf.Manifest)] == [

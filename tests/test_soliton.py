@@ -1,12 +1,15 @@
 # soliton structures: residual operators, classification, identities,
 # conserved quantity, and the warped Einstein construction
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from solitonlab import examples as exm
 from solitonlab import expr as ex
 from solitonlab import geometry as geo
+from solitonlab import manifest as mf
 from solitonlab import soliton as so
 from solitonlab import spaces as sp
 from solitonlab.geometry import MetricField, ScalarField, VectorField
@@ -108,6 +111,21 @@ def test_classify_lambda():
         vector_field=VectorField(space.chart, (ex.ZERO,) * 3))
     pts = np.array([[0.5, 0, 0], [-0.5, 0, 0]])
     assert so.classify_lambda(mixed, pts) == "undefined"
+    assert so.triviality_check(mixed, pts).classification == "undefined"
+
+
+MANIFESTS = Path(__file__).resolve().parents[1] / "perfbench" / "manifests"
+
+
+@pytest.mark.parametrize("source", list(exm.STRUCTURE_BUILDERS) + sorted(
+    p.name for p in MANIFESTS.glob("*.json")))
+def test_triviality_verdict_carries_the_lambda_class(source):
+    # the verdict classifies the lambda values it evaluates itself, so a
+    # report needs no separate classify_lambda call
+    s = (mf.load(str(MANIFESTS / source)).structure if source.endswith(".json")
+         else exm.build_structure(source))
+    pts = so.default_points(s, count=50, seed=3)
+    assert so.triviality_check(s, pts).classification == so.classify_lambda(s, pts)
 
 
 def test_lambda_is_constant():

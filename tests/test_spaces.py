@@ -213,6 +213,26 @@ def test_oneill_batch_on_abstract_fiber_over_a_3d_base():
                                   [sp.oneill_ricci(w, q) for q in pts])
 
 
+def test_oneill_ricci_makes_one_strict_call_per_chart(monkeypatch):
+    # the base fields in one call, the fiber's in another (none for an abstract fiber)
+    w, _ = exm.pseudo_hyperbolic_product(3, -1.0, 1.0, 0.0)
+    wa = sp.make_warped((w.base_chart, w.base_metric), sp.AbstractFiber(2, -1.0), w.warping)
+    pts = geo.sample_points(w.chart, 30, 7, metric=w.metric)
+    calls = []
+    eval_many = ex.eval_many
+
+    def counted(exprs, points, binding=None, mode="strict"):
+        calls.append((mode, points.shape[1]))
+        return eval_many(exprs, points, binding, mode)
+
+    monkeypatch.setattr(ex, "eval_many", counted)
+    sp.oneill_ricci(w, pts)
+    assert calls == [("strict", 1), ("strict", 2)]
+    calls.clear()
+    sp.oneill_ricci(wa, pts[:, :1])
+    assert calls == [("strict", 1)]
+
+
 def test_oneill_abstract_matches_explicit():
     # Euclidean fiber has g_F = identity, so the abstract orthonormal-frame
     # block must agree entry for entry with the explicit chart computation
