@@ -3,9 +3,10 @@
 Commands: verify-example, verify-manifest, check-identity, construct-warped,
 classify.  Every run prints a deterministic JSON report document to stdout
 (--json PATH writes the same bytes to a file) and exits 0 when all expected
-verdicts were realized, 1 when a numeric check failed, and 2 on input or
-precondition errors (a stdout that cannot be written included).  Identical
-flags always produce byte-identical reports.
+verdicts were realized, 1 when a numeric check failed or an expected verdict
+was not realized, and 2 on input or precondition errors (an option the
+command does not read, and a stdout that cannot be written, included).
+Identical flags always produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -29,15 +30,6 @@ from . import spaces as sp
 from .geometry import ScalarField, VectorField
 
 EXIT_OK, EXIT_FAIL, EXIT_INPUT = 0, 1, 2
-
-IDENTITY_NAMES = ("bianchi", "fg-formulas", "lemma21", "divric", "eqpprinc",
-                  "mu-const", "conformal-factor", "oneill")
-_IDENTITY_TOL = {
-    "bianchi": idn.SUITE_TOL, "fg-formulas": idn.SUITE_TOL,
-    "lemma21": idn.SUITE_TOL, "divric": 1e-7, "eqpprinc": 1e-8,
-    "mu-const": 1e-9, "conformal-factor": 1e-9, "oneill": 1e-9,
-}
-
 
 def positive_int(text: str) -> int:
     """argparse type for a count of at least 1."""
@@ -71,11 +63,11 @@ def tolerance(text: str) -> float:
     return v
 
 
-_PARAM_FLAGS = (
-    ("--c", int), ("--n", int), ("--m", finite_float), ("--tau", finite_float),
-    ("--k", finite_float), ("--A", finite_float), ("--l", finite_float),
-    ("--a", finite_float), ("--b", finite_float), ("--h-expr", str),
-)
+# one hidden flag per catalog parameter, typed by the parameter's default
+_FLAG_TYPE = {int: int, float: finite_float, type(None): str}
+_PARAM_TYPES = {name: _FLAG_TYPE[type(value)]
+                for spec in cat.EXAMPLES.values() for name, value in spec.defaults}
+
 
 def check_dict(rep: so.ResidualReport) -> dict:
     return {
@@ -110,114 +102,124 @@ def emit(doc: dict, json_path=None) -> None:
     sys.stdout.write(text)
 
 
-def _overrides(args) -> dict:
-    out = {}
-    for flag, _ in _PARAM_FLAGS:
-        key = flag.lstrip("-").replace("-", "_")
-        val = getattr(args, key, None)
-        if val is not None:
-            out[key] = val
-    return out
+def _params(args) -> dict:
+    """The parameter flags given, by parameter name."""
+    return {k: getattr(args, k) for k in _PARAM_TYPES if getattr(args, k, None) is not None}
 
 
-def _example_digest(run: cat.ExampleRun) -> str:
-    if run.structure is not None:
-        return mf.digest(mf.structure_to_dict(run.structure))
-    return mf.digest({"example": run.example_id, "parameters": run.params})
+def _refuse_unread(args, reads, what: str) -> None:
+    """Raise for an optional flag that was given but that `what` does not read."""
+    for key in (*_PARAM_TYPES, "example", "dim", "random_metrics"):
+        if key not in reads and getattr(args, key, None) is not None:
+            raise ValueError(f"--{key.replace('_', '-')} is not read by {what}")
 
 
-def cmd_verify_example(args) -> int:
-    run = cat.run_example(args.id, _overrides(args), count=args.points,
-                          tol=args.tol if args.tol is not None else 1e-8,
+def cmd_verify_example(args) -> dict:
+    run = cat.run_example(args.id, _params(args), count=args.points, tol=args.tol,
                           seed=args.seed)
-    doc = report_document(_example_digest(run), [check_dict(r) for r in run.checks],
-                          run.classification, run.trivial, run.passed)
-    emit(doc, args.json)
-    return EXIT_OK if run.passed else EXIT_FAIL
+    source = ({"example": run.example_id, "parameters": run.params}
+              if run.structure is None else mf.structure_to_dict(run.structure))
+    return report_document(mf.digest(source), [check_dict(r) for r in run.checks],
+                           run.classification, run.trivial, run.passed)
 
 
-def cmd_verify_manifest(args) -> int:
+def cmd_verify_manifest(args) -> dict:
     man = mf.load(args.path)
     s = man.structure
-    tol = args.tol if args.tol is not None else 1e-8
     pts = so.default_points(s, args.points, args.seed)
-    checks = cat.structure_checks(s, pts, tol, divric=False)
-    verdict = so.triviality_check(s, pts, tol)
-    doc = report_document(man.digest, [check_dict(r) for r in checks],
-                          verdict.classification, verdict.trivial)
-    emit(doc, args.json)
-    return EXIT_OK if doc["pass"] else EXIT_FAIL
+    checks = cat.structure_checks(s, pts, args.tol, divric=False)
+    verdict = so.triviality_check(s, pts, args.tol)
+    return report_document(man.digest, [check_dict(r) for r in checks],
+                           verdict.classification, verdict.trivial)
 
 
-def _identity_reports(args, tol):
-    name = args.name
-    count = args.points
-    if name in ("bianchi", "fg-formulas", "lemma21"):
-        suite = {"bianchi": idn.bianchi_suite, "fg-formulas": idn.fg_formulas_suite,
-                 "lemma21": idn.lemma21_suite}[name]
-        reps = suite(dim=args.dim, metric_count=args.random_metrics,
-                     point_count=count, seed=args.seed, tol=tol)
-        digest = mf.digest({"identity": name, "dim": args.dim,
-                            "metrics": args.random_metrics, "points": count,
+def _suite(args, tol, suite):
+    """A universal identity suite over --random-metrics metrics of dimension --dim."""
+    dim, metrics = args.dim or 3, args.random_metrics or 20
+    reps = suite(dim=dim, metric_count=metrics, point_count=args.points,
+                 seed=args.seed, tol=tol)
+    return reps, mf.digest({"identity": args.name, "dim": dim, "metrics": metrics,
+                            "points": args.points, "seed": args.seed})
+
+
+def _on_structure(args, tol, check, default_example):
+    """A structure-level identity on the catalog structure --example."""
+    s = cat.build_structure(args.example or default_example, _params(args))
+    pts = so.default_points(s, args.points, args.seed)
+    return [check(s, pts, tol)], mf.digest(mf.structure_to_dict(s))
+
+
+_ONEILL_PARAMS = ("n", "k", "A", "l")
+
+
+def _oneill(args, tol):
+    """O'Neill's Ricci formulas on the pseudo-hyperbolic warped product."""
+    p = cat.EXAMPLES["pseudo-hyperbolic"].params(_params(args))
+    w, _ = cat.pseudo_hyperbolic_product(*(p[k] for k in _ONEILL_PARAMS))
+    reps = idn.oneill_suite(w, count=args.points, seed=args.seed, tol=tol)
+    return reps, mf.digest({"identity": "oneill", "warped": "pseudo-hyperbolic",
+                            "parameters": {k: p[k] for k in _ONEILL_PARAMS},
+                            "points": args.points, "seed": args.seed})
+
+
+def _conformal_factor(args, tol):
+    """The conformal factor of the height function on the round 3-sphere."""
+    S = sp.make_sphere(3)
+    g, n = S.metric, S.chart.dim
+    rho = sp.height_function(S, (0.0, 0.0, 0.0, 1.0)).field
+    pts = geo.sample_points(S.chart, args.points, args.seed)
+    reps = [so.conformal_factor_hessian_check(g, rho, pts, tol)]
+    u = so.potential_from_factor(g, rho, pts)
+    half_L = geo.half_lie_derivative_metric(g, geo.gradient(g, u))
+    comps = geo.sym2(n, lambda i, j: ex.sub(half_L.comps[i][j],
+                                            ex.mul(rho.expr, g.comps[i][j])))
+    reps += so.run_checks(g, pts, [("factor-potential", tol, comps)])
+    return reps, mf.digest({"identity": "conformal-factor", "points": args.points,
                             "seed": args.seed})
-        return reps, digest
-
-    if name == "oneill":
-        p = cat.EXAMPLES["pseudo-hyperbolic"].params(
-            {k: v for k, v in _overrides(args).items()
-             if k in ("n", "k", "A", "l")})
-        w, _ = cat.pseudo_hyperbolic_product(p["n"], p["k"], p["A"], p["l"])
-        reps = idn.oneill_suite(w, count=count, seed=args.seed, tol=tol)
-        digest = mf.digest({"identity": name, "warped": "pseudo-hyperbolic",
-                            "parameters": {k: p[k] for k in ("n", "k", "A", "l")},
-                            "points": count, "seed": args.seed})
-        return reps, digest
-
-    if name == "conformal-factor":
-        S = sp.make_sphere(3)
-        g, n = S.metric, S.chart.dim
-        rho = sp.height_function(S, (0.0, 0.0, 0.0, 1.0)).field
-        pts = geo.sample_points(S.chart, count, args.seed)
-        reps = [so.conformal_factor_hessian_check(g, rho, pts, tol)]
-        u = so.potential_from_factor(g, rho, pts)
-        half_L = geo.half_lie_derivative_metric(g, geo.gradient(g, u))
-        comps = geo.sym2(n, lambda i, j: ex.sub(half_L.comps[i][j],
-                                                ex.mul(rho.expr, g.comps[i][j])))
-        reps += so.run_checks(g, pts, [("factor-potential", tol, comps)])
-        digest = mf.digest({"identity": name, "points": count, "seed": args.seed})
-        return reps, digest
-
-    # structure-bound identities, run on a catalog example
-    default_example = "pseudo-hyperbolic" if name == "mu-const" else "neg-m-sphere"
-    s = cat.build_structure(args.example or default_example, _overrides(args))
-    pts = so.default_points(s, count, args.seed)
-    op = {"divric": so.divric_identity_residual, "eqpprinc": so.eqpprinc_residual,
-          "mu-const": so.mu_field}[name]
-    reps = [op(s, pts, tol)]
-    digest = mf.digest(mf.structure_to_dict(s))
-    return reps, digest
 
 
-def cmd_check_identity(args) -> int:
-    tol = args.tol if args.tol is not None else _IDENTITY_TOL[args.name]
-    reps, digest = _identity_reports(args, tol)
-    doc = report_document(digest, [check_dict(r) for r in reps])
-    emit(doc, args.json)
-    return EXIT_OK if doc["pass"] else EXIT_FAIL
+_SUITE_READS = ("dim", "random_metrics")
+_STRUCTURE_READS = ("example", *_PARAM_TYPES)
+
+# name -> (default tolerance, runner(args, tol) -> (reports, digest), the
+# optional flags the runner reads)
+IDENTITIES = {
+    "bianchi": (idn.SUITE_TOL, lambda a, tol: _suite(a, tol, idn.bianchi_suite),
+                _SUITE_READS),
+    "fg-formulas": (idn.SUITE_TOL, lambda a, tol: _suite(a, tol, idn.fg_formulas_suite),
+                    _SUITE_READS),
+    "lemma21": (idn.SUITE_TOL, lambda a, tol: _suite(a, tol, idn.lemma21_suite),
+                _SUITE_READS),
+    "divric": (1e-7, lambda a, tol: _on_structure(
+        a, tol, so.divric_identity_residual, "neg-m-sphere"), _STRUCTURE_READS),
+    "eqpprinc": (1e-8, lambda a, tol: _on_structure(
+        a, tol, so.eqpprinc_residual, "neg-m-sphere"), _STRUCTURE_READS),
+    "mu-const": (1e-9, lambda a, tol: _on_structure(
+        a, tol, so.mu_field, "pseudo-hyperbolic"), _STRUCTURE_READS),
+    "conformal-factor": (1e-9, _conformal_factor, ()),
+    "oneill": (1e-9, _oneill, _ONEILL_PARAMS),
+}
+
+
+def cmd_check_identity(args) -> dict:
+    default_tol, run, reads = IDENTITIES[args.name]
+    _refuse_unread(args, reads, f"check-identity {args.name}")
+    reps, digest = run(args, default_tol if args.tol is None else args.tol)
+    return report_document(digest, [check_dict(r) for r in reps])
 
 
 def _base_structure(args) -> so.SolitonStructure:
     base = args.base
     if base in cat.EXAMPLES:
-        return cat.build_structure(base, _overrides(args))
+        return cat.build_structure(base, _params(args))
     if os.path.exists(base):
+        _refuse_unread(args, (), "construct-warped from a manifest")
         return mf.load(base).structure
     raise ValueError(f"--base {base!r} is neither a catalog id nor a manifest path")
 
 
-def cmd_construct_warped(args) -> int:
+def cmd_construct_warped(args) -> dict:
     s = _base_structure(args)
-    tol = args.tol if args.tol is not None else 1e-8
     if args.fiber_dim is not None:
         fiber_dim = args.fiber_dim
     elif s.m is not None:
@@ -229,56 +231,49 @@ def cmd_construct_warped(args) -> int:
     pts = so.default_points(s, args.points, args.seed)
     w, rep = so.warped_einstein_construct(s, fiber_dim, args.fiber_mu,
                                           fiber_kind=args.fiber, points=pts,
-                                          seed=args.seed, tol=tol)
+                                          seed=args.seed, tol=args.tol)
     lam_bar = rep.metadata["lambda"]
     if w.chart is not None:
-        d = w.chart.dim
         prod = so.SolitonStructure(
             w.metric, ScalarField(w.chart, ex.ONE),
             ScalarField(w.chart, ex.const(lam_bar)),
-            vector_field=VectorField(w.chart, [ex.ZERO] * d))
+            vector_field=VectorField(w.chart, [ex.ZERO] * w.chart.dim))
         out_doc = mf.structure_to_dict(prod)
         if args.out:
             mf.write(out_doc, args.out)
         digest = mf.digest(out_doc)
     else:
         digest = mf.digest(mf.structure_to_dict(s))
-    doc = report_document(digest, [check_dict(rep)], so.lambda_class(lam_bar), True)
-    emit(doc, args.json)
-    return EXIT_OK if rep.passed else EXIT_FAIL
+    return report_document(digest, [check_dict(rep)], so.lambda_class(lam_bar), True)
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> dict:
     if (args.example is None) == (args.manifest is None):
         raise ValueError("give exactly one of --example or --manifest")
     if args.example is not None:
-        s = cat.build_structure(args.example, _overrides(args))
+        s = cat.build_structure(args.example, _params(args))
         digest = mf.digest(mf.structure_to_dict(s))
     else:
+        _refuse_unread(args, (), "classify --manifest")
         man = mf.load(args.manifest)
-        s = man.structure
-        digest = man.digest
+        s, digest = man.structure, man.digest
     pts = so.default_points(s, args.points, args.seed)
-    tol = args.tol if args.tol is not None else 1e-8
-    verdict = so.triviality_check(s, pts, tol)
-    doc = report_document(digest, [], verdict.classification, verdict.trivial,
-                          passed=True)
-    emit(doc, args.json)
-    return EXIT_OK
+    verdict = so.triviality_check(s, pts, args.tol)
+    return report_document(digest, [], verdict.classification, verdict.trivial)
 
 
-def _add_common(p: argparse.ArgumentParser, param_flags=False):
+def _add_common(p: argparse.ArgumentParser, tol=1e-8, param_flags=False):
     p.add_argument("--points", type=positive_int, default=200,
                    help="admissible sample count (default 200)")
-    p.add_argument("--tol", type=tolerance, default=None,
+    p.add_argument("--tol", type=tolerance, default=tol,
                    help="residual tolerance (default 1e-8, or the identity's own)")
     p.add_argument("--seed", type=non_negative_int, default=42,
                    help="sampler seed (default 42)")
     p.add_argument("--json", metavar="PATH", default=None,
                    help="also write the JSON report to PATH")
     if param_flags:
-        for flag, typ in _PARAM_FLAGS:
-            p.add_argument(flag, type=typ, default=None, dest=flag.lstrip("-").replace("-", "_"),
+        for name, typ in _PARAM_TYPES.items():
+            p.add_argument("--" + name.replace("_", "-"), type=typ, dest=name,
                            help=argparse.SUPPRESS)
 
 
@@ -309,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify-example", help="run a catalog example's check suite")
-    p.add_argument("id", choices=cat.EXAMPLE_IDS)
+    p.add_argument("id", choices=cat.EXAMPLES)
     _add_common(p, param_flags=True)
     p.set_defaults(func=cmd_verify_example)
 
@@ -319,14 +314,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_manifest)
 
     p = sub.add_parser("check-identity", help="run a structural identity suite")
-    p.add_argument("name", choices=IDENTITY_NAMES)
-    p.add_argument("--random-metrics", type=positive_int, default=20,
+    p.add_argument("name", choices=IDENTITIES)
+    p.add_argument("--random-metrics", type=positive_int, default=None,
                    help="perturbed metrics for the universal suites (default 20)")
-    p.add_argument("--dim", type=positive_int, default=3,
+    p.add_argument("--dim", type=positive_int, default=None,
                    help="dimension for random metrics (default 3)")
     p.add_argument("--example", default=None,
                    help="catalog structure for divric/eqpprinc/mu-const")
-    _add_common(p, param_flags=True)
+    _add_common(p, tol=None, param_flags=True)
     p.set_defaults(func=cmd_check_identity)
 
     p = sub.add_parser("construct-warped",
@@ -361,9 +356,10 @@ def main(argv=None) -> int:
     gc.disable()
     try:
         args = build_parser().parse_args(argv)
-        code = args.func(args)
+        doc = args.func(args)
+        emit(doc, args.json)
         sys.stdout.flush()
-        return code
+        return EXIT_OK if doc["pass"] else EXIT_FAIL
     except mf.ManifestError as err:
         print(f"manifest error: {err}", file=sys.stderr)
         return EXIT_INPUT

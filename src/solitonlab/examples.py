@@ -1,9 +1,10 @@
 """A catalog of explicit soliton structures with known closed forms.
 
 Each constructor returns a ready-to-verify structure (or, for the conformal
-fields, a vector field plus an expected-failure flag), and the registry pairs
-every catalog id with default parameters and the verdicts its check suite is
-expected to realize.  run_example executes the suite and reports whether all
+fields, a vector field plus an expected-failure flag).  EXAMPLES, the one
+catalog table, pairs every catalog id with its constructor, its default
+parameters, the verdicts its check suite is expected to realize and any
+checks of its own.  run_example executes the suite and reports whether all
 expectations were met — including the one construction that is supposed to
 fail its conformal check and does.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from typing import Callable
 
 from . import expr as ex
 from . import geometry as geo
@@ -234,60 +236,74 @@ def example_neg_m_sphere(n, m, a, b) -> so.SolitonStructure:
 # registry and suite runner
 
 
+def _hessian_equation(s: so.SolitonStructure, p: dict) -> list:
+    """Hess u + k u g = 0 characterizes the pseudo-hyperbolic potential."""
+    g, ku = s.metric, ex.mul(ex.const(float(p["k"])), s.potential.expr)
+    hess = geo.hessian(g, s.potential)
+    T = geo.sym2(g.chart.dim, lambda i, j: ex.add(
+        hess.comps[i][j], ex.mul(ku, g.comps[i][j])))
+    return [("potential-hessian-equation", HESSIAN_EQ_TOL, T)]
+
+
+def _pseudo_hyperbolic_class(p: dict):
+    """With h = -m/u, lambda is the constant (n+m-1)k; a free h sets no class."""
+    if p["h_expr"] is not None:
+        return None
+    return so.lambda_class((p["n"] + p["m"] - 1) * p["k"])
+
+
 @dataclass(frozen=True)
 class ExampleSpec:
+    """One catalog entry: how to build it and what its suite must show.
+
+    A structure entry's constructor returns a SolitonStructure; any other
+    returns a flat-space vector field and whether its conformal check is
+    expected to fail.  For a structure, `classification` and `trivial` map
+    the parameters to the expected verdicts, and `checks` maps the structure
+    and parameters to the entry's own (name, tol, residual) checks.
+    """
     example_id: str
-    defaults: tuple                  # ((name, value), ...)
-    expect_fail: tuple = ()          # check names that must fail; rest must pass
-    expected_trivial: bool = None
+    build: Callable
+    defaults: tuple                             # ((name, value), ...)
+    structure: bool = True
+    classification: Callable = lambda p: None   # None: any class
+    trivial: Callable = lambda p: False
+    checks: Callable = None
+    exclusive: tuple = ()                       # parameter pairs not both given
 
     def params(self, overrides=None) -> dict:
         p = dict(self.defaults)
-        for key, val in (overrides or {}).items():
-            if val is None:
-                continue
+        given = {k: v for k, v in (overrides or {}).items() if v is not None}
+        for key in given:
             if key not in p:
                 raise ValueError(f"unknown parameter {key!r} for {self.example_id}")
-            p[key] = val
+        for a, b in self.exclusive:
+            if a in given and b in given:
+                raise ValueError(f"{self.example_id} takes {a!r} or {b!r}, not both")
+        p.update(given)
         return p
 
 
-EXAMPLES = {
-    "space-form-gradient": ExampleSpec(
-        "space-form-gradient",
-        (("c", 1), ("n", 3), ("m", 2.0), ("tau", 1.0)),
-        expected_trivial=False),
-    "euclidean-gradient": ExampleSpec(
-        "euclidean-gradient",
-        (("n", 3), ("m", 3.0), ("tau", 1.0)),
-        expected_trivial=False),
-    "euclidean-conformal-claimed": ExampleSpec(
-        "euclidean-conformal-claimed",
-        (("n", 3),),
-        expect_fail=("conformal-killing",)),
-    "euclidean-conformal-corrected": ExampleSpec(
-        "euclidean-conformal-corrected",
-        (("n", 3),)),
-    "pseudo-hyperbolic": ExampleSpec(
-        "pseudo-hyperbolic",
-        (("n", 3), ("k", -1.0), ("A", 1.0), ("l", 0.0), ("m", 2.0),
-         ("h_expr", None)),
-        expected_trivial=False),
-    "neg-m-sphere": ExampleSpec(
-        "neg-m-sphere",
-        (("n", 3), ("m", 2.0), ("a", 1.0), ("b", 2.0)),
-        expected_trivial=False),
-}
-
-EXAMPLE_IDS = tuple(EXAMPLES)
-
-# the catalog entries that carry a soliton structure, and their constructors
-STRUCTURE_BUILDERS = {
-    "space-form-gradient": example_space_form,
-    "euclidean-gradient": example_euclidean_gradient,
-    "pseudo-hyperbolic": example_pseudo_hyperbolic,
-    "neg-m-sphere": example_neg_m_sphere,
-}
+EXAMPLES = {spec.example_id: spec for spec in (
+    ExampleSpec("space-form-gradient", example_space_form,
+                (("c", 1), ("n", 3), ("m", 2.0), ("tau", 1.0))),
+    ExampleSpec("euclidean-gradient", example_euclidean_gradient,
+                (("n", 3), ("m", 3.0), ("tau", 1.0)),
+                classification=lambda p: "shrinking" if p["m"] > 0 else "expanding"),
+    ExampleSpec("euclidean-conformal-claimed", example_euclidean_claimed_conformal,
+                (("n", 3),), structure=False),
+    ExampleSpec("euclidean-conformal-corrected", example_euclidean_corrected_conformal,
+                (("n", 3),), structure=False),
+    ExampleSpec("pseudo-hyperbolic", example_pseudo_hyperbolic,
+                (("n", 3), ("k", -1.0), ("A", 1.0), ("l", 0.0), ("m", 2.0),
+                 ("h_expr", None)),
+                classification=_pseudo_hyperbolic_class, checks=_hessian_equation,
+                exclusive=(("m", "h_expr"),)),
+    # at a = 0 the potential is constant, and the structure trivial
+    ExampleSpec("neg-m-sphere", example_neg_m_sphere,
+                (("n", 3), ("m", 2.0), ("a", 1.0), ("b", 2.0)),
+                trivial=lambda p: p["a"] == 0),
+)}
 
 
 def _spec(example_id: str) -> ExampleSpec:
@@ -300,10 +316,9 @@ def _spec(example_id: str) -> ExampleSpec:
 def build_structure(example_id: str, params=None) -> so.SolitonStructure:
     """The soliton structure of a catalog entry, defaults overridden by params."""
     spec = _spec(example_id)
-    builder = STRUCTURE_BUILDERS.get(example_id)
-    if builder is None:
+    if not spec.structure:
         raise ValueError(f"example {example_id!r} carries no soliton structure")
-    return builder(**spec.params(params))
+    return spec.build(**spec.params(params))
 
 
 @dataclass
@@ -351,14 +366,6 @@ def structure_checks(s: so.SolitonStructure, pts, tol: float, divric: bool = Tru
     return reports + second
 
 
-def _expected_classification(example_id: str, p: dict) -> str:
-    if example_id == "euclidean-gradient":
-        return "shrinking" if p["m"] > 0 else "expanding"
-    if example_id == "pseudo-hyperbolic" and p.get("h_expr") is None:
-        return so.lambda_class((p["n"] + p["m"] - 1) * p["k"])
-    return None
-
-
 def run_example(example_id: str, params=None, count: int = 200,
                 tol: float = 1e-8, seed: int = 42) -> ExampleRun:
     """Build the catalog entry, run its suite, and compare against the
@@ -366,41 +373,33 @@ def run_example(example_id: str, params=None, count: int = 200,
     spec = _spec(example_id)
     p = spec.params(params)
     run = ExampleRun(example_id, p, [])
+    expect_fail, missed = (), []
 
-    if example_id in ("euclidean-conformal-claimed", "euclidean-conformal-corrected"):
-        build = (example_euclidean_claimed_conformal
-                 if example_id == "euclidean-conformal-claimed"
-                 else example_euclidean_corrected_conformal)
-        X, expect_failure = build(**p)
+    if not spec.structure:
+        X, expect_failure = spec.build(**p)
         g = sp.make_euclidean(int(p["n"])).metric
         pts = geo.sample_points(g.chart, count, seed)
         verdict = so.conformal_killing_check(g, X, pts, tol)
         run.checks.append(so._report("conformal-killing", tol, pts, verdict.residuals))
         if expect_failure:
+            expect_fail = ("conformal-killing",)
             run.notes.append("conformal claim does not hold; failure expected")
     else:
-        s = STRUCTURE_BUILDERS[example_id](**p)
+        s = spec.build(**p)
         pts = so.default_points(s, count, seed)
         run.structure = s
         run.checks = structure_checks(s, pts, tol)
-        if example_id == "pseudo-hyperbolic":
-            # Hess u + k u g = 0 characterizes the pseudo-hyperbolic potential
-            g, ku = s.metric, ex.mul(ex.const(float(p["k"])), s.potential.expr)
-            hess = geo.hessian(g, s.potential)
-            T = geo.sym2(g.chart.dim, lambda i, j: ex.add(
-                hess.comps[i][j], ex.mul(ku, g.comps[i][j])))
-            run.checks += so.run_checks(
-                g, pts, [("potential-hessian-equation", HESSIAN_EQ_TOL, T)])
+        if spec.checks is not None:
+            run.checks += so.run_checks(s.metric, pts, spec.checks(s, p))
         tv = so.triviality_check(s, pts, tol)
         run.triviality, run.trivial, run.classification = tv, tv.trivial, tv.classification
+        want = spec.classification(p)
+        if want is not None and run.classification != want:
+            missed.append(f"classification {run.classification!r}, expected {want!r}")
+        if run.trivial != spec.trivial(p):
+            missed.append(f"triviality {run.trivial}, expected {spec.trivial(p)}")
 
-    ok = all(rep.passed != (rep.name in spec.expect_fail) for rep in run.checks)
-    want = _expected_classification(example_id, p)
-    if want is not None and run.classification != want:
-        ok = False
-        run.notes.append(f"classification {run.classification!r}, expected {want!r}")
-    if spec.expected_trivial is not None and run.trivial != spec.expected_trivial:
-        ok = False
-        run.notes.append(f"triviality {run.trivial}, expected {spec.expected_trivial}")
-    run.passed = ok
+    run.notes += missed
+    run.passed = not missed and all(rep.passed != (rep.name in expect_fail)
+                                    for rep in run.checks)
     return run

@@ -102,6 +102,15 @@ def test_verify_example_rejects_bad_parameters(capsys):
     assert "invalid input" in err and "must exceed" in err
 
 
+def test_neg_m_sphere_with_constant_potential_is_expected_trivial(capsys):
+    # at a = 0, u = b is constant: the structure is trivial, as the catalog expects
+    code, out, err = run_cli(capsys, "verify-example", "neg-m-sphere", "--a", "0",
+                             "--points", "40")
+    doc = json.loads(out)
+    assert all(c["pass"] for c in doc["checks"])
+    assert (code, err, doc["trivial"], doc["pass"]) == (0, "", True, True)
+
+
 def test_verify_example_unknown_id_is_usage_error(capsys):
     with pytest.raises(SystemExit):
         cli.main(["verify-example", "moebius-band"])
@@ -502,6 +511,82 @@ def test_classify_needs_exactly_one_source(tmp_path, capsys):
     code, _, err = run_cli(capsys, "classify", "--example", "neg-m-sphere",
                            "--manifest", path)
     assert code == 2 and "exactly one" in err
+
+
+def _gradient_manifest(tmp_path):
+    path = tmp_path / "ph.json"
+    mf.write(mf.structure_to_dict(exm.build_structure("pseudo-hyperbolic")), str(path))
+    return str(path)
+
+
+UNREAD = [
+    (("check-identity", "bianchi", "--m", "2"), "--m is not read by check-identity bianchi"),
+    (("check-identity", "fg-formulas", "--n", "4"),
+     "--n is not read by check-identity fg-formulas"),
+    (("check-identity", "lemma21", "--h-expr", "x1"),
+     "--h-expr is not read by check-identity lemma21"),
+    (("check-identity", "conformal-factor", "--tau", "2"),
+     "--tau is not read by check-identity conformal-factor"),
+    (("check-identity", "oneill", "--m", "3"), "--m is not read by check-identity oneill"),
+    (("check-identity", "oneill", "--h-expr", "sinh(t)"),
+     "--h-expr is not read by check-identity oneill"),
+    (("check-identity", "bianchi", "--example", "neg-m-sphere"),
+     "--example is not read by check-identity bianchi"),
+    (("check-identity", "oneill", "--example", "pseudo-hyperbolic"),
+     "--example is not read by check-identity oneill"),
+    (("check-identity", "conformal-factor", "--example", "neg-m-sphere"),
+     "--example is not read by check-identity conformal-factor"),
+    (("check-identity", "oneill", "--dim", "3"), "--dim is not read by check-identity oneill"),
+    (("check-identity", "divric", "--random-metrics", "2"),
+     "--random-metrics is not read by check-identity divric"),
+    (("check-identity", "mu-const", "--dim", "4"),
+     "--dim is not read by check-identity mu-const"),
+    (("classify", "--manifest", "MANIFEST", "--a", "0.5"),
+     "--a is not read by classify --manifest"),
+    (("construct-warped", "--base", "MANIFEST", "--k", "-2"),
+     "--k is not read by construct-warped from a manifest"),
+    (("verify-example", "pseudo-hyperbolic", "--m", "5", "--h-expr", "sinh(t)"),
+     "pseudo-hyperbolic takes 'm' or 'h_expr', not both"),
+]
+
+
+@pytest.mark.parametrize("argv,message", UNREAD, ids=[" ".join(a) for a, _ in UNREAD])
+def test_option_the_command_does_not_read_is_input_error(argv, message, tmp_path, capsys):
+    argv = [_gradient_manifest(tmp_path) if a == "MANIFEST" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv, "--points", "20")
+    assert (code, out, err) == (2, "", f"invalid input: {message}\n")
+
+
+def _hidden_flags():
+    parser = next(a for a in cli.build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)).choices["verify-example"]
+    return {a.dest: a for a in parser._actions if a.help == argparse.SUPPRESS}
+
+
+def test_hidden_flags_are_the_catalog_parameters():
+    flags = _hidden_flags()
+    defaults = {name: value for spec in exm.EXAMPLES.values() for name, value in spec.defaults}
+    assert set(flags) == set(defaults)
+    for name, value in defaults.items():
+        assert flags[name].option_strings == ["--" + name.replace("_", "-")]
+        assert flags[name].type is {int: int, float: cli.finite_float,
+                                    type(None): str}[type(value)]
+
+
+@pytest.mark.parametrize("example_id", list(exm.EXAMPLES))
+def test_parameter_flag_at_its_default_leaves_the_report_unchanged(example_id, capsys):
+    argv = ("verify-example", example_id, "--points", "20")
+    want = run_cli(capsys, *argv)
+    for name, value in exm.EXAMPLES[example_id].defaults:
+        if value is not None:
+            flag = "--" + name.replace("_", "-")
+            assert run_cli(capsys, *argv, f"{flag}={value}") == want, flag
+
+
+def test_suite_row_applies_the_default_dimension_and_metric_count(capsys):
+    argv = ("check-identity", "lemma21", "--points", "10")
+    assert run_cli(capsys, *argv) == run_cli(capsys, *argv, "--dim", "3",
+                                             "--random-metrics", "20")
 
 
 _REPORT_ARGV = ("verify-example", "neg-m-sphere", "--points", "20")

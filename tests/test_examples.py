@@ -10,15 +10,11 @@ from solitonlab import soliton as so
 from solitonlab import spaces as sp
 
 
-@pytest.mark.parametrize("example_id", exm.EXAMPLE_IDS)
+@pytest.mark.parametrize("example_id", list(exm.EXAMPLES))
 def test_catalog_defaults_pass(example_id):
     run = exm.run_example(example_id, count=120)
     assert run.passed, [(r.name, r.sup) for r in run.checks]
     assert run.checks
-
-
-def test_example_ids_match_registry():
-    assert set(exm.EXAMPLE_IDS) == set(exm.EXAMPLES)
 
 
 def test_space_form_gradient_residual_tiny():

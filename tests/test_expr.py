@@ -119,7 +119,8 @@ def test_differentiate_is_memoized_per_coordinate():
     assert d[0] is ex.coord(1) and d[1] is ex.coord(0) and d[2] is ex.cos(ex.coord(2))
 
 
-@pytest.mark.parametrize("example_id", sorted(exm.STRUCTURE_BUILDERS))
+@pytest.mark.parametrize("example_id", sorted(i for i, spec in exm.EXAMPLES.items()
+                                               if spec.structure))
 def test_text_round_trip_on_catalog_metrics(example_id):
     g = exm.build_structure(example_id).metric
     chart = g.chart

@@ -117,7 +117,8 @@ def test_classify_lambda():
 MANIFESTS = Path(__file__).resolve().parents[1] / "perfbench" / "manifests"
 
 
-@pytest.mark.parametrize("source", list(exm.STRUCTURE_BUILDERS) + sorted(
+@pytest.mark.parametrize("source", [
+    i for i, spec in exm.EXAMPLES.items() if spec.structure] + sorted(
     p.name for p in MANIFESTS.glob("*.json")))
 def test_triviality_verdict_carries_the_lambda_class(source):
     # the verdict classifies the lambda values it evaluates itself, so a
