@@ -317,8 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=IDENTITIES)
     p.add_argument("--random-metrics", type=positive_int, default=None,
                    help="perturbed metrics for the universal suites (default 20)")
-    p.add_argument("--dim", type=positive_int, default=None,
-                   help="dimension for random metrics (default 3)")
+    # the symbolic inverse metric costs about 3x per dimension: 7 takes seconds
+    p.add_argument("--dim", type=positive_int, default=None, choices=range(1, 7),
+                   help="dimension for random metrics, at most 6 (default 3)")
     p.add_argument("--example", default=None,
                    help="catalog structure for divric/eqpprinc/mu-const")
     _add_common(p, tol=None, param_flags=True)

@@ -10,7 +10,8 @@ own.  `differentiate` memoizes in one `{node: derivative}` table per
 coordinate index.
 Smart constructors fold constants and eliminate `x+0`, `x*1`, `x*0` at build
 time, which keeps node counts small when curvature formulas contract over
-mostly-zero metric components.
+mostly-zero metric components.  They test for 0 and 1 by identity with the
+interned `ZERO` and `ONE`: `const` maps -0.0 to 0.0, so each has one node.
 
 The language is deliberately closed: binary `+ - * /`, integer powers `^`,
 unary minus, and the functions exp, ln, sqrt, sin, cos, sinh, cosh, tanh over
@@ -25,7 +26,7 @@ to a negative power, or any non-finite intermediate) either raise DomainError
 with the index of the offending point ("strict") or mark the point invalid in
 a returned mask ("masked").
 
-`eval_many` has one interpreter: a pass over the DAG in topological order,
+`eval_many` has one interpreter: a pass over the DAG in `_topo`'s order,
 one numpy call per node, with floating-point faults raised.  The pass keeps
 only the values of shared nodes (nodes with more than one consumer) and of
 roots; a node with one consumer is dropped once that consumer has run, and an
@@ -34,7 +35,9 @@ values stay bit-identical, and the memory an evaluation holds is bounded by
 the DAG's shared nodes, not by its size.  A fault, or a non-finite input,
 replays the pass from the first node with every value kept and faults
 ignored, and the first node with a non-finite lane locates the error.  There
-is no second interpreter that checks every node's domain.
+is no second interpreter that checks every node's domain.  That order, a
+depth-first post-order over roots and arguments first to last, is a contract:
+`_locate` names the first faulting node by it, so a metric listed first faults first.
 """
 
 from __future__ import annotations
@@ -108,20 +111,20 @@ _TABLE: dict = {k: {} for k in ("const", "coord", "param", "add", "sub", "mul", 
                                 "neg", "pow") + FUNCTIONS}
 
 
+def _new(table, key, kind, payload, args) -> Expression:
+    """Intern a node `table` lacks under `key`; nodes are truthy, so `get(key) or _new(...)`."""
+    e = Expression()
+    e.kind, e.payload, e.args = kind, payload, args
+    table[key] = e
+    return e
+
+
 def _node(kind, payload, args) -> Expression:
     # a leaf is keyed by its payload, pow by (k, args), any other node by the
     # args tuple it keeps anyway, so an interned node owns no separate key
     table = _TABLE[kind]
     key = payload if not args else args if payload is None else (payload, args)
-    hit = table.get(key)
-    if hit is not None:
-        return hit
-    e = Expression.__new__(Expression)
-    e.kind = kind
-    e.payload = payload
-    e.args = args
-    table[key] = e
-    return e
+    return table.get(key) or _new(table, key, kind, payload, args)
 
 
 def const(v) -> Expression:
@@ -147,70 +150,72 @@ def param(name: str) -> Expression:
 
 ZERO = const(0.0)
 ONE = const(1.0)
-
-
-def _is_const(e, v=None):
-    return e.kind == "const" and (v is None or e.payload == v)
+_ADD, _SUB, _MUL, _DIV, _NEG = (_TABLE[k] for k in ("add", "sub", "mul", "div", "neg"))
 
 
 def add(a: Expression, b: Expression) -> Expression:
-    if _is_const(a) and _is_const(b):
+    if a is ZERO:
+        return b
+    if b is ZERO:
+        return a
+    if a.kind == "const" and b.kind == "const":
         v = a.payload + b.payload
         if math.isfinite(v):
             return const(v)
-    if _is_const(a, 0.0):
-        return b
-    if _is_const(b, 0.0):
-        return a
-    return _node("add", None, (a, b))
+    args = (a, b)
+    return _ADD.get(args) or _new(_ADD, args, "add", None, args)
 
 
 def sub(a: Expression, b: Expression) -> Expression:
     if a is b:
         return ZERO
-    if _is_const(a) and _is_const(b):
+    if b is ZERO:
+        return a
+    if a is ZERO:
+        return neg(b)
+    if a.kind == "const" and b.kind == "const":
         v = a.payload - b.payload
         if math.isfinite(v):
             return const(v)
-    if _is_const(b, 0.0):
-        return a
-    if _is_const(a, 0.0):
-        return neg(b)
-    return _node("sub", None, (a, b))
+    args = (a, b)
+    return _SUB.get(args) or _new(_SUB, args, "sub", None, args)
 
 
 def neg(a: Expression) -> Expression:
-    if _is_const(a):
+    if a.kind == "const":
         return const(-a.payload)
     if a.kind == "neg":
         return a.args[0]
-    return _node("neg", None, (a,))
+    args = (a,)
+    return _NEG.get(args) or _new(_NEG, args, "neg", None, args)
 
 
 def mul(a: Expression, b: Expression) -> Expression:
-    if _is_const(a, 0.0) or _is_const(b, 0.0):
+    if a is ZERO or b is ZERO:
         return ZERO
-    if _is_const(a) and _is_const(b):
+    if a is ONE:
+        return b
+    if b is ONE:
+        return a
+    if a.kind == "const" and b.kind == "const":
         v = a.payload * b.payload
         if math.isfinite(v):
             return const(v)
-    if _is_const(a, 1.0):
-        return b
-    if _is_const(b, 1.0):
-        return a
-    return _node("mul", None, (a, b))
+    args = (a, b)
+    return _MUL.get(args) or _new(_MUL, args, "mul", None, args)
 
 
 def div(a: Expression, b: Expression) -> Expression:
-    if _is_const(a, 0.0):
+    if a is ZERO:
         return ZERO
-    if _is_const(b, 1.0):
+    if b is ONE:
         return a
-    if _is_const(a) and _is_const(b) and b.payload != 0.0:
+    if a.kind == "const" and b.kind == "const" and b is not ZERO:
         v = a.payload / b.payload
         if math.isfinite(v):
             return const(v)
-    return _node("div", None, (a, b))
+    args = (a, b)
+    return _DIV.get(args) or _new(_DIV, args, "div", None, args)
 
 
 def powi(a: Expression, k: int) -> Expression:
@@ -224,7 +229,7 @@ def powi(a: Expression, k: int) -> Expression:
         return ONE
     if k == 1:
         return a
-    if _is_const(a) and not (a.payload == 0.0 and k < 0):
+    if a.kind == "const" and not (a is ZERO and k < 0):
         try:
             v = a.payload ** k
         except OverflowError:
@@ -238,7 +243,7 @@ def powi(a: Expression, k: int) -> Expression:
 
 
 def _call(fname: str, a: Expression) -> Expression:
-    if _is_const(a):
+    if a.kind == "const":
         try:
             v = _MATH_FUNC[fname](a.payload)
         except (ValueError, OverflowError):
@@ -282,13 +287,11 @@ def tanh(a):
 
 def nsum(terms) -> Expression:
     """Sum a sequence with balanced pairing to keep tree depth logarithmic."""
-    terms = [t for t in terms]
+    terms = list(terms)
     if not terms:
         return ZERO
     while len(terms) > 1:
-        nxt = []
-        for i in range(0, len(terms) - 1, 2):
-            nxt.append(add(terms[i], terms[i + 1]))
+        nxt = [add(terms[i], terms[i + 1]) for i in range(0, len(terms) - 1, 2)]
         if len(terms) % 2:
             nxt.append(terms[-1])
         terms = nxt
@@ -522,55 +525,50 @@ def differentiate(e: Expression, coord_index: int) -> Expression:
     memo = _DIFF.get(coord_index)
     if memo is None:
         memo = _DIFF[coord_index] = {}
-    return _derive(e, coord_index, memo)
+    return memo.get(e) or _derive(e, coord_index, memo)
 
 
 def _derive(e, i, memo):
-    hit = memo.get(e)
-    if hit is not None:
-        return hit
-    k = e.kind
-    if k in ("const", "param"):
-        d = ZERO
-    elif k == "coord":
-        d = ONE if e.payload == i else ZERO
-    elif k == "add":
-        d = add(_derive(e.args[0], i, memo), _derive(e.args[1], i, memo))
-    elif k == "sub":
-        d = sub(_derive(e.args[0], i, memo), _derive(e.args[1], i, memo))
-    elif k == "neg":
-        d = neg(_derive(e.args[0], i, memo))
-    elif k == "mul":
-        a, b = e.args
-        d = add(mul(_derive(a, i, memo), b), mul(a, _derive(b, i, memo)))
-    elif k == "div":
-        a, b = e.args
-        num = sub(mul(_derive(a, i, memo), b), mul(a, _derive(b, i, memo)))
-        d = div(num, powi(b, 2))
-    elif k == "pow":
-        a = e.args[0]
-        d = mul(mul(const(e.payload), powi(a, e.payload - 1)), _derive(a, i, memo))
-    else:
-        a = e.args[0]
-        da = _derive(a, i, memo)
-        if k == "exp":
-            d = mul(e, da)
-        elif k == "ln":
-            d = div(da, a)
-        elif k == "sqrt":
-            d = div(da, mul(const(2.0), e))
-        elif k == "sin":
-            d = mul(cos(a), da)
-        elif k == "cos":
-            d = mul(neg(sin(a)), da)
-        elif k == "sinh":
-            d = mul(cosh(a), da)
-        elif k == "cosh":
-            d = mul(sinh(a), da)
-        elif k == "tanh":
-            d = mul(sub(ONE, powi(e, 2)), da)
+    # the caller missed e in memo; each operand is looked up before recursing
+    k, args = e.kind, e.args
+    if not args:
+        d = memo[e] = ONE if k == "coord" and e.payload == i else ZERO
+        return d
+    a = args[0]
+    da = memo.get(a) or _derive(a, i, memo)
+    if len(args) == 2:
+        b = args[1]
+        db = memo.get(b) or _derive(b, i, memo)
+        if k == "mul":
+            d = add(mul(da, b), mul(a, db))
+        elif k == "add":
+            d = add(da, db)
+        elif k == "sub":
+            d = sub(da, db)
         else:
-            raise AssertionError(f"unhandled kind {k}")
+            d = div(sub(mul(da, b), mul(a, db)), powi(b, 2))
+    elif k == "neg":
+        d = neg(da)
+    elif k == "pow":
+        d = mul(mul(const(e.payload), powi(a, e.payload - 1)), da)
+    elif k == "exp":
+        d = mul(e, da)
+    elif k == "ln":
+        d = div(da, a)
+    elif k == "sqrt":
+        d = div(da, mul(const(2.0), e))
+    elif k == "sin":
+        d = mul(cos(a), da)
+    elif k == "cos":
+        d = mul(neg(sin(a)), da)
+    elif k == "sinh":
+        d = mul(cosh(a), da)
+    elif k == "cosh":
+        d = mul(sinh(a), da)
+    elif k == "tanh":
+        d = mul(sub(ONE, powi(e, 2)), da)
+    else:
+        raise AssertionError(f"unhandled kind {k}")
     memo[e] = d
     return d
 
@@ -615,25 +613,39 @@ def _topo(roots):
     A node is shared when the walk reaches it more than once: it is an
     argument of two nodes, both arguments of one (`a*a`), or a repeated root
     or a root that another root uses.  Every other node has at most one
-    consumer.
+    consumer.  The order is a contract; see the module docstring.
     """
     order, seen, shared = [], set(), set()
-    stack = [(r, False) for r in reversed(roots)]
+    stack = list(reversed(roots))
+    # a node whose args are being walked sits under a None marker
+    push, pop, emit, visit, share = stack.append, stack.pop, order.append, seen.add, shared.add
     while stack:
-        node, done = stack.pop()
-        if done:
-            order.append(node)
+        node = pop()
+        if node is None:
+            emit(pop())
             continue
         if node in seen:
-            shared.add(node)
+            share(node)
             continue
-        seen.add(node)
-        stack.append((node, True))
-        for c in reversed(node.args):
-            if c in seen:
-                shared.add(c)
+        visit(node)
+        args = node.args
+        if not args:
+            emit(node)
+            continue
+        push(node)
+        push(None)
+        if len(args) == 2:
+            a, b = args
+            if b in seen:
+                share(b)
             else:
-                stack.append((c, False))
+                push(b)
+        else:
+            a = args[0]
+        if a in seen:
+            share(a)
+        else:
+            push(a)
     return order, shared
 
 

@@ -509,12 +509,12 @@ def eval_scalar(f: ScalarField, points) -> np.ndarray:
     return eval_tensors(f.chart, [f.expr], points)[0]
 
 
-def eval_sym2_comps(comps, points, binding=None) -> np.ndarray:
-    """(N, n, n) array for an n x n nested tuple of expressions."""
+def eval_sym2_comps(comps, points) -> np.ndarray:
+    """(N, n, n) array for an n x n nested tuple of parameter-free expressions."""
     n = len(comps)
     flat = [comps[i][j] for i in range(n) for j in range(n)]
     pts = points_array(points)
-    vals = ex.eval_many(flat, pts, binding)
+    vals = ex.eval_many(flat, pts)
     return vals.T.reshape(-1, n, n)
 
 

@@ -1,17 +1,107 @@
 """Reference implementations that tests compare the package against.
 
 `eval_checked` is the interpreter `expr.eval_many` replaced: it tests every
-node's domain as it goes.  `evaluate` reads one expression at one point
-through `eval_many`.  `finite_difference` is the numeric oracle for
+node's domain as it goes, in the order of its own copy of the DAG walk,
+`topo`.  `add`, `sub`, `mul`, `div` and `neg` are the constructors whose
+folds the package's must reproduce node for node.  `evaluate` reads one
+expression at one point through `eval_many`.  `finite_difference` is the numeric oracle for
 `expr.differentiate`.  `riemann_sectional` reads sectional curvatures off
 `geometry.riemann_up`, for the model spaces' known constants.
 """
 
+import math
+
 import numpy as np
 
 from solitonlab import geometry as geo
-from solitonlab.expr import (_NP_FUNC, DomainError, Expression, UnboundParameterError,
-                             _points, _topo, eval_many)
+from solitonlab.expr import (_NP_FUNC, ZERO, DomainError, Expression, UnboundParameterError,
+                             _node, _points, const, eval_many)
+
+
+def _is_const(e, v=None):
+    return e.kind == "const" and (v is None or e.payload == v)
+
+
+def add(a: Expression, b: Expression) -> Expression:
+    if _is_const(a) and _is_const(b):
+        v = a.payload + b.payload
+        if math.isfinite(v):
+            return const(v)
+    if _is_const(a, 0.0):
+        return b
+    if _is_const(b, 0.0):
+        return a
+    return _node("add", None, (a, b))
+
+
+def sub(a: Expression, b: Expression) -> Expression:
+    if a is b:
+        return ZERO
+    if _is_const(a) and _is_const(b):
+        v = a.payload - b.payload
+        if math.isfinite(v):
+            return const(v)
+    if _is_const(b, 0.0):
+        return a
+    if _is_const(a, 0.0):
+        return neg(b)
+    return _node("sub", None, (a, b))
+
+
+def neg(a: Expression) -> Expression:
+    if _is_const(a):
+        return const(-a.payload)
+    if a.kind == "neg":
+        return a.args[0]
+    return _node("neg", None, (a,))
+
+
+def mul(a: Expression, b: Expression) -> Expression:
+    if _is_const(a, 0.0) or _is_const(b, 0.0):
+        return ZERO
+    if _is_const(a) and _is_const(b):
+        v = a.payload * b.payload
+        if math.isfinite(v):
+            return const(v)
+    if _is_const(a, 1.0):
+        return b
+    if _is_const(b, 1.0):
+        return a
+    return _node("mul", None, (a, b))
+
+
+def div(a: Expression, b: Expression) -> Expression:
+    if _is_const(a, 0.0):
+        return ZERO
+    if _is_const(b, 1.0):
+        return a
+    if _is_const(a) and _is_const(b) and b.payload != 0.0:
+        v = a.payload / b.payload
+        if math.isfinite(v):
+            return const(v)
+    return _node("div", None, (a, b))
+
+
+def topo(roots):
+    """Deduplicated post-order over the DAG spanned by `roots`, and its shared nodes."""
+    order, seen, shared = [], set(), set()
+    stack = [(r, False) for r in reversed(roots)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            order.append(node)
+            continue
+        if node in seen:
+            shared.add(node)
+            continue
+        seen.add(node)
+        stack.append((node, True))
+        for c in reversed(node.args):
+            if c in seen:
+                shared.add(c)
+            else:
+                stack.append((c, False))
+    return order, shared
 
 
 def _first_true(mask):
@@ -31,7 +121,7 @@ def eval_checked(exprs, points, binding=None, mode="strict"):
     bad_total = np.zeros(n_pts, dtype=bool)
     vals: dict = {}
     with np.errstate(all="ignore"):
-        for node in _topo(roots)[0]:
+        for node in topo(roots)[0]:
             k = node.kind
             hazard = None
             if k == "const":

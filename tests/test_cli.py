@@ -15,6 +15,7 @@ import pytest
 
 from solitonlab import cli
 from solitonlab import examples as exm
+from solitonlab import identities as idn
 from solitonlab import manifest as mf
 from solitonlab import soliton as so
 
@@ -347,6 +348,17 @@ def test_seed_zero_parses_to_int_zero():
     assert args.seed == 0 and type(args.seed) is int
 
 
+def test_dim_above_six_is_refused_before_any_metric_is_built(monkeypatch):
+    # the symbolic inverse metric grows about 3x per dimension, so the parser
+    # refuses a dimension past 6 instead of starting a build that runs for seconds
+    monkeypatch.setattr(idn, "suite_metrics", lambda *a, **k: pytest.fail("metrics built"))
+    for name in ("bianchi", "fg-formulas", "lemma21"):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["check-identity", name, "--dim", "7", "--random-metrics", "1",
+                      "--points", "1"])
+        assert info.value.code == 2
+
+
 BAD_NUMBERS = [
     (("verify-example", "neg-m-sphere", "--tol", "nan"), "--tol: must be finite, got nan"),
     (("classify", "--example", "neg-m-sphere", "--tol", "nan"), "--tol: must be finite, got nan"),
@@ -360,7 +372,9 @@ BAD_NUMBERS = [
 ] + [(("verify-example", "pseudo-hyperbolic", f"{flag}={value}"),
       f"{flag}: must be finite, got {value}")
      for flag, value in (("--m", "nan"), ("--tau", "inf"), ("--k", "-inf"), ("--A", "1e999"),
-                         ("--l", "NaN"), ("--a", "-Infinity"), ("--b", "nan"))]
+                         ("--l", "NaN"), ("--a", "-Infinity"), ("--b", "nan"))] + [
+    (("check-identity", "bianchi", "--dim", "7", "--random-metrics", "1", "--points", "1"),
+     "--dim: invalid choice: 7 (choose from 1, 2, 3, 4, 5, 6)")]
 
 
 @pytest.mark.parametrize("argv,message", BAD_NUMBERS)

@@ -166,6 +166,60 @@ def test_constant_folding():
     assert ex.powi(ex.coord(1), 1) is ex.coord(1)
 
 
+def test_constructors_fold_like_the_reference():
+    # each constructor returns the very node the reference's folds return, on
+    # zeros of both signs, one, a plain constant, constants whose folds
+    # overflow (so stay unfolded), leaves, a negation and a compound node
+    x = ex.coord(0)
+    grid = [ex.ZERO, ex.const(-0.0), ex.ONE, ex.const(2.5), ex.const(1e308), ex.const(-1e308),
+            x, ex.param("a"), ex.neg(x), ex.div(ex.mul(x, ex.param("a")), ex.const(3.0))]
+    for name in ("add", "sub", "mul", "div"):
+        new, ref = getattr(ex, name), getattr(oracles, name)
+        for a in grid:
+            for b in grid:
+                assert new(a, b) is ref(a, b), (name, a, b)
+    for a in grid:
+        assert ex.neg(a) is oracles.neg(a), a
+    assert ex.sub(x, x) is oracles.sub(x, x) is ex.ZERO
+    assert ex.add(ex.const(1e308), ex.const(1e308)).kind == "add"
+
+
+def metric_and_bianchi_roots(d):
+    g = idn.suite_metrics(d, 1, 7)[0]
+    div_ric = geo.divergence_sym2(g, geo.ricci(g))
+    scal = geo.scalar_curvature(g)
+    return [e for row in g.comps for e in row] + [
+        ex.sub(div_ric.comps[j], ex.mul(ex.const(0.5), ex.differentiate(scal.expr, j)))
+        for j in range(d)]
+
+
+def catalog_roots():
+    for example_id, spec in sorted(exm.EXAMPLES.items()):
+        if spec.structure:
+            s = exm.build_structure(example_id)
+            ric = geo.ricci(s.metric)
+            yield [e for t in (s.metric.comps, ric.comps) for row in t for e in row] + [s.lam.expr]
+
+
+def test_topo_walks_in_the_reference_order():
+    # the post-order and the shared set are what _locate and the metric-first
+    # rule read; the node counts pin the DAGs the builders and folds produce
+    x = ex.coord(0)
+    cases = [[x, x], [ex.mul(x, x)], [ex.add(ex.mul(x, x), x), ex.mul(x, x)]]
+    cases += list(catalog_roots())
+    counts = {}
+    for d in (2, 3, 4, 5):
+        roots = metric_and_bianchi_roots(d)
+        cases.append(roots)
+        counts[d] = ex.count_nodes(*roots)
+    for roots in cases:
+        order, shared = ex._topo(roots)
+        want_order, want_shared = oracles.topo(roots)
+        assert order == want_order and shared == want_shared
+    assert ex._topo([x, x])[1] == {x} and ex._topo([ex.mul(x, x)])[1] == {x}
+    assert counts == {2: 926, 3: 6097, 4: 26675, 5: 96213}
+
+
 def test_const_rejects_nonfinite():
     with pytest.raises(ValueError):
         ex.const(float("inf"))

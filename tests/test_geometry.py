@@ -410,8 +410,8 @@ def test_only_gnorms_reduces():
 
 def test_eval_many_callers_are_pinned():
     # every strict evaluation at sample points goes through eval_tensors; the
-    # sampler's masked calls and eval_sym2_comps, which takes a bare binding,
-    # are the only other callers
+    # sampler's masked calls and eval_sym2_comps, which the tests and the
+    # acceptance gate use on parameter-free components, are the only other callers
     assert uses_in_src({"eval_many"}) == {
         ("geometry.py", "eval_tensors"), ("geometry.py", "eval_sym2_comps"),
         ("geometry.py", "sample_points"),
@@ -496,7 +496,7 @@ def test_parameter_values_live_on_the_chart():
     src = Path(geo.__file__).resolve().parent
     takers = {f"{path.stem}.{name}" for path in sorted(src.glob("*.py"))
               for name in binding_takers(path.read_text(encoding="utf-8"))}
-    assert takers == {"expr.eval_many", "expr._eval_nodes", "geometry.eval_sym2_comps"}
+    assert takers == {"expr.eval_many", "expr._eval_nodes"}
     assert binding_takers("def f(g, *, binding=None):\n    pass\n") == ["f"]
     assert "binding" not in {f.name for f in dataclasses.fields(so.SolitonStructure)}
     assert [f.name for f in dataclasses.fields(mf.Manifest)] == [
