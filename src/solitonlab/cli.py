@@ -63,9 +63,22 @@ def tolerance(text: str) -> float:
     return v
 
 
+# a catalog build costs about n^4: at 16 the slowest entry takes about 2 s
+MAX_CATALOG_N = 16
+
+
+def catalog_n(text: str) -> int:
+    """argparse type for a catalog --n of at most MAX_CATALOG_N; each
+    constructor checks its own lower bound."""
+    n = int(text)
+    if n > MAX_CATALOG_N:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_CATALOG_N}, got {n}")
+    return n
+
+
 # one hidden flag per catalog parameter, typed by the parameter's default
 _FLAG_TYPE = {int: int, float: finite_float, type(None): str}
-_PARAM_TYPES = {name: _FLAG_TYPE[type(value)]
+_PARAM_TYPES = {name: catalog_n if name == "n" else _FLAG_TYPE[type(value)]
                 for spec in cat.EXAMPLES.values() for name, value in spec.defaults}
 
 
@@ -306,12 +319,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-example", help="run a catalog example's check suite")
     p.add_argument("id", choices=cat.EXAMPLES)
     _add_common(p, param_flags=True)
-    p.set_defaults(func=cmd_verify_example)
 
     p = sub.add_parser("verify-manifest", help="verify a manifest file")
     p.add_argument("path")
     _add_common(p)
-    p.set_defaults(func=cmd_verify_manifest)
 
     p = sub.add_parser("check-identity", help="run a structural identity suite")
     p.add_argument("name", choices=IDENTITIES)
@@ -323,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--example", default=None,
                    help="catalog structure for divric/eqpprinc/mu-const")
     _add_common(p, tol=None, param_flags=True)
-    p.set_defaults(func=cmd_check_identity)
 
     p = sub.add_parser("construct-warped",
                        help="build a warped-product Einstein metric from a "
@@ -336,28 +346,34 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("auto", "flat", "sphere", "hyperbolic", "abstract"))
     p.add_argument("--out", default=None, help="write the product manifest here")
     _add_common(p, param_flags=True)
-    p.set_defaults(func=cmd_construct_warped)
 
     p = sub.add_parser("classify", help="classification and triviality only")
     p.add_argument("--example", default=None)
     p.add_argument("--manifest", default=None)
     _add_common(p, param_flags=True)
-    p.set_defaults(func=cmd_classify)
     return ap
+
+
+_PARSER = None
 
 
 def main(argv=None) -> int:
     """Run one command and return its exit code; argparse may raise SystemExit.
 
+    The parser is built on the first call and reused by later ones; it holds
+    no command function, so ``cmd_<command>`` is looked up at each call.
     The cycle collector is off while the command runs: the expression DAGs
     are acyclic, so its passes over them free nothing.  The caller's
     ``gc.isenabled()`` state is restored on return.
     """
+    global _PARSER
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        args = build_parser().parse_args(argv)
-        doc = args.func(args)
+        if _PARSER is None:
+            _PARSER = build_parser()
+        args = _PARSER.parse_args(argv)
+        doc = globals()["cmd_" + args.command.replace("-", "_")](args)
         emit(doc, args.json)
         sys.stdout.flush()
         return EXIT_OK if doc["pass"] else EXIT_FAIL

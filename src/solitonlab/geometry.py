@@ -2,7 +2,11 @@
 
 Every field type is a frozen dataclass holding interned Expressions, so the
 symbolic operators (Christoffel symbols, Ricci, divergences, ...) are pure
-functions of their inputs and memoized with lru_cache.  Derived fields are
+functions of their inputs.  The metric-level ones (determinant, inverse,
+Christoffel symbols, Riemann, Ricci, scalar curvature) and the Hessian are
+memoized with lru_cache; the others (gradients, Laplacians, Lie derivatives,
+divergences, traces, inner products, ...) are rebuilt on each call, from
+interned nodes and memoized derivatives.  Derived fields are
 themselves Expression arrays: anything computed here can be differentiated
 again exactly, which the structural identity checks rely on (they take
 exterior derivatives of quantities that already contain two derivatives of

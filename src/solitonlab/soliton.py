@@ -191,7 +191,11 @@ def verified_sup(rep: ResidualReport, why: str = "") -> float:
 
 
 def _mean_spread(vals):
-    """(mean, (max - min) / max(1, |mean|)) of sampled values."""
+    """(mean, (max - min) / max(1, |mean|)) of sampled values.  One sample
+    has no spread to measure, so fewer than two is a PreconditionError."""
+    if len(vals) < 2:
+        raise PreconditionError("a relative spread needs at least 2 sample "
+                                f"points (--points), got {len(vals)}")
     mean = float(np.mean(vals))
     return mean, float((np.max(vals) - np.min(vals)) / max(1.0, abs(mean)))
 

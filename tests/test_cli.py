@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -359,6 +360,70 @@ def test_dim_above_six_is_refused_before_any_metric_is_built(monkeypatch):
         assert info.value.code == 2
 
 
+def test_catalog_n_above_sixteen_is_refused_before_any_structure_is_built(
+        monkeypatch, capsys):
+    # a catalog build grows about as n^4, so the parser refuses --n past 16
+    fail = lambda *a, **k: pytest.fail("structure built")  # noqa: E731
+    for name in ("run_example", "build_structure", "pseudo_hyperbolic_product"):
+        monkeypatch.setattr(exm, name, fail)
+    for argv in (("verify-example", "euclidean-gradient"),
+                 ("verify-example", "space-form-gradient"),
+                 ("classify", "--example", "neg-m-sphere"),
+                 ("construct-warped", "--base", "pseudo-hyperbolic"),
+                 ("check-identity", "divric"), ("check-identity", "oneill")):
+        with pytest.raises(SystemExit) as info:
+            cli.main([*argv, "--n", "17"])
+        assert info.value.code == 2
+        assert "argument --n: must be at most 16, got 17" in capsys.readouterr().err
+
+
+SPREAD_ARGVS = [("verify-example", "neg-m-sphere"),
+                ("verify-example", "space-form-gradient"),
+                ("verify-example", "pseudo-hyperbolic"),
+                ("classify", "--example", "neg-m-sphere"),
+                ("check-identity", "mu-const")]
+
+
+@pytest.mark.parametrize("argv", SPREAD_ARGVS, ids=" ".join)
+def test_spread_over_one_point_is_a_precondition_error(argv, capsys):
+    # one sample has no spread: lambda, homothety and mu would all read constant
+    code, out, err = run_cli(capsys, *argv, "--points", "1")
+    assert (code, out) == (2, "")
+    assert err == ("precondition not met: a relative spread needs at least 2 sample "
+                   "points (--points), got 1\n")
+
+
+@pytest.mark.parametrize("name", ["bianchi", "oneill"])
+def test_residual_only_identity_runs_at_one_point(name, capsys):
+    code, out, err = run_cli(capsys, "check-identity", name, "--points", "1")
+    assert (code, err, json.loads(out)["pass"]) == (0, "", True)
+
+
+TWO_POINT_VERDICTS = {
+    "verify-example neg-m-sphere": ("shrinking", False, [
+        "soliton-residual", "gradient-soliton-residual", "divric-identity",
+        "eqpprinc-identity"]),
+    "verify-example space-form-gradient": ("shrinking", False, [
+        "soliton-residual", "gradient-soliton-residual", "divric-identity"]),
+    "verify-example pseudo-hyperbolic": ("expanding", False, [
+        "soliton-residual", "gradient-soliton-residual", "divric-identity",
+        "mu-constancy", "eqpprinc-identity", "potential-hessian-equation"]),
+    "classify --example neg-m-sphere": ("shrinking", False, []),
+    "check-identity mu-const": (None, None, ["mu-constancy"]),
+}
+
+
+@pytest.mark.parametrize("argv", SPREAD_ARGVS, ids=" ".join)
+def test_spread_over_two_points_keeps_its_verdicts(argv, capsys):
+    code, out, err = run_cli(capsys, *argv, "--points", "2")
+    doc = json.loads(out)
+    classification, trivial, names = TWO_POINT_VERDICTS[" ".join(argv)]
+    assert (code, err, doc["pass"]) == (0, "", True)
+    assert (doc["classification"], doc["trivial"]) == (classification, trivial)
+    assert [(c["name"], c["pass"], c["points"]) for c in doc["checks"]] == [
+        (name, True, 2) for name in names]
+
+
 BAD_NUMBERS = [
     (("verify-example", "neg-m-sphere", "--tol", "nan"), "--tol: must be finite, got nan"),
     (("classify", "--example", "neg-m-sphere", "--tol", "nan"), "--tol: must be finite, got nan"),
@@ -583,8 +648,8 @@ def test_hidden_flags_are_the_catalog_parameters():
     assert set(flags) == set(defaults)
     for name, value in defaults.items():
         assert flags[name].option_strings == ["--" + name.replace("_", "-")]
-        assert flags[name].type is {int: int, float: cli.finite_float,
-                                    type(None): str}[type(value)]
+        assert flags[name].type is (cli.catalog_n if name == "n" else {
+            int: int, float: cli.finite_float, type(None): str}[type(value)])
 
 
 @pytest.mark.parametrize("example_id", list(exm.EXAMPLES))
@@ -681,6 +746,75 @@ def test_main_restores_gc_state(enabled, tmp_path):
         assert gc.isenabled() is enabled
     finally:
         set_gc(was)
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_PARSER", None, raising=False)
+    calls = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build())
+    for argv in (["verify-manifest", "missing.json"], ["classify"],
+                 ["check-identity", "oneill", "--points", "2"]):
+        assert cli.main(argv) in (0, 2)
+    for argv in (["--version"], ["verify-example", "moebius-band"]):
+        with pytest.raises(SystemExit):
+            cli.main(argv)
+    assert len(calls) == 1
+
+
+def test_wrapper_set_after_the_first_call_is_the_one_that_runs(monkeypatch, capsys):
+    cli.main(["classify"])  # exit 2 (no source), but the parser is built
+    seen = []
+    classify = cli.cmd_classify
+
+    def wrapped(args):
+        seen.append(args.example)
+        return classify(args)
+
+    monkeypatch.setattr(cli, "cmd_classify", wrapped)
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
+    code, out, _ = run_cli(capsys, "classify", "--example", "neg-m-sphere",
+                           "--points", "20")
+    assert code == 0 and json.loads(out)["trivial"] is False
+    assert seen == ["neg-m-sphere"]
+
+
+_MANIFEST = str(ROOT / "perfbench" / "manifests" / "shell-neg-m-over-u.json")
+
+# every command kind; an option given, then omitted; --tol, then the
+# identity's own; a precondition error, a usage error and --version
+SESSION = [
+    ("verify-example", "neg-m-sphere", "--points", "20", "--a", "0.5"),
+    ("verify-example", "neg-m-sphere", "--points", "20"),
+    ("check-identity", "divric", "--points", "20", "--tol", "1e-3"),
+    ("check-identity", "divric", "--points", "20"),
+    ("verify-manifest", _MANIFEST, "--points", "20"),
+    ("classify", "--example", "pseudo-hyperbolic", "--points", "20", "--l", "4"),
+    ("classify", "--example", "pseudo-hyperbolic", "--points", "20"),
+    ("construct-warped", "--base", "pseudo-hyperbolic", "--points", "20", "--seed", "7"),
+    ("check-identity", "lemma21", "--dim", "2", "--random-metrics", "2", "--points", "5"),
+    ("check-identity", "mu-const", "--points", "1"),
+    ("verify-example", "moebius-band"),
+    ("--version",),
+    ("verify-example", "neg-m-sphere", "--points", "20", "--a", "0.5"),
+]
+
+
+def test_in_process_session_matches_fresh_processes(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # the width of usage lines, in both
+    got = []
+    for argv in SESSION:
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        got.append((code, out.out.encode(), out.err))
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        want = list(pool.map(lambda argv: run_entry(*argv), SESSION))
+    assert [w[0] for w in want] == [0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 2, 0, 0]
+    for argv, g, w in zip(SESSION, got, want):
+        assert g == w, argv
 
 
 def test_console_script_is_the_main_block_entry():
