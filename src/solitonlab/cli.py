@@ -395,6 +395,9 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"io error: {err}", file=sys.stderr)
         return EXIT_INPUT
+    except MemoryError:
+        print("out of memory: the point arrays do not fit; lower --points", file=sys.stderr)
+        return EXIT_INPUT
     finally:
         if gc_was_enabled:
             gc.enable()

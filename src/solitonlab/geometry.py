@@ -575,13 +575,12 @@ _EXHAUSTION_RATE = 0.01
 _COND_LIMIT = 1e8
 
 
-def sample_points(chart: Chart, count: int, seed: int, *, metric: MetricField = None,
-                  cond_limit: float = _COND_LIMIT):
+def sample_points(chart: Chart, count: int, seed: int, *, metric: MetricField = None):
     """Deterministic rejection sampling of admissible chart points.
 
     Draws uniformly from the chart box, keeps points where every domain
     predicate is > 0 and (when `metric` is given) the metric matrix is
-    positive definite with condition number below `cond_limit`, and returns
+    positive definite with condition number below _COND_LIMIT, and returns
     the first `count` of them as a (count, n) float array.  Raises
     SamplingError when acceptance stays under 1% after 1e5 draws.
     """
@@ -616,7 +615,7 @@ def sample_points(chart: Chart, count: int, seed: int, *, metric: MetricField = 
             if idx.size:
                 mats = gv[:, idx].T.reshape(-1, n, n)
                 eig = np.linalg.eigvalsh(mats)
-                good = (eig[:, 0] > 0.0) & (eig[:, -1] < cond_limit * eig[:, 0])
+                good = (eig[:, 0] > 0.0) & (eig[:, -1] < _COND_LIMIT * eig[:, 0])
                 bad_idx = idx[~good]
                 ok[bad_idx] = False
         rows = batch[ok][:count - accepted]

@@ -68,14 +68,14 @@ def random_perturbed_metric(rng, n: int) -> MetricField:
     return MetricField(chart, geo.sym2(n, entry))
 
 
-def random_vector(rng, chart: Chart, scale: float = 0.5) -> VectorField:
+def random_vector(rng, chart: Chart) -> VectorField:
     n = chart.dim
-    return VectorField(chart, [random_polynomial(rng, n, scale) for _ in range(n)])
+    return VectorField(chart, [random_polynomial(rng, n) for _ in range(n)])
 
 
-def random_sym2(rng, chart: Chart, scale: float = 0.5) -> SymTensorField:
+def random_sym2(rng, chart: Chart) -> SymTensorField:
     n = chart.dim
-    return SymTensorField(chart, geo.sym2(n, lambda i, j: random_polynomial(rng, n, scale)))
+    return SymTensorField(chart, geo.sym2(n, lambda i, j: random_polynomial(rng, n)))
 
 
 def suite_metrics(dim: int = 3, metric_count: int = 20, seed: int = 7):

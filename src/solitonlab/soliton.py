@@ -43,6 +43,7 @@ _FORMS = (FORM_FREE, FORM_M_OVER_U, FORM_NEG_M_OVER_U)
 LAMBDA_SPREAD_TOL = 1e-8       # h-Ricci soliton vs h-almost: constancy of lambda
 HOMOTHETY_SPREAD_TOL = 1e-6    # triviality: relative spread of (2/n) div X
 STEADY_EPS = 1e-12
+PRECHECK_TOL = 1e-8            # divric/eqpprinc: the defining residual must pass first
 
 
 class PreconditionError(Exception):
@@ -328,14 +329,13 @@ def divric_check(s: SolitonStructure, tol: float = 1e-7):
     return "divric-identity", tol, ex.sub(ex.add(lhs1, lhs2), ex.sub(rhs1, rhs2))
 
 
-def divric_identity_residual(s: SolitonStructure, points, tol: float = 1e-7,
-                             precheck_tol: float = 1e-8) -> ResidualReport:
+def divric_identity_residual(s: SolitonStructure, points, tol: float = 1e-7) -> ResidualReport:
     """|div(Ric0(X)) - (n-2)/(2n) <grad R, X> + h |S0|^2| at the points.
 
     The left side is expanded as (div Ric0)(X) + <grad X, Ric0>.  Requires the
     structure to satisfy the soliton equation first.
     """
-    pre = verified_sup(soliton_residual(s, points, precheck_tol),
+    pre = verified_sup(soliton_residual(s, points, PRECHECK_TOL),
                        "; the divergence identity only holds on verified structures")
     return run_checks(s.metric, points, [divric_check(s, tol)], precheck_sup=pre)[0]
 
@@ -407,13 +407,12 @@ def eqpprinc_check(s: SolitonStructure, m: float, tol: float = 1e-8):
         for j in range(n)]
 
 
-def eqpprinc_residual(s: SolitonStructure, points, tol: float = 1e-8,
-                      precheck_tol: float = 1e-8) -> ResidualReport:
+def eqpprinc_residual(s: SolitonStructure, points, tol: float = 1e-8) -> ResidualReport:
     """g-norm of the 1-form
     d((n-2)/m u^2 lambda - u lap u - (m-1)|grad u|^2) - ((m+n-2)/m) lambda d(u^2),
     which vanishes on gradient (-m/u)-almost structures."""
     m = neg_form_m(s, points)
-    pre = verified_sup(gradient_soliton_residual(s, points, precheck_tol))
+    pre = verified_sup(gradient_soliton_residual(s, points, PRECHECK_TOL))
     return run_checks(s.metric, points, [eqpprinc_check(s, m, tol)],
                       precheck_sup=pre, m=m)[0]
 

@@ -79,10 +79,10 @@ def _coord_names(prefix, n):
     return tuple(f"{prefix}{i + 1}" for i in range(n))
 
 
-def make_euclidean(n: int, half_width: float = 1.5) -> ModelSpace:
+def make_euclidean(n: int) -> ModelSpace:
     if n < 2:
         raise ValueError("model spaces need dimension >= 2")
-    chart = Chart(_coord_names("x", n), ((-half_width, half_width),) * n)
+    chart = Chart(_coord_names("x", n), ((-1.5, 1.5),) * n)
     rows = sym2(n, lambda i, j: ex.ONE if i == j else ex.ZERO)
     return ModelSpace("euclidean", n, 0.0, 0.0, chart, MetricField(chart, rows))
 
@@ -189,19 +189,19 @@ def _fresh_names(taken, count):
 
 
 def make_warped(base, fiber, f: ScalarField, *, fiber_mu=None,
-                seed: int = 0, check_count: int = 64) -> WarpedProduct:
+                seed: int = 0) -> WarpedProduct:
     """Assemble B x_f F with metric g_B + f^2 g_F (blockwise, no cross terms).
 
     `fiber` may be a ModelSpace, a (chart, metric) pair, or an AbstractFiber;
     in the abstract case no product chart is assembled and the O'Neill
     formulas work from (m, mu) alone.  The warping f must be a positive
-    scalar on the base chart, checked at seeded samples.  The product chart
+    scalar on the base chart, checked at 64 seeded samples.  The product chart
     carries the parameters of both charts, which must have distinct names.
     """
     base_chart, base_metric = _as_chart_metric(base)
     if f.chart != base_chart:
         raise ValueError("warping function must live on the base chart")
-    pts = sample_points(base_chart, check_count, seed)
+    pts = sample_points(base_chart, 64, seed)
     fv = eval_scalar(f, pts)
     if not np.all(fv > 0.0):
         bad = pts[int(np.argmin(fv))]
@@ -248,8 +248,9 @@ def oneill_ricci(w: WarpedProduct, points) -> np.ndarray:
     `points` is one point, giving a (d, d) array, or an (N, d) batch, giving
     (N, d, d).  One eval_tensors call evaluates the base fields (metric,
     Ricci, Hess f, df, f) and one the fiber's (Ricci, metric) over the batch;
-    the small-matrix arithmetic runs point by point, so a batch gives the
-    same bits as its points one at a time.
+    the blocks are then one array pass over it, an abstract fiber entering
+    with g_F and Ric_F broadcast.  Every contraction sums one point's own
+    products, so a batch gives the same bits as its points one at a time.
     """
     nb, m = w.base_chart.dim, w.fiber_dim
     pts = np.asarray(points, dtype=float)
@@ -257,7 +258,7 @@ def oneill_ricci(w: WarpedProduct, points) -> np.ndarray:
     pts = pts.reshape(-1, pts.shape[-1])
 
     g, f = w.base_metric, w.warping
-    gB, ricB, hessf, df, fvals = eval_tensors(w.base_chart, [
+    gB, ricB, hessf, df, fv = eval_tensors(w.base_chart, [
         g.comps, ricci(g).comps, hessian(g, f).comps,
         [ex.differentiate(f.expr, i) for i in range(nb)], f.expr], pts[:, :nb])
     gBinv = np.linalg.inv(gB)
@@ -266,22 +267,19 @@ def oneill_ricci(w: WarpedProduct, points) -> np.ndarray:
     if w.fiber_chart is None:
         if w.fiber_mu is None:
             raise GeometryError("abstract fiber needs a declared Einstein constant")
+        gF = np.broadcast_to(np.eye(m), (len(pts), m, m))
+        ricF = w.fiber_mu * gF
     else:
         if pts.shape[1] != d:
             raise ValueError(f"point must have {d} coordinates for an explicit fiber")
         ricF, gF = eval_tensors(w.fiber_chart, [ricci(w.fiber_metric).comps,
                                                 w.fiber_metric.comps], pts[:, nb:])
+    lapf = (gBinv * hessf).sum(axis=(1, 2))
+    grad2 = ((df[:, :, None] * gBinv).sum(axis=1) * df).sum(axis=1)
+    coef = (lapf / fv + (m - 1) * grad2 / fv ** 2) * fv ** 2
     out = np.zeros((len(pts), d, d))
-    for a in range(len(pts)):
-        fval = float(fvals[a])
-        lapf = float(np.einsum("ij,ij->", gBinv[a], hessf[a]))
-        grad2 = float(df[a] @ gBinv[a] @ df[a])
-        out[a, :nb, :nb] = ricB[a] - (m / fval) * hessf[a]
-        coef = lapf / fval + (m - 1) * grad2 / fval ** 2
-        if w.fiber_chart is None:
-            out[a, nb:, nb:] = (w.fiber_mu - coef * fval ** 2) * np.eye(m)
-        else:
-            out[a, nb:, nb:] = ricF[a] - coef * fval ** 2 * gF[a]
+    out[:, :nb, :nb] = ricB - (m / fv)[:, None, None] * hessf
+    out[:, nb:, nb:] = ricF - coef[:, None, None] * gF
     return out[0] if single else out
 
 

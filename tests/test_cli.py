@@ -34,7 +34,7 @@ def run_cli(capsys, *argv):
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_entry(*argv, stdout=subprocess.PIPE, unbuffered=None):
+def run_entry(*argv, stdout=subprocess.PIPE, unbuffered=None, preexec_fn=None):
     """Run ``python -m solitonlab.cli`` in a fresh process; stdout stays bytes."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
@@ -42,7 +42,7 @@ def run_entry(*argv, stdout=subprocess.PIPE, unbuffered=None):
     if unbuffered is not None:
         env["PYTHONUNBUFFERED"] = unbuffered
     proc = subprocess.run([sys.executable, "-m", "solitonlab.cli", *argv], stdout=stdout,
-                          stderr=subprocess.PIPE, env=env)
+                          stderr=subprocess.PIPE, env=env, preexec_fn=preexec_fn)
     return proc.returncode, proc.stdout, proc.stderr.decode()
 
 
@@ -700,6 +700,42 @@ def test_deeply_nested_expression_is_expression_error(tmp_path):
     assert code == 2
     assert out == b""
     assert err.startswith("expression error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_out_of_memory_is_an_input_error(enabled, monkeypatch, capsys):
+    def exhausted(args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "cmd_check_identity", exhausted)
+    was = gc.isenabled()
+    set_gc(enabled)
+    try:
+        code, out, err = run_cli(capsys, "check-identity", "bianchi")
+        assert gc.isenabled() is enabled
+    finally:
+        set_gc(was)
+    assert (code, out) == (2, "")
+    assert err.startswith("out of memory: ") and "--points" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is Linux-only")
+def test_entry_out_of_memory_exits_2(monkeypatch):
+    # a 512 MB address space leaves room for a small run but not for the
+    # point arrays of 300,000 samples
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    argv = ("check-identity", "bianchi", "--random-metrics", "1", "--points")
+    assert run_entry(*argv, "30", preexec_fn=limit)[0] == 0
+    code, out, err = run_entry(*argv, "300000", preexec_fn=limit)
+    assert (code, out) == (2, b"")
+    assert err.startswith("out of memory: ") and "--points" in err
     assert "Traceback" not in err
 
 

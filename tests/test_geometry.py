@@ -532,10 +532,11 @@ def test_sample_points_spd_guard():
     assert np.all(pts[:, 0] > 0.0)
 
 
-def test_sample_points_condition_limit():
+def test_sample_points_condition_limit(monkeypatch):
     chart = geo.Chart(("x1", "x2"), ((-1, 1), (-1, 1)))
     g = geo.MetricField(chart, geo.sym_rows([ex.ONE, ex.ZERO, ex.powi(ex.coord(0), 2)]))
-    pts = geo.sample_points(chart, 100, seed=1, metric=g, cond_limit=100.0)
+    monkeypatch.setattr(geo, "_COND_LIMIT", 100.0)
+    pts = geo.sample_points(chart, 100, seed=1, metric=g)
     assert pts.shape == (100, 2)
     assert np.all(np.abs(pts[:, 0]) > 0.1 - 1e-12)
 

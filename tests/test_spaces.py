@@ -243,3 +243,15 @@ def test_oneill_abstract_matches_explicit():
     ra = sp.oneill_ricci(wa, (0.4,))
     rv = sp.oneill_ricci(we, (0.4, 0.2, -0.3))
     np.testing.assert_allclose(ra, rv, atol=1e-12)
+
+
+@pytest.mark.parametrize("fiber", [sp.make_euclidean(2), sp.make_sphere(2),
+                                   sp.make_hyperbolic(2)], ids=lambda F: F.kind)
+def test_oneill_matches_direct_ricci_on_a_curved_2d_base(fiber):
+    # g_B is not the identity here, so g_B and its inverse cannot stand in
+    # for each other in the Laplacian and |grad f|^2 contractions
+    H = sp.make_hyperbolic(2)
+    w = sp.make_warped(H, fiber, geo.ScalarField(H.chart, H.chart.parse("2 + x1^2*x2")))
+    pts = geo.sample_points(w.chart, 40, 3, metric=w.metric)
+    direct = geo.eval_tensors(w.chart, [geo.ricci(w.metric).comps], pts)[0]
+    np.testing.assert_allclose(sp.oneill_ricci(w, pts), direct, rtol=0, atol=1e-9)
