@@ -19,7 +19,9 @@ rule is written: every symmetric 2-tensor in the package is built by it.
 `eval_tensors`, the one strict evaluator, evaluates rank-0 to rank-3 tensors
 at the points in one pass; `gnorms`, the one reduction, evaluates the metric
 and a list of residuals through it and returns their g-norms, sqrt(g^{ik}
-g^{jl} T_ij T_kl) at rank 2 and alike at ranks 1 and 3 (|f| at rank 0).
+g^{jl} T_ij T_kl) at rank 2 and alike at ranks 1 and 3; a rank-0 residual's
+values come back signed.  `sample_points` filters each seeded batch with one
+masked pass over the domain predicates and the metric, with no cap on draws.
 """
 
 from __future__ import annotations
@@ -546,7 +548,7 @@ def gnorm_rank3(av: np.ndarray, ginv: np.ndarray) -> np.ndarray:
 def gnorms(g: MetricField, residuals, points) -> list:
     """g-norm of each residual at each point: one (N,) array per residual.
 
-    A residual is one expression (rank 0, reduced by its absolute value) or
+    A residual is one expression (rank 0, its values returned signed) or
     nested n-tuples of them (ranks 1-3, reduced with the metric's inverse).
     One eval_tensors call evaluates the metric first, when some residual
     has rank 1 or more, and then the residuals, so the metric raises before
@@ -556,7 +558,7 @@ def gnorms(g: MetricField, residuals, points) -> list:
     head = [g.comps] if any(not isinstance(r, ex.Expression) for r in residuals) else []
     vals = eval_tensors(g.chart, head + list(residuals), points)
     ginv = np.linalg.inv(vals[0]) if head else None
-    norms = [np.abs(tv) if tv.ndim == 1 else
+    norms = [tv if tv.ndim == 1 else
              (gnorm_oneform, gnorm_sym2, gnorm_rank3)[tv.ndim - 2](tv, ginv)
              for tv in vals[len(head):]]
     for r in norms:
@@ -569,7 +571,6 @@ def gnorms(g: MetricField, residuals, points) -> list:
 # sampling
 
 _BATCH = 512
-_MAX_DRAWS = 2_000_000
 _EXHAUSTION_DRAWS = 100_000
 _EXHAUSTION_RATE = 0.01
 _COND_LIMIT = 1e8
@@ -581,8 +582,10 @@ def sample_points(chart: Chart, count: int, seed: int, *, metric: MetricField = 
     Draws uniformly from the chart box, keeps points where every domain
     predicate is > 0 and (when `metric` is given) the metric matrix is
     positive definite with condition number below _COND_LIMIT, and returns
-    the first `count` of them as a (count, n) float array.  Raises
-    SamplingError when acceptance stays under 1% after 1e5 draws.
+    the first `count` of them as a (count, n) float array; one masked
+    eval_many per batch evaluates the predicates and the metric entries.
+    Raises SamplingError when acceptance stays under 1% after 1e5 draws,
+    which bounds the draws at about 100 per point requested.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -594,30 +597,21 @@ def sample_points(chart: Chart, count: int, seed: int, *, metric: MetricField = 
     chunks = []
     accepted = 0
     drawn = 0
+    k = len(chart.domain)
+    roots = list(chart.domain)
+    if metric is not None:
+        roots += [metric.comps[i][j] for i in range(n) for j in range(n)]
     while accepted < count:
-        if drawn >= _MAX_DRAWS:
-            raise SamplingError(
-                f"sampling exhausted after {drawn} draws ({accepted}/{count} accepted)"
-            )
         batch = rng.uniform(lo, hi, size=(_BATCH, n))
         drawn += _BATCH
         ok = np.ones(_BATCH, dtype=bool)
-        if chart.domain:
-            vals, valid = ex.eval_many(list(chart.domain), batch, binding, mode="masked")
-            ok &= valid
-            with np.errstate(invalid="ignore"):
-                ok &= np.all(vals > 0.0, axis=0)
-        if metric is not None and np.any(ok):
-            flat = [metric.comps[i][j] for i in range(n) for j in range(n)]
-            gv, gvalid = ex.eval_many(flat, batch, binding, mode="masked")
-            ok &= gvalid
+        if roots:
+            vals, ok = ex.eval_many(roots, batch, binding, mode="masked")
+            ok &= np.all(vals[:k] > 0.0, axis=0)
+        if metric is not None:
             idx = np.nonzero(ok)[0]
-            if idx.size:
-                mats = gv[:, idx].T.reshape(-1, n, n)
-                eig = np.linalg.eigvalsh(mats)
-                good = (eig[:, 0] > 0.0) & (eig[:, -1] < _COND_LIMIT * eig[:, 0])
-                bad_idx = idx[~good]
-                ok[bad_idx] = False
+            eig = np.linalg.eigvalsh(vals[k:, idx].T.reshape(-1, n, n))
+            ok[idx] = (eig[:, 0] > 0.0) & (eig[:, -1] < _COND_LIMIT * eig[:, 0])
         rows = batch[ok][:count - accepted]
         chunks.append(rows)
         accepted += len(rows)

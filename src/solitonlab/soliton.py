@@ -122,7 +122,8 @@ class ResidualReport:
 
 
 def _report(name, tol, pts, res, **metadata) -> ResidualReport:
-    res = np.asarray(res, dtype=float)
+    """The report of residual values at the points, reduced by |r|."""
+    res = np.abs(np.asarray(res, dtype=float))
     i = int(np.argmax(res))
     sup = float(res[i])
     return ResidualReport(name, float(tol), pts, res, sup, sup <= tol,
@@ -247,8 +248,8 @@ def triviality_check(s: SolitonStructure, points, tol: float = 1e-8) -> Triviali
     """
     d = derive(s)
     n = s.chart.dim
-    sup0 = float(np.max(geo.gnorms(s.metric, [d.S0.comps], points)[0]))
-    div_x, lam = geo.eval_tensors(s.chart, [d.div_x.expr, s.lam.expr], points)
+    s0, div_x, lam = geo.gnorms(s.metric, [d.S0.comps, d.div_x.expr, s.lam.expr], points)
+    sup0 = float(np.max(s0))
     mean, spread = _mean_spread((2.0 / n) * div_x)
     _, lam_spread = _mean_spread(lam)
     trivial = (sup0 <= tol and spread < HOMOTHETY_SPREAD_TOL
@@ -274,10 +275,9 @@ def conformal_killing_check(g: MetricField, X: VectorField, points,
     pts = geo.points_array(points)
     n = g.chart.dim
     S0 = geo.traceless(g, geo.half_lie_derivative_metric(g, X))
-    norms = geo.gnorms(g, [S0.comps], pts)[0]
-    sup0 = float(np.max(norms))
     rho = ScalarField(g.chart, ex.div(geo.divergence_vector(g, X).expr, ex.const(n)))
-    rho_vals = geo.eval_scalar(rho, pts)
+    norms, rho_vals = geo.gnorms(g, [S0.comps, rho.expr], pts)
+    sup0 = float(np.max(norms))
     return ConformalVerdict(sup0 <= tol, sup0, rho_vals, rho, S0, pts, norms)
 
 
@@ -346,7 +346,7 @@ def neg_form_m(s: SolitonStructure, points) -> float:
         raise PreconditionError("this check needs the declared form h = -m/u")
     m = float(s.m)
     probe = ex.add(ex.mul(s.h.expr, s.potential.expr), ex.const(m))
-    dev = float(np.max(geo.gnorms(s.metric, [probe], points)[0]))
+    dev = float(np.max(np.abs(geo.gnorms(s.metric, [probe], points)[0])))
     if dev > 1e-8 * max(1.0, m):
         raise PreconditionError(
             f"declared form h = -m/u is inconsistent with h (deviation {dev:.3e})")
@@ -368,15 +368,14 @@ def mu_scalar_field(s: SolitonStructure) -> ScalarField:
 def mu_report(s: SolitonStructure, points, m: float, tol: float = 1e-9) -> ResidualReport:
     """The report of mu_field, for a structure whose h = -m/u was checked."""
     pts = geo.points_array(points)
-    lam_mean, lam_spread = _mean_spread(geo.eval_scalar(s.lam, pts))
+    lam, mu_vals = geo.eval_tensors(s.chart, [s.lam.expr, mu_scalar_field(s).expr], pts)
+    lam_mean, lam_spread = _mean_spread(lam)
     if lam_spread >= LAMBDA_SPREAD_TOL:
         raise PreconditionError(
             f"lambda is not constant (relative spread {lam_spread:.3e}); "
             "the conserved quantity needs an h-Ricci soliton")
-    mu_vals = geo.eval_scalar(mu_scalar_field(s), pts)
     mu_mean = float(np.mean(mu_vals))
-    dev = np.abs(mu_vals - mu_mean)
-    return _report("mu-constancy", tol, pts, dev, mu_estimate=mu_mean,
+    return _report("mu-constancy", tol, pts, mu_vals - mu_mean, mu_estimate=mu_mean,
                    lambda_estimate=lam_mean, m=m)
 
 

@@ -703,6 +703,27 @@ def test_deeply_nested_expression_is_expression_error(tmp_path):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("terms,code,err", [
+    (600, 0, ""), (1200, 2, "expression error: maximum recursion depth exceeded\n")])
+def test_sum_depth_is_bounded_by_the_recursion_limit(terms, code, err, tmp_path):
+    # + nests to the left, so a sum of N terms is N levels deep; Hess u = 0.4 g
+    doc, path = flat_manifest(tmp_path, lam="0.4", name="sum.json")
+    doc["structure"] = {"potential": " + ".join(
+        ["0.001*x1^2 + 0.001*x2^2 + 0.001*x3^2"] * (terms // 3))}
+    mf.write(doc, path)
+    got, out, got_err = run_entry("verify-manifest", path, "--points", "20")
+    assert (got, got_err) == (code, err)
+    assert (out == b"") == (code == 2)
+
+
+def test_mu_const_on_varying_lambda_is_a_precondition_error(capsys):
+    # lambda's constancy is decided before mu is reported
+    code, out, err = run_cli(capsys, "check-identity", "mu-const", "--example", "neg-m-sphere")
+    assert (code, out) == (2, "")
+    assert err == ("precondition not met: lambda is not constant (relative spread "
+                   "4.907e-01); the conserved quantity needs an h-Ricci soliton\n")
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 def test_out_of_memory_is_an_input_error(enabled, monkeypatch, capsys):
     def exhausted(args):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from solitonlab import cli
 from solitonlab import examples as exm
 from solitonlab import expr as ex
 from solitonlab import geometry as geo
@@ -235,6 +236,32 @@ def test_structure_checks_evaluate_each_defining_residual_once(monkeypatch):
     # the prechecks read the stage-1 reports
     assert reps[2].metadata["precheck_sup"] == reps[0].sup
     assert reps[3].metadata["precheck_sup"] == reps[1].sup
+
+
+def test_triviality_conformal_and_mu_make_one_strict_call_each(monkeypatch):
+    s = exm.build_structure("neg-m-sphere")
+    ph = exm.build_structure("pseudo-hyperbolic")
+    spec = exm.EXAMPLES["euclidean-conformal-corrected"]
+    X, _ = spec.build(**spec.params(None))
+    g = sp.make_euclidean(X.chart.dim).metric
+    pts_s, pts_ph = so.default_points(s, 30), so.default_points(ph, 30)
+    pts_e = so.default_points(g.chart, 30)
+    calls = strict_calls(monkeypatch)
+    counts = []
+    for run in (lambda: so.triviality_check(s, pts_s),
+                lambda: so.conformal_killing_check(g, X, pts_e),
+                lambda: so.mu_report(ph, pts_ph, ph.m)):
+        calls.clear()
+        run()
+        counts.append(len(calls))
+    assert counts == [1, 1, 1]
+
+
+def test_classify_makes_two_strict_calls(monkeypatch, capsys):
+    # default_points' strict pass over h, lambda and u, then the triviality verdict
+    calls = strict_calls(monkeypatch)
+    assert cli.main(["classify", "--example", "neg-m-sphere"]) == 0
+    assert len(calls) == 2
 
 
 def test_stage_two_runs_when_stage_one_passes_at_its_own_tolerance():

@@ -351,14 +351,14 @@ def test_gnorm_against_direct_contraction():
     for r, got_r in zip(residuals, norms):
         arr = np.array(r, dtype=object)
         vals = eval_checked(list(arr.flat), pts).T.reshape((len(pts),) + arr.shape)
-        want_r = np.abs(vals) if arr.ndim == 0 else reduce[arr.ndim](vals, ginv_ref)
+        want_r = vals if arr.ndim == 0 else reduce[arr.ndim](vals, ginv_ref)
         assert got_r.shape == (len(pts),)
         np.testing.assert_array_equal(got_r, want_r)
     # rank-0 residuals alone never evaluate the metric, which is undefined at x1 = 0
     g0 = geo.MetricField(chart, geo.sym_rows([chart.parse("1/x1"), ex.ZERO, ex.ONE]))
     at_zero = np.array([[0.5, 0.5], [0.0, 0.25]])
     scalars = geo.gnorms(g0, [f, chart.parse("x2")], at_zero)
-    np.testing.assert_array_equal(scalars[0], np.abs(at_zero[:, 0] * at_zero[:, 1] - 0.3))
+    np.testing.assert_array_equal(scalars[0], at_zero[:, 0] * at_zero[:, 1] - 0.3)
     np.testing.assert_array_equal(scalars[1], at_zero[:, 1])
     with pytest.raises(ex.DomainError, match="division by zero at point index 1"):
         geo.gnorms(g0, [f, w], at_zero)
@@ -550,6 +550,31 @@ def test_sample_points_exhaustion():
         geo.sample_points(chart, 0, seed=0)
 
 
+def test_sample_points_has_no_draw_cap():
+    # every draw is accepted, so only the count bounds the draws; a cap of
+    # 2,000,000 draws stopped this run at 2,000,384 points, one short
+    pts = geo.sample_points(geo.Chart(("x1",), ((-1, 1),)), 2_000_385, seed=0)
+    assert pts.shape == (2_000_385, 1)
+
+
+def test_sample_points_makes_one_masked_call_per_batch(monkeypatch):
+    # x1 > 0 keeps about half of each 512-point batch; the metric is SPD throughout
+    chart = geo.Chart(("x1", "x2"), ((-1, 1), (-1, 1)), domain=(ex.coord(0),))
+    g = geo.MetricField(chart, geo.sym_rows([ex.ONE, ex.ZERO, ex.exp(ex.coord(1))]))
+    calls = []
+    eval_many = ex.eval_many
+
+    def recorded(exprs, points, binding=None, mode="strict"):
+        calls.append((mode, list(exprs), len(points)))
+        return eval_many(exprs, points, binding, mode)
+
+    monkeypatch.setattr(ex, "eval_many", recorded)
+    pts = geo.sample_points(chart, 600, seed=0, metric=g)
+    assert pts.shape == (600, 2) and np.all(pts[:, 0] > 0.0)
+    roots = [ex.coord(0)] + [g.comps[i][j] for i in range(2) for j in range(2)]
+    assert calls == [("masked", roots, 512)] * 3
+
+
 def test_chart_parameters_drive_sampling_and_evaluation():
     a = ex.param("a")
     chart = geo.Chart(("x1", "x2"), ((-1, 1), (-1, 1)), params=(("a", 0.5),),
@@ -561,7 +586,7 @@ def test_chart_parameters_drive_sampling_and_evaluation():
     np.testing.assert_array_equal(geo.eval_scalar(geo.ScalarField(chart, ax2), pts),
                                   0.5 * pts[:, 1])
     g = geo.MetricField(chart, geo.sym_rows([a, ex.ZERO, a]))
-    np.testing.assert_array_equal(geo.gnorms(g, [ax2], pts)[0], np.abs(0.5 * pts[:, 1]))
+    np.testing.assert_array_equal(geo.gnorms(g, [ax2], pts)[0], 0.5 * pts[:, 1])
     # g = a * delta, so a one-form w has |w|_g = |w| / sqrt(a)
     np.testing.assert_allclose(geo.gnorms(g, [[ex.coord(0), ex.coord(1)]], pts)[0],
                                np.hypot(pts[:, 0], pts[:, 1]) / np.sqrt(0.5))

@@ -129,6 +129,15 @@ def test_triviality_verdict_carries_the_lambda_class(source):
     assert so.triviality_check(s, pts).classification == so.classify_lambda(s, pts)
 
 
+def test_rank0_check_report_holds_the_absolute_value():
+    # gnorms returns a rank-0 residual signed; the report reduces it by |r|
+    E = sp.make_euclidean(2)
+    pts = np.array([[-0.5, 0.25], [0.75, -1.0], [-1.0, 0.0]])
+    rep = so.run_checks(E.metric, pts, [("signed", 0.9, ex.coord(0))])[0]
+    np.testing.assert_array_equal(rep.residuals, [0.5, 0.75, 1.0])
+    assert (rep.sup, rep.worst_point, rep.passed) == (1.0, (-1.0, 0.0), False)
+
+
 def test_lambda_is_constant():
     pts = so.default_points(sp.make_sphere(3, 1.0).chart, count=30)
     assert so.lambda_is_constant(einstein_sphere_structure(), pts)
