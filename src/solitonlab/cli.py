@@ -63,7 +63,7 @@ def tolerance(text: str) -> float:
     return v
 
 
-# a catalog build costs about n^4: at 16 the slowest entry takes about 2 s
+# catalog and explicit-fiber builds cost about n^4: at 16 the slowest takes about 2 s
 MAX_CATALOG_N = 16
 
 
@@ -140,8 +140,7 @@ def cmd_verify_manifest(args) -> dict:
     man = mf.load(args.path)
     s = man.structure
     pts = so.default_points(s, args.points, args.seed)
-    checks = cat.structure_checks(s, pts, args.tol, divric=False)
-    verdict = so.triviality_check(s, pts, args.tol)
+    checks, verdict = cat.structure_checks(s, pts, args.tol, divric=False)
     return report_document(man.digest, [check_dict(r) for r in checks],
                            verdict.classification, verdict.trivial)
 
@@ -239,6 +238,9 @@ def cmd_construct_warped(args) -> dict:
         fiber_dim = int(round(s.m))
     else:
         raise ValueError("--fiber-dim is required when the base declares no m")
+    if args.fiber != "abstract" and fiber_dim > MAX_CATALOG_N:
+        raise ValueError(f"--fiber-dim (or the base's m) must be at most {MAX_CATALOG_N} "
+                         f"for an explicit fiber, got {fiber_dim}")
     if args.fiber == "abstract" and args.out:
         raise ValueError("an abstract fiber has no chart; no manifest to write")
     pts = so.default_points(s, args.points, args.seed)

@@ -31,9 +31,13 @@ def _check_m(m) -> float:
     return m
 
 
-def _signed_form(m: float):
-    """(h_form, |m|) with the sign of m folded into the form tag."""
-    return (so.FORM_M_OVER_U if m > 0 else so.FORM_NEG_M_OVER_U), abs(m)
+def _c_over_u(metric: MetricField, u_expr, c: float, lam_expr) -> so.SolitonStructure:
+    """The gradient structure h = c/u: the form tag takes c's sign, and m = |c|."""
+    chart = metric.chart
+    return so.SolitonStructure(
+        metric, ScalarField(chart, ex.div(ex.const(c), u_expr)),
+        ScalarField(chart, lam_expr), potential=ScalarField(chart, u_expr),
+        h_form=so.FORM_M_OVER_U if c > 0 else so.FORM_NEG_M_OVER_U, m=abs(c))
 
 
 def example_space_form(c, n, m, tau) -> so.SolitonStructure:
@@ -66,15 +70,10 @@ def example_space_form(c, n, m, tau) -> so.SolitonStructure:
         except geo.SamplingError as err:
             raise ValueError(
                 f"tau = {tau:g} leaves no admissible region in the box") from err
-    metric = MetricField(chart, space.metric.comps)
-    u = ScalarField(chart, u_expr)
-    h = ScalarField(chart, ex.div(ex.const(m), u_expr))
-    lam = ScalarField(chart, ex.add(
+    return _c_over_u(MetricField(chart, space.metric.comps), u_expr, m, ex.add(
         ex.const(c * (n - 1.0)),
         ex.div(ex.mul(ex.const(m * c * c), hv),
                ex.sub(ex.const(n * tau), ex.mul(ex.const(float(c)), hv)))))
-    form, m_abs = _signed_form(m)
-    return so.SolitonStructure(metric, h, lam, potential=u, h_form=form, m=m_abs)
 
 
 def example_euclidean_gradient(n, m, tau) -> so.SolitonStructure:
@@ -89,11 +88,7 @@ def example_euclidean_gradient(n, m, tau) -> so.SolitonStructure:
     E = sp.make_euclidean(n)
     u_expr = ex.add(ex.const(tau),
                     ex.nsum(ex.powi(ex.coord(i), 2) for i in range(n)))
-    u = ScalarField(E.chart, u_expr)
-    h = ScalarField(E.chart, ex.div(ex.const(m), u_expr))
-    lam = ScalarField(E.chart, ex.div(ex.const(2.0 * m), u_expr))
-    form, m_abs = _signed_form(m)
-    return so.SolitonStructure(E.metric, h, lam, potential=u, h_form=form, m=m_abs)
+    return _c_over_u(E.metric, u_expr, m, ex.div(ex.const(2.0 * m), u_expr))
 
 
 def example_euclidean_claimed_conformal(n):
@@ -191,19 +186,14 @@ def example_pseudo_hyperbolic(n, k, A, l, m=None, h_expr=None) -> so.SolitonStru
     """
     W, u_expr = pseudo_hyperbolic_product(n, k, A, l)
     n, k = int(n), float(k)
-    u = ScalarField(W.chart, u_expr)
     if h_expr is None:
         m = _check_m(m)
-        h = ScalarField(W.chart, ex.div(ex.const(-m), u_expr))
-        lam = ScalarField(W.chart, ex.const((n + m - 1) * k))
-        form = so.FORM_NEG_M_OVER_U if m > 0 else so.FORM_M_OVER_U
-        return so.SolitonStructure(W.metric, h, lam, potential=u,
-                                   h_form=form, m=abs(m))
+        return _c_over_u(W.metric, u_expr, -m, ex.const((n + m - 1) * k))
     h_e = W.chart.parse(h_expr) if isinstance(h_expr, str) else h_expr
-    h = ScalarField(W.chart, h_e)
     lam = ScalarField(W.chart, ex.sub(
         ex.const((n - 1) * k), ex.mul(h_e, ex.mul(ex.const(k), u_expr))))
-    return so.SolitonStructure(W.metric, h, lam, potential=u)
+    return so.SolitonStructure(W.metric, ScalarField(W.chart, h_e), lam,
+                               potential=ScalarField(W.chart, u_expr))
 
 
 def example_neg_m_sphere(n, m, a, b) -> so.SolitonStructure:
@@ -224,12 +214,8 @@ def example_neg_m_sphere(n, m, a, b) -> so.SolitonStructure:
     S = sp.make_sphere(n)
     hv = sp.height_function(S, (0.0,) * n + (1.0,)).field.expr
     u_expr = ex.add(ex.mul(ex.const(a), hv), ex.const(b))
-    u = ScalarField(S.chart, u_expr)
-    h = ScalarField(S.chart, ex.div(ex.const(-m), u_expr))
-    lam = ScalarField(S.chart, ex.add(
+    return _c_over_u(S.metric, u_expr, -m, ex.add(
         ex.const(n - 1.0), ex.div(ex.mul(ex.const(m * a), hv), u_expr)))
-    return so.SolitonStructure(S.metric, h, lam, potential=u,
-                               h_form=so.FORM_NEG_M_OVER_U, m=m)
 
 
 # ---------------------------------------------------------------------------
@@ -334,36 +320,41 @@ class ExampleRun:
     notes: list = dc_field(default_factory=list)
 
 
-def structure_checks(s: so.SolitonStructure, pts, tol: float, divric: bool = True) -> list:
-    """The declared suite for a structure, in two stages of one evaluation each.
+def structure_checks(s: so.SolitonStructure, pts, tol: float, divric: bool = True):
+    """The declared suite for a structure, in two stages of one evaluation
+    each, and its triviality verdict: (reports, TrivialityVerdict).
 
-    Stage 1 is the defining residual(s) at `tol`.  Stage 2, the identities
-    the form makes applicable, runs only when stage 1's soliton residual
-    passes; their prechecks read the stage-1 reports.  `divric=False` leaves
-    the divergence identity out (the manifest report does not list it).
+    Stage 1 is the defining residual(s) at `tol`, evaluated together with the
+    fields of the triviality verdict.  Stage 2, the identities the form makes
+    applicable, runs only when stage 1's soliton residual passes; their
+    prechecks read the stage-1 reports, and mu-constancy joins them when the
+    verdict finds lambda constant.  `divric=False` leaves the divergence
+    identity out (the manifest report does not list it).
     """
+    pts = geo.points_array(pts)
     stage1 = [so.soliton_check(s, tol)]
     if s.is_gradient:
         stage1.append(so.soliton_check(s, tol, gradient=True))
-    reports = so.run_checks(s.metric, pts, stage1)
+    vals = geo.gnorms(s.metric, [c[2] for c in stage1] + so.triviality_fields(s), pts)
+    reports = [so._report(name, t, pts, r) for (name, t, _), r in zip(stage1, vals)]
+    verdict = so.triviality_verdict(s, vals[len(stage1):], tol)
     if not reports[0].passed:
-        return reports
-    stage2, meta, mu = [], [], None
+        return reports, verdict
+    stage2, mu = [], None   # (check, its report's metadata)
     if divric:
-        stage2.append(so.divric_check(s))
-        meta.append({"precheck_sup": reports[0].sup})
+        stage2.append((so.divric_check(s), {"precheck_sup": reports[0].sup}))
     if s.h_form == so.FORM_NEG_M_OVER_U:
         m = so.neg_form_m(s, pts)
-        meta.append({"precheck_sup": so.verified_sup(reports[1]), "m": m})
-        if so.lambda_is_constant(s, pts):
+        meta = {"precheck_sup": so.verified_sup(reports[1]), "m": m}
+        if verdict.lambda_spread < so.LAMBDA_SPREAD_TOL:
             mu = so.mu_report(s, pts, m)
-        stage2.append(so.eqpprinc_check(s, m))
-    second = so.run_checks(s.metric, pts, stage2) if stage2 else []
-    for rep, md in zip(second, meta):
-        rep.metadata.update(md)
+        stage2.append((so.eqpprinc_check(s, m), meta))
+    vals = geo.gnorms(s.metric, [c[2] for c, _ in stage2], pts) if stage2 else []
+    second = [so._report(name, t, pts, r, **md)
+              for ((name, t, _), md), r in zip(stage2, vals)]
     if mu is not None:
         second.insert(len(second) - 1, mu)  # listed before eqpprinc-identity
-    return reports + second
+    return reports + second, verdict
 
 
 def run_example(example_id: str, params=None, count: int = 200,
@@ -388,10 +379,9 @@ def run_example(example_id: str, params=None, count: int = 200,
         s = spec.build(**p)
         pts = so.default_points(s, count, seed)
         run.structure = s
-        run.checks = structure_checks(s, pts, tol)
+        run.checks, tv = structure_checks(s, pts, tol)
         if spec.checks is not None:
             run.checks += so.run_checks(s.metric, pts, spec.checks(s, p))
-        tv = so.triviality_check(s, pts, tol)
         run.triviality, run.trivial, run.classification = tv, tv.trivial, tv.classification
         want = spec.classification(p)
         if want is not None and run.classification != want:

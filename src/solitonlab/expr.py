@@ -34,10 +34,10 @@ add, sub, mul or div consumer writes into the dropped operand's buffer.  The
 values stay bit-identical, and the memory an evaluation holds is bounded by
 the DAG's shared nodes, not by its size.  A fault, or a non-finite input,
 replays the pass from the first node with every value kept and faults
-ignored, and the first node with a non-finite lane locates the error.  There
-is no second interpreter that checks every node's domain.  That order, a
-depth-first post-order over roots and arguments first to last, is a contract:
-`_locate` names the first faulting node by it, so a metric listed first faults first.
+ignored, and the first node with a non-finite lane locates the error.  The
+pass order, a depth-first post-order over roots and arguments first to last,
+is a contract: `_locate` names the first faulting node by it, so a metric
+listed first faults first.
 """
 
 from __future__ import annotations

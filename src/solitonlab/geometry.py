@@ -21,7 +21,7 @@ at the points in one pass; `gnorms`, the one reduction, evaluates the metric
 and a list of residuals through it and returns their g-norms, sqrt(g^{ik}
 g^{jl} T_ij T_kl) at rank 2 and alike at ranks 1 and 3; a rank-0 residual's
 values come back signed.  `sample_points` filters each seeded batch with one
-masked pass over the domain predicates and the metric, with no cap on draws.
+masked pass over the domain predicates and the metric.
 """
 
 from __future__ import annotations

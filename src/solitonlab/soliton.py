@@ -43,7 +43,7 @@ _FORMS = (FORM_FREE, FORM_M_OVER_U, FORM_NEG_M_OVER_U)
 LAMBDA_SPREAD_TOL = 1e-8       # h-Ricci soliton vs h-almost: constancy of lambda
 HOMOTHETY_SPREAD_TOL = 1e-6    # triviality: relative spread of (2/n) div X
 STEADY_EPS = 1e-12
-PRECHECK_TOL = 1e-8            # divric/eqpprinc: the defining residual must pass first
+PRECHECK_TOL = 1e-8            # divric/eqpprinc: the defining residual must pass too
 
 
 class PreconditionError(Exception):
@@ -88,8 +88,6 @@ class SolitonStructure:
 @dataclass(frozen=True)
 class DerivedFields:
     X: VectorField
-    ric: SymTensorField
-    scal: ScalarField
     S: SymTensorField          # ½ L_X g
     S0: SymTensorField         # traceless part
     ric0: SymTensorField
@@ -100,13 +98,11 @@ class DerivedFields:
 def derive(s: SolitonStructure) -> DerivedFields:
     g = s.metric
     X = s.vector_field if s.vector_field is not None else geo.gradient(g, s.potential)
-    ric = geo.ricci(g)
-    scal = geo.scalar_curvature(g)
     S = geo.half_lie_derivative_metric(g, X)
     S0 = geo.traceless(g, S)
-    ric0 = geo.traceless(g, ric)
+    ric0 = geo.traceless(g, geo.ricci(g))
     div_x = geo.divergence_vector(g, X)
-    return DerivedFields(X, ric, scal, S, S0, ric0, div_x)
+    return DerivedFields(X, S, S0, ric0, div_x)
 
 
 @dataclass
@@ -236,6 +232,23 @@ class TrivialityVerdict:
     classification: str = None     # lambda_class of the lambda values
 
 
+def triviality_fields(s: SolitonStructure) -> list:
+    """Traceless ½ L_X g, div X and lambda: the gnorms roots of triviality_verdict."""
+    d = derive(s)
+    return [d.S0.comps, d.div_x.expr, s.lam.expr]
+
+
+def triviality_verdict(s: SolitonStructure, values, tol: float = 1e-8) -> TrivialityVerdict:
+    """triviality_check's verdict from the gnorms values of triviality_fields."""
+    s0, div_x, lam = values
+    sup0 = float(np.max(s0))
+    mean, spread = _mean_spread((2.0 / s.chart.dim) * div_x)
+    _, lam_spread = _mean_spread(lam)
+    trivial = (sup0 <= tol and spread < HOMOTHETY_SPREAD_TOL
+               and lam_spread < LAMBDA_SPREAD_TOL)
+    return TrivialityVerdict(trivial, mean, sup0, spread, lam_spread, lambda_class(lam))
+
+
 def triviality_check(s: SolitonStructure, points, tol: float = 1e-8) -> TrivialityVerdict:
     """Trivial iff X is homothetic (L_X g = c g, c constant) and the structure
     is an honest soliton (lambda constant).
@@ -246,15 +259,7 @@ def triviality_check(s: SolitonStructure, points, tol: float = 1e-8) -> Triviali
     gradient example has X = 2x but is a genuinely non-Einstein almost
     structure, and its source labels it nontrivial on those grounds.
     """
-    d = derive(s)
-    n = s.chart.dim
-    s0, div_x, lam = geo.gnorms(s.metric, [d.S0.comps, d.div_x.expr, s.lam.expr], points)
-    sup0 = float(np.max(s0))
-    mean, spread = _mean_spread((2.0 / n) * div_x)
-    _, lam_spread = _mean_spread(lam)
-    trivial = (sup0 <= tol and spread < HOMOTHETY_SPREAD_TOL
-               and lam_spread < LAMBDA_SPREAD_TOL)
-    return TrivialityVerdict(trivial, mean, sup0, spread, lam_spread, lambda_class(lam))
+    return triviality_verdict(s, geo.gnorms(s.metric, triviality_fields(s), points), tol)
 
 
 @dataclass
@@ -321,7 +326,7 @@ def divric_check(s: SolitonStructure, tol: float = 1e-7):
     lhs1 = ex.nsum(ex.mul(div_ric0.comps[j], d.X.comps[j]) for j in range(n))
     grad_x = geo.covariant_derivative_vector(g, d.X)
     lhs2 = geo.inner_rank2(g, grad_x, d.ric0).expr
-    dr = [ex.differentiate(d.scal.expr, j) for j in range(n)]
+    dr = [ex.differentiate(geo.scalar_curvature(g).expr, j) for j in range(n)]
     rhs1 = ex.mul(ex.const((n - 2) / (2.0 * n)),
                   ex.nsum(ex.mul(dr[j], d.X.comps[j]) for j in range(n)))
     s0_sq = geo.inner_rank2(g, d.S0, d.S0).expr
@@ -335,9 +340,11 @@ def divric_identity_residual(s: SolitonStructure, points, tol: float = 1e-7) -> 
     The left side is expanded as (div Ric0)(X) + <grad X, Ric0>.  Requires the
     structure to satisfy the soliton equation first.
     """
-    pre = verified_sup(soliton_residual(s, points, PRECHECK_TOL),
-                       "; the divergence identity only holds on verified structures")
-    return run_checks(s.metric, points, [divric_check(s, tol)], precheck_sup=pre)[0]
+    pre, rep = run_checks(s.metric, points, [soliton_check(s, PRECHECK_TOL),
+                                             divric_check(s, tol)])
+    rep.metadata["precheck_sup"] = verified_sup(
+        pre, "; the divergence identity only holds on verified structures")
+    return rep
 
 
 def neg_form_m(s: SolitonStructure, points) -> float:
@@ -411,9 +418,10 @@ def eqpprinc_residual(s: SolitonStructure, points, tol: float = 1e-8) -> Residua
     d((n-2)/m u^2 lambda - u lap u - (m-1)|grad u|^2) - ((m+n-2)/m) lambda d(u^2),
     which vanishes on gradient (-m/u)-almost structures."""
     m = neg_form_m(s, points)
-    pre = verified_sup(gradient_soliton_residual(s, points, PRECHECK_TOL))
-    return run_checks(s.metric, points, [eqpprinc_check(s, m, tol)],
-                      precheck_sup=pre, m=m)[0]
+    pre, rep = run_checks(s.metric, points, [soliton_check(s, PRECHECK_TOL, gradient=True),
+                                             eqpprinc_check(s, m, tol)], m=m)
+    rep.metadata["precheck_sup"] = verified_sup(pre)
+    return rep
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import importlib
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -563,6 +564,49 @@ def test_construct_warped_abstract_fiber(capsys):
                            "--fiber", "abstract", "--points", "50")
     assert code == 0
     assert json.loads(out)["checks"][0]["name"] == "warped-einstein-base-block"
+
+
+def test_explicit_fiber_above_sixteen_is_refused_before_sampling(monkeypatch, capsys):
+    # the product chart's Ricci build grows with the fiber dimension as a
+    # catalog's does with --n; an abstract fiber builds no chart
+    monkeypatch.setattr(so, "default_points", lambda *a, **k: pytest.fail("sampled"))
+    for argv in (("--m", "17"), ("--m", "17", "--fiber-dim", "17"),
+                 ("--m", "17", "--fiber", "sphere")):
+        code, out, err = run_cli(capsys, "construct-warped", "--base", "pseudo-hyperbolic",
+                                 *argv)
+        assert (code, out) == (2, "")
+        assert err == ("invalid input: --fiber-dim (or the base's m) must be at most 16 "
+                       "for an explicit fiber, got 17\n")
+    monkeypatch.undo()
+    code, _, _ = run_cli(capsys, "construct-warped", "--base", "pseudo-hyperbolic",
+                         "--m", "40", "--fiber", "abstract", "--points", "20")
+    assert code == 0
+
+
+def readme_commands():
+    """The `solitonlab ...` lines of README's command-line block, with their
+    continuation lines joined."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("solitonlab ")]
+
+
+def test_readme_commands_cover_the_block():
+    assert [argv[0] for argv in readme_commands()] == [
+        "verify-example", "verify-example", "verify-manifest", "check-identity",
+        "check-identity", "construct-warped", "classify"]
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_command_runs(argv, tmp_path, capsys):
+    # the placeholder manifest path becomes a real manifest, and --out a
+    # file under tmp_path
+    shell = str(ROOT / "perfbench" / "manifests" / "shell-neg-m-over-u.json")
+    argv = [shell if a.startswith("path/to/") else
+            str(tmp_path / Path(a).name) if prev == "--out" else a
+            for prev, a in zip([None, *argv], argv)]
+    assert run_cli(capsys, *argv)[0] == 0
 
 
 def test_classify_example(capsys):

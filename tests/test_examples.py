@@ -1,5 +1,7 @@
 # the worked-example catalog and its suite runner
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,11 @@ from solitonlab import cli
 from solitonlab import examples as exm
 from solitonlab import expr as ex
 from solitonlab import geometry as geo
+from solitonlab import manifest as mf
 from solitonlab import soliton as so
 from solitonlab import spaces as sp
+
+MANIFESTS = Path(__file__).resolve().parents[1] / "perfbench" / "manifests"
 
 
 @pytest.mark.parametrize("example_id", list(exm.EXAMPLES))
@@ -225,11 +230,11 @@ def test_structure_checks_evaluate_each_defining_residual_once(monkeypatch):
     s = exm.build_structure("neg-m-sphere")
     pts = so.default_points(s, 60)
     calls = strict_calls(monkeypatch)
-    reps = exm.structure_checks(s, pts, 1e-8)
+    reps, _ = exm.structure_checks(s, pts, 1e-8)
     assert [r.name for r in reps] == ["soliton-residual", "gradient-soliton-residual",
                                       "divric-identity", "eqpprinc-identity"]
-    # stage 1, the h = -m/u probe, lambda's constancy and stage 2
-    assert len(calls) == 4
+    # stage 1 with the triviality fields, the h = -m/u probe and stage 2
+    assert len(calls) == 3
     for check in (so.soliton_check(s), so.soliton_check(s, gradient=True)):
         roots = {e for row in check[2] for e in row}
         assert sum(bool(roots & set(c)) for c in calls) == 1
@@ -264,6 +269,48 @@ def test_classify_makes_two_strict_calls(monkeypatch, capsys):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("argv, count", [
+    # the sampler's strict pass, stage 1 with the triviality fields, then the
+    # h = -m/u probe and stage 2
+    (("verify-example", "neg-m-sphere"), 4),
+    # as neg-m-sphere, plus make_warped's pass over the warping function, mu
+    # and the Hessian equation
+    (("verify-example", "pseudo-hyperbolic"), 7),
+    (("verify-example", "space-form-gradient"), 3),
+    (("verify-example", "euclidean-gradient"), 3),
+    (("verify-manifest", str(MANIFESTS / "shell-neg-m-over-u.json")), 4),
+    # h = m/u and no divergence identity: no stage 2
+    (("verify-manifest", str(MANIFESTS / "flat-m-over-u.json")), 2),
+    # the sampler's pass, then the precheck and the identity in one pass
+    (("check-identity", "divric"), 2),
+    (("check-identity", "eqpprinc"), 3),
+], ids=lambda v: v if isinstance(v, int) else " ".join(Path(a).name for a in v))
+def test_structure_commands_make_one_strict_call_per_stage(argv, count, monkeypatch,
+                                                           capsys):
+    calls = strict_calls(monkeypatch)
+    assert cli.main([*argv, "--points", "40"]) == 0
+    assert len(calls) == count
+
+
+VECTOR_FIELD_MANIFEST = {
+    "schema": mf.SCHEMA, "dimension": 2, "coordinates": ["x1", "x2"],
+    "box": [[-1.0, 1.0], [-1.0, 1.0]], "metric": ["1", "0", "1"],
+    # X = x is homothetic, with (1/2) L_X g = g: a trivial structure at lambda = h
+    "structure": {"vector_field": ["x1", "x2"]}, "h": "1", "lambda": "1",
+}
+
+
+@pytest.mark.parametrize("source", [
+    *(i for i, spec in exm.EXAMPLES.items() if spec.structure), "vector-field manifest"])
+def test_structure_checks_verdict_equals_triviality_check(source):
+    s = (mf.from_dict(VECTOR_FIELD_MANIFEST).structure if source == "vector-field manifest"
+         else exm.build_structure(source))
+    pts = so.default_points(s, 40)
+    _, verdict = exm.structure_checks(s, pts, 1e-8)
+    assert vars(verdict) == vars(so.triviality_check(s, pts, 1e-8))
+    assert verdict.trivial == (source == "vector-field manifest")
+
+
 def test_stage_two_runs_when_stage_one_passes_at_its_own_tolerance():
     # lambda off by 1e-7 leaves the defining residuals near 1.7e-7: past the
     # identities' own 1e-8 prechecks, within a stage-1 tolerance of 1e-5
@@ -272,9 +319,9 @@ def test_stage_two_runs_when_stage_one_passes_at_its_own_tolerance():
         s.metric, s.h, geo.ScalarField(s.chart, ex.add(s.lam.expr, ex.const(1e-7))),
         potential=s.potential, h_form=s.h_form, m=s.m)
     pts = so.default_points(shifted, 60)
-    assert [r.name for r in exm.structure_checks(shifted, pts, 1e-8)] == [
+    assert [r.name for r in exm.structure_checks(shifted, pts, 1e-8)[0]] == [
         "soliton-residual", "gradient-soliton-residual"]
-    reps = exm.structure_checks(shifted, pts, 1e-5)
+    reps, _ = exm.structure_checks(shifted, pts, 1e-5)
     assert [r.name for r in reps] == ["soliton-residual", "gradient-soliton-residual",
                                       "divric-identity", "eqpprinc-identity"]
     assert reps[0].passed and 1e-8 < reps[0].sup < 1e-6
