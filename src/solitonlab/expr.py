@@ -26,23 +26,34 @@ to a negative power, or any non-finite intermediate) either raise DomainError
 with the index of the offending point ("strict") or mark the point invalid in
 a returned mask ("masked").
 
-`eval_many` has one interpreter: a pass over the DAG in `_topo`'s order,
-one numpy call per node, with floating-point faults raised.  The pass keeps
-only the values of shared nodes (nodes with more than one consumer) and of
-roots; a node with one consumer is dropped once that consumer has run, and an
-add, sub, mul or div consumer writes into the dropped operand's buffer.  The
-values stay bit-identical, and the memory an evaluation holds is bounded by
-the DAG's shared nodes, not by its size.  A fault, or a non-finite input,
-replays the pass from the first node with every value kept and faults
-ignored, and the first node with a non-finite lane locates the error.  The
-pass order, a depth-first post-order over roots and arguments first to last,
-is a contract: `_locate` names the first faulting node by it, so a metric
-listed first faults first.
+`eval_many` has one evaluator, a compiler and a runner.  `_compile` walks
+the DAG once, in `_topo`'s order, into a tape: per node an opcode, a numpy
+kernel or leaf payload, and operand and output slots packed into an int32
+array, with every drop and buffer-reuse decision made during the walk.
+`_run` replays a tape over a list of slots, one numpy call per node, with
+floating-point faults raised.  Tapes are cached in `_TAPES` under the root
+tuple: roots are interned and a tape depends on neither the points nor the
+parameter values, so a later call with the same roots skips the walk.  A
+tape keeps only the values of roots and of nodes with more than one consumer
+(`Expression.uses`, counted as nodes are built); a node with one consumer is
+dropped once that consumer has run, and later results are written into the
+buffers the tape allocated for dropped values.  The values stay
+bit-identical, and the memory an evaluation holds is bounded by the shared
+nodes, not by the DAG's size.
+A fault, or a non-finite input, replays the roots' keep-every-value tape,
+compiled on the first fault and cached with the other, with faults ignored,
+and the first node with a non-finite lane locates the error.  The order, a
+depth-first post-order over roots and arguments first to last, is a
+contract: `_locate` names the first faulting node by it, so a metric listed
+first faults first.  The tables, the consumer counts and the tape cache are
+process state without locks: build and evaluate expressions from one thread
+at a time.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 
 import numpy as np
 
@@ -98,9 +109,14 @@ class UnboundParameterError(ExprError):
 
 
 class Expression:
-    """Interned immutable expression node; construct via module functions."""
+    """Interned immutable expression node; construct via module functions.
 
-    __slots__ = ("kind", "payload", "args")
+    `uses` counts the nodes built with this one as an operand (twice for
+    `a*a`); the evaluator's compiler reads it, and it is not part of the
+    expression.
+    """
+
+    __slots__ = ("kind", "payload", "args", "uses")
 
     def __repr__(self):
         return f"Expression({to_text(self)})"
@@ -114,7 +130,12 @@ _TABLE: dict = {k: {} for k in ("const", "coord", "param", "add", "sub", "mul", 
 def _new(table, key, kind, payload, args) -> Expression:
     """Intern a node `table` lacks under `key`; nodes are truthy, so `get(key) or _new(...)`."""
     e = Expression()
-    e.kind, e.payload, e.args = kind, payload, args
+    e.kind, e.payload, e.args, e.uses = kind, payload, args, 0
+    # a node with one consumer has one in any DAG; see `_compile`
+    if args:
+        args[0].uses += 1
+        if len(args) == 2:
+            args[1].uses += 1
     table[key] = e
     return e
 
@@ -675,6 +696,23 @@ def _points(points, mode):
     return pts
 
 
+# root tuple -> its tape; a tape depends on neither the points nor the binding
+_TAPES: dict = {}
+
+
+class _Tape:
+    """A root set compiled for `_run`: per node, in `_topo`'s order, an opcode
+    in `ops`, a numpy kernel or leaf payload in `kernels`, and three slots in
+    `slots` (first operand, second operand, output; an unused one is 0).
+    `width` is the length of the slot list the tape runs over, and `outs`
+    holds the roots' slots.  `full` is the keep-every-value tape of the same
+    roots, compiled when a fault first needs it; that tape's `nodes` are its
+    nodes in order, for `_locate`.
+    """
+
+    __slots__ = ("ops", "kernels", "slots", "width", "outs", "nodes", "full")
+
+
 def eval_many(exprs, points, binding=None, mode="strict"):
     """Evaluate expressions over a batch of points.
 
@@ -683,46 +721,52 @@ def eval_many(exprs, points, binding=None, mode="strict"):
     offending point; in "masked" mode the return value is (values, ok) where
     ok is an (N,) bool mask and masked lanes hold NaN.
 
-    One pass makes one numpy call per node, with overflow, division by zero
-    and invalid operations raised as faults.  It keeps the values of the
-    roots and of the nodes that `_topo` reaches more than once; any other
-    node has one consumer, and its value is dropped once that consumer has
-    run.  An add, sub, mul or div consumer writes its result into such an
-    operand's buffer when the pass allocated it, never into a view of
-    `points` or a scalar, so neither `points` nor an earlier result is
-    written.  After a fault, or on a non-finite point or bound value, the
-    pass starts over from the first node with every value kept and faults
+    The first call with a root tuple compiles it into a tape (`_compile`),
+    cached in `_TAPES`; every call replays the tape (`_run`), one numpy call per
+    node, with overflow, division by zero and invalid operations raised as
+    faults.  The tape keeps the values of the roots and of the nodes that more
+    than one node takes as an operand; any other node's value is dropped once
+    its consumer has run.  A result is written into the buffer of such an
+    operand, or of another dropped value, when the tape allocated that buffer,
+    never into a view of `points` or a scalar, so neither `points` nor an
+    earlier result is written.  After a fault, or on a non-finite point or bound
+    value, the same runner replays the roots' keep-every-value tape with faults
     ignored, and the first node in topological order with a non-finite lane
-    locates the error; the values the fast pass dropped before its fault
-    were finite, so the located node is the same.  A coordinate index out of
-    range raises ValueError, and an unbound parameter UnboundParameterError,
-    unless a strict-mode fault comes before it.
+    locates the error; the values the fast pass dropped before its fault were
+    finite, so the located node is the same.  A coordinate index out of range
+    raises ValueError, and an unbound parameter UnboundParameterError, unless a
+    strict-mode fault comes before it.
     """
     pts = _points(points, mode)
-    roots = list(exprs)
+    roots = tuple(exprs)
     binding = binding or {}
-    order, shared = _topo(roots)
-    vals: dict = {}
+    tape = _TAPES.get(roots)
+    if tape is None:
+        tape = _TAPES[roots] = _compile(roots)
     ok = np.ones(len(pts), dtype=bool)
     faulted = not (np.isfinite(pts).all()
                    and np.isfinite(np.fromiter(binding.values(), float, len(binding))).all())
     if not faulted:
+        vals = [None] * tape.width
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
-                _eval_nodes(order, pts, binding, vals, shared)
+                _run(tape, vals, pts, binding)
         except FloatingPointError:
             faulted = True
     if faulted:
-        # the fast pass dropped and overwrote values: start over, keeping every one
-        vals.clear()
+        # the fast pass dropped and overwrote values: replay keeping every one
+        if tape.full is None:
+            tape.full = _compile(roots, keep_all=True)
+        tape = tape.full
+        vals = [None] * tape.width
         try:
             with np.errstate(all="ignore"):
-                _eval_nodes(order, pts, binding, vals, set(order))
+                _run(tape, vals, pts, binding)
         finally:
-            ok = _locate(vals, len(pts), mode)
+            ok = _locate(tape, vals, len(pts), mode)
     out = np.empty((len(roots), len(pts)), dtype=float)
-    for i, r in enumerate(roots):
-        out[i, :] = vals[r]
+    for i, slot in enumerate(tape.outs):
+        out[i, :] = vals[slot]
     if mode == "masked":
         out[:, ~ok] = np.nan
         return out, ok
@@ -731,64 +775,181 @@ def eval_many(exprs, points, binding=None, mode="strict"):
 
 _BINARY = {"add": np.add, "sub": np.subtract, "mul": np.multiply, "div": np.divide}
 
+# Opcodes.  An "into" instruction writes into the array already in its output
+# slot, a dead operand's or another dead value's, so it stores nothing.
+#   0 binary    1 binary into o    2 unary     3 unary into o
+#   4 power     5 power into o     6 constant  7 coordinate   8 parameter
 
-def _eval_nodes(order, pts, binding, vals, keep):
-    """Store each node's value in `vals`, keyed by node, in topological order.
 
-    A node not in `keep` has one consumer, and its value leaves `vals` when
-    that consumer runs.  An add, sub, mul or div consumer writes its result
-    into such an operand's buffer if this loop allocated it, which gives the
-    same bits because each is one IEEE operation per lane; coordinate columns
-    (views of the caller's points) and scalars are never written.
+def _compile(roots, keep_all=False):
+    """The tape of `roots`: one instruction per node, in `_topo`'s order.
+
+    Each emitted node gets a code, its slot shifted left by 3 over three flags:
+    1 when its value is an array (it depends on a coordinate), 2 when the node
+    is dropped, which a node with one consumer that is not a root is, and 4 when
+    it is dropped and the tape allocated its array.  A dropped node's slot is
+    reused once its consumer has run.  If the tape allocated its array, the
+    consumer writes into it, or else an array-valued node writes into a dropped
+    array no operation has reused yet (`dead`); that gives the same bits,
+    because each kernel is one IEEE operation per lane.  Coordinate columns are
+    views of the caller's points and subtrees over parameters and constants are
+    scalars; neither is written.  A node with one consumer is reached once,
+    inside its consumer's walk, so its code waits on `held` until that consumer
+    pops it; any other node's code is in `emitted`, which is also the walk's
+    visited set.  A keep-every-value tape drops nothing, so node i has slot i.
     """
+    # a root is kept: it counts as a second consumer while the walk runs
+    bumped = [(r, 2 - r.uses) for r in set(roots) if r.uses < 2]
+    for r, by in bumped:
+        r.uses += by
+    try:
+        # the flags a held code keeps: a keep-every-value tape clears "dropped"
+        held_flags = 1 if keep_all else 7
+        emitted, held = {}, []
+        hold, take = held.append, held.pop
+        ops, kernels, slots, chunk = bytearray(), [], array("i"), []
+        emit_op, emit_f, emit = ops.append, kernels.append, chunk.append
+        binary = _BINARY
+        # slots whose value is dead: any, and arrays the tape allocated
+        free, dead, width, left = [], [], 0, 1024
+        stack = list(reversed(roots))
+        push, pop = stack.append, stack.pop
+        while stack:
+            node = pop()
+            if node is None:
+                node = pop()
+            elif node.uses > 1 and node in emitted:
+                continue
+            elif node.args:
+                # walk the operands not yet emitted, then come back under a None marker
+                push(node)
+                push(None)
+                args = node.args
+                if len(args) == 2 and (args[1].uses == 1 or args[1] not in emitted):
+                    push(args[1])
+                if args[0].uses == 1 or args[0] not in emitted:
+                    push(args[0])
+                continue
+            # every operand has been emitted; a held code comes off last first
+            args = node.args
+            if len(args) == 2:
+                a, b = args
+                cb = take() if b.uses == 1 else emitted[b]
+                ca = take() if a.uses == 1 else emitted[a]
+                sa, da = ca >> 3, ca & 6
+                sb, db = cb >> 3, cb & 6
+                op, f, arr = 0, binary[node.kind], (ca | cb) & 1
+                if da == 6:
+                    o = sa
+                    if db:
+                        (dead if db == 6 else free).append(sb)
+                elif db == 6:
+                    o = sb
+                    if da:
+                        free.append(sa)
+                else:
+                    o = -1
+                    if da:
+                        free.append(sa)
+                    if db:
+                        free.append(sb)
+            elif args:
+                a = args[0]
+                ca = take() if a.uses == 1 else emitted[a]
+                sa, sb, da, arr = ca >> 3, 0, ca & 6, ca & 1
+                k = node.kind
+                if k == "pow":
+                    op, f = 4, node.payload
+                else:
+                    op, f = 2, np.negative if k == "neg" else _NP_FUNC[k]
+                if da == 6:
+                    o = sa
+                else:
+                    o = -1
+                    if da:
+                        free.append(sa)
+            else:
+                k = node.kind
+                if k == "const":
+                    op, f, flags = 6, np.float64(node.payload), 2
+                elif k == "coord":
+                    op, f, flags = 7, node.payload, 3
+                else:
+                    op, f, flags = 8, node.payload, 2
+                sa = sb = 0
+                o = -1
+            if args:
+                # an array result goes into a dead operand's buffer, or into
+                # another dead array, when there is one; the tape allocated it
+                if o >= 0:
+                    op += 1
+                elif arr and dead:
+                    o = dead.pop()
+                    op += 1
+                flags = 7 if arr else 2
+            if o < 0:
+                if free:
+                    o = free.pop()
+                else:
+                    o, width = width, width + 1
+            emit_op(op)
+            emit_f(f)
+            emit(sa)
+            emit(sb)
+            emit(o)
+            if node.uses == 1:
+                hold((o << 3) + (flags & held_flags))
+            else:
+                emitted[node] = (o << 3) + (flags & 1)
+            left -= 1
+            if not left:
+                # a long list of ints costs 40 B each; packed they cost 4
+                slots.fromlist(chunk)
+                chunk.clear()
+                left = 1024
+        slots.fromlist(chunk)
+    finally:
+        for r, by in bumped:
+            r.uses -= by
+    tape = _Tape()
+    tape.ops, tape.kernels, tape.slots, tape.width = bytes(ops), tuple(kernels), slots, width
+    tape.outs = array("i", [emitted[r] >> 3 for r in roots])
+    # `_topo`'s order is the tape's; `_locate` reads a keep-every-value tape by it
+    tape.nodes, tape.full = tuple(_topo(roots)[0]) if keep_all else None, None
+    return tape
+
+
+def _run(tape, vals, pts, binding):
+    """Replay `tape` over `pts`, storing each node's value in its slot of `vals`."""
     dim = pts.shape[1]
-    ndarray = np.ndarray
-    pop = vals.pop
-    for node in order:
-        k = node.kind
-        ufunc = _BINARY.get(k)
-        if ufunc is not None:
-            a, b = node.args
-            if a in keep:
-                x = vals[a]
-                if b in keep:
-                    v = ufunc(x, vals[b])
-                else:
-                    y = pop(b)
-                    v = ufunc(x, y, y) if type(y) is ndarray and y.base is None else ufunc(x, y)
-            else:
-                x = pop(a)
-                y = vals[b] if b in keep else pop(b)
-                if type(x) is ndarray and x.base is None:
-                    v = ufunc(x, y, x)
-                elif b not in keep and type(y) is ndarray and y.base is None:
-                    v = ufunc(x, y, y)
-                else:
-                    v = ufunc(x, y)
-        elif k == "const":
-            v = np.float64(node.payload)
-        elif k == "coord":
-            if node.payload >= dim:
-                raise ValueError(f"expression uses coordinate index {node.payload} "
+    power = np.power
+    slots = iter(tape.slots)
+    for op, f, a, b, o in zip(tape.ops, tape.kernels, slots, slots, slots):
+        if op == 1:
+            f(vals[a], vals[b], vals[o])
+        elif op == 0:
+            vals[o] = f(vals[a], vals[b])
+        elif op == 3:
+            f(vals[a], vals[o])
+        elif op == 2:
+            vals[o] = f(vals[a])
+        elif op == 5:
+            # np.power, not `**`: on a scalar base `**` rounds differently
+            power(vals[a], f, vals[o])
+        elif op == 4:
+            vals[o] = power(vals[a], f)
+        elif op == 6:
+            vals[o] = f
+        elif op == 7:
+            if f >= dim:
+                raise ValueError(f"expression uses coordinate index {f} "
                                  f"but points have dimension {dim}")
-            v = pts[:, node.payload]
-        elif k == "param":
-            try:
-                v = np.float64(binding[node.payload])
-            except KeyError:
-                raise UnboundParameterError(
-                    f"parameter {node.payload!r} has no bound value") from None
+            vals[o] = pts[:, f]
         else:
-            a = node.args[0]
-            x = vals[a] if a in keep else pop(a)
-            if k == "pow":
-                # np.power, not `**`: on a scalar base `**` rounds differently
-                v = np.power(x, node.payload)
-            elif k == "neg":
-                v = -x
-            else:
-                v = _NP_FUNC[k](x)
-        vals[node] = v
+            try:
+                vals[o] = np.float64(binding[f])
+            except KeyError:
+                raise UnboundParameterError(f"parameter {f!r} has no bound value") from None
 
 
 # kind -> (argument index, lanes where that argument leaves the domain, reason)
@@ -800,15 +961,19 @@ _HAZARDS = {
 }
 
 
-def _locate(vals, n_pts, mode):
-    """The valid-point mask of a replayed pass; strict mode raises at the first fault.
+def _locate(tape, vals, n_pts, mode):
+    """The valid-point mask of a keep-every-value replay; strict mode raises at the first fault.
 
-    `vals` is in insertion order, which is topological order, so the first
-    node with a non-finite lane is where the fault arose.  Its reason is the
-    hazard's if any lane meets the hazard, else "non-finite result in {kind}".
+    Node i's value is in slot i, so the first node with a non-finite lane is
+    where the fault arose; a replay that stopped early leaves None from there
+    on.  The reason is the hazard's if any lane meets the hazard, else
+    "non-finite result in {kind}".
     """
     ok = np.ones(n_pts, dtype=bool)
-    for node, v in vals.items():
+    slots = iter(tape.slots)
+    for node, v, a, b, _ in zip(tape.nodes, vals, slots, slots, slots):
+        if v is None:
+            break
         bad = ~np.isfinite(v)
         if not bad.any():
             continue
@@ -818,7 +983,7 @@ def _locate(vals, n_pts, mode):
         reason = f"non-finite result in {node.kind}"
         if node.kind in _HAZARDS:
             arg, hazard, why = _HAZARDS[node.kind]
-            if np.any(hazard(vals[node.args[arg]], node.payload)):
+            if np.any(hazard(vals[b if arg else a], node.payload)):
                 reason = why
         raise DomainError(reason, int(np.argmax(bad)))
     return ok

@@ -7,6 +7,8 @@ folds the package's must reproduce node for node.  `evaluate` reads one
 expression at one point through `eval_many`.  `finite_difference` is the numeric oracle for
 `expr.differentiate`.  `riemann_sectional` reads sectional curvatures off
 `geometry.riemann_up`, for the model spaces' known constants.
+`curvature_from_jets` rebuilds the curvature layer's tensors with numpy from
+the values of the metric entries and their partials.
 """
 
 import math
@@ -15,7 +17,7 @@ import numpy as np
 
 from solitonlab import geometry as geo
 from solitonlab.expr import (_NP_FUNC, ZERO, DomainError, Expression, UnboundParameterError,
-                             _node, _points, const, eval_many)
+                             _node, _points, const, differentiate, eval_many)
 
 
 def _is_const(e, v=None):
@@ -236,3 +238,57 @@ def riemann_sectional(g, p, u, v) -> float:
     rw = np.einsum("lkij,i,j,k->l", rv, u, v, v)
     num = rw @ gv @ u
     return float(num / denom)
+
+
+def curvature_from_jets(g, phi, points):
+    """Christoffel, Ricci, scalar curvature, Hess phi and div Ric at the points.
+
+    Only the values of g's entries and of their partials up to order 3, and
+    of phi's up to order 2, come from the package (`eval_many`).  numpy builds
+    the rest with `einsum`, differentiating the inverse by
+    ∂g⁻¹ = -g⁻¹ ∂g g⁻¹, so no curvature formula is shared with `geometry`.
+    Arrays have the point axis first: christoffel[N, k, i, j] = Γ^k_ij,
+    ricci[N, j, k], scalar[N], hessian[N, i, j], div_ricci[N, j].
+    """
+    n = g.chart.dim
+    pts = geo.points_array(points)
+
+    def d(t, a):
+        return differentiate(t, a) if isinstance(t, Expression) else [d(s, a) for s in t]
+
+    jets = [[list(row) for row in g.comps]]
+    for _ in range(3):
+        jets.append([d(jets[-1], a) for a in range(n)])
+    pjets = [phi.expr]
+    for _ in range(2):
+        pjets.append([d(pjets[-1], a) for a in range(n)])
+    arrs = [np.array(t, dtype=object) for t in jets + pjets[1:]]
+    vals = eval_many([e for a in arrs for e in a.flat], pts, g.chart.binding)
+    ends = np.cumsum([a.size for a in arrs])
+    G, dG, d2G, d3G, dphi, d2phi = (vals[e - a.size:e].T.reshape((len(pts),) + a.shape)
+                                    for a, e in zip(arrs, ends))
+    es = np.einsum
+    Gi = np.linalg.inv(G)
+    dGi = -es("nik,nakl,nlj->naij", Gi, dG, Gi)
+    d2Gi = -(es("nbik,nakl,nlj->nabij", dGi, dG, Gi) + es("nik,nabkl,nlj->nabij", Gi, d2G, Gi)
+             + es("nik,nakl,nblj->nabij", Gi, dG, dGi))
+    # B[l, i, j] = ∂_i g_lj + ∂_j g_li - ∂_l g_ij, and its first two partials
+    B = es("nilj->nlij", dG) + es("njli->nlij", dG) - dG
+    dB = es("nailj->nalij", d2G) + es("najli->nalij", d2G) - d2G
+    d2B = es("nabilj->nablij", d3G) + es("nabjli->nablij", d3G) - d3G
+    gam = 0.5 * es("nkl,nlij->nkij", Gi, B)
+    dgam = 0.5 * (es("nakl,nlij->nakij", dGi, B) + es("nkl,nalij->nakij", Gi, dB))
+    d2gam = 0.5 * (es("nabkl,nlij->nabkij", d2Gi, B) + es("nakl,nblij->nabkij", dGi, dB)
+                   + es("nbkl,nalij->nabkij", dGi, dB) + es("nkl,nablij->nabkij", Gi, d2B))
+    # Ric_jk = ∂_i Γ^i_jk - ∂_j Γ^i_ik + Γ^i_ip Γ^p_jk - Γ^i_jp Γ^p_ik
+    ric = (es("niijk->njk", dgam) - es("njiik->njk", dgam)
+           + es("niip,npjk->njk", gam, gam) - es("nijp,npik->njk", gam, gam))
+    dric = (es("naiijk->najk", d2gam) - es("najiik->najk", d2gam)
+            + es("naiip,npjk->najk", dgam, gam) + es("niip,napjk->najk", gam, dgam)
+            - es("naijp,npik->najk", dgam, gam) - es("nijp,napik->najk", gam, dgam))
+    # ∇_a Ric_ij = ∂_a Ric_ij - Γ^p_ai Ric_pj - Γ^p_aj Ric_ip;
+    # (div Ric)_j = g^ik ∇_i Ric_kj
+    nabla = dric - es("npai,npj->naij", gam, ric) - es("npaj,nip->naij", gam, ric)
+    return {"christoffel": gam, "ricci": ric, "scalar": es("njk,njk->n", Gi, ric),
+            "hessian": d2phi - es("nkij,nk->nij", gam, dphi),
+            "div_ricci": es("nik,nikj->nj", Gi, nabla)}

@@ -594,7 +594,7 @@ def test_eval_nodes_is_the_only_evaluator():
     src = Path(ex.__file__).resolve().parent
     users = {path.name: np_func_users(path.read_text(encoding="utf-8"))
              for path in sorted(src.glob("*.py"))}
-    assert {name: u for name, u in users.items() if u} == {"expr.py": ["_eval_nodes"]}
+    assert {name: u for name, u in users.items() if u} == {"expr.py": ["_compile"]}
     assert np_func_users("def f(k):\n    return ex._NP_FUNC[k](1.0)\n") == ["f"]
 
 

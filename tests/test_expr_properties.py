@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from solitonlab import expr as ex
+from test_tapes import bits, keep_every_value
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -66,3 +67,37 @@ def test_differentiate_matches_central_differences(e, i, point):
     # where e is smooth; near a pole it grows, and the check loosens with it
     slack = 1e-6 * max(1.0, abs(exact)) + 100.0 * abs(fine - coarse)
     assert abs(exact - fine) <= slack, (ex.to_text(e, NAMES), i, point)
+
+
+def _outcome(roots, pts, mode):
+    try:
+        return ex.eval_many(roots, pts, PARAMS, mode=mode)
+    except ex.DomainError as err:
+        return (err.reason, err.point_index)
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+@hypothesis.given(st.lists(trees(st.floats(-2.0, 2.0)), min_size=1, max_size=3),
+                  st.lists(st.tuples(*[st.floats(-2.0, 2.0)] * len(NAMES)),
+                           min_size=1, max_size=6))
+def test_cached_tape_replays_the_first_evaluation(exprs, points):
+    # roots that repeat and that are operands of other roots; points where
+    # some lanes fault (ln, sqrt and division meet 0 and negative values)
+    roots = tuple(exprs) + exprs[0].args[:1] + (exprs[0],)
+    pts = np.array(points, dtype=float)
+    kept = keep_every_value(roots, pts, PARAMS)
+    for mode in ("strict", "masked"):
+        ex._TAPES.pop(roots, None)
+        first = _outcome(roots, pts, mode)
+        again = _outcome(roots, pts, mode)
+        if isinstance(first, tuple) and isinstance(first[0], str):
+            assert again == first
+            continue
+        if mode == "strict":
+            first, ok = (first, again), np.ones(len(pts), dtype=bool)
+        else:
+            assert np.array_equal(again[1], first[1])
+            ok = first[1]
+            first = (first[0], again[0])
+        assert np.array_equal(bits(first[1]), bits(first[0]))
+        assert np.array_equal(bits(first[0][:, ok]), bits(kept[:, ok]))

@@ -496,7 +496,7 @@ def test_parameter_values_live_on_the_chart():
     src = Path(geo.__file__).resolve().parent
     takers = {f"{path.stem}.{name}" for path in sorted(src.glob("*.py"))
               for name in binding_takers(path.read_text(encoding="utf-8"))}
-    assert takers == {"expr.eval_many", "expr._eval_nodes"}
+    assert takers == {"expr.eval_many", "expr._run"}
     assert binding_takers("def f(g, *, binding=None):\n    pass\n") == ["f"]
     assert "binding" not in {f.name for f in dataclasses.fields(so.SolitonStructure)}
     assert [f.name for f in dataclasses.fields(mf.Manifest)] == [

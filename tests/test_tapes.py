@@ -1,0 +1,220 @@
+# compiled evaluation tapes: a tape cached by one call gives the bits a fresh
+# compile gives, whatever the points, the binding and the DAGs built since
+
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import oracles
+from solitonlab import cli
+from solitonlab import examples as exm
+from solitonlab import expr as ex
+from solitonlab import geometry as geo
+from solitonlab import identities as idn
+
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS_PATH = ROOT / "perfbench" / "workloads.py"
+
+
+def load_workloads():
+    """perfbench/workloads.py, loaded by path so that plain pytest finds it too."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PATH)
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod  # its dataclasses look their module up
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def keep_every_value(roots, pts, binding=None):
+    """The roots' values from a keep-every-value tape, compiled afresh."""
+    tape = ex._compile(tuple(roots), keep_all=True)
+    vals = [None] * tape.width
+    with np.errstate(all="ignore"):
+        ex._run(tape, vals, pts, binding or {})
+    out = np.empty((len(roots), len(pts)))
+    for i, slot in enumerate(tape.outs):
+        out[i, :] = vals[slot]
+    return out
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def fresh_and_cached(roots, pts, binding=None):
+    """eval_many's result with the roots' tape compiled by the call, then cached."""
+    ex._TAPES.pop(tuple(roots), None)
+    first = ex.eval_many(roots, pts, binding)
+    assert tuple(roots) in ex._TAPES
+    return first, ex.eval_many(roots, pts, binding)
+
+
+PTS = np.random.default_rng(3).uniform(0.5, 1.5, size=(7, 3))
+X, Y = ex.coord(0), ex.coord(1)
+
+
+def test_square_of_a_single_use_node():
+    # t*t: t has two consumer slots in one node, so neither write may reuse it
+    t = ex.add(X, ex.const(0.25))
+    sq = ex.mul(t, t)
+    for got in fresh_and_cached([sq], PTS):
+        np.testing.assert_array_equal(got[0], (PTS[:, 0] + 0.25) * (PTS[:, 0] + 0.25))
+
+
+def test_root_that_is_an_operand_of_another_root():
+    t = ex.mul(ex.sub(X, ex.const(3.0)), Y)
+    u = ex.exp(ex.add(t, ex.const(1.0)))
+    want = (PTS[:, 0] - 3.0) * PTS[:, 1]
+    for roots in ([t, u], [u, t], [u, t, u, t]):
+        for got in fresh_and_cached(roots, PTS):
+            np.testing.assert_array_equal(got[roots.index(t)], want)
+            np.testing.assert_array_equal(got[roots.index(u)], np.exp(want + 1.0))
+
+
+def test_node_that_gains_a_consumer_after_its_tape_was_cached():
+    # constants no other test uses, so that t is a new node
+    t = ex.mul(ex.add(X, ex.const(5.0625)), ex.add(Y, ex.const(5.0625)))
+    c1 = ex.sin(ex.add(t, ex.const(2.0625)))
+    assert t.uses == 1
+    first = ex.eval_many([c1], PTS)  # c1 writes t + 2.0625 into t's buffer
+    c2 = ex.sub(t, ex.coord(2))
+    assert t.uses == 2
+    tv = (PTS[:, 0] + 5.0625) * (PTS[:, 1] + 5.0625)
+    np.testing.assert_array_equal(ex.eval_many([c1], PTS), first)
+    both = ex.eval_many([c1, c2], PTS)
+    np.testing.assert_array_equal(both[0], first[0])
+    np.testing.assert_array_equal(both[1], tv - PTS[:, 2])
+    np.testing.assert_array_equal(ex.eval_many([c1], PTS), first)
+    np.testing.assert_array_equal(first[0], np.sin(tv + 2.0625))
+
+
+def test_same_roots_under_two_bindings():
+    a, b = ex.param("a"), ex.param("b")
+    e = ex.add(ex.mul(ex.mul(a, b), X), ex.powi(ex.sub(b, a), 3))
+    roots = [e, ex.mul(a, b)]
+    for binding in ({"a": 0.5, "b": 2.0}, {"a": -3.0, "b": 1.25}, {"a": 0.5, "b": 2.0}):
+        first, cached = fresh_and_cached(roots, PTS, binding)
+        want = oracles.eval_checked(roots, PTS, binding)
+        np.testing.assert_array_equal(first, want)
+        np.testing.assert_array_equal(cached, want)
+    # the tape compiled under one binding replays under the other
+    for binding in ({"a": -3.0, "b": 1.25}, {"a": 0.5, "b": 2.0}):
+        np.testing.assert_array_equal(ex.eval_many(roots, PTS, binding),
+                                      oracles.eval_checked(roots, PTS, binding))
+
+
+def test_keep_every_value_tape_is_compiled_once(monkeypatch):
+    e = ex.ln(ex.sub(X, ex.const(1.0)))
+    roots = (e, ex.mul(e, Y))
+    ex._TAPES.pop(roots, None)
+    calls = []
+    compile_ = ex._compile
+
+    def counted(roots, keep_all=False):
+        calls.append(keep_all)
+        return compile_(roots, keep_all)
+
+    monkeypatch.setattr(ex, "_compile", counted)
+    pts = PTS + [1.0, 0.0, 0.0]
+    pts[2, 0] = 0.5
+    for _ in range(3):
+        vals, ok = ex.eval_many(roots, pts, mode="masked")
+        assert list(np.flatnonzero(~ok)) == [2]
+        with pytest.raises(ex.DomainError) as info:
+            ex.eval_many(roots, pts)
+        assert (info.value.reason, info.value.point_index) == (
+            "logarithm of a non-positive value", 2)
+    assert calls == [False, True]
+
+
+def suite_roots(d):
+    g = idn.suite_metrics(d, 1, 7)[0]
+    div_ric = geo.divergence_sym2(g, geo.ricci(g))
+    return [e for row in g.comps for e in row] + list(div_ric.comps)
+
+
+def structure_roots():
+    for example_id, spec in sorted(exm.EXAMPLES.items()):
+        if spec.structure:
+            s = exm.build_structure(example_id)
+            ric = geo.ricci(s.metric)
+            yield [e for t in (s.metric.comps, ric.comps) for row in t for e in row] + [
+                s.lam.expr]
+
+
+def test_tapes_walk_in_topo_order_and_restore_consumer_counts():
+    x = ex.coord(0)
+    cases = [[x, x], [ex.mul(x, x)], [ex.add(ex.mul(x, x), x), ex.mul(x, x)]]
+    cases += list(structure_roots()) + [suite_roots(2), suite_roots(3)]
+    for roots in cases:
+        order = ex._topo(roots)[0]
+        uses = [n.uses for n in order]
+        fast, full = ex._compile(tuple(roots)), ex._compile(tuple(roots), keep_all=True)
+        assert full.nodes == tuple(order)
+        assert len(fast.ops) == len(full.ops) == len(order)
+        assert [n.uses for n in order] == uses
+        # a keep-every-value tape gives node i slot i; a fast one reuses slots
+        assert list(full.slots[2::3]) == list(range(len(order))) and full.width == len(order)
+        assert fast.width <= full.width
+        dim = 1 + max(n.payload for n in order if n.kind == "coord")
+        pts = np.random.default_rng(len(order)).uniform(0.5, 1.5, size=(5, dim))
+        binding = {n.payload: 0.75 for n in order if n.kind == "param"}
+        np.testing.assert_array_equal(bits(ex.eval_many(roots, pts, binding)),
+                                      bits(keep_every_value(roots, pts, binding)))
+
+
+def run_argv(capsys, argv):
+    code = cli.main(list(argv))
+    out = capsys.readouterr()
+    return code, out.out
+
+
+CATALOG_COLD = load_workloads().CATALOG_COLD
+
+
+@pytest.mark.parametrize("template", CATALOG_COLD, ids=lambda t: " ".join(t.argv))
+def test_catalog_command_with_cached_tapes_prints_the_cold_bytes(template, tmp_path,
+                                                                 monkeypatch, capsys):
+    # the catalog-cold argvs at seed 11, first with no tape cached, then with
+    # the tapes that the same template cached at seed 12
+    monkeypatch.chdir(ROOT)
+    argv = template.with_seed(11).resolved(str(tmp_path))
+    ex._TAPES.clear()
+    cold = run_argv(capsys, argv)
+    ex._TAPES.clear()
+    run_argv(capsys, template.with_seed(12).resolved(str(tmp_path)))
+    assert ex._TAPES
+    assert run_argv(capsys, argv) == cold
+    assert cold[0] == template.expect.exit
+
+
+def test_catalog_command_in_a_fresh_process_prints_the_cached_tape_bytes(capsys):
+    argv = ["verify-example", "pseudo-hyperbolic", "--points", "200", "--seed", "11"]
+    run_argv(capsys, argv[:-1] + ["12"])
+    cached = run_argv(capsys, argv)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "solitonlab.cli", *argv], cwd=ROOT,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == cached
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-example", "neg-m-sphere", "--points", "60"],
+    ["verify-manifest", "perfbench/manifests/shell-neg-m-over-u.json", "--points", "60"],
+    ["check-identity", "bianchi", "--dim", "3", "--random-metrics", "2", "--points", "30"],
+    ["check-identity", "oneill", "--points", "40"],
+], ids=" ".join)
+def test_repeated_argv_compiles_no_tape(argv, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    first = run_argv(capsys, argv)
+    compiled = []
+    compile_ = ex._compile
+    monkeypatch.setattr(ex, "_compile", lambda *a, **k: compiled.append(a) or compile_(*a, **k))
+    assert run_argv(capsys, argv) == first
+    assert compiled == []
