@@ -719,7 +719,12 @@ def eval_many(exprs, points, binding=None, mode="strict"):
     `points` is an (N, d) array; the result is a (len(exprs), N) float array.
     In "strict" mode any domain violation raises DomainError naming the first
     offending point; in "masked" mode the return value is (values, ok) where
-    ok is an (N,) bool mask and masked lanes hold NaN.
+    ok is an (N,) bool mask and masked lanes hold NaN.  `binding` maps each
+    parameter to a float, or to an (N,) float array that gives the parameter
+    one value per point (a lane); any other shape raises ValueError.  Each
+    kernel is one IEEE operation per lane, so a point gets the bits a float
+    binding of its lane values would give it, and a non-finite lane faults at
+    its point as a non-finite coordinate would.
 
     The first call with a root tuple compiles it into a tape (`_compile`),
     cached in `_TAPES`; every call replays the tape (`_run`), one numpy call per
@@ -744,8 +749,16 @@ def eval_many(exprs, points, binding=None, mode="strict"):
     if tape is None:
         tape = _TAPES[roots] = _compile(roots)
     ok = np.ones(len(pts), dtype=bool)
-    faulted = not (np.isfinite(pts).all()
-                   and np.isfinite(np.fromiter(binding.values(), float, len(binding))).all())
+    finite = np.isfinite(pts).all()
+    for name, v in binding.items():
+        if isinstance(v, np.ndarray) and v.ndim:
+            if v.shape != (len(pts),):
+                raise ValueError(f"parameter {name!r} has {v.shape} lanes "
+                                 f"for {len(pts)} points")
+            finite = finite and np.isfinite(v).all()
+        else:
+            finite = finite and math.isfinite(float(v))
+    faulted = not finite
     if not faulted:
         vals = [None] * tape.width
         try:

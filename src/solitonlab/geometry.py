@@ -51,6 +51,11 @@ class Chart:
     one home of these values: every evaluator that is given a chart, or a
     field on one, reads them from here.  So two charts that differ in one
     value are unequal, and share no cached curvature.
+    A value is a float, or an (N,) float array of lanes: one value per point
+    of the N that the chart is evaluated at, as the identity suites bind
+    several metrics of one shape in one pass.  A chart with lanes is only
+    evaluated on: it neither hashes nor compares, so build curvature on a
+    chart with float values.
     Domain predicate expressions are required to be > 0 at admissible points.
     """
 
@@ -63,8 +68,9 @@ class Chart:
         object.__setattr__(self, "coords", tuple(self.coords))
         object.__setattr__(self, "box", tuple(tuple(b) for b in self.box))
         object.__setattr__(self, "domain", tuple(self.domain))
-        object.__setattr__(self, "params",
-                           tuple(sorted((k, float(v)) for k, v in self.params)))
+        object.__setattr__(self, "params", tuple(sorted(
+            ((k, float(v) if np.ndim(v) == 0 else np.asarray(v, dtype=float))
+             for k, v in self.params), key=lambda kv: kv[0])))
         ex.check_names(self.coords, [k for k, _ in self.params])
         if len(self.coords) < 1:
             raise ValueError("chart needs at least one coordinate")
@@ -516,7 +522,11 @@ def eval_scalar(f: ScalarField, points) -> np.ndarray:
 
 
 def eval_sym2_comps(comps, points) -> np.ndarray:
-    """(N, n, n) array for an n x n nested tuple of parameter-free expressions."""
+    """(N, n, n) array for an n x n nested tuple of parameter-free expressions.
+
+    Components over parameters, such as the identity suites' metrics, are
+    evaluated with their chart's values by eval_metric or eval_tensors.
+    """
     n = len(comps)
     flat = [comps[i][j] for i in range(n) for j in range(n)]
     pts = points_array(points)

@@ -17,9 +17,18 @@ metrics with random polynomial fields.  Perturbations keep strict diagonal
 dominance on the sampling box, so every generated metric is positive definite
 by construction.  All randomness is seeded; a suite called twice with the
 same arguments sees the same metrics, fields, and points.
+
+The random coefficients are parameters, named per entry and term and never
+per seed, and their drawn values live on the metric's chart.  So all suite
+metrics of one dimension have the same components, every suite call at that
+dimension reaches the same interned roots and replays the same tape, and a
+suite evaluates all its metrics in one pass with each parameter bound to
+per-point lanes.
 """
 
 from __future__ import annotations
+
+from itertools import groupby
 
 import numpy as np
 
@@ -31,76 +40,135 @@ from .geometry import Chart, MetricField, ScalarField, SymTensorField, VectorFie
 
 SUITE_TOL = 1e-7
 _TAGS = {"bianchi": 11, "fg": 13, "lemma21": 17}
+# The most points one lane pass evaluates, unless a metric has more.  A
+# pass's arrays grow with its points, so a suite's peak memory stays that of
+# a single-metric pass at max(_LANE_POINTS, point_count) points.
+_LANE_POINTS = 512
 
 
-def _chart(n: int) -> Chart:
-    return Chart(tuple(f"x{i+1}" for i in range(n)), ((-1.0, 1.0),) * n)
+def _chart(n: int, params=()) -> Chart:
+    return Chart(tuple(f"x{i+1}" for i in range(n)), ((-1.0, 1.0),) * n, params=params)
 
 
-def random_polynomial(rng, n: int, scale: float = 0.5) -> ex.Expression:
-    """Random quadratic sum c0 + sum c_i x_i + sum c_ij x_i x_j, coefficients
-    uniform in (-scale, scale)."""
-    terms = [ex.const(rng.uniform(-scale, scale))]
-    for i in range(n):
-        terms.append(ex.mul(ex.const(rng.uniform(-scale, scale)), ex.coord(i)))
-    for i in range(n):
-        for j in range(i, n):
-            terms.append(ex.mul(ex.const(rng.uniform(-scale, scale)),
-                                ex.mul(ex.coord(i), ex.coord(j))))
-    return ex.nsum(terms)
+def _term_count(n: int) -> int:
+    return (n + 1) * (n + 2) // 2
+
+
+def quadratics(n: int, names) -> list:
+    """Quadratics c_0 + sum c_i x_i + sum_{i<=j} c_ij x_i x_j over parameters.
+
+    Quadratic `name` has the parameters name_0, name_1, ... in that term
+    order, so it depends only on n and `name`.  Returned in `names` order.
+    """
+    x = [ex.coord(i) for i in range(n)]
+    monomials = [ex.ONE] + x + [ex.mul(x[i], x[j]) for i in range(n) for j in range(i, n)]
+    return [ex.nsum(ex.mul(ex.param(f"{name}_{t}"), m) for t, m in enumerate(monomials))
+            for name in names]
+
+
+def quadratic_values(rng, n: int, names, scale: float = 0.5) -> dict:
+    """{parameter: value} for quadratics(n, names), uniform in (-scale, scale)
+    and drawn from `rng` quadratic by quadratic, term by term."""
+    draws = rng.uniform(-scale, scale, (len(names), _term_count(n)))
+    return {f"{name}_{t}": v for name, row in zip(names, draws.tolist())
+            for t, v in enumerate(row)}
+
+
+def _upper(prefix: str, n: int) -> list:
+    """Names of a symmetric tensor's upper-triangle entries, row-major."""
+    return [f"{prefix}{i}{j}" for i in range(n) for j in range(i, n)]
 
 
 def random_perturbed_metric(rng, n: int) -> MetricField:
     """delta_ij plus a small random quadratic perturbation.
 
-    Each entry's perturbation is bounded by 0.4/n on the box, so the rows stay
-    strictly diagonally dominant and the metric is positive definite
-    everywhere it is sampled.
+    Entry (i, j) perturbs by the quadratic `g{i}{j}` (see quadratics), whose
+    coefficient values the chart carries.  Each entry's perturbation is
+    bounded by 0.4/n on the box, so the rows stay strictly diagonally
+    dominant and the metric is positive definite everywhere it is sampled.
     """
-    chart = _chart(n)
-    terms_per_entry = 1 + n + n * (n + 1) // 2
-    scale = 0.4 / (n * terms_per_entry)
-
-    def entry(i, j):
-        q = random_polynomial(rng, n, scale)
-        return ex.add(ex.ONE, q) if i == j else q
-
-    return MetricField(chart, geo.sym2(n, entry))
-
-
-def random_vector(rng, chart: Chart) -> VectorField:
-    n = chart.dim
-    return VectorField(chart, [random_polynomial(rng, n) for _ in range(n)])
-
-
-def random_sym2(rng, chart: Chart) -> SymTensorField:
-    n = chart.dim
-    return SymTensorField(chart, geo.sym2(n, lambda i, j: random_polynomial(rng, n)))
+    names = _upper("g", n)
+    values = quadratic_values(rng, n, names, 0.4 / (n * _term_count(n)))
+    it = iter(quadratics(n, names))
+    comps = geo.sym2(n, lambda i, j: ex.add(ex.ONE, next(it)) if i == j else next(it))
+    return MetricField(_chart(n, values.items()), comps)
 
 
 def suite_metrics(dim: int = 3, metric_count: int = 20, seed: int = 7):
-    """The deterministic family of perturbed metrics shared by all suites."""
+    """The deterministic family of perturbed metrics shared by all suites.
+
+    All of them have the same components; only their charts' parameter
+    values differ.
+    """
     rng = np.random.default_rng((seed, 3))
     return [random_perturbed_metric(rng, dim) for _ in range(metric_count)]
+
+
+def _field_names(n: int, vector: bool) -> list:
+    return ["phi"] + _upper("T", n) + ([f"Z{k}" for k in range(n)] if vector else [])
+
+
+def suite_fields(n: int, vector: bool = False):
+    """The random fields of the suites, as quadratics over parameters (see
+    quadratics): a scalar `phi`, a symmetric tensor `T{i}{j}` and, with
+    `vector`, a vector `Z{k}`.  Returns (phi, T's symmetric rows, Z's
+    components or None)."""
+    quads = quadratics(n, _field_names(n, vector))
+    m = 1 + n * (n + 1) // 2
+    return quads[0], geo.sym_rows(quads[1:m]), quads[m:] if vector else None
+
+
+def field_values(rng, n: int, vector: bool = False) -> dict:
+    """The coefficient values of suite_fields(n, vector), drawn from `rng`
+    field by field in that order."""
+    return quadratic_values(rng, n, _field_names(n, vector))
 
 
 def _suite_points(chart, point_count, seed, idx):
     return geo.sample_points(chart, point_count, 7919 * seed + idx)
 
 
-def _run_suite(gs, point_count, seed, tol, residuals):
+def _run_suite(gs, point_count, seed, tol, residuals, fields=None):
     """One report per residual, over the sampled points of every metric.
 
-    `residuals(idx, g)` returns {name: comps} in report order; one
-    so.run_checks call evaluates them all at metric idx's own points.
+    `residuals(g)` returns {name: comps} in report order.  `fields(idx, n)`,
+    when given, returns the coefficient values of metric idx's random
+    fields (see field_values), which join its chart's values.  Metrics are
+    taken in runs with equal components and parameter names.  A run builds
+    its residuals once, over a chart that carries no values, so every run of
+    one shape reaches the same roots.  Then one geo.gnorms pass per block of
+    the run evaluates them over the metric-major concatenation of the
+    block's points, on a chart whose values are lanes (see Chart): each
+    parameter's value at a point is its value on that point's metric.  A
+    block holds as many metrics as fit in _LANE_POINTS points, and at least
+    one.  Every point gets the bits a pass over its own metric would give
+    it, and a DomainError names a point of its block's concatenation.
     """
-    runs = [so.run_checks(g, _suite_points(g.chart, point_count, seed, idx),
-                          [(name, tol, c) for name, c in residuals(idx, g).items()])
-            for idx, g in enumerate(gs)]
-    pts = np.concatenate([reps[0].points for reps in runs])
-    return [so._report(col[0].name, tol, pts, np.concatenate([r.residuals for r in col]),
+    if not gs:
+        return []
+    params = [g.chart.params for g in gs]
+    if fields is not None:
+        params = [p + tuple(fields(idx, g.chart.dim).items())
+                  for idx, (p, g) in enumerate(zip(params, gs))]
+    pts = [_suite_points(g.chart, point_count, seed, idx) for idx, g in enumerate(gs)]
+    per_block = max(1, _LANE_POINTS // max(1, point_count))
+    cols = []
+    for (comps, names), run in groupby(range(len(gs)), key=lambda i: (
+            gs[i].comps, tuple(k for k, _ in params[i]))):
+        run = list(run)
+        coords, box = gs[run[0]].chart.coords, gs[run[0]].chart.box
+        checks = residuals(MetricField(Chart(coords, box), comps))
+        for b in range(0, len(run), per_block):
+            block = run[b:b + per_block]
+            values = np.array([[v for _, v in params[i]] for i in block])
+            lanes = Chart(coords, box, params=zip(
+                names, np.repeat(values, [len(pts[i]) for i in block], axis=0).T))
+            cols.append(geo.gnorms(MetricField(lanes, comps), list(checks.values()),
+                                   np.concatenate([pts[i] for i in block])))
+    allpts = np.concatenate(pts)
+    return [so._report(name, tol, allpts, np.concatenate([col[k] for col in cols]),
                        metrics=len(gs), points_per_metric=point_count, seed=seed)
-            for col in zip(*runs)]
+            for k, name in enumerate(checks)]
 
 
 def bianchi_suite(dim: int = 3, metric_count: int = 20, point_count: int = 100,
@@ -108,7 +176,7 @@ def bianchi_suite(dim: int = 3, metric_count: int = 20, point_count: int = 100,
     """Contracted Bianchi: div Ric = (1/2) dR on random metrics."""
     gs = metrics if metrics is not None else suite_metrics(dim, metric_count, seed)
 
-    def residuals(idx, g):
+    def residuals(g):
         div_ric = geo.divergence_sym2(g, geo.ricci(g))
         scal = geo.scalar_curvature(g)
         return {"bianchi": [ex.sub(div_ric.comps[j],
@@ -123,12 +191,14 @@ def fg_formulas_suite(dim: int = 3, metric_count: int = 20, point_count: int = 1
     """The four product/derivative formulas, one aggregated report each."""
     gs = metrics if metrics is not None else suite_metrics(dim, metric_count, seed)
 
-    def residuals(idx, g):
+    def fields(idx, n):
+        return field_values(np.random.default_rng((seed, idx, _TAGS["fg"])), n)
+
+    def residuals(g):
         n = g.chart.dim
         chart = g.chart
-        rng = np.random.default_rng((seed, idx, _TAGS["fg"]))
-        phi = random_polynomial(rng, n)
-        T = random_sym2(rng, chart)
+        phi, T, _ = suite_fields(n)
+        T = SymTensorField(chart, T)
         phi_f = ScalarField(chart, phi)
         grad_phi = geo.gradient(g, phi_f).comps
         dphi = [ex.differentiate(phi, a) for a in range(n)]
@@ -171,7 +241,7 @@ def fg_formulas_suite(dim: int = 3, metric_count: int = 20, point_count: int = 1
             for j in range(n)]
         return out
 
-    return _run_suite(gs, point_count, seed, tol, residuals)
+    return _run_suite(gs, point_count, seed, tol, residuals, fields)
 
 
 def lemma21_suite(dim: int = 3, metric_count: int = 20, point_count: int = 100,
@@ -179,13 +249,15 @@ def lemma21_suite(dim: int = 3, metric_count: int = 20, point_count: int = 100,
     """div(T(phi Z)) = phi (div T)(Z) + phi <nabla Z, T> + T(grad phi, Z)."""
     gs = metrics if metrics is not None else suite_metrics(dim, metric_count, seed)
 
-    def residuals(idx, g):
+    def fields(idx, n):
+        return field_values(np.random.default_rng((seed, idx, _TAGS["lemma21"])), n,
+                            vector=True)
+
+    def residuals(g):
         n = g.chart.dim
         chart = g.chart
-        rng = np.random.default_rng((seed, idx, _TAGS["lemma21"]))
-        phi = random_polynomial(rng, n)
-        T = random_sym2(rng, chart)
-        Z = random_vector(rng, chart)
+        phi, T, Z = suite_fields(n, vector=True)
+        T, Z = SymTensorField(chart, T), VectorField(chart, Z)
         grad_phi = geo.gradient(g, ScalarField(chart, phi)).comps
 
         # LHS = div W with the vector W = T(phi Z)
@@ -201,7 +273,7 @@ def lemma21_suite(dim: int = 3, metric_count: int = 20, point_count: int = 100,
                         for i in range(n) for j in range(n))
         return {"lemma21": ex.sub(lhs, ex.add(ex.add(term1, term2), term3))}
 
-    return _run_suite(gs, point_count, seed, tol, residuals)
+    return _run_suite(gs, point_count, seed, tol, residuals, fields)
 
 
 def oneill_suite(w, count: int = 100, seed: int = 7, tol: float = 1e-9):

@@ -217,7 +217,7 @@ def test_topo_walks_in_the_reference_order():
         want_order, want_shared = oracles.topo(roots)
         assert order == want_order and shared == want_shared
     assert ex._topo([x, x])[1] == {x} and ex._topo([ex.mul(x, x)])[1] == {x}
-    assert counts == {2: 926, 3: 6097, 4: 26675, 5: 96213}
+    assert counts == {2: 950, 3: 6242, 4: 27142, 5: 97450}
 
 
 def test_const_rejects_nonfinite():
@@ -368,6 +368,37 @@ def test_eval_many_domain_errors_in_both_modes(text, xs, binding, reason, bad):
     np.testing.assert_array_equal(vals[1, ~bad], pts[~bad, 1])
 
 
+def test_array_binding_gives_float_bits_and_faults_at_its_lane():
+    # a parameter bound to (N,) lanes gives each point the bits of a float
+    # binding, also where a subtree over parameters alone takes a power or a
+    # function; lane i of a non-finite value is named like point i of a
+    # non-finite coordinate, in both modes
+    es = [P("a*x1 + x2", ("a",)), P("ln(a*x2^2 + 1)", ("a",)),
+          P("a^3*x1 + a^-2", ("a",)), P("exp(a)^3/sqrt(a)*x3^2 + (a/2)^5", ("a",))]
+    pts = np.random.default_rng(2).uniform(0.5, 1.5, size=(9, 3))
+    lanes = np.linspace(0.5, 2.6, 9)
+    vals = ex.eval_many(es, pts, {"a": lanes})
+    for i in range(9):
+        one = ex.eval_many(es, pts[i:i + 1], {"a": float(lanes[i])})
+        assert np.array_equal(vals[:, i:i + 1], one)
+    for i in (0, 4, 8):
+        for bad in (math.nan, math.inf):
+            a = lanes.copy()
+            a[i] = bad
+            q = pts.copy()
+            q[i, 0] = bad
+            with pytest.raises(ex.DomainError) as by_lane:
+                ex.eval_many(es, pts, {"a": a})
+            with pytest.raises(ex.DomainError) as by_point:
+                ex.eval_many(es, q, {"a": lanes})
+            assert by_lane.value.point_index == by_point.value.point_index == i
+            ok_lane = ex.eval_many(es, pts, {"a": a}, mode="masked")[1]
+            ok_point = ex.eval_many(es, q, {"a": lanes}, mode="masked")[1]
+            assert ok_lane.tolist() == ok_point.tolist() == [j != i for j in range(9)]
+    with pytest.raises(ValueError, match="lanes"):
+        ex.eval_many(es, pts, {"a": lanes[:5]})
+
+
 def test_eval_many_matches_checked_interpreter():
     # Bianchi residual of a random dense metric, as the identity suite builds it
     g = idn.suite_metrics(3, 1, 7)[0]
@@ -376,7 +407,8 @@ def test_eval_many_matches_checked_interpreter():
     comps = [ex.sub(div_ric.comps[j], ex.mul(ex.const(0.5), ex.differentiate(scal, j)))
              for j in range(3)]
     pts = np.random.default_rng(3).uniform(-1.0, 1.0, size=(100, 3))
-    assert np.array_equal(ex.eval_many(comps, pts), oracles.eval_checked(comps, pts))
+    b = g.chart.binding
+    assert np.array_equal(ex.eval_many(comps, pts, b), oracles.eval_checked(comps, pts, b))
     # subtrees over parameters alone evaluate to scalars; numpy's scalar `**`
     # rounds a^3, b^-2 and c^-3 differently from the array power at these values
     params = {"a": 2.586472402103951, "b": 1.8592437497248215, "c": 1.3257929414732095}

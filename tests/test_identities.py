@@ -1,8 +1,11 @@
 # universal identity suites on random perturbed metrics
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from solitonlab import cli
 from solitonlab import examples as exm
 from solitonlab import expr as ex
 from solitonlab import geometry as geo
@@ -13,7 +16,7 @@ def test_random_perturbed_metric_is_spd_on_box():
     rng = np.random.default_rng(17)
     g = idn.random_perturbed_metric(rng, 3)
     pts = np.random.default_rng(1).uniform(-1, 1, size=(200, 3))
-    gv = geo.eval_sym2_comps(g.comps, pts)
+    gv = geo.eval_metric(g, pts)[0]
     eig = np.linalg.eigvalsh(gv)
     assert np.all(eig[:, 0] > 0.1)  # comfortably positive definite
 
@@ -24,6 +27,14 @@ def test_suite_metrics_deterministic():
     assert len(a) == 4
     for ga, gb in zip(a, b):
         assert ga.comps == gb.comps  # interned expressions: equality is identity
+        assert ga.chart == gb.chart
+    # every metric of one dimension has the same components, at any seed; only
+    # the values of its parameters, one per entry and term, differ
+    c = idn.suite_metrics(3, 1, seed=8)[0]
+    assert a[0].comps == a[1].comps == c.comps
+    assert len({a[0].chart, a[1].chart, c.chart}) == 3
+    assert {k for k, _ in c.chart.params} == {
+        f"g{i}{j}_{t}" for i in range(3) for j in range(i, 3) for t in range(10)}
 
 
 def test_bianchi_suite_small():
@@ -101,7 +112,7 @@ def test_dimension_two_guard_or_support():
         assert all(r.passed and len(r.residuals) == 90 for r in reports)
 
 
-def test_fg_formulas_suite_makes_one_strict_call_per_metric(monkeypatch):
+def test_fg_formulas_suite_makes_one_strict_call(monkeypatch):
     calls = []
     eval_many = ex.eval_many
 
@@ -112,4 +123,120 @@ def test_fg_formulas_suite_makes_one_strict_call_per_metric(monkeypatch):
     monkeypatch.setattr(ex, "eval_many", counted)
     reports = idn.fg_formulas_suite(metric_count=3, point_count=20)
     assert len(reports) == 4 and all(r.passed for r in reports)
-    assert calls == ["strict"] * 3
+    # the three metrics share one DAG: one pass over their concatenated points
+    assert calls == ["strict"]
+
+
+# stdout SHA-256 of `check-identity <argv> --points 100 --seed 77`, recorded
+# from the suites as they were before their coefficients became parameters
+SUITE_DIGESTS = {
+    "bianchi --dim 3 --random-metrics 4":
+        "b80bc1ef1cf154ebb1b7b7875bde46b74d46088d111ac261074f6a2c698d7646",
+    "fg-formulas --dim 3 --random-metrics 4":
+        "31b3eeab37a564777f080f39779ebb1e031dcf7b1fd4632ad326217044bdfbd3",
+    "lemma21 --dim 3 --random-metrics 4":
+        "c120144288cc35b525a1b598e9540cc9cb246bc1afe4917ed77d163281370b55",
+    "bianchi --dim 4 --random-metrics 1":
+        "cb9d2d4c3c6f945894147505b103222bd410fb76cfc447d904d5925f8ff45117",
+    "fg-formulas --dim 4 --random-metrics 1":
+        "5f82f117b47e98a013e99c8231f5c629455c80f5cce9f9b43986c4b5f9440bf4",
+    "lemma21 --dim 4 --random-metrics 1":
+        "c2cd5bf24d01f1d5cc9583954507dfbbf197865556317fd8871fdf46f3f67d4d",
+    "bianchi --dim 5 --random-metrics 1":
+        "0a8b2a681c5c70dfd07659fbcfc917446694f891aad7d41619d58b07ece43f23",
+    "bianchi": "ee2f6e36b5c08769c10cfbb51563040d95ea563e0e816ef578aacb14405c8a0b",
+    "fg-formulas": "acb303fe3461b92a6e3cb73e968563ae7c299facde411f4d4dbe4bcddded2bfd",
+    "lemma21": "b211d5a00f4c8404ca36983f443ff8ef4fce04d3cca1c9728c5f8cc2551356f2",
+}
+
+
+@pytest.mark.parametrize("argv", SUITE_DIGESTS)
+def test_suite_report_bytes_are_pinned(argv, capsys):
+    code = cli.main(["check-identity", *argv.split(), "--points", "100", "--seed", "77"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SUITE_DIGESTS[argv]
+
+
+def suite_roots(monkeypatch, suite, **kw):
+    """The roots of every eval_many call one suite call makes."""
+    calls, eval_many = [], ex.eval_many
+
+    def spy(exprs, points, binding=None, mode="strict"):
+        calls.append(tuple(exprs))
+        return eval_many(exprs, points, binding, mode)
+
+    with monkeypatch.context() as m:
+        m.setattr(ex, "eval_many", spy)
+        suite(**kw)
+    return calls
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_parametric_suites_add_no_nodes_and_no_tapes_across_seeds(monkeypatch, dim):
+    for suite in (idn.bianchi_suite, idn.fg_formulas_suite, idn.lemma21_suite):
+        first = suite_roots(monkeypatch, suite, dim=dim, metric_count=2, point_count=5,
+                            seed=100)
+        nodes = ex.count_nodes(*[e for roots in first for e in roots])
+        tapes, table = len(ex._TAPES), sum(map(len, ex._TABLE.values()))
+        for seed in range(101, 110):
+            roots = suite_roots(monkeypatch, suite, dim=dim, metric_count=2 + seed % 3,
+                                point_count=5, seed=seed)
+            assert roots == first
+            assert ex.count_nodes(*[e for r in roots for e in r]) == nodes
+        assert len(ex._TAPES) == tapes
+        assert sum(map(len, ex._TABLE.values())) == table
+
+
+@pytest.mark.parametrize("suite", [idn.bianchi_suite, idn.fg_formulas_suite,
+                                   idn.lemma21_suite])
+@pytest.mark.parametrize("block", [1, 2, 7])
+def test_lane_pass_gives_the_bits_of_per_metric_passes(monkeypatch, suite, block):
+    calls, gnorms = [], geo.gnorms
+
+    def spy(g, residuals, points):
+        out = gnorms(g, residuals, points)
+        calls.append((g, residuals, points, out))
+        return out
+
+    monkeypatch.setattr(geo, "gnorms", spy)
+    reports = suite(dim=3, metric_count=3, point_count=block, seed=5)
+    (g, residuals, points, out), = calls
+    assert all(np.shape(v) == (3 * block,) for _, v in g.chart.params)
+    for m in range(3):
+        lanes = slice(m * block, (m + 1) * block)
+        chart = geo.Chart(g.chart.coords, g.chart.box,
+                          params=[(k, v[m * block]) for k, v in g.chart.params])
+        alone = gnorms(geo.MetricField(chart, g.comps), residuals, points[lanes])
+        for lane, one in zip(out, alone):
+            assert np.array_equal(lane[lanes], one)
+    for rep, lane in zip(reports, out):
+        assert np.array_equal(rep.residuals, np.abs(lane))
+
+
+@pytest.mark.parametrize("lane_points,sizes", [(1, [10] * 5), (10, [10] * 5),
+                                               (25, [20, 20, 10]), (512, [50])])
+def test_lane_passes_stay_within_their_bound(monkeypatch, lane_points, sizes):
+    whole = idn.fg_formulas_suite(metric_count=5, point_count=10, seed=5)
+    calls, gnorms = [], geo.gnorms
+
+    def spy(g, residuals, points):
+        calls.append(len(points))
+        return gnorms(g, residuals, points)
+
+    monkeypatch.setattr(geo, "gnorms", spy)
+    monkeypatch.setattr(idn, "_LANE_POINTS", lane_points)
+    split = idn.fg_formulas_suite(metric_count=5, point_count=10, seed=5)
+    # blocks of whole metrics, at most max(_LANE_POINTS, point_count) points each
+    assert calls == sizes
+    for a, b in zip(whole, split, strict=True):
+        assert a.name == b.name
+        assert np.array_equal(a.points, b.points)
+        assert np.array_equal(a.residuals, b.residuals)
+
+
+@pytest.mark.parametrize("suite", [idn.bianchi_suite, idn.fg_formulas_suite,
+                                   idn.lemma21_suite])
+def test_suites_over_no_metrics_report_nothing(suite):
+    assert suite(metrics=[]) == []
+    assert suite(metric_count=0) == []
