@@ -238,9 +238,15 @@ def cmd_construct_warped(args) -> dict:
         fiber_dim = int(round(s.m))
     else:
         raise ValueError("--fiber-dim is required when the base declares no m")
-    if args.fiber != "abstract" and fiber_dim > MAX_CATALOG_N:
-        raise ValueError(f"--fiber-dim (or the base's m) must be at most {MAX_CATALOG_N} "
-                         f"for an explicit fiber, got {fiber_dim}")
+    if args.fiber != "abstract":
+        if fiber_dim > MAX_CATALOG_N:
+            raise ValueError(f"--fiber-dim (or the base's m) must be at most {MAX_CATALOG_N} "
+                             f"for an explicit fiber, got {fiber_dim}")
+        # the product of an explicit fiber is a manifest, which must load again
+        dim = s.chart.dim + fiber_dim
+        if dim > mf.MAX_DIMENSION:
+            raise ValueError(f"the product's dimension {dim} exceeds a manifest's "
+                             f"dimension bound {mf.MAX_DIMENSION}")
     if args.fiber == "abstract" and args.out:
         raise ValueError("an abstract fiber has no chart; no manifest to write")
     pts = so.default_points(s, args.points, args.seed)

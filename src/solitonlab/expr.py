@@ -34,15 +34,17 @@ array, with every drop and buffer-reuse decision made during the walk.
 floating-point faults raised.  Tapes are cached in `_TAPES` under the root
 tuple: roots are interned and a tape depends on neither the points nor the
 parameter values, so a later call with the same roots skips the walk.  A
-tape keeps only the values of roots and of nodes with more than one consumer
-(`Expression.uses`, counted as nodes are built); a node with one consumer is
-dropped once that consumer has run, and later results are written into the
-buffers the tape allocated for dropped values.  The values stay
-bit-identical, and the memory an evaluation holds is bounded by the shared
-nodes, not by the DAG's size.
-A fault, or a non-finite input, replays the roots' keep-every-value tape,
-compiled on the first fault and cached with the other, with faults ignored,
-and the first node with a non-finite lane locates the error.  The order, a
+tape keeps the roots' values; any other node's value is dropped once the
+last of its consumers (`Expression.uses`, counted as nodes are built) has
+run, and later results are written into the buffers the tape allocated for
+dropped values; the values stay bit-identical.  A tape replays over blocks
+of `_BLOCK` points, so beside its result the memory an evaluation holds is
+bounded by the live values of one block, not by the DAG's size or the point
+count.
+A fault, a non-finite input, an unbound parameter or a coordinate out of
+range replays the roots' keep-every-value tape over every point, compiled
+on the first such call and cached with the other, with faults ignored, and
+the first node with a non-finite lane locates the error.  The order, a
 depth-first post-order over roots and arguments first to last, is a
 contract: `_locate` names the first faulting node by it, so a metric listed
 first faults first.  The tables, the consumer counts and the tape cache are
@@ -112,8 +114,9 @@ class Expression:
     """Interned immutable expression node; construct via module functions.
 
     `uses` counts the nodes built with this one as an operand (twice for
-    `a*a`); the evaluator's compiler reads it, and it is not part of the
-    expression.
+    `a*a`), in every DAG built so far; the evaluator's compiler drops the
+    node's value after that many consumers have run, so a consumer outside a
+    tape keeps the value to the tape's end.  It is not part of the expression.
     """
 
     __slots__ = ("kind", "payload", "args", "uses")
@@ -698,6 +701,9 @@ def _points(points, mode):
 
 # root tuple -> its tape; a tape depends on neither the points nor the binding
 _TAPES: dict = {}
+# the points one replay of a tape runs over: a pass holds the live values of
+# one block, whatever its point count
+_BLOCK = 1024
 
 
 class _Tape:
@@ -727,19 +733,24 @@ def eval_many(exprs, points, binding=None, mode="strict"):
     its point as a non-finite coordinate would.
 
     The first call with a root tuple compiles it into a tape (`_compile`),
-    cached in `_TAPES`; every call replays the tape (`_run`), one numpy call per
-    node, with overflow, division by zero and invalid operations raised as
-    faults.  The tape keeps the values of the roots and of the nodes that more
-    than one node takes as an operand; any other node's value is dropped once
-    its consumer has run.  A result is written into the buffer of such an
-    operand, or of another dropped value, when the tape allocated that buffer,
-    never into a view of `points` or a scalar, so neither `points` nor an
-    earlier result is written.  After a fault, or on a non-finite point or bound
-    value, the same runner replays the roots' keep-every-value tape with faults
-    ignored, and the first node in topological order with a non-finite lane
-    locates the error; the values the fast pass dropped before its fault were
-    finite, so the located node is the same.  A coordinate index out of range
-    raises ValueError, and an unbound parameter UnboundParameterError, unless a
+    cached in `_TAPES`; every call replays the tape (`_run`) over consecutive
+    blocks of `_BLOCK` points, with each lane sliced to its block, one numpy
+    call per node, with overflow, division by zero and invalid operations
+    raised as faults, and writes each block's roots into its columns of the
+    result.  The tape keeps the roots' values; any other node's value is
+    dropped once its last consumer has run.  A result is written into the
+    buffer of a dropped operand, or of another dropped value, when the tape
+    allocated that buffer, never into a view of `points` or a scalar, so
+    neither `points` nor an earlier result is written.  So the memory a pass
+    holds is the result plus the live values of one block.  After a fault in
+    any block, an unbound parameter, a coordinate index out of range, or on a
+    non-finite point or bound value, the same runner replays the roots'
+    keep-every-value tape over every point with faults ignored, and the first
+    node in topological order with a non-finite lane locates the error.  An
+    early block can fault at a later node than a later block would, so the
+    error is located over every point: the node and point are those one
+    whole-column pass names.  A coordinate index out of range raises
+    ValueError, and an unbound parameter UnboundParameterError, unless a
     strict-mode fault comes before it.
     """
     pts = _points(points, mode)
@@ -748,26 +759,36 @@ def eval_many(exprs, points, binding=None, mode="strict"):
     tape = _TAPES.get(roots)
     if tape is None:
         tape = _TAPES[roots] = _compile(roots)
-    ok = np.ones(len(pts), dtype=bool)
-    finite = np.isfinite(pts).all()
+    n = len(pts)
+    finite, lanes = np.isfinite(pts).all(), {}
     for name, v in binding.items():
         if isinstance(v, np.ndarray) and v.ndim:
-            if v.shape != (len(pts),):
+            if v.shape != (n,):
                 raise ValueError(f"parameter {name!r} has {v.shape} lanes "
-                                 f"for {len(pts)} points")
+                                 f"for {n} points")
             finite = finite and np.isfinite(v).all()
+            lanes[name] = v
         else:
             finite = finite and math.isfinite(float(v))
+    out = np.empty((len(roots), n), dtype=float)
     faulted = not finite
     if not faulted:
-        vals = [None] * tape.width
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
-                _run(tape, vals, pts, binding)
-        except FloatingPointError:
+                # a pass over no points still runs the tape once, and raises
+                # for an unbound parameter as any other pass does
+                for lo in range(0, n, _BLOCK) or range(1):
+                    hi = lo + _BLOCK
+                    vals = [None] * tape.width
+                    _run(tape, vals, pts[lo:hi],
+                         {**binding, **{k: v[lo:hi] for k, v in lanes.items()}})
+                    for i, slot in enumerate(tape.outs):
+                        out[i, lo:hi] = vals[slot]
+        except (FloatingPointError, ValueError, UnboundParameterError):
             faulted = True
     if faulted:
-        # the fast pass dropped and overwrote values: replay keeping every one
+        # a block may fault before an earlier node's fault at a later point, and
+        # the fast pass overwrote values: replay every point keeping every value
         if tape.full is None:
             tape.full = _compile(roots, keep_all=True)
         tape = tape.full
@@ -776,11 +797,12 @@ def eval_many(exprs, points, binding=None, mode="strict"):
             with np.errstate(all="ignore"):
                 _run(tape, vals, pts, binding)
         finally:
-            ok = _locate(tape, vals, len(pts), mode)
-    out = np.empty((len(roots), len(pts)), dtype=float)
-    for i, slot in enumerate(tape.outs):
-        out[i, :] = vals[slot]
+            ok = _locate(tape, vals, n, mode)
+        for i, slot in enumerate(tape.outs):
+            out[i, :] = vals[slot]
     if mode == "masked":
+        if not faulted:
+            return out, np.ones(n, dtype=bool)
         out[:, ~ok] = np.nan
         return out, ok
     return out
@@ -793,26 +815,36 @@ _BINARY = {"add": np.add, "sub": np.subtract, "mul": np.multiply, "div": np.divi
 #   0 binary    1 binary into o    2 unary     3 unary into o
 #   4 power     5 power into o     6 constant  7 coordinate   8 parameter
 
+# A shared node's entry in `_compile`'s `emitted` is its code plus _USE times
+# the consumers it still waits for; _LIVE masks off that count and the drop
+# flags.  A code's slot is an int32, so the code fits below _USE.
+_USE = 1 << 34
+_LIVE = _USE - 7
+
 
 def _compile(roots, keep_all=False):
     """The tape of `roots`: one instruction per node, in `_topo`'s order.
 
     Each emitted node gets a code, its slot shifted left by 3 over three flags:
     1 when its value is an array (it depends on a coordinate), 2 when the node
-    is dropped, which a node with one consumer that is not a root is, and 4 when
-    it is dropped and the tape allocated its array.  A dropped node's slot is
-    reused once its consumer has run.  If the tape allocated its array, the
-    consumer writes into it, or else an array-valued node writes into a dropped
-    array no operation has reused yet (`dead`); that gives the same bits,
-    because each kernel is one IEEE operation per lane.  Coordinate columns are
-    views of the caller's points and subtrees over parameters and constants are
-    scalars; neither is written.  A node with one consumer is reached once,
-    inside its consumer's walk, so its code waits on `held` until that consumer
-    pops it; any other node's code is in `emitted`, which is also the walk's
-    visited set.  A keep-every-value tape drops nothing, so node i has slot i.
+    is dropped, and 4 when it is dropped and the tape allocated its array.  A
+    node is dropped at its last consumer: it has `uses` of them, a root counts
+    one more and so is never dropped, and a node with a consumer outside the
+    tape is kept to the end.  A dropped node's slot is reused from there on.
+    If the tape allocated its array, that consumer writes into it, or else an
+    array-valued node writes into a dropped array no operation has reused yet
+    (`dead`); that gives the same bits, because each kernel is one IEEE
+    operation per lane.  Coordinate columns are views of the caller's points
+    and subtrees over parameters and constants are scalars; neither is
+    written.  A node with one consumer is reached once, inside its consumer's
+    walk, so its code waits on `held` until that consumer pops it; any other
+    node's code, with the count of consumers still to run (see _USE), is in
+    `emitted`, which is also the walk's visited set.  A keep-every-value tape
+    drops nothing, so node i has slot i.
     """
-    # a root is kept: it counts as a second consumer while the walk runs
-    bumped = [(r, 2 - r.uses) for r in set(roots) if r.uses < 2]
+    # a root is kept: it counts as one more consumer, and as a shared node,
+    # while the walk runs
+    bumped = [(r, max(1, 2 - r.uses)) for r in set(roots)]
     for r, by in bumped:
         r.uses += by
     try:
@@ -822,7 +854,7 @@ def _compile(roots, keep_all=False):
         hold, take = held.append, held.pop
         ops, kernels, slots, chunk = bytearray(), [], array("i"), []
         emit_op, emit_f, emit = ops.append, kernels.append, chunk.append
-        binary = _BINARY
+        binary, use, live = _BINARY, _USE, _LIVE
         # slots whose value is dead: any, and arrays the tape allocated
         free, dead, width, left = [], [], 0, 1024
         stack = list(reversed(roots))
@@ -847,8 +879,18 @@ def _compile(roots, keep_all=False):
             args = node.args
             if len(args) == 2:
                 a, b = args
-                cb = take() if b.uses == 1 else emitted[b]
-                ca = take() if a.uses == 1 else emitted[a]
+                if b.uses == 1:
+                    cb = take()
+                else:
+                    cb = emitted[b] = emitted[b] - use
+                    if cb >= use:
+                        cb &= live
+                if a.uses == 1:
+                    ca = take()
+                else:
+                    ca = emitted[a] = emitted[a] - use
+                    if ca >= use:
+                        ca &= live
                 sa, da = ca >> 3, ca & 6
                 sb, db = cb >> 3, cb & 6
                 op, f, arr = 0, binary[node.kind], (ca | cb) & 1
@@ -868,7 +910,12 @@ def _compile(roots, keep_all=False):
                         free.append(sb)
             elif args:
                 a = args[0]
-                ca = take() if a.uses == 1 else emitted[a]
+                if a.uses == 1:
+                    ca = take()
+                else:
+                    ca = emitted[a] = emitted[a] - use
+                    if ca >= use:
+                        ca &= live
                 sa, sb, da, arr = ca >> 3, 0, ca & 6, ca & 1
                 k = node.kind
                 if k == "pow":
@@ -913,7 +960,7 @@ def _compile(roots, keep_all=False):
             if node.uses == 1:
                 hold((o << 3) + (flags & held_flags))
             else:
-                emitted[node] = (o << 3) + (flags & 1)
+                emitted[node] = node.uses * use + (o << 3) + (flags & held_flags)
             left -= 1
             if not left:
                 # a long list of ints costs 40 B each; packed they cost 4
@@ -926,7 +973,7 @@ def _compile(roots, keep_all=False):
             r.uses -= by
     tape = _Tape()
     tape.ops, tape.kernels, tape.slots, tape.width = bytes(ops), tuple(kernels), slots, width
-    tape.outs = array("i", [emitted[r] >> 3 for r in roots])
+    tape.outs = array("i", [(emitted[r] & _LIVE) >> 3 for r in roots])
     # `_topo`'s order is the tape's; `_locate` reads a keep-every-value tape by it
     tape.nodes, tape.full = tuple(_topo(roots)[0]) if keep_all else None, None
     return tape

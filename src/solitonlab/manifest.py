@@ -22,6 +22,12 @@ from . import soliton as so
 from .geometry import Chart, MetricField, ScalarField, VectorField, sym_rows
 
 SCHEMA = "soliton-manifest/1"
+# The largest dimension a manifest may declare: the symbolic curvature build
+# grows about 2.6x per dimension, so a manifest may not ask for an unbounded
+# one.  32 admits every product construct-warped writes from a catalog base,
+# a base of up to 16 (the CLI's MAX_CATALOG_N) times an explicit fiber of up
+# to 16.
+MAX_DIMENSION = 32
 _FORM_TAGS = (so.FORM_FREE, so.FORM_M_OVER_U, so.FORM_NEG_M_OVER_U)
 
 
@@ -97,6 +103,8 @@ def from_dict(doc: dict) -> Manifest:
     n = _need(doc, "dimension", int)
     if isinstance(n, bool) or n < 1:
         _fail("dimension must be a positive integer", field="dimension")
+    if n > MAX_DIMENSION:
+        _fail(f"dimension must be at most {MAX_DIMENSION}, got {n}", field="dimension")
     coords = _need(doc, "coordinates", list)
     if len(coords) != n or not all(isinstance(c, str) for c in coords):
         _fail(f"coordinates must be {n} names", field="coordinates")

@@ -583,6 +583,62 @@ def test_explicit_fiber_above_sixteen_is_refused_before_sampling(monkeypatch, ca
     assert code == 0
 
 
+class Sampled(ValueError):
+    pass
+
+
+def refuse_sampling(*args, **kwargs):
+    raise Sampled("sampled")
+
+
+def test_construct_warped_admits_every_catalog_product(monkeypatch, capsys):
+    # a catalog base of the largest --n times an explicit fiber of as many
+    # passes the manifest dimension bound and goes on to sampling
+    monkeypatch.setattr(so, "default_points", refuse_sampling)
+    n = str(cli.MAX_CATALOG_N)
+    assert 2 * cli.MAX_CATALOG_N <= mf.MAX_DIMENSION
+    for example_id, spec in sorted(exm.EXAMPLES.items()):
+        if spec.structure:
+            code, _, err = run_cli(capsys, "construct-warped", "--base", example_id,
+                                   "--n", n, "--fiber-dim", n)
+            assert (code, err) == (2, "invalid input: sampled\n"), example_id
+
+
+def test_construct_warped_refuses_a_product_past_the_dimension_bound(tmp_path, monkeypatch,
+                                                                    capsys):
+    dim = mf.MAX_DIMENSION - 1
+    coords = [f"x{i + 1}" for i in range(dim)]
+    base = tmp_path / "base.json"
+    mf.write({"schema": mf.SCHEMA, "dimension": dim, "coordinates": coords,
+              "box": [[-1.0, 1.0]] * dim,
+              "metric": ["1" if i == j else "0" for i in range(dim) for j in range(i, dim)],
+              "structure": {"potential": "x1"}, "h": "1", "lambda": "0"}, str(base))
+    monkeypatch.setattr(so, "default_points", refuse_sampling)
+    code, _, err = run_cli(capsys, "construct-warped", "--base", str(base), "--fiber-dim", "1")
+    assert (code, err) == (2, "invalid input: sampled\n")
+    for fiber in ("auto", "flat", "sphere"):
+        code, out, err = run_cli(capsys, "construct-warped", "--base", str(base),
+                                 "--fiber-dim", "2", "--fiber", fiber)
+        assert (code, out) == (2, "")
+        assert err == (f"invalid input: the product's dimension {dim + 2} exceeds a "
+                       f"manifest's dimension bound {mf.MAX_DIMENSION}\n")
+    code, _, err = run_cli(capsys, "construct-warped", "--base", str(base), "--fiber-dim", "2",
+                           "--fiber", "abstract")
+    assert (code, err) == (2, "invalid input: sampled\n")
+
+
+def test_manifest_past_the_dimension_bound_exits_2(tmp_path, capsys):
+    dim = mf.MAX_DIMENSION + 1
+    path = tmp_path / "big.json"
+    mf.write({"schema": mf.SCHEMA, "dimension": dim,
+              "coordinates": [f"x{i + 1}" for i in range(dim)]}, str(path))
+    for argv in (("verify-manifest", str(path)), ("classify", "--manifest", str(path)),
+                 ("construct-warped", "--base", str(path), "--fiber-dim", "1")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"manifest error: dimension must be at most {mf.MAX_DIMENSION}, got {dim}\n"
+
+
 def readme_commands():
     """The `solitonlab ...` lines of README's command-line block, with their
     continuation lines joined."""
@@ -789,7 +845,8 @@ def test_out_of_memory_is_an_input_error(enabled, monkeypatch, capsys):
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is Linux-only")
 def test_entry_out_of_memory_exits_2(monkeypatch):
     # a 512 MB address space leaves room for a small run but not for the
-    # point arrays of 300,000 samples
+    # arrays of 3,000,000 samples: evaluation holds one block of points at a
+    # time, and its output and the reductions over it still need about 2 GB
     import resource
 
     def limit():
@@ -798,7 +855,7 @@ def test_entry_out_of_memory_exits_2(monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     argv = ("check-identity", "bianchi", "--random-metrics", "1", "--points")
     assert run_entry(*argv, "30", preexec_fn=limit)[0] == 0
-    code, out, err = run_entry(*argv, "300000", preexec_fn=limit)
+    code, out, err = run_entry(*argv, "3000000", preexec_fn=limit)
     assert (code, out) == (2, b"")
     assert err.startswith("out of memory: ") and "--points" in err
     assert "Traceback" not in err

@@ -174,3 +174,20 @@ def test_load_errors(tmp_path):
 def test_from_dict_rejects_non_dict():
     with pytest.raises(mf.ManifestError):
         mf.from_dict([1, 2, 3])
+
+
+def diagonal_doc(n):
+    coords = [f"x{i + 1}" for i in range(n)]
+    return flat_doc(dimension=n, coordinates=coords, box=[[-1.0, 1.0]] * n,
+                    metric=["1" if i == j else "0" for i in range(n) for j in range(i, n)],
+                    structure={"vector_field": ["0"] * n})
+
+
+def test_dimension_is_bounded():
+    man = mf.from_dict(diagonal_doc(mf.MAX_DIMENSION))
+    assert man.structure.chart.dim == mf.MAX_DIMENSION
+    with pytest.raises(mf.ManifestError) as info:
+        mf.from_dict(diagonal_doc(mf.MAX_DIMENSION + 1))
+    assert info.value.field == "dimension"
+    assert str(info.value) == (f"dimension must be at most {mf.MAX_DIMENSION}, "
+                               f"got {mf.MAX_DIMENSION + 1}")

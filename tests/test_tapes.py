@@ -5,6 +5,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -218,3 +219,133 @@ def test_repeated_argv_compiles_no_tape(argv, monkeypatch, capsys):
     monkeypatch.setattr(ex, "_compile", lambda *a, **k: compiled.append(a) or compile_(*a, **k))
     assert run_argv(capsys, argv) == first
     assert compiled == []
+
+
+# shared values are dropped at their last consumer; tapes replay in point blocks
+
+B = ex._BLOCK
+
+
+def tape_writes(roots):
+    """A fresh fast tape of `roots`: its nodes in order, and each one's output slot."""
+    tape = ex._compile(tuple(roots))
+    return ex._topo(roots)[0], list(tape.slots[2::3])
+
+
+def test_shared_value_slot_is_reused_after_its_last_consumer_and_never_before():
+    s = ex.mul(ex.add(X, ex.const(7.125)), ex.add(Y, ex.const(7.125)))
+    users = [ex.exp(s), ex.mul(s, X), ex.add(s, ex.const(7.375))]
+    root = ex.add(ex.add(users[0], users[1]), ex.cosh(users[2]))
+    assert s.uses == 3
+    order, outs = tape_writes([root])
+    first = order.index(s)
+    last = max(j for j, node in enumerate(order) if s in node.args)
+    # later writes to s's slot: none before its last consumer, and one from there on
+    writes = [j for j, o in enumerate(outs) if o == outs[first] and j > first]
+    assert writes and min(writes) >= last
+    np.testing.assert_array_equal(bits(ex.eval_many([root], PTS)),
+                                  bits(keep_every_value([root], PTS)))
+
+
+def test_root_is_never_dropped():
+    # t is a root and the operand of two other nodes, both in the tape
+    t = ex.mul(ex.sub(X, ex.const(7.625)), ex.sub(Y, ex.const(7.625)))
+    top = ex.add(ex.sin(t), ex.mul(t, Y))
+    assert t.uses == 2
+    want = (PTS[:, 0] - 7.625) * (PTS[:, 1] - 7.625)
+    for roots in ([top, t], [t, top], [t]):
+        order, outs = tape_writes(roots)
+        at = order.index(t)
+        assert outs[at] not in outs[at + 1:]
+        for got in fresh_and_cached(roots, PTS):
+            np.testing.assert_array_equal(got[roots.index(t)], want)
+            np.testing.assert_array_equal(bits(got), bits(keep_every_value(roots, PTS)))
+
+
+def test_value_with_a_consumer_outside_the_tape_is_kept():
+    s = ex.mul(ex.add(X, ex.const(8.125)), ex.add(Y, ex.const(8.125)))
+    root = ex.add(ex.exp(s), X)
+    ex.mul(s, ex.const(3.0))  # a consumer that no tape below runs
+    assert s.uses == 2
+    order, outs = tape_writes([root])
+    at = order.index(s)
+    assert outs[at] not in outs[at + 1:]
+    np.testing.assert_array_equal(bits(ex.eval_many([root], PTS)),
+                                  bits(keep_every_value([root], PTS)))
+
+
+def test_tape_cached_before_its_shared_nodes_gain_consumers_replays_bit_for_bit():
+    s = ex.mul(ex.add(X, ex.const(8.375)), ex.add(Y, ex.const(8.375)))
+    u = ex.exp(s)
+    roots = [ex.add(u, ex.sin(ex.mul(s, Y)))]
+    assert s.uses == 2
+    pts = np.random.default_rng(8).uniform(0.5, 1.5, size=(2 * B + 5, 2))
+    first, cached = fresh_and_cached(roots, pts)
+    np.testing.assert_array_equal(bits(cached), bits(first))
+    # s gains two consumers and u one: the cached tape drops s at its second
+    # consumer, a fresh one keeps it, and both give the same bits
+    later = [ex.sub(s, u), ex.cos(s)]
+    assert (s.uses, u.uses) == (4, 2)
+    np.testing.assert_array_equal(bits(ex.eval_many(roots, pts)), bits(first))
+    for got in fresh_and_cached(roots, pts):
+        np.testing.assert_array_equal(bits(got), bits(first))
+    both = roots + later
+    for got in fresh_and_cached(both, pts):
+        np.testing.assert_array_equal(bits(got), bits(keep_every_value(both, pts)))
+        np.testing.assert_array_equal(bits(got[:1]), bits(first))
+
+
+@pytest.mark.parametrize("n", [B - 1, B, B + 1, 3 * B + 7])
+def test_blocks_give_the_bits_of_one_whole_column_pass(n):
+    rng = np.random.default_rng(n)
+    pts = rng.uniform(0.5, 1.5, size=(n, 2))
+    a, b, c = ex.param("lane_a"), ex.param("lane_b"), ex.param("lane_c")
+    s = ex.add(ex.mul(X, a), Y)
+    roots = [ex.exp(s), ex.ln(s), ex.sin(ex.mul(s, b)), ex.cosh(ex.sub(s, c)),
+             ex.sqrt(ex.add(s, b)), ex.mul(a, c)]
+    binding = {"lane_a": rng.uniform(0.5, 1.5, n), "lane_b": rng.uniform(-0.5, 0.5, n),
+               "lane_c": 0.75}
+    want = keep_every_value(roots, pts, binding)
+    for got in fresh_and_cached(roots, pts, binding):
+        np.testing.assert_array_equal(bits(got), bits(want))
+    vals, ok = ex.eval_many(roots, pts, binding, mode="masked")
+    np.testing.assert_array_equal(bits(vals), bits(want))
+    assert ok.all() and ok.shape == (n,)
+    # every block ran on the fast tape: none fell back to a whole-column replay
+    assert ex._TAPES[tuple(roots)].full is None
+
+
+def test_fault_at_an_earlier_node_in_a_later_block_is_located_as_in_one_pass():
+    # the first block divides by zero at point 5; the third block takes the
+    # logarithm of a negative value at an earlier node
+    pts = np.random.default_rng(9).uniform(0.5, 1.5, size=(3 * B + 7, 2))
+    pts[2 * B + 3, 0] = 0.25
+    pts[5, 1] = 0.875
+    roots = [ex.ln(ex.sub(X, ex.const(0.375))), ex.div(ex.ONE, ex.sub(Y, ex.const(0.875)))]
+    for _ in range(2):
+        with pytest.raises(ex.DomainError) as info:
+            ex.eval_many(roots, pts)
+        assert (info.value.reason, info.value.point_index) == (
+            "logarithm of a non-positive value", 2 * B + 3)
+        vals, ok = ex.eval_many(roots, pts, mode="masked")
+        assert list(np.flatnonzero(~ok)) == [5, 2 * B + 3]
+        assert np.isnan(vals[:, ~ok]).all() and np.isfinite(vals[:, ok]).all()
+
+
+def test_eval_many_peak_memory_grows_only_by_its_output():
+    # 40 shared values, each with one consumer in each half of the sum: a
+    # whole-column pass would hold all 40 columns at once
+    shared = [ex.mul(ex.add(X, ex.const(9.0 + i / 64)), Y) for i in range(40)]
+    e = ex.nsum([ex.sin(s) for s in shared] + [ex.cos(s) for s in shared])
+    rng = np.random.default_rng(10)
+    ex.eval_many([e], PTS[:, :2])
+    peaks, outs = [], []
+    for n in (4 * B, 16 * B):
+        pts = rng.uniform(-1.0, 1.0, size=(n, 2))
+        tracemalloc.start()
+        try:
+            outs.append(ex.eval_many([e], pts).nbytes)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= outs[1] - outs[0]
