@@ -2,11 +2,13 @@
 
 Every field type is a frozen dataclass holding interned Expressions, so the
 symbolic operators (Christoffel symbols, Ricci, divergences, ...) are pure
-functions of their inputs.  The metric-level ones (determinant, inverse,
-Christoffel symbols, Riemann, Ricci, scalar curvature) and the Hessian are
-memoized with lru_cache; the others (gradients, Laplacians, Lie derivatives,
-divergences, traces, inner products, ...) are rebuilt on each call, from
-interned nodes and memoized derivatives.  Derived fields are
+functions of their inputs.  Every operator that builds symbols (determinant,
+inverse, Christoffel symbols, Riemann, Ricci, scalar curvature, gradients,
+Hessians, Laplacians, Lie derivatives, divergences, traces, inner products,
+...) is memoized with lru_cache on those inputs, so a repeated call returns
+the object it built the first time; its result is a frozen field or nested
+tuples, so no caller can change it.  Each cache grows only with distinct
+inputs, as the node tables do.  Derived fields are
 themselves Expression arrays: anything computed here can be differentiated
 again exactly, which the structural identity checks rely on (they take
 exterior derivatives of quantities that already contain two derivatives of
@@ -69,7 +71,9 @@ class Chart:
         object.__setattr__(self, "box", tuple(tuple(b) for b in self.box))
         object.__setattr__(self, "domain", tuple(self.domain))
         object.__setattr__(self, "params", tuple(sorted(
-            ((k, float(v) if np.ndim(v) == 0 else np.asarray(v, dtype=float))
+            # a float passes as it is: suite charts carry 60-315 of them
+            ((k, v if type(v) is float else float(v) if np.ndim(v) == 0
+              else np.asarray(v, dtype=float))
              for k, v in self.params), key=lambda kv: kv[0])))
         ex.check_names(self.coords, [k for k, _ in self.params])
         if len(self.coords) < 1:
@@ -321,6 +325,7 @@ def riemann_up(g: MetricField):
     return tuple(tuple(tuple(tuple(r) for r in m) for m in b) for b in out)
 
 
+@lru_cache(maxsize=None)
 def gradient(g: MetricField, phi: ScalarField) -> VectorField:
     n = g.chart.dim
     inv = inverse_metric(g)
@@ -344,10 +349,12 @@ def hessian(g: MetricField, phi: ScalarField) -> SymTensorField:
     return SymTensorField(g.chart, sym2(n, entry))
 
 
+@lru_cache(maxsize=None)
 def laplacian(g: MetricField, phi: ScalarField) -> ScalarField:
     return trace(g, hessian(g, phi))
 
 
+@lru_cache(maxsize=None)
 def lie_derivative_metric(g: MetricField, X: VectorField) -> SymTensorField:
     """(L_X g)_ij = X^k ∂_k g_ij + g_kj ∂_i X^k + g_ik ∂_j X^k."""
     n = g.chart.dim
@@ -361,6 +368,7 @@ def lie_derivative_metric(g: MetricField, X: VectorField) -> SymTensorField:
     return SymTensorField(g.chart, sym2(n, entry))
 
 
+@lru_cache(maxsize=None)
 def half_lie_derivative_metric(g: MetricField, X: VectorField) -> SymTensorField:
     """½ L_X g, the X-term of the soliton equation for h = 1."""
     n = g.chart.dim
@@ -369,6 +377,7 @@ def half_lie_derivative_metric(g: MetricField, X: VectorField) -> SymTensorField
     return SymTensorField(g.chart, sym2(n, lambda i, j: ex.mul(half, L.comps[i][j])))
 
 
+@lru_cache(maxsize=None)
 def divergence_vector(g: MetricField, X: VectorField) -> ScalarField:
     """div X = ∂_i X^i + Γ^i_ik X^k."""
     n = g.chart.dim
@@ -378,6 +387,7 @@ def divergence_vector(g: MetricField, X: VectorField) -> ScalarField:
     return ScalarField(g.chart, ex.add(t1, t2))
 
 
+@lru_cache(maxsize=None)
 def covariant_derivative_sym2(g: MetricField, T: SymTensorField):
     """∇_a T_ij as a rank-(0,3) nested tuple D[a][i][j]."""
     n = g.chart.dim
@@ -397,6 +407,7 @@ def covariant_derivative_sym2(g: MetricField, T: SymTensorField):
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def divergence_sym2(g: MetricField, T: SymTensorField) -> OneFormField:
     """(div T)_j = g^{ik} ∇_i T_kj."""
     n = g.chart.dim
@@ -409,12 +420,14 @@ def divergence_sym2(g: MetricField, T: SymTensorField) -> OneFormField:
     return OneFormField(g.chart, comps)
 
 
+@lru_cache(maxsize=None)
 def trace(g: MetricField, T: SymTensorField) -> ScalarField:
     n = g.chart.dim
     inv = inverse_metric(g)
     return ScalarField(g.chart, ex.nsum(ex.mul(inv[i][j], T.comps[i][j]) for i in range(n) for j in range(n)))
 
 
+@lru_cache(maxsize=None)
 def traceless(g: MetricField, T: SymTensorField) -> SymTensorField:
     n = g.chart.dim
     tr_over_n = ex.div(trace(g, T).expr, ex.const(n))
@@ -422,6 +435,7 @@ def traceless(g: MetricField, T: SymTensorField) -> SymTensorField:
         T.comps[i][j], ex.mul(tr_over_n, g.comps[i][j]))))
 
 
+@lru_cache(maxsize=None)
 def grad_norm2(g: MetricField, phi: ScalarField) -> ScalarField:
     """|grad phi|^2 = g^{ij} ∂_i phi ∂_j phi."""
     n = g.chart.dim
@@ -432,6 +446,7 @@ def grad_norm2(g: MetricField, phi: ScalarField) -> ScalarField:
     ))
 
 
+@lru_cache(maxsize=None)
 def covariant_derivative_vector(g: MetricField, X: VectorField):
     """Lowered covariant derivative (∇X)_ij = g_jk ∇_i X^k, as rows[i][j]."""
     n = g.chart.dim
@@ -450,8 +465,9 @@ def covariant_derivative_vector(g: MetricField, X: VectorField):
     return tuple(rows)
 
 
+@lru_cache(maxsize=None)
 def inner_rank2(g: MetricField, A, B) -> ScalarField:
-    """⟨A, B⟩ = g^{ik} g^{jl} A_ij B_kl for general rank-2 component arrays."""
+    """⟨A, B⟩ = g^{ik} g^{jl} A_ij B_kl for rank-2 fields or nested n-tuples."""
     n = g.chart.dim
     inv = inverse_metric(g)
     a = A.comps if hasattr(A, "comps") else A
@@ -469,6 +485,7 @@ def inner_rank2(g: MetricField, A, B) -> ScalarField:
 tensor_inner = inner_rank2
 
 
+@lru_cache(maxsize=None)
 def vector_to_oneform(g: MetricField, X: VectorField) -> OneFormField:
     n = g.chart.dim
     return OneFormField(g.chart, [
@@ -476,6 +493,7 @@ def vector_to_oneform(g: MetricField, X: VectorField) -> OneFormField:
     ])
 
 
+@lru_cache(maxsize=None)
 def oneform_to_vector(g: MetricField, w: OneFormField) -> VectorField:
     n = g.chart.dim
     inv = inverse_metric(g)
@@ -484,6 +502,7 @@ def oneform_to_vector(g: MetricField, w: OneFormField) -> VectorField:
     ])
 
 
+@lru_cache(maxsize=None)
 def sym2_apply(g: MetricField, T: SymTensorField, X: VectorField) -> VectorField:
     """The vector T(X)^i = g^{ik} T_kj X^j."""
     n = g.chart.dim

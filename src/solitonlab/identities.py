@@ -23,11 +23,14 @@ per seed, and their drawn values live on the metric's chart.  So all suite
 metrics of one dimension have the same components, every suite call at that
 dimension reaches the same interned roots and replays the same tape, and a
 suite evaluates all its metrics in one pass with each parameter bound to
-per-point lanes.
+per-point lanes.  The quadratics and each suite's residual builder are
+memoized on those interned inputs, so a suite call after the first at its
+dimension builds no node.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache, wraps
 from itertools import groupby
 
 import numpy as np
@@ -54,16 +57,18 @@ def _term_count(n: int) -> int:
     return (n + 1) * (n + 2) // 2
 
 
-def quadratics(n: int, names) -> list:
+@lru_cache(maxsize=None)
+def quadratics(n: int, names: tuple) -> tuple:
     """Quadratics c_0 + sum c_i x_i + sum_{i<=j} c_ij x_i x_j over parameters.
 
     Quadratic `name` has the parameters name_0, name_1, ... in that term
-    order, so it depends only on n and `name`.  Returned in `names` order.
+    order, so it depends only on n and `name`.  Returned in `names` order,
+    and memoized on (n, names).
     """
     x = [ex.coord(i) for i in range(n)]
     monomials = [ex.ONE] + x + [ex.mul(x[i], x[j]) for i in range(n) for j in range(i, n)]
-    return [ex.nsum(ex.mul(ex.param(f"{name}_{t}"), m) for t, m in enumerate(monomials))
-            for name in names]
+    return tuple(ex.nsum(ex.mul(ex.param(f"{name}_{t}"), m) for t, m in enumerate(monomials))
+                 for name in names)
 
 
 def quadratic_values(rng, n: int, names, scale: float = 0.5) -> dict:
@@ -74,9 +79,9 @@ def quadratic_values(rng, n: int, names, scale: float = 0.5) -> dict:
             for t, v in enumerate(row)}
 
 
-def _upper(prefix: str, n: int) -> list:
+def _upper(prefix: str, n: int) -> tuple:
     """Names of a symmetric tensor's upper-triangle entries, row-major."""
-    return [f"{prefix}{i}{j}" for i in range(n) for j in range(i, n)]
+    return tuple(f"{prefix}{i}{j}" for i in range(n) for j in range(i, n))
 
 
 def random_perturbed_metric(rng, n: int) -> MetricField:
@@ -104,8 +109,8 @@ def suite_metrics(dim: int = 3, metric_count: int = 20, seed: int = 7):
     return [random_perturbed_metric(rng, dim) for _ in range(metric_count)]
 
 
-def _field_names(n: int, vector: bool) -> list:
-    return ["phi"] + _upper("T", n) + ([f"Z{k}" for k in range(n)] if vector else [])
+def _field_names(n: int, vector: bool) -> tuple:
+    return ("phi",) + _upper("T", n) + (tuple(f"Z{k}" for k in range(n)) if vector else ())
 
 
 def suite_fields(n: int, vector: bool = False):
@@ -134,15 +139,18 @@ def _run_suite(gs, point_count, seed, tol, residuals, fields=None):
     `residuals(g)` returns {name: comps} in report order.  `fields(idx, n)`,
     when given, returns the coefficient values of metric idx's random
     fields (see field_values), which join its chart's values.  Metrics are
-    taken in runs with equal components and parameter names.  A run builds
+    taken in runs with equal components and parameter names.  A run asks for
     its residuals once, over a chart that carries no values, so every run of
-    one shape reaches the same roots.  Then one geo.gnorms pass per block of
-    the run evaluates them over the metric-major concatenation of the
-    block's points, on a chart whose values are lanes (see Chart): each
-    parameter's value at a point is its value on that point's metric.  A
-    block holds as many metrics as fit in _LANE_POINTS points, and at least
-    one.  Every point gets the bits a pass over its own metric would give
-    it, and a DomainError names a point of its block's concatenation.
+    one shape reaches the same roots, and the suites' memoized builders
+    (bianchi_residuals, ...) hand out roots built by an earlier call.  Then
+    one geo.gnorms pass per block of the run evaluates them over the
+    metric-major concatenation of the block's points, on a chart whose
+    values are lanes (see Chart): each parameter's value at a point is its
+    value on that point's metric; a one-metric block binds each value as a
+    read-only stride-0 view, not as N copies.  A block holds as many metrics
+    as fit in _LANE_POINTS points, and at least one.  Every point gets the
+    bits a pass over its own metric would give it, and a DomainError names a
+    point of its block's concatenation.
     """
     if not gs:
         return []
@@ -161,8 +169,11 @@ def _run_suite(gs, point_count, seed, tol, residuals, fields=None):
         for b in range(0, len(run), per_block):
             block = run[b:b + per_block]
             values = np.array([[v for _, v in params[i]] for i in block])
-            lanes = Chart(coords, box, params=zip(
-                names, np.repeat(values, [len(pts[i]) for i in block], axis=0).T))
+            if len(block) == 1:  # one value per parameter: N stride-0 lanes, no copies
+                values = np.broadcast_to(values.T, (len(names), len(pts[block[0]])))
+            else:
+                values = np.repeat(values, [len(pts[i]) for i in block], axis=0).T
+            lanes = Chart(coords, box, params=zip(names, values))
             cols.append(geo.gnorms(MetricField(lanes, comps), list(checks.values()),
                                    np.concatenate([pts[i] for i in block])))
     allpts = np.concatenate(pts)
@@ -171,19 +182,107 @@ def _run_suite(gs, point_count, seed, tol, residuals, fields=None):
             for k, name in enumerate(checks)]
 
 
+def _memo_residuals(build):
+    """`build(g)` memoized on the value-free metric g, whose components and
+    chart are its interned inputs.  Each call hands out a fresh
+    {name: roots} dict over the cached roots, nested tuples of interned
+    nodes, so a caller may replace an entry but can change no cached value.
+    """
+    memo = lru_cache(maxsize=None)(build)
+    wrapper = wraps(build)(lambda g: dict(memo(g)))
+    wrapper.cache_info = memo.cache_info
+    return wrapper
+
+
+@_memo_residuals
+def bianchi_residuals(g):
+    """div Ric - (1/2) dR."""
+    div_ric = geo.divergence_sym2(g, geo.ricci(g))
+    scal = geo.scalar_curvature(g)
+    return {"bianchi": tuple(ex.sub(div_ric.comps[j],
+                                    ex.mul(ex.const(0.5), ex.differentiate(scal.expr, j)))
+                             for j in range(g.chart.dim))}
+
+
+@_memo_residuals
+def fg_residuals(g):
+    """The four product/derivative formulas over suite_fields(n)."""
+    n = g.chart.dim
+    chart = g.chart
+    phi, T, _ = suite_fields(n)
+    T = SymTensorField(chart, T)
+    phi_f = ScalarField(chart, phi)
+    grad_phi = geo.gradient(g, phi_f).comps
+    dphi = [ex.differentiate(phi, a) for a in range(n)]
+    out = {}
+
+    phiT = SymTensorField(chart, geo.sym2(n, lambda i, j: ex.mul(phi, T.comps[i][j])))
+    # div(phi T) - phi div T - T(grad phi, .)
+    lhs = geo.divergence_sym2(g, phiT)
+    rhs_div = geo.divergence_sym2(g, T)
+    out["fg-div-product"] = tuple(
+        ex.sub(lhs.comps[j],
+               ex.add(ex.mul(phi, rhs_div.comps[j]),
+                      ex.nsum(ex.mul(T.comps[i][j], grad_phi[i]) for i in range(n))))
+        for j in range(n))
+
+    # nabla(phi T) - phi nabla T - d phi (x) T
+    lhs3 = geo.covariant_derivative_sym2(g, phiT)
+    rhs3 = geo.covariant_derivative_sym2(g, T)
+    out["fg-covariant-product"] = tuple(
+        tuple(tuple(ex.sub(lhs3[a][i][j],
+                           ex.add(ex.mul(phi, rhs3[a][i][j]), ex.mul(dphi[a], T.comps[i][j])))
+                    for j in range(n)) for i in range(n)) for a in range(n))
+
+    # (1/2) d|grad phi|^2 - Hess phi(grad phi, .)
+    gn2 = geo.grad_norm2(g, phi_f).expr
+    hess = geo.hessian(g, phi_f)
+    out["fg-half-grad-square"] = tuple(
+        ex.sub(ex.mul(ex.const(0.5), ex.differentiate(gn2, j)),
+               ex.nsum(ex.mul(hess.comps[i][j], grad_phi[i]) for i in range(n)))
+        for j in range(n))
+
+    # div Hess phi - Ric(grad phi, .) - d(lap phi)
+    div_hess = geo.divergence_sym2(g, hess)
+    ric = geo.ricci(g)
+    lap = geo.laplacian(g, phi_f).expr
+    out["fg-hessian-divergence"] = tuple(
+        ex.sub(div_hess.comps[j],
+               ex.add(ex.nsum(ex.mul(ric.comps[i][j], grad_phi[i]) for i in range(n)),
+                      ex.differentiate(lap, j)))
+        for j in range(n))
+    return out
+
+
+@_memo_residuals
+def lemma21_residuals(g):
+    """div(T(phi Z)) - phi (div T)(Z) - phi <nabla Z, T> - T(grad phi, Z)
+    over suite_fields(n, vector=True)."""
+    n = g.chart.dim
+    chart = g.chart
+    phi, T, Z = suite_fields(n, vector=True)
+    T, Z = SymTensorField(chart, T), VectorField(chart, Z)
+    grad_phi = geo.gradient(g, ScalarField(chart, phi)).comps
+
+    # LHS = div W with the vector W = T(phi Z)
+    phi_z = VectorField(chart, [ex.mul(phi, Z.comps[k]) for k in range(n)])
+    lhs = geo.divergence_vector(g, geo.sym2_apply(g, T, phi_z)).expr
+
+    div_t = geo.divergence_sym2(g, T)
+    term1 = ex.mul(phi, ex.nsum(ex.mul(div_t.comps[j], Z.comps[j])
+                                for j in range(n)))
+    nabla_z = geo.covariant_derivative_vector(g, Z)
+    term2 = ex.mul(phi, geo.inner_rank2(g, nabla_z, T).expr)
+    term3 = ex.nsum(ex.mul(T.comps[i][j], ex.mul(grad_phi[i], Z.comps[j]))
+                    for i in range(n) for j in range(n))
+    return {"lemma21": ex.sub(lhs, ex.add(ex.add(term1, term2), term3))}
+
+
 def bianchi_suite(dim: int = 3, metric_count: int = 20, point_count: int = 100,
                   seed: int = 7, tol: float = SUITE_TOL, metrics=None):
     """Contracted Bianchi: div Ric = (1/2) dR on random metrics."""
     gs = metrics if metrics is not None else suite_metrics(dim, metric_count, seed)
-
-    def residuals(g):
-        div_ric = geo.divergence_sym2(g, geo.ricci(g))
-        scal = geo.scalar_curvature(g)
-        return {"bianchi": [ex.sub(div_ric.comps[j],
-                                   ex.mul(ex.const(0.5), ex.differentiate(scal.expr, j)))
-                            for j in range(g.chart.dim)]}
-
-    return _run_suite(gs, point_count, seed, tol, residuals)
+    return _run_suite(gs, point_count, seed, tol, bianchi_residuals)
 
 
 def fg_formulas_suite(dim: int = 3, metric_count: int = 20, point_count: int = 100,
@@ -194,54 +293,7 @@ def fg_formulas_suite(dim: int = 3, metric_count: int = 20, point_count: int = 1
     def fields(idx, n):
         return field_values(np.random.default_rng((seed, idx, _TAGS["fg"])), n)
 
-    def residuals(g):
-        n = g.chart.dim
-        chart = g.chart
-        phi, T, _ = suite_fields(n)
-        T = SymTensorField(chart, T)
-        phi_f = ScalarField(chart, phi)
-        grad_phi = geo.gradient(g, phi_f).comps
-        dphi = [ex.differentiate(phi, a) for a in range(n)]
-        out = {}
-
-        phiT = SymTensorField(chart, geo.sym2(n, lambda i, j: ex.mul(phi, T.comps[i][j])))
-        # div(phi T) - phi div T - T(grad phi, .)
-        lhs = geo.divergence_sym2(g, phiT)
-        rhs_div = geo.divergence_sym2(g, T)
-        out["fg-div-product"] = [
-            ex.sub(lhs.comps[j],
-                   ex.add(ex.mul(phi, rhs_div.comps[j]),
-                          ex.nsum(ex.mul(T.comps[i][j], grad_phi[i]) for i in range(n))))
-            for j in range(n)]
-
-        # nabla(phi T) - phi nabla T - d phi (x) T
-        lhs3 = geo.covariant_derivative_sym2(g, phiT)
-        rhs3 = geo.covariant_derivative_sym2(g, T)
-        out["fg-covariant-product"] = [
-            [[ex.sub(lhs3[a][i][j],
-                     ex.add(ex.mul(phi, rhs3[a][i][j]), ex.mul(dphi[a], T.comps[i][j])))
-              for j in range(n)] for i in range(n)] for a in range(n)]
-
-        # (1/2) d|grad phi|^2 - Hess phi(grad phi, .)
-        gn2 = geo.grad_norm2(g, phi_f).expr
-        hess = geo.hessian(g, phi_f)
-        out["fg-half-grad-square"] = [
-            ex.sub(ex.mul(ex.const(0.5), ex.differentiate(gn2, j)),
-                   ex.nsum(ex.mul(hess.comps[i][j], grad_phi[i]) for i in range(n)))
-            for j in range(n)]
-
-        # div Hess phi - Ric(grad phi, .) - d(lap phi)
-        div_hess = geo.divergence_sym2(g, hess)
-        ric = geo.ricci(g)
-        lap = geo.laplacian(g, phi_f).expr
-        out["fg-hessian-divergence"] = [
-            ex.sub(div_hess.comps[j],
-                   ex.add(ex.nsum(ex.mul(ric.comps[i][j], grad_phi[i]) for i in range(n)),
-                          ex.differentiate(lap, j)))
-            for j in range(n)]
-        return out
-
-    return _run_suite(gs, point_count, seed, tol, residuals, fields)
+    return _run_suite(gs, point_count, seed, tol, fg_residuals, fields)
 
 
 def lemma21_suite(dim: int = 3, metric_count: int = 20, point_count: int = 100,
@@ -253,27 +305,7 @@ def lemma21_suite(dim: int = 3, metric_count: int = 20, point_count: int = 100,
         return field_values(np.random.default_rng((seed, idx, _TAGS["lemma21"])), n,
                             vector=True)
 
-    def residuals(g):
-        n = g.chart.dim
-        chart = g.chart
-        phi, T, Z = suite_fields(n, vector=True)
-        T, Z = SymTensorField(chart, T), VectorField(chart, Z)
-        grad_phi = geo.gradient(g, ScalarField(chart, phi)).comps
-
-        # LHS = div W with the vector W = T(phi Z)
-        phi_z = VectorField(chart, [ex.mul(phi, Z.comps[k]) for k in range(n)])
-        lhs = geo.divergence_vector(g, geo.sym2_apply(g, T, phi_z)).expr
-
-        div_t = geo.divergence_sym2(g, T)
-        term1 = ex.mul(phi, ex.nsum(ex.mul(div_t.comps[j], Z.comps[j])
-                                    for j in range(n)))
-        nabla_z = geo.covariant_derivative_vector(g, Z)
-        term2 = ex.mul(phi, geo.inner_rank2(g, nabla_z, T).expr)
-        term3 = ex.nsum(ex.mul(T.comps[i][j], ex.mul(grad_phi[i], Z.comps[j]))
-                        for i in range(n) for j in range(n))
-        return {"lemma21": ex.sub(lhs, ex.add(ex.add(term1, term2), term3))}
-
-    return _run_suite(gs, point_count, seed, tol, residuals, fields)
+    return _run_suite(gs, point_count, seed, tol, lemma21_residuals, fields)
 
 
 def oneill_suite(w, count: int = 100, seed: int = 7, tol: float = 1e-9):

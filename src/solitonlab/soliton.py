@@ -9,8 +9,13 @@ function lambda, satisfying
 
 when the structure is genuine.  A check is a (name, tol, residual) triple;
 run_checks evaluates a list of them together at sampled points and returns
-their ResidualReports.  Sign convention: the soliton is expanding when
-lambda < 0, steady when lambda = 0, shrinking when lambda > 0.
+their ResidualReports.  The builders of a structure's fields and checks
+(derive, soliton_check, divric_check, eqpprinc_check, mu_scalar_field) are
+memoized with lru_cache on the frozen structure and their other arguments,
+and return frozen fields or tuples of interned nodes, so a repeated call
+builds nothing and no caller can change a cached value.  Sign convention:
+the soliton is expanding when lambda < 0, steady when lambda = 0, shrinking
+when lambda > 0.
 
 For gradient structures with h = -m/u the module also checks the conserved
 quantity mu = lambda u^2 + u lap u + (m-1)|grad u|^2 (constant when lambda
@@ -155,6 +160,7 @@ def run_checks(g: MetricField, points, checks, **metadata) -> list:
     return [_report(name, tol, pts, r, **metadata) for (name, tol, _), r in zip(checks, res)]
 
 
+@lru_cache(maxsize=None)
 def soliton_check(s: SolitonStructure, tol: float = 1e-8, gradient: bool = False):
     """The check Ric + (h/2) L_X g - lambda g = 0, or with `gradient` the
     check Ric + h Hess u - lambda g = 0, which needs a potential."""
@@ -317,6 +323,7 @@ def potential_from_factor(g: MetricField, rho: ScalarField, points) -> ScalarFie
 # structural identities of verified structures
 
 
+@lru_cache(maxsize=None)
 def divric_check(s: SolitonStructure, tol: float = 1e-7):
     """The check of divric_identity_residual."""
     d = derive(s)
@@ -360,6 +367,7 @@ def neg_form_m(s: SolitonStructure, points) -> float:
     return m
 
 
+@lru_cache(maxsize=None)
 def mu_scalar_field(s: SolitonStructure) -> ScalarField:
     """lambda u^2 + u lap u + (m-1) |grad u|^2 as a scalar field."""
     g = s.metric
@@ -395,6 +403,7 @@ def mu_field(s: SolitonStructure, points, tol: float = 1e-9) -> ResidualReport:
     return mu_report(s, points, neg_form_m(s, points), tol)
 
 
+@lru_cache(maxsize=None)
 def eqpprinc_check(s: SolitonStructure, m: float, tol: float = 1e-8):
     """The check of eqpprinc_residual, for h = -m/u."""
     g = s.metric
@@ -407,10 +416,10 @@ def eqpprinc_check(s: SolitonStructure, m: float, tol: float = 1e-8):
                         ex.mul(u, lap)),
                  ex.mul(ex.const(m - 1.0), grad2))
     c2 = ex.const((m + n - 2) / m)
-    return "eqpprinc-identity", tol, [
+    return "eqpprinc-identity", tol, tuple(
         ex.sub(ex.differentiate(phi, j), ex.mul(ex.mul(c2, s.lam.expr),
                                                 ex.differentiate(u2, j)))
-        for j in range(n)]
+        for j in range(n))
 
 
 def eqpprinc_residual(s: SolitonStructure, points, tol: float = 1e-8) -> ResidualReport:

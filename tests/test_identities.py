@@ -10,6 +10,7 @@ from solitonlab import examples as exm
 from solitonlab import expr as ex
 from solitonlab import geometry as geo
 from solitonlab import identities as idn
+from solitonlab import soliton as so
 
 
 def test_random_perturbed_metric_is_spd_on_box():
@@ -172,20 +173,93 @@ def suite_roots(monkeypatch, suite, **kw):
     return calls
 
 
+def state_sizes():
+    """The sizes of the node and derivative tables, the tape cache and every
+    lru_cache of the symbolic builders."""
+    caches = {f"{mod.__name__}.{name}": f.cache_info().currsize
+              for mod in (geo, so, idn) for name, f in vars(mod).items()
+              if hasattr(f, "cache_info")}
+    return (sum(map(len, ex._TABLE.values())), sum(map(len, ex._DIFF.values())),
+            len(ex._TAPES), caches)
+
+
+def count_derives(monkeypatch):
+    """A list that gains an entry per expr._derive call from here on."""
+    calls, derive = [], ex._derive
+
+    def counted(e, i, memo):
+        calls.append(e)
+        return derive(e, i, memo)
+
+    monkeypatch.setattr(ex, "_derive", counted)
+    return calls
+
+
 @pytest.mark.parametrize("dim", [3, 4])
 def test_parametric_suites_add_no_nodes_and_no_tapes_across_seeds(monkeypatch, dim):
     for suite in (idn.bianchi_suite, idn.fg_formulas_suite, idn.lemma21_suite):
         first = suite_roots(monkeypatch, suite, dim=dim, metric_count=2, point_count=5,
                             seed=100)
         nodes = ex.count_nodes(*[e for roots in first for e in roots])
-        tapes, table = len(ex._TAPES), sum(map(len, ex._TABLE.values()))
-        for seed in range(101, 110):
-            roots = suite_roots(monkeypatch, suite, dim=dim, metric_count=2 + seed % 3,
-                                point_count=5, seed=seed)
-            assert roots == first
-            assert ex.count_nodes(*[e for r in roots for e in r]) == nodes
-        assert len(ex._TAPES) == tapes
-        assert sum(map(len, ex._TABLE.values())) == table
+        sizes = state_sizes()
+        with monkeypatch.context() as m:
+            derived = count_derives(m)
+            for seed in range(101, 110):
+                roots = suite_roots(monkeypatch, suite, dim=dim,
+                                    metric_count=2 + seed % 3, point_count=5, seed=seed)
+                assert roots == first
+                assert ex.count_nodes(*[e for r in roots for e in r]) == nodes
+        assert derived == []
+        assert state_sizes() == sizes
+
+
+@pytest.mark.parametrize("argv", [
+    "check-identity bianchi --dim 3 --random-metrics 2 --points 5",
+    "check-identity fg-formulas --dim 3 --random-metrics 2 --points 5",
+    "check-identity lemma21 --dim 3 --random-metrics 2 --points 5",
+    "verify-example pseudo-hyperbolic --points 20",
+])
+def test_warm_cli_calls_build_nothing(monkeypatch, argv):
+    # after one call, a call at a new seed reaches every symbolic object it
+    # needs through the caches: no derivative is taken, and no table or cache grows
+    assert cli.main([*argv.split(), "--seed", "100"]) == 0
+    sizes = state_sizes()
+    derived = count_derives(monkeypatch)
+    for seed in range(101, 110):
+        assert cli.main([*argv.split(), "--seed", str(seed)]) == 0
+        assert derived == []
+    assert state_sizes() == sizes
+
+
+@pytest.mark.parametrize("suite", [idn.bianchi_suite, idn.fg_formulas_suite,
+                                   idn.lemma21_suite])
+def test_one_metric_pass_binds_stride_zero_lanes_with_float_bits(monkeypatch, suite):
+    calls, gnorms = [], geo.gnorms
+
+    def spy(g, residuals, points):
+        out = gnorms(g, residuals, points)
+        calls.append((g, residuals, points, out))
+        return out
+
+    def no_fallback(*args):
+        raise AssertionError("a block fell back to the whole-column replay")
+
+    monkeypatch.setattr(geo, "gnorms", spy)
+    monkeypatch.setattr(ex, "_locate", no_fallback)
+    # more points than one lane pass and one evaluation block hold
+    count = max(idn._LANE_POINTS, ex._BLOCK) + 100
+    reports = suite(dim=3, metric_count=1, point_count=count, seed=5)
+    (g, residuals, points, out), = calls
+    assert len(points) == count
+    # each value is a read-only view of one float, not `count` copies of it
+    assert all(v.shape == (count,) and v.strides == (0,) and not v.flags.writeable
+               for _, v in g.chart.params)
+    chart = geo.Chart(g.chart.coords, g.chart.box,
+                      params=[(k, float(v[0])) for k, v in g.chart.params])
+    alone = gnorms(geo.MetricField(chart, g.comps), residuals, points)
+    for lane, one, rep in zip(out, alone, reports, strict=True):
+        assert np.array_equal(lane, one)
+        assert np.array_equal(rep.residuals, np.abs(one))
 
 
 @pytest.mark.parametrize("suite", [idn.bianchi_suite, idn.fg_formulas_suite,

@@ -1,12 +1,16 @@
 # negative controls: a planted defect of relative size 1e-3 in one side of an
-# identity makes its check FAIL, and leaves every other check of the suite passing
+# identity makes its check FAIL, and leaves every other check of the suite passing.
+# Each defect is planted right after the unperturbed run has passed in the same
+# process, so a check served from a stale cache entry fails its row.
 
 import pytest
 
 from solitonlab import cli
+from solitonlab import examples as exm
 from solitonlab import expr as ex
 from solitonlab import geometry as geo
 from solitonlab import identities as idn
+from solitonlab import soliton as so
 from solitonlab.geometry import ScalarField, SymTensorField
 
 EPS = 1e-3
@@ -66,8 +70,8 @@ CONTROLS = {
 
 
 def minus(residual, term):
-    """residual - EPS*term, componentwise over nested lists."""
-    if isinstance(residual, list):
+    """residual - EPS*term, componentwise over nested lists or tuples."""
+    if isinstance(residual, (list, tuple)):
         return [minus(r, t) for r, t in zip(residual, term, strict=True)]
     return ex.sub(residual, ex.mul(ex.const(EPS), term))
 
@@ -85,8 +89,71 @@ def test_planted_defect_fails_its_check(check, monkeypatch):
 
         return run_suite(gs, point_count, seed, tol, defective, fields)
 
+    assert all(rep.passed for rep in suite())
     monkeypatch.setattr(idn, "_run_suite", planted)
     docs = {rep.name: cli.check_dict(rep) for rep in suite()}
     assert docs[check]["pass"] is False
     assert docs[check]["sup_residual"] >= 10 * idn.SUITE_TOL
     assert all(doc["pass"] for name, doc in docs.items() if name != check)
+
+
+def lam_g(s):
+    # the right side lambda g of Ric + (h/2) L_X g = lambda g (or Ric + h Hess u)
+    g = s.metric
+    return [[ex.mul(s.lam.expr, e) for e in row] for row in g.comps]
+
+
+def grad_x_ric(s):
+    # Ric0 = Ric - (R/n) g becomes 1.001 Ric - (R/n) g in the left side's
+    # <grad X, Ric0>; minus subtracts, so the term is negated
+    d = so.derive(s)
+    g = s.metric
+    ric = geo.ricci(g)
+    return ex.neg(geo.inner_rank2(g, geo.covariant_derivative_vector(g, d.X), ric).expr)
+
+
+def c2_lam_du2(s):
+    # the right side ((m+n-2)/m) lambda d(u^2) of the eqpprinc 1-form
+    n, m = s.chart.dim, float(s.m)
+    c2_lam = ex.mul(ex.const((m + n - 2) / m), s.lam.expr)
+    u2 = ex.powi(s.potential.expr, 2)
+    return [ex.mul(c2_lam, ex.differentiate(u2, j)) for j in range(n)]
+
+
+def lam_u2(s):
+    # mu = lambda u^2 + u lap u + (m-1)|grad u|^2 with its first term scaled by 0.999
+    return ex.mul(s.lam.expr, ex.powi(s.potential.expr, 2))
+
+
+# check -> (catalog entry, the soliton builder that the defect is planted in,
+# the term that the defect scales).  Each entry keeps the planted check's
+# preconditions: a failing gradient residual on an h = -m/u entry would stop
+# its eqpprinc precheck, so that row runs on the h = m/u space form.
+STRUCTURE_CONTROLS = {
+    "soliton-residual": ("neg-m-sphere", "soliton_check", lam_g),
+    "gradient-soliton-residual": ("space-form-gradient", "soliton_check", lam_g),
+    "divric-identity": ("pseudo-hyperbolic", "divric_check", grad_x_ric),
+    "eqpprinc-identity": ("neg-m-sphere", "eqpprinc_check", c2_lam_du2),
+    "mu-constancy": ("pseudo-hyperbolic", "mu_scalar_field", lam_u2),
+}
+
+
+@pytest.mark.parametrize("check", STRUCTURE_CONTROLS)
+def test_planted_structure_defect_fails_its_check(check, monkeypatch):
+    example, builder, term = STRUCTURE_CONTROLS[check]
+    before = exm.run_example(example).checks
+    assert check in [rep.name for rep in before] and all(rep.passed for rep in before)
+    build = getattr(so, builder)
+
+    def planted(s, *args, **kwargs):
+        out = build(s, *args, **kwargs)
+        if builder == "mu_scalar_field":
+            return ScalarField(out.chart, minus(out.expr, term(s)))
+        name, tol, residual = out
+        return (name, tol, minus(residual, term(s))) if name == check else out
+
+    monkeypatch.setattr(so, builder, planted)
+    reps = {rep.name: rep for rep in exm.run_example(example).checks}
+    assert reps[check].passed is False
+    assert reps[check].sup >= 10 * reps[check].tolerance
+    assert all(rep.passed for name, rep in reps.items() if name != check)
