@@ -26,30 +26,29 @@ to a negative power, or any non-finite intermediate) either raise DomainError
 with the index of the offending point ("strict") or mark the point invalid in
 a returned mask ("masked").
 
-`eval_many` has one evaluator, a compiler and a runner.  `_compile` walks
-the DAG once, in `_topo`'s order, into a tape: per node an opcode, a numpy
-kernel or leaf payload, and operand and output slots packed into an int32
-array, with every drop and buffer-reuse decision made during the walk.
-`_run` replays a tape over a list of slots, one numpy call per node, with
-floating-point faults raised.  Tapes are cached in `_TAPES` under the root
-tuple: roots are interned and a tape depends on neither the points nor the
-parameter values, so a later call with the same roots skips the walk.  A
-tape keeps the roots' values; any other node's value is dropped once the
-last of its consumers (`Expression.uses`, counted as nodes are built) has
-run, and later results are written into the buffers the tape allocated for
-dropped values; the values stay bit-identical.  A tape replays over blocks
-of `_BLOCK` points, so beside its result the memory an evaluation holds is
-bounded by the live values of one block, not by the DAG's size or the point
-count.
+`eval_many` has one evaluator, a compiler and a runner.  `_compile` is the
+module's one ordered DAG walk: it walks a root set once, in a depth-first
+post-order over roots and arguments first to last, into a tape: per node an
+opcode, a numpy kernel or leaf payload, and operand and output slots packed
+into an int32 array, with every drop and buffer-reuse decision made during
+the walk.  The order is a contract: `_locate` names the first faulting node
+by it, so a metric listed first faults first.  `_run` replays a tape over a
+list of slots, one numpy call per node, with floating-point faults raised.
+Tapes are cached in `_TAPES` under the root tuple: roots are interned and a
+tape depends on neither the points nor the parameter values, so a later call
+with the same roots skips the walk.  A tape keeps the roots' values; any
+other node's value is dropped once the last of its consumers
+(`Expression.uses`, counted as nodes are built) has run, and later results
+are written into the buffers the tape allocated for dropped values; the
+values stay bit-identical.  A tape replays over blocks of `_BLOCK` points, so
+beside its result the memory an evaluation holds is bounded by the live
+values of one block, not by the DAG's size or the point count.
 A fault, a non-finite input, an unbound parameter or a coordinate out of
-range replays the roots' keep-every-value tape over every point, compiled
-on the first such call and cached with the other, with faults ignored, and
-the first node with a non-finite lane locates the error.  The order, a
-depth-first post-order over roots and arguments first to last, is a
-contract: `_locate` names the first faulting node by it, so a metric listed
-first faults first.  The tables, the consumer counts and the tape cache are
-process state without locks: build and evaluate expressions from one thread
-at a time.
+range relabels the cached tape into keep-every-value form (`_unfold`: each
+instruction allocates its own slot) and replays that over every point with
+faults ignored; the first instruction with a non-finite lane locates the
+error.  The tables, the consumer counts and the tape cache are process state
+without locks: build and evaluate expressions from one thread at a time.
 """
 
 from __future__ import annotations
@@ -631,59 +630,28 @@ def shift_coordinates(e: Expression, offset: int) -> Expression:
     return substitute_coords(e, {i: coord(i + offset) for i in idx})
 
 
-def _topo(roots):
-    """Deduplicated post-order over the DAG spanned by `roots`, and its shared nodes.
-
-    A node is shared when the walk reaches it more than once: it is an
-    argument of two nodes, both arguments of one (`a*a`), or a repeated root
-    or a root that another root uses.  Every other node has at most one
-    consumer.  The order is a contract; see the module docstring.
-    """
-    order, seen, shared = [], set(), set()
-    stack = list(reversed(roots))
-    # a node whose args are being walked sits under a None marker
-    push, pop, emit, visit, share = stack.append, stack.pop, order.append, seen.add, shared.add
+def _nodes(roots) -> set:
+    """The distinct nodes of the DAG spanned by `roots`."""
+    seen, stack = set(), list(roots)
     while stack:
-        node = pop()
-        if node is None:
-            emit(pop())
-            continue
-        if node in seen:
-            share(node)
-            continue
-        visit(node)
-        args = node.args
-        if not args:
-            emit(node)
-            continue
-        push(node)
-        push(None)
-        if len(args) == 2:
-            a, b = args
-            if b in seen:
-                share(b)
-            else:
-                push(b)
-        else:
-            a = args[0]
-        if a in seen:
-            share(a)
-        else:
-            push(a)
-    return order, shared
+        node = stack.pop()
+        if node not in seen:
+            seen.add(node)
+            stack.extend(node.args)
+    return seen
 
 
 def free_coords(e: Expression) -> set:
-    return {n.payload for n in _topo([e])[0] if n.kind == "coord"}
+    return {n.payload for n in _nodes([e]) if n.kind == "coord"}
 
 
 def free_params(e: Expression) -> set:
-    return {n.payload for n in _topo([e])[0] if n.kind == "param"}
+    return {n.payload for n in _nodes([e]) if n.kind == "param"}
 
 
 def count_nodes(*roots) -> int:
     """Number of distinct DAG nodes reachable from the given roots."""
-    return len(_topo(list(roots))[0])
+    return len(_nodes(roots))
 
 
 # ---------------------------------------------------------------------------
@@ -707,16 +675,15 @@ _BLOCK = 1024
 
 
 class _Tape:
-    """A root set compiled for `_run`: per node, in `_topo`'s order, an opcode
-    in `ops`, a numpy kernel or leaf payload in `kernels`, and three slots in
-    `slots` (first operand, second operand, output; an unused one is 0).
-    `width` is the length of the slot list the tape runs over, and `outs`
-    holds the roots' slots.  `full` is the keep-every-value tape of the same
-    roots, compiled when a fault first needs it; that tape's `nodes` are its
-    nodes in order, for `_locate`.
+    """A root set compiled for `_run`: per node, in `_compile`'s order, an
+    opcode in `ops`, a numpy kernel or leaf payload in `kernels`, and three
+    slots in `slots` (first operand, second operand, output; an unused one is
+    0).  `width` is the length of the slot list the tape runs over, and `outs`
+    holds the roots' slots.  `_unfold` relabels a tape into the
+    keep-every-value form that `_locate` reads.
     """
 
-    __slots__ = ("ops", "kernels", "slots", "width", "outs", "nodes", "full")
+    __slots__ = ("ops", "kernels", "slots", "width", "outs")
 
 
 def eval_many(exprs, points, binding=None, mode="strict"):
@@ -744,9 +711,10 @@ def eval_many(exprs, points, binding=None, mode="strict"):
     neither `points` nor an earlier result is written.  So the memory a pass
     holds is the result plus the live values of one block.  After a fault in
     any block, an unbound parameter, a coordinate index out of range, or on a
-    non-finite point or bound value, the same runner replays the roots'
-    keep-every-value tape over every point with faults ignored, and the first
-    node in topological order with a non-finite lane locates the error.  An
+    non-finite point or bound value, the same runner replays the cached
+    tape's keep-every-value form (`_unfold`) over every point with faults
+    ignored, and the first instruction with a non-finite lane locates the
+    error.  An
     early block can fault at a later node than a later block would, so the
     error is located over every point: the node and point are those one
     whole-column pass names.  A coordinate index out of range raises
@@ -789,9 +757,7 @@ def eval_many(exprs, points, binding=None, mode="strict"):
     if faulted:
         # a block may fault before an earlier node's fault at a later point, and
         # the fast pass overwrote values: replay every point keeping every value
-        if tape.full is None:
-            tape.full = _compile(roots, keep_all=True)
-        tape = tape.full
+        tape = _unfold(tape)
         vals = [None] * tape.width
         try:
             with np.errstate(all="ignore"):
@@ -822,8 +788,12 @@ _USE = 1 << 34
 _LIVE = _USE - 7
 
 
-def _compile(roots, keep_all=False):
-    """The tape of `roots`: one instruction per node, in `_topo`'s order.
+def _compile(roots):
+    """The tape of `roots`: one instruction per node, in a depth-first
+    post-order over the roots and then each node's arguments, first to last,
+    each node at its first reach.  The order is a contract: `_locate` names
+    the first faulting instruction by it, so a metric listed first faults
+    first.
 
     Each emitted node gets a code, its slot shifted left by 3 over three flags:
     1 when its value is an array (it depends on a coordinate), 2 when the node
@@ -839,8 +809,7 @@ def _compile(roots, keep_all=False):
     written.  A node with one consumer is reached once, inside its consumer's
     walk, so its code waits on `held` until that consumer pops it; any other
     node's code, with the count of consumers still to run (see _USE), is in
-    `emitted`, which is also the walk's visited set.  A keep-every-value tape
-    drops nothing, so node i has slot i.
+    `emitted`, which is also the walk's visited set.
     """
     # a root is kept: it counts as one more consumer, and as a shared node,
     # while the walk runs
@@ -848,8 +817,6 @@ def _compile(roots, keep_all=False):
     for r, by in bumped:
         r.uses += by
     try:
-        # the flags a held code keeps: a keep-every-value tape clears "dropped"
-        held_flags = 1 if keep_all else 7
         emitted, held = {}, []
         hold, take = held.append, held.pop
         ops, kernels, slots, chunk = bytearray(), [], array("i"), []
@@ -958,9 +925,9 @@ def _compile(roots, keep_all=False):
             emit(sb)
             emit(o)
             if node.uses == 1:
-                hold((o << 3) + (flags & held_flags))
+                hold((o << 3) + flags)
             else:
-                emitted[node] = node.uses * use + (o << 3) + (flags & held_flags)
+                emitted[node] = node.uses * use + (o << 3) + flags
             left -= 1
             if not left:
                 # a long list of ints costs 40 B each; packed they cost 4
@@ -974,9 +941,29 @@ def _compile(roots, keep_all=False):
     tape = _Tape()
     tape.ops, tape.kernels, tape.slots, tape.width = bytes(ops), tuple(kernels), slots, width
     tape.outs = array("i", [(emitted[r] & _LIVE) >> 3 for r in roots])
-    # `_topo`'s order is the tape's; `_locate` reads a keep-every-value tape by it
-    tape.nodes, tape.full = tuple(_topo(roots)[0]) if keep_all else None, None
     return tape
+
+
+# an "into" opcode -> its allocating form
+_ALLOCATING = bytes.maketrans(b"\1\3\5", b"\0\2\4")
+
+
+def _unfold(tape):
+    """`tape` in keep-every-value form: instruction i allocates its value in
+    slot i, and each operand names the instruction that last wrote its slot.
+    The kernels and their order are the tape's, so the values are its bits.
+    """
+    # slot -> the instruction whose value it holds; an unused operand reads 0
+    last = [0] * tape.width
+    slots = array("i")
+    it = iter(tape.slots)
+    for i, (a, b, o) in enumerate(zip(it, it, it)):
+        slots.extend((last[a], last[b], i))
+        last[o] = i
+    full = _Tape()
+    full.ops, full.kernels, full.slots = tape.ops.translate(_ALLOCATING), tape.kernels, slots
+    full.width, full.outs = len(tape.ops), array("i", [last[s] for s in tape.outs])
+    return full
 
 
 def _run(tape, vals, pts, binding):
@@ -1021,17 +1008,22 @@ _HAZARDS = {
 }
 
 
-def _locate(tape, vals, n_pts, mode):
-    """The valid-point mask of a keep-every-value replay; strict mode raises at the first fault.
+# an allocating opcode or a kernel -> the kind of node its instruction computes
+_KIND = {4: "pow", 6: "const", 7: "coord", 8: "param", np.negative: "neg",
+         **{f: k for k, f in (*_BINARY.items(), *_NP_FUNC.items())}}
 
-    Node i's value is in slot i, so the first node with a non-finite lane is
-    where the fault arose; a replay that stopped early leaves None from there
-    on.  The reason is the hazard's if any lane meets the hazard, else
-    "non-finite result in {kind}".
+
+def _locate(tape, vals, n_pts, mode):
+    """The valid-point mask of an `_unfold`ed replay; strict mode raises at the first fault.
+
+    Instruction i's value is in slot i, so the first instruction with a
+    non-finite lane is where the fault arose; a replay that stopped early
+    leaves None from there on.  The reason is the hazard's if any lane meets
+    the hazard, else "non-finite result in {kind}".
     """
     ok = np.ones(n_pts, dtype=bool)
     slots = iter(tape.slots)
-    for node, v, a, b, _ in zip(tape.nodes, vals, slots, slots, slots):
+    for op, f, v, a, b, _ in zip(tape.ops, tape.kernels, vals, slots, slots, slots):
         if v is None:
             break
         bad = ~np.isfinite(v)
@@ -1040,10 +1032,11 @@ def _locate(tape, vals, n_pts, mode):
         if mode == "masked":
             ok &= ~bad
             continue
-        reason = f"non-finite result in {node.kind}"
-        if node.kind in _HAZARDS:
-            arg, hazard, why = _HAZARDS[node.kind]
-            if np.any(hazard(vals[b if arg else a], node.payload)):
+        kind = _KIND[op] if op >= 4 else _KIND[f]
+        reason = f"non-finite result in {kind}"
+        if kind in _HAZARDS:
+            arg, hazard, why = _HAZARDS[kind]
+            if np.any(hazard(vals[b if arg else a], f)):
                 reason = why
         raise DomainError(reason, int(np.argmax(bad)))
     return ok

@@ -31,7 +31,6 @@ dimension builds no node.
 from __future__ import annotations
 
 from functools import lru_cache, wraps
-from itertools import groupby
 
 import numpy as np
 
@@ -138,13 +137,14 @@ def _run_suite(gs, point_count, seed, tol, residuals, fields=None):
 
     `residuals(g)` returns {name: comps} in report order.  `fields(idx, n)`,
     when given, returns the coefficient values of metric idx's random
-    fields (see field_values), which join its chart's values.  Metrics are
-    taken in runs with equal components and parameter names.  A run asks for
-    its residuals once, over a chart that carries no values, so every run of
-    one shape reaches the same roots, and the suites' memoized builders
-    (bianchi_residuals, ...) hand out roots built by an earlier call.  Then
-    one geo.gnorms pass per block of the run evaluates them over the
-    metric-major concatenation of the block's points, on a chart whose
+    fields (see field_values), which join its chart's values.  Every metric
+    must have the first one's components and parameter names (suite_metrics
+    gives such a list), else ValueError names the first that differs.  The
+    residuals are asked for once, over the first metric's chart without its
+    values, so every call of one dimension reaches the same roots, and the
+    suites' memoized builders (bianchi_residuals, ...) hand out roots built
+    by an earlier call.  Then one geo.gnorms pass per block of metrics
+    evaluates them over the metric-major concatenation of the block's points, on a chart whose
     values are lanes (see Chart): each parameter's value at a point is its
     value on that point's metric; a one-metric block binds each value as a
     read-only stride-0 view, not as N copies.  A block holds as many metrics
@@ -159,23 +159,25 @@ def _run_suite(gs, point_count, seed, tol, residuals, fields=None):
         params = [p + tuple(fields(idx, g.chart.dim).items())
                   for idx, (p, g) in enumerate(zip(params, gs))]
     pts = [_suite_points(g.chart, point_count, seed, idx) for idx, g in enumerate(gs)]
+    comps, names = gs[0].comps, tuple(k for k, _ in params[0])
+    for idx, (g, p) in enumerate(zip(gs, params)):
+        if g.comps != comps or tuple(k for k, _ in p) != names:
+            raise ValueError(f"suite metric {idx} differs from metric 0 in its "
+                             "components or parameter names")
+    coords, box = gs[0].chart.coords, gs[0].chart.box
+    checks = residuals(MetricField(Chart(coords, box), comps))
     per_block = max(1, _LANE_POINTS // max(1, point_count))
     cols = []
-    for (comps, names), run in groupby(range(len(gs)), key=lambda i: (
-            gs[i].comps, tuple(k for k, _ in params[i]))):
-        run = list(run)
-        coords, box = gs[run[0]].chart.coords, gs[run[0]].chart.box
-        checks = residuals(MetricField(Chart(coords, box), comps))
-        for b in range(0, len(run), per_block):
-            block = run[b:b + per_block]
-            values = np.array([[v for _, v in params[i]] for i in block])
-            if len(block) == 1:  # one value per parameter: N stride-0 lanes, no copies
-                values = np.broadcast_to(values.T, (len(names), len(pts[block[0]])))
-            else:
-                values = np.repeat(values, [len(pts[i]) for i in block], axis=0).T
-            lanes = Chart(coords, box, params=zip(names, values))
-            cols.append(geo.gnorms(MetricField(lanes, comps), list(checks.values()),
-                                   np.concatenate([pts[i] for i in block])))
+    for b in range(0, len(gs), per_block):
+        block = range(b, min(b + per_block, len(gs)))
+        values = np.array([[v for _, v in params[i]] for i in block])
+        if len(block) == 1:  # one value per parameter: N stride-0 lanes, no copies
+            values = np.broadcast_to(values.T, (len(names), len(pts[b])))
+        else:
+            values = np.repeat(values, [len(pts[i]) for i in block], axis=0).T
+        lanes = Chart(coords, box, params=zip(names, values))
+        cols.append(geo.gnorms(MetricField(lanes, comps), list(checks.values()),
+                               np.concatenate([pts[i] for i in block])))
     allpts = np.concatenate(pts)
     return [so._report(name, tol, allpts, np.concatenate([col[k] for col in cols]),
                        metrics=len(gs), points_per_metric=point_count, seed=seed)

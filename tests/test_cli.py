@@ -3,6 +3,7 @@
 import argparse
 import ast
 import gc
+import hashlib
 import importlib
 import json
 import math
@@ -17,6 +18,7 @@ import pytest
 
 from solitonlab import cli
 from solitonlab import examples as exm
+from solitonlab import expr as ex
 from solitonlab import identities as idn
 from solitonlab import manifest as mf
 from solitonlab import soliton as so
@@ -273,6 +275,31 @@ def test_folded_field_is_still_evaluated(tmp_path, argv):
     assert out == b""
     assert err.strip() == ("expression error: logarithm of a non-positive value "
                            "at point index 2")
+
+
+# a domain disk in a wider box: sampling evaluates the domain predicate in
+# masked mode over points where 1 - x^2 - y^2 < 0, so every call takes the
+# fault path; no benchmark workload reaches it
+DISK = {"schema": "soliton-manifest/1", "dimension": 2, "coordinates": ["x", "y"],
+        "box": [[-1.5, 1.5], [-1.5, 1.5]], "domain": ["sqrt(1 - x^2 - y^2)"],
+        "metric": ["1", "0", "1"], "structure": {"potential": "1 + x^2 + y^2"},
+        "h": "2/(1 + x^2 + y^2)", "lambda": "4/(1 + x^2 + y^2)",
+        "form": {"tag": "m-over-u", "m": 2}}
+DISK_SHA256 = {1: "ed73f1fc77ae9dfc75c279f4fcdf7a8f08187e51ee4849d1c6f80364c9a437bd",
+               2: "cd0410d2e184a76c5db84b2dcf56f030568e8affc49ae581fccda34e1e68b4ea"}
+
+
+def test_verify_manifest_on_a_disk_locates_masked_faults(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "disk.json"
+    mf.write(DISK, str(path))
+    located, locate = [], ex._locate
+    monkeypatch.setattr(ex, "_locate", lambda *a: located.append(a[-1]) or locate(*a))
+    for seed in (1, 2, 1):
+        located.clear()
+        code, out, _ = run_cli(capsys, "verify-manifest", str(path), "--seed", str(seed))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == DISK_SHA256[seed]
+        assert located == ["masked", "masked"]
 
 
 def test_verify_manifest_gradient_suite(tmp_path, capsys):

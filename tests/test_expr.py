@@ -201,9 +201,40 @@ def catalog_roots():
             yield [e for t in (s.metric.comps, ric.comps) for row in t for e in row] + [s.lam.expr]
 
 
+ARITY = {0: 2, 2: 1, 4: 1, 6: 0, 7: 0, 8: 0}
+
+
+def instructions(roots):
+    """The roots' tape in keep-every-value form: per instruction its opcode,
+    kernel or payload, and the instructions its operands read; and the
+    instructions that give the roots."""
+    tape = ex._unfold(ex._compile(tuple(roots)))
+    s = tape.slots
+    return [(op, f, list(s[3 * i:3 * i + ARITY[op]]))
+            for i, (op, f) in enumerate(zip(tape.ops, tape.kernels))], list(tape.outs)
+
+
+def reference_instructions(roots):
+    """What `instructions` must give, read off the reference walk `oracles.topo`."""
+    order = oracles.topo(roots)[0]
+    at = {node: i for i, node in enumerate(order)}
+    want = []
+    for node in order:
+        k, args = node.kind, [at[a] for a in node.args]
+        if k in ex._BINARY:
+            want.append((0, ex._BINARY[k], args))
+        elif k == "pow":
+            want.append((4, node.payload, args))
+        elif args:
+            want.append((2, np.negative if k == "neg" else ex._NP_FUNC[k], args))
+        else:
+            want.append(({"const": 6, "coord": 7, "param": 8}[k], node.payload, args))
+    return want, [at[r] for r in roots]
+
+
 def test_topo_walks_in_the_reference_order():
-    # the post-order and the shared set are what _locate and the metric-first
-    # rule read; the node counts pin the DAGs the builders and folds produce
+    # the tape's post-order is what _locate and the metric-first rule read;
+    # the node counts pin the DAGs the builders and folds produce
     x = ex.coord(0)
     cases = [[x, x], [ex.mul(x, x)], [ex.add(ex.mul(x, x), x), ex.mul(x, x)]]
     cases += list(catalog_roots())
@@ -213,10 +244,9 @@ def test_topo_walks_in_the_reference_order():
         cases.append(roots)
         counts[d] = ex.count_nodes(*roots)
     for roots in cases:
-        order, shared = ex._topo(roots)
-        want_order, want_shared = oracles.topo(roots)
-        assert order == want_order and shared == want_shared
-    assert ex._topo([x, x])[1] == {x} and ex._topo([ex.mul(x, x)])[1] == {x}
+        want = reference_instructions(roots)
+        assert instructions(roots) == want
+        assert ex.count_nodes(*roots) == len(want[0])
     assert counts == {2: 950, 3: 6242, 4: 27142, 5: 97450}
 
 

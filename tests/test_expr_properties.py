@@ -1,4 +1,5 @@
-# property tests of the expression layer: the text round trip and exact derivatives
+# property tests of the expression layer: the text round trip, exact derivatives,
+# cached tapes, and fault location against the reference interpreter
 
 import math
 
@@ -7,7 +8,7 @@ import pytest
 
 import oracles
 from solitonlab import expr as ex
-from test_tapes import bits, keep_every_value
+from test_tapes import bits
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -85,7 +86,7 @@ def test_cached_tape_replays_the_first_evaluation(exprs, points):
     # some lanes fault (ln, sqrt and division meet 0 and negative values)
     roots = tuple(exprs) + exprs[0].args[:1] + (exprs[0],)
     pts = np.array(points, dtype=float)
-    kept = keep_every_value(roots, pts, PARAMS)
+    kept = oracles.eval_checked(roots, pts, PARAMS, mode="masked")[0]
     for mode in ("strict", "masked"):
         ex._TAPES.pop(roots, None)
         first = _outcome(roots, pts, mode)
@@ -101,3 +102,33 @@ def test_cached_tape_replays_the_first_evaluation(exprs, points):
             first = (first[0], again[0])
         assert np.array_equal(bits(first[1]), bits(first[0]))
         assert np.array_equal(bits(first[0][:, ok]), bits(kept[:, ok]))
+
+
+def _reference(roots, pts, mode):
+    try:
+        return oracles.eval_checked(roots, pts, PARAMS, mode=mode)
+    except ex.DomainError as err:
+        return (err.reason, err.point_index)
+
+
+@hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+@hypothesis.given(st.lists(trees(st.floats(-2.0, 2.0)), min_size=1, max_size=3),
+                  st.lists(st.tuples(*[st.sampled_from([0.0, -1.0, 0.5, 2.0, math.nan])
+                                       | st.floats(-2.0, 2.0)] * len(NAMES)),
+                           min_size=1, max_size=6))
+def test_fault_path_matches_the_reference_interpreter(exprs, points):
+    # zeros, negatives and NaN coordinates send most examples down the fault
+    # path: its strict (reason, point), masked mask and ok-lane bits are the
+    # reference's
+    roots = tuple(exprs)
+    pts = np.array(points, dtype=float)
+    got, want = _outcome(roots, pts, "strict"), _reference(roots, pts, "strict")
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert np.array_equal(bits(got), bits(want))
+    (vals, ok), (want, want_ok) = (_outcome(roots, pts, "masked"),
+                                   _reference(roots, pts, "masked"))
+    assert np.array_equal(ok, want_ok)
+    assert np.array_equal(bits(vals[:, ok]), bits(want[:, ok]))
+    assert np.isnan(vals[:, ~ok]).all()

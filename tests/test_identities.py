@@ -314,3 +314,14 @@ def test_lane_passes_stay_within_their_bound(monkeypatch, lane_points, sizes):
 def test_suites_over_no_metrics_report_nothing(suite):
     assert suite(metrics=[]) == []
     assert suite(metric_count=0) == []
+
+
+def test_suite_names_the_first_metric_that_differs():
+    gs = idn.suite_metrics(3, 2, 7)
+    renamed = geo.MetricField(geo.Chart(gs[0].chart.coords, gs[0].chart.box,
+                                        params=[(k + "_", v) for k, v in gs[0].chart.params]),
+                              gs[0].comps)
+    other = idn.suite_metrics(4, 1, 7)[0]
+    for odd in (renamed, other):
+        with pytest.raises(ValueError, match="suite metric 2 differs"):
+            idn.bianchi_suite(point_count=5, metrics=gs + [odd, other])

@@ -31,18 +31,6 @@ def load_workloads():
     return mod
 
 
-def keep_every_value(roots, pts, binding=None):
-    """The roots' values from a keep-every-value tape, compiled afresh."""
-    tape = ex._compile(tuple(roots), keep_all=True)
-    vals = [None] * tape.width
-    with np.errstate(all="ignore"):
-        ex._run(tape, vals, pts, binding or {})
-    out = np.empty((len(roots), len(pts)))
-    for i, slot in enumerate(tape.outs):
-        out[i, :] = vals[slot]
-    return out
-
-
 def bits(a):
     return np.ascontiguousarray(a).view(np.int64)
 
@@ -109,20 +97,17 @@ def test_same_roots_under_two_bindings():
                                       oracles.eval_checked(roots, PTS, binding))
 
 
-def test_keep_every_value_tape_is_compiled_once(monkeypatch):
+def test_root_set_that_faults_again_and_again_compiles_one_tape(monkeypatch):
     e = ex.ln(ex.sub(X, ex.const(1.0)))
     roots = (e, ex.mul(e, Y))
     ex._TAPES.pop(roots, None)
-    calls = []
-    compile_ = ex._compile
-
-    def counted(roots, keep_all=False):
-        calls.append(keep_all)
-        return compile_(roots, keep_all)
-
-    monkeypatch.setattr(ex, "_compile", counted)
+    calls, located = [], []
+    compile_, locate = ex._compile, ex._locate
+    monkeypatch.setattr(ex, "_compile", lambda r: calls.append(r) or compile_(r))
+    monkeypatch.setattr(ex, "_locate", lambda *a: located.append(a) or locate(*a))
     pts = PTS + [1.0, 0.0, 0.0]
     pts[2, 0] = 0.5
+    before = len(ex._TAPES)
     for _ in range(3):
         vals, ok = ex.eval_many(roots, pts, mode="masked")
         assert list(np.flatnonzero(~ok)) == [2]
@@ -130,7 +115,12 @@ def test_keep_every_value_tape_is_compiled_once(monkeypatch):
             ex.eval_many(roots, pts)
         assert (info.value.reason, info.value.point_index) == (
             "logarithm of a non-positive value", 2)
-    assert calls == [False, True]
+    # every call located its fault on a replay derived from the one cached tape
+    assert calls == [roots] and len(located) == 6
+    assert len(ex._TAPES) == before + 1
+    tape = ex._TAPES[roots]
+    assert {k: getattr(tape, k) for k in tape.__slots__} == {
+        k: getattr(compile_(roots), k) for k in tape.__slots__}
 
 
 def suite_roots(d):
@@ -153,20 +143,21 @@ def test_tapes_walk_in_topo_order_and_restore_consumer_counts():
     cases = [[x, x], [ex.mul(x, x)], [ex.add(ex.mul(x, x), x), ex.mul(x, x)]]
     cases += list(structure_roots()) + [suite_roots(2), suite_roots(3)]
     for roots in cases:
-        order = ex._topo(roots)[0]
+        order = oracles.topo(roots)[0]
         uses = [n.uses for n in order]
-        fast, full = ex._compile(tuple(roots)), ex._compile(tuple(roots), keep_all=True)
-        assert full.nodes == tuple(order)
+        fast = ex._compile(tuple(roots))
+        full = ex._unfold(fast)
         assert len(fast.ops) == len(full.ops) == len(order)
         assert [n.uses for n in order] == uses
-        # a keep-every-value tape gives node i slot i; a fast one reuses slots
+        # the unfolded tape gives instruction i slot i; a fast one reuses slots
         assert list(full.slots[2::3]) == list(range(len(order))) and full.width == len(order)
         assert fast.width <= full.width
+        assert set(full.ops) <= {0, 2, 4, 6, 7, 8} and full.kernels == fast.kernels
         dim = 1 + max(n.payload for n in order if n.kind == "coord")
         pts = np.random.default_rng(len(order)).uniform(0.5, 1.5, size=(5, dim))
         binding = {n.payload: 0.75 for n in order if n.kind == "param"}
         np.testing.assert_array_equal(bits(ex.eval_many(roots, pts, binding)),
-                                      bits(keep_every_value(roots, pts, binding)))
+                                      bits(oracles.eval_checked(roots, pts, binding)))
 
 
 def run_argv(capsys, argv):
@@ -226,10 +217,14 @@ def test_repeated_argv_compiles_no_tape(argv, monkeypatch, capsys):
 B = ex._BLOCK
 
 
+def no_fallback(*args):
+    raise AssertionError("a block fell back to the whole-column replay")
+
+
 def tape_writes(roots):
     """A fresh fast tape of `roots`: its nodes in order, and each one's output slot."""
     tape = ex._compile(tuple(roots))
-    return ex._topo(roots)[0], list(tape.slots[2::3])
+    return oracles.topo(roots)[0], list(tape.slots[2::3])
 
 
 def test_shared_value_slot_is_reused_after_its_last_consumer_and_never_before():
@@ -244,7 +239,7 @@ def test_shared_value_slot_is_reused_after_its_last_consumer_and_never_before():
     writes = [j for j, o in enumerate(outs) if o == outs[first] and j > first]
     assert writes and min(writes) >= last
     np.testing.assert_array_equal(bits(ex.eval_many([root], PTS)),
-                                  bits(keep_every_value([root], PTS)))
+                                  bits(oracles.eval_checked([root], PTS)))
 
 
 def test_root_is_never_dropped():
@@ -259,7 +254,7 @@ def test_root_is_never_dropped():
         assert outs[at] not in outs[at + 1:]
         for got in fresh_and_cached(roots, PTS):
             np.testing.assert_array_equal(got[roots.index(t)], want)
-            np.testing.assert_array_equal(bits(got), bits(keep_every_value(roots, PTS)))
+            np.testing.assert_array_equal(bits(got), bits(oracles.eval_checked(roots, PTS)))
 
 
 def test_value_with_a_consumer_outside_the_tape_is_kept():
@@ -271,7 +266,7 @@ def test_value_with_a_consumer_outside_the_tape_is_kept():
     at = order.index(s)
     assert outs[at] not in outs[at + 1:]
     np.testing.assert_array_equal(bits(ex.eval_many([root], PTS)),
-                                  bits(keep_every_value([root], PTS)))
+                                  bits(oracles.eval_checked([root], PTS)))
 
 
 def test_tape_cached_before_its_shared_nodes_gain_consumers_replays_bit_for_bit():
@@ -291,12 +286,12 @@ def test_tape_cached_before_its_shared_nodes_gain_consumers_replays_bit_for_bit(
         np.testing.assert_array_equal(bits(got), bits(first))
     both = roots + later
     for got in fresh_and_cached(both, pts):
-        np.testing.assert_array_equal(bits(got), bits(keep_every_value(both, pts)))
+        np.testing.assert_array_equal(bits(got), bits(oracles.eval_checked(both, pts)))
         np.testing.assert_array_equal(bits(got[:1]), bits(first))
 
 
 @pytest.mark.parametrize("n", [B - 1, B, B + 1, 3 * B + 7])
-def test_blocks_give_the_bits_of_one_whole_column_pass(n):
+def test_blocks_give_the_bits_of_one_whole_column_pass(n, monkeypatch):
     rng = np.random.default_rng(n)
     pts = rng.uniform(0.5, 1.5, size=(n, 2))
     a, b, c = ex.param("lane_a"), ex.param("lane_b"), ex.param("lane_c")
@@ -305,14 +300,14 @@ def test_blocks_give_the_bits_of_one_whole_column_pass(n):
              ex.sqrt(ex.add(s, b)), ex.mul(a, c)]
     binding = {"lane_a": rng.uniform(0.5, 1.5, n), "lane_b": rng.uniform(-0.5, 0.5, n),
                "lane_c": 0.75}
-    want = keep_every_value(roots, pts, binding)
+    want = oracles.eval_checked(roots, pts, binding)
+    # every block runs on the fast tape: none falls back to a whole-column replay
+    monkeypatch.setattr(ex, "_locate", no_fallback)
     for got in fresh_and_cached(roots, pts, binding):
         np.testing.assert_array_equal(bits(got), bits(want))
     vals, ok = ex.eval_many(roots, pts, binding, mode="masked")
     np.testing.assert_array_equal(bits(vals), bits(want))
     assert ok.all() and ok.shape == (n,)
-    # every block ran on the fast tape: none fell back to a whole-column replay
-    assert ex._TAPES[tuple(roots)].full is None
 
 
 def test_fault_at_an_earlier_node_in_a_later_block_is_located_as_in_one_pass():
@@ -330,6 +325,36 @@ def test_fault_at_an_earlier_node_in_a_later_block_is_located_as_in_one_pass():
         vals, ok = ex.eval_many(roots, pts, mode="masked")
         assert list(np.flatnonzero(~ok)) == [5, 2 * B + 3]
         assert np.isnan(vals[:, ~ok]).all() and np.isfinite(vals[:, ok]).all()
+
+
+def outcomes(evaluate, roots, pts, binding):
+    """The strict (reason, point index) of `evaluate`, and its masked values and mask."""
+    with pytest.raises(ex.DomainError) as info:
+        evaluate(roots, pts, binding)
+    return (info.value.reason, info.value.point_index), evaluate(roots, pts, binding,
+                                                                  mode="masked")
+
+
+def test_bianchi_lanes_with_a_nan_point_fault_as_the_reference_does():
+    # two suite metrics bound as lanes: most instructions of this tape write
+    # in place, and the replay that locates the fault is derived from it
+    gs = idn.suite_metrics(3, 2, 7)
+    g = geo.MetricField(geo.Chart(gs[0].chart.coords, gs[0].chart.box), gs[0].comps)
+    roots = [e for row in g.comps for e in row] + list(idn.bianchi_residuals(g)["bianchi"])
+    tape = ex._compile(tuple(roots))
+    assert sum(op in (1, 3, 5) for op in tape.ops) > len(tape.ops) / 2
+    rng = np.random.default_rng(12)
+    pts = rng.uniform(-0.9, 0.9, size=(2 * B + 40, 3))
+    pts[B + 17, 1] = np.nan
+    values = [dict(m.chart.params) for m in gs]
+    binding = {k: np.repeat([v[k] for v in values], [B, B + 40]) for k in values[0]}
+    (reason, at), (vals, ok) = outcomes(ex.eval_many, roots, pts, binding)
+    (want_reason, want_at), (want, want_ok) = outcomes(oracles.eval_checked, roots, pts,
+                                                       binding)
+    assert (reason, at) == (want_reason, want_at) == ("non-finite result in coord", B + 17)
+    assert list(np.flatnonzero(~ok)) == list(np.flatnonzero(~want_ok)) == [B + 17]
+    np.testing.assert_array_equal(bits(vals[:, ok]), bits(want[:, ok]))
+    assert np.isnan(vals[:, ~ok]).all()
 
 
 def test_eval_many_peak_memory_grows_only_by_its_output():
