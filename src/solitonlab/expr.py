@@ -333,21 +333,22 @@ def _tokenize(text: str):
         if c.isspace():
             i += 1
             continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
+        # ASCII digits only: str.isdigit also takes '²', which float() rejects
+        if "0" <= c <= "9" or (c == "." and "0" <= text[i + 1:i + 2] <= "9"):
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             if j < n and text[j] == ".":
                 j += 1
-                while j < n and text[j].isdigit():
+                while j < n and "0" <= text[j] <= "9":
                     j += 1
             if j < n and text[j] in "eE":
                 k = j + 1
                 if k < n and text[k] in "+-":
                     k += 1
-                if k < n and text[k].isdigit():
+                if k < n and "0" <= text[k] <= "9":
                     j = k
-                    while j < n and text[j].isdigit():
+                    while j < n and "0" <= text[j] <= "9":
                         j += 1
             toks.append(("num", text[i:j], i))
             i = j
@@ -420,6 +421,8 @@ class _Parser:
     def base(self):
         kind, text, pos = self.take()
         if kind == "num":
+            if not math.isfinite(float(text)):
+                raise ParseError(f"number {text!r} is too large", pos)
             return const(float(text))
         if kind == "-":
             return neg(self.base())
@@ -777,7 +780,7 @@ def eval_many(exprs, points, binding=None, mode="strict"):
 _BINARY = {"add": np.add, "sub": np.subtract, "mul": np.multiply, "div": np.divide}
 
 # Opcodes.  An "into" instruction writes into the array already in its output
-# slot, a dead operand's or another dead value's, so it stores nothing.
+# slot, a dropped array the tape allocated, so it stores nothing.
 #   0 binary    1 binary into o    2 unary     3 unary into o
 #   4 power     5 power into o     6 constant  7 coordinate   8 parameter
 
@@ -800,10 +803,11 @@ def _compile(roots):
     is dropped, and 4 when it is dropped and the tape allocated its array.  A
     node is dropped at its last consumer: it has `uses` of them, a root counts
     one more and so is never dropped, and a node with a consumer outside the
-    tape is kept to the end.  A dropped node's slot is reused from there on.
-    If the tape allocated its array, that consumer writes into it, or else an
-    array-valued node writes into a dropped array no operation has reused yet
-    (`dead`); that gives the same bits, because each kernel is one IEEE
+    tape is kept to the end.  Buffers are reused by one rule: a dropped
+    node's slot goes to `free`, or to `dead` when the tape allocated its
+    array, and every array result writes into `dead`'s last slot (the first
+    operand's, when it is dead) while there is one, else takes a free slot or
+    a new one.  That gives the same bits, because each kernel is one IEEE
     operation per lane.  Coordinate columns are views of the caller's points
     and subtrees over parameters and constants are scalars; neither is
     written.  A node with one consumer is reached once, inside its consumer's
@@ -858,23 +862,17 @@ def _compile(roots):
                     ca = emitted[a] = emitted[a] - use
                     if ca >= use:
                         ca &= live
-                sa, da = ca >> 3, ca & 6
-                sb, db = cb >> 3, cb & 6
+                sa, sb = ca >> 3, cb >> 3
                 op, f, arr = 0, binary[node.kind], (ca | cb) & 1
-                if da == 6:
-                    o = sa
-                    if db:
-                        (dead if db == 6 else free).append(sb)
-                elif db == 6:
-                    o = sb
-                    if da:
-                        free.append(sa)
-                else:
-                    o = -1
-                    if da:
-                        free.append(sa)
-                    if db:
-                        free.append(sb)
+                # a dropped operand's slot is free, first operand first, and
+                # an array the tape allocated is dead, second operand first,
+                # so the first operand's buffer is reused first
+                if ca & 6 == 2:
+                    free.append(sa)
+                if cb & 2:
+                    (dead if cb & 4 else free).append(sb)
+                if ca & 4:
+                    dead.append(sa)
             elif args:
                 a = args[0]
                 if a.uses == 1:
@@ -883,18 +881,14 @@ def _compile(roots):
                     ca = emitted[a] = emitted[a] - use
                     if ca >= use:
                         ca &= live
-                sa, sb, da, arr = ca >> 3, 0, ca & 6, ca & 1
+                sa, sb, arr = ca >> 3, 0, ca & 1
                 k = node.kind
                 if k == "pow":
                     op, f = 4, node.payload
                 else:
                     op, f = 2, np.negative if k == "neg" else _NP_FUNC[k]
-                if da == 6:
-                    o = sa
-                else:
-                    o = -1
-                    if da:
-                        free.append(sa)
+                if ca & 2:
+                    (dead if ca & 4 else free).append(sa)
             else:
                 k = node.kind
                 if k == "const":
@@ -903,22 +897,17 @@ def _compile(roots):
                     op, f, flags = 7, node.payload, 3
                 else:
                     op, f, flags = 8, node.payload, 2
-                sa = sb = 0
-                o = -1
+                sa = sb = arr = 0
+            if arr and dead:
+                # an array result goes into the last dropped array the tape allocated
+                o = dead.pop()
+                op += 1
+            elif free:
+                o = free.pop()
+            else:
+                o, width = width, width + 1
             if args:
-                # an array result goes into a dead operand's buffer, or into
-                # another dead array, when there is one; the tape allocated it
-                if o >= 0:
-                    op += 1
-                elif arr and dead:
-                    o = dead.pop()
-                    op += 1
                 flags = 7 if arr else 2
-            if o < 0:
-                if free:
-                    o = free.pop()
-                else:
-                    o, width = width, width + 1
             emit_op(op)
             emit_f(f)
             emit(sa)

@@ -22,15 +22,17 @@ The random coefficients are parameters, named per entry and term and never
 per seed, and their drawn values live on the metric's chart.  So all suite
 metrics of one dimension have the same components, every suite call at that
 dimension reaches the same interned roots and replays the same tape, and a
-suite evaluates all its metrics in one pass with each parameter bound to
-per-point lanes.  The quadratics and each suite's residual builder are
-memoized on those interned inputs, so a suite call after the first at its
-dimension builds no node.
+suite evaluates its metrics' points in blocks of ex._BLOCK, each parameter
+bound to a float in a block inside one metric and to per-point lanes in a
+block that spans metrics.  The quadratics and each suite's residual builder
+are memoized on those interned inputs, so a suite call after the first at
+its dimension builds no node; a builder returns ((name, roots), ...), which
+no caller can change.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, wraps
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,10 +44,6 @@ from .geometry import Chart, MetricField, ScalarField, SymTensorField, VectorFie
 
 SUITE_TOL = 1e-7
 _TAGS = {"bianchi": 11, "fg": 13, "lemma21": 17}
-# The most points one lane pass evaluates, unless a metric has more.  A
-# pass's arrays grow with its points, so a suite's peak memory stays that of
-# a single-metric pass at max(_LANE_POINTS, point_count) points.
-_LANE_POINTS = 512
 
 
 def _chart(n: int, params=()) -> Chart:
@@ -135,22 +133,22 @@ def _suite_points(chart, point_count, seed, idx):
 def _run_suite(gs, point_count, seed, tol, residuals, fields=None):
     """One report per residual, over the sampled points of every metric.
 
-    `residuals(g)` returns {name: comps} in report order.  `fields(idx, n)`,
-    when given, returns the coefficient values of metric idx's random
-    fields (see field_values), which join its chart's values.  Every metric
-    must have the first one's components and parameter names (suite_metrics
-    gives such a list), else ValueError names the first that differs.  The
-    residuals are asked for once, over the first metric's chart without its
-    values, so every call of one dimension reaches the same roots, and the
-    suites' memoized builders (bianchi_residuals, ...) hand out roots built
-    by an earlier call.  Then one geo.gnorms pass per block of metrics
-    evaluates them over the metric-major concatenation of the block's points, on a chart whose
-    values are lanes (see Chart): each parameter's value at a point is its
-    value on that point's metric; a one-metric block binds each value as a
-    read-only stride-0 view, not as N copies.  A block holds as many metrics
-    as fit in _LANE_POINTS points, and at least one.  Every point gets the
-    bits a pass over its own metric would give it, and a DomainError names a
-    point of its block's concatenation.
+    `residuals(g)` returns ((name, roots), ...) in report order.
+    `fields(idx, n)`, when given, returns the coefficient values of metric
+    idx's random fields (see field_values), which join its chart's values.
+    Every metric must have the first one's components and parameter names
+    (suite_metrics gives such a list), else ValueError names the first that
+    differs.  The residuals are asked for once, over the first metric's
+    chart without its values, so every call of one dimension reaches the same
+    roots, and the suites' memoized builders (bianchi_residuals, ...) hand
+    out roots built by an earlier call.  Then one geo.gnorms pass per block
+    of ex._BLOCK points evaluates them over the metric-major concatenation
+    of every metric's points.  A pass inside one metric binds its values as
+    floats; a pass that spans metrics binds each parameter to one lane, its
+    value on each point's metric.  Either way every point gets the bits a
+    pass over its own metric would give it, the memory a suite holds beside
+    its result is that of one block, and a DomainError names a point of its
+    pass.
     """
     if not gs:
         return []
@@ -166,47 +164,33 @@ def _run_suite(gs, point_count, seed, tol, residuals, fields=None):
                              "components or parameter names")
     coords, box = gs[0].chart.coords, gs[0].chart.box
     checks = residuals(MetricField(Chart(coords, box), comps))
-    per_block = max(1, _LANE_POINTS // max(1, point_count))
+    roots = [r for _, r in checks]
+    # (parameters x metrics), and each point's metric
+    table = np.array([[v for _, v in p] for p in params]).T
+    metric = np.repeat(np.arange(len(gs)), [len(p) for p in pts])
+    pts = np.concatenate(pts)
     cols = []
-    for b in range(0, len(gs), per_block):
-        block = range(b, min(b + per_block, len(gs)))
-        values = np.array([[v for _, v in params[i]] for i in block])
-        if len(block) == 1:  # one value per parameter: N stride-0 lanes, no copies
-            values = np.broadcast_to(values.T, (len(names), len(pts[b])))
-        else:
-            values = np.repeat(values, [len(pts[i]) for i in block], axis=0).T
-        lanes = Chart(coords, box, params=zip(names, values))
-        cols.append(geo.gnorms(MetricField(lanes, comps), list(checks.values()),
-                               np.concatenate([pts[i] for i in block])))
-    allpts = np.concatenate(pts)
-    return [so._report(name, tol, allpts, np.concatenate([col[k] for col in cols]),
+    for lo in range(0, len(pts), ex._BLOCK):
+        at = metric[lo:lo + ex._BLOCK]
+        values = table[:, at[0]].tolist() if at[0] == at[-1] else table[:, at]
+        chart = Chart(coords, box, params=zip(names, values))
+        cols.append(geo.gnorms(MetricField(chart, comps), roots, pts[lo:lo + ex._BLOCK]))
+    return [so._report(name, tol, pts, np.concatenate([col[k] for col in cols]),
                        metrics=len(gs), points_per_metric=point_count, seed=seed)
-            for k, name in enumerate(checks)]
+            for k, (name, _) in enumerate(checks)]
 
 
-def _memo_residuals(build):
-    """`build(g)` memoized on the value-free metric g, whose components and
-    chart are its interned inputs.  Each call hands out a fresh
-    {name: roots} dict over the cached roots, nested tuples of interned
-    nodes, so a caller may replace an entry but can change no cached value.
-    """
-    memo = lru_cache(maxsize=None)(build)
-    wrapper = wraps(build)(lambda g: dict(memo(g)))
-    wrapper.cache_info = memo.cache_info
-    return wrapper
-
-
-@_memo_residuals
+@lru_cache(maxsize=None)
 def bianchi_residuals(g):
     """div Ric - (1/2) dR."""
     div_ric = geo.divergence_sym2(g, geo.ricci(g))
     scal = geo.scalar_curvature(g)
-    return {"bianchi": tuple(ex.sub(div_ric.comps[j],
-                                    ex.mul(ex.const(0.5), ex.differentiate(scal.expr, j)))
-                             for j in range(g.chart.dim))}
+    return (("bianchi", tuple(ex.sub(div_ric.comps[j],
+                                     ex.mul(ex.const(0.5), ex.differentiate(scal.expr, j)))
+                              for j in range(g.chart.dim))),)
 
 
-@_memo_residuals
+@lru_cache(maxsize=None)
 def fg_residuals(g):
     """The four product/derivative formulas over suite_fields(n)."""
     n = g.chart.dim
@@ -253,10 +237,10 @@ def fg_residuals(g):
                ex.add(ex.nsum(ex.mul(ric.comps[i][j], grad_phi[i]) for i in range(n)),
                       ex.differentiate(lap, j)))
         for j in range(n))
-    return out
+    return tuple(out.items())
 
 
-@_memo_residuals
+@lru_cache(maxsize=None)
 def lemma21_residuals(g):
     """div(T(phi Z)) - phi (div T)(Z) - phi <nabla Z, T> - T(grad phi, Z)
     over suite_fields(n, vector=True)."""
@@ -277,7 +261,7 @@ def lemma21_residuals(g):
     term2 = ex.mul(phi, geo.inner_rank2(g, nabla_z, T).expr)
     term3 = ex.nsum(ex.mul(T.comps[i][j], ex.mul(grad_phi[i], Z.comps[j]))
                     for i in range(n) for j in range(n))
-    return {"lemma21": ex.sub(lhs, ex.add(ex.add(term1, term2), term3))}
+    return (("lemma21", ex.sub(lhs, ex.add(ex.add(term1, term2), term3))),)
 
 
 def bianchi_suite(dim: int = 3, metric_count: int = 20, point_count: int = 100,

@@ -267,7 +267,7 @@ def oneill_ricci(w: WarpedProduct, points) -> np.ndarray:
     if w.fiber_chart is None:
         if w.fiber_mu is None:
             raise GeometryError("abstract fiber needs a declared Einstein constant")
-        gF = np.broadcast_to(np.eye(m), (len(pts), m, m))
+        gF = np.eye(m)  # broadcast over the points
         ricF = w.fiber_mu * gF
     else:
         if pts.shape[1] != d:

@@ -195,13 +195,16 @@ def test_box_wider_than_a_float_spans_is_manifest_error(tmp_path):
     ("parameters", "1" + "0" * 400, "parameter 'a' must be a finite number"),
     ("form", "1" + "0" * 400, "form needs a finite m > 0"),
     ("form", "1e400", "form needs a finite m > 0"),
-], ids=["box-int", "parameter-int", "m-int", "m-float"])
+    ("h", '"1e400/(1 + x1^2)"', "h: number '1e400' is too large at offset 0"),
+], ids=["box-int", "parameter-int", "m-int", "m-float", "h-literal"])
 def test_number_past_the_float_range_is_manifest_error(where, number, message, tmp_path):
     doc, path = flat_manifest(tmp_path, name="big.json")
     if where == "box":
         doc["box"][0] = [-1.0, "BIG"]
     elif where == "parameters":
         doc["parameters"] = {"a": "BIG"}
+    elif where == "h":
+        doc["h"] = "BIG"
     else:
         doc["form"] = {"tag": "m-over-u", "m": "BIG"}
     Path(path).write_text(json.dumps(doc).replace('"BIG"', number))
@@ -872,8 +875,8 @@ def test_out_of_memory_is_an_input_error(enabled, monkeypatch, capsys):
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is Linux-only")
 def test_entry_out_of_memory_exits_2(monkeypatch):
     # a 512 MB address space leaves room for a small run but not for the
-    # arrays of 3,000,000 samples: evaluation holds one block of points at a
-    # time, and its output and the reductions over it still need about 2 GB
+    # arrays of 10,000,000 samples: a suite evaluates one block of points at
+    # a time, but each copy of its points takes 240 MB
     import resource
 
     def limit():
@@ -882,7 +885,7 @@ def test_entry_out_of_memory_exits_2(monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     argv = ("check-identity", "bianchi", "--random-metrics", "1", "--points")
     assert run_entry(*argv, "30", preexec_fn=limit)[0] == 0
-    code, out, err = run_entry(*argv, "3000000", preexec_fn=limit)
+    code, out, err = run_entry(*argv, "10000000", preexec_fn=limit)
     assert (code, out) == (2, b"")
     assert err.startswith("out of memory: ") and "--points" in err
     assert "Traceback" not in err

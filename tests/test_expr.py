@@ -72,6 +72,11 @@ def test_parse_integer_exponents_only():
     ("exp(x1", 6),
     ("2..5", 2),
     ("nope", 0),
+    # number literals are ASCII digits, and finite
+    ("2/(1 + x1^\u00b2)", 10),
+    ("x1 + 1\u0663", 6),
+    ("1e400/(1 + x1^2)", 0),
+    ("x1 - .5e309", 5),
 ])
 def test_parse_error_positions(text, pos):
     with pytest.raises(ex.ParseError) as info:

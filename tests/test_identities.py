@@ -1,6 +1,7 @@
 # universal identity suites on random perturbed metrics
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -233,7 +234,7 @@ def test_warm_cli_calls_build_nothing(monkeypatch, argv):
 
 @pytest.mark.parametrize("suite", [idn.bianchi_suite, idn.fg_formulas_suite,
                                    idn.lemma21_suite])
-def test_one_metric_pass_binds_stride_zero_lanes_with_float_bits(monkeypatch, suite):
+def test_one_metric_passes_bind_floats_with_the_bits_of_one_pass(monkeypatch, suite):
     calls, gnorms = [], geo.gnorms
 
     def spy(g, residuals, points):
@@ -246,20 +247,37 @@ def test_one_metric_pass_binds_stride_zero_lanes_with_float_bits(monkeypatch, su
 
     monkeypatch.setattr(geo, "gnorms", spy)
     monkeypatch.setattr(ex, "_locate", no_fallback)
-    # more points than one lane pass and one evaluation block hold
-    count = max(idn._LANE_POINTS, ex._BLOCK) + 100
-    reports = suite(dim=3, metric_count=1, point_count=count, seed=5)
-    (g, residuals, points, out), = calls
-    assert len(points) == count
-    # each value is a read-only view of one float, not `count` copies of it
-    assert all(v.shape == (count,) and v.strides == (0,) and not v.flags.writeable
-               for _, v in g.chart.params)
-    chart = geo.Chart(g.chart.coords, g.chart.box,
-                      params=[(k, float(v[0])) for k, v in g.chart.params])
-    alone = gnorms(geo.MetricField(chart, g.comps), residuals, points)
-    for lane, one, rep in zip(out, alone, reports, strict=True):
-        assert np.array_equal(lane, one)
+    # more points than one evaluation block holds
+    reports = suite(dim=3, metric_count=1, point_count=ex._BLOCK + 100, seed=5)
+    assert [len(points) for _, _, points, _ in calls] == [ex._BLOCK, 100]
+    (g, residuals, _, _), (g2, residuals2, _, _) = calls
+    # each value is bound as a float, the same in both passes
+    assert all(type(v) is float for _, v in g.chart.params)
+    assert g2.chart == g.chart and residuals2 == residuals
+    points = np.concatenate([points for _, _, points, _ in calls])
+    alone = gnorms(g, residuals, points)
+    for k, (one, rep) in enumerate(zip(alone, reports, strict=True)):
+        assert np.array_equal(np.concatenate([out[k] for *_, out in calls]), one)
         assert np.array_equal(rep.residuals, np.abs(one))
+
+
+@pytest.mark.parametrize("suite", [idn.bianchi_suite, idn.fg_formulas_suite,
+                                   idn.lemma21_suite])
+def test_one_metric_suite_memory_grows_only_by_its_points_and_results(suite):
+    # beside its points and results a suite holds one block, at any point count
+    suite(dim=3, metric_count=1, point_count=10, seed=5)
+    peaks, held = [], []
+    for blocks in (4, 16):
+        tracemalloc.start()
+        try:
+            reports = suite(dim=3, metric_count=1, point_count=blocks * ex._BLOCK, seed=5)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        held.append(reports[0].points.nbytes + sum(r.residuals.nbytes for r in reports))
+    # the points and each point's metric; each result, its blocks and the
+    # report's absolute values: no more than twice what the reports hold
+    assert peaks[1] - peaks[0] <= 2 * (held[1] - held[0])
 
 
 @pytest.mark.parametrize("suite", [idn.bianchi_suite, idn.fg_formulas_suite,
@@ -288,21 +306,23 @@ def test_lane_pass_gives_the_bits_of_per_metric_passes(monkeypatch, suite, block
         assert np.array_equal(rep.residuals, np.abs(lane))
 
 
-@pytest.mark.parametrize("lane_points,sizes", [(1, [10] * 5), (10, [10] * 5),
-                                               (25, [20, 20, 10]), (512, [50])])
-def test_lane_passes_stay_within_their_bound(monkeypatch, lane_points, sizes):
+@pytest.mark.parametrize("block,sizes", [(1, [1] * 50), (10, [10] * 5), (25, [25, 25]),
+                                         (512, [50])])
+def test_lane_passes_stay_within_their_bound(monkeypatch, block, sizes):
     whole = idn.fg_formulas_suite(metric_count=5, point_count=10, seed=5)
     calls, gnorms = [], geo.gnorms
 
     def spy(g, residuals, points):
-        calls.append(len(points))
+        calls.append((len(points), all(type(v) is float for _, v in g.chart.params)))
         return gnorms(g, residuals, points)
 
     monkeypatch.setattr(geo, "gnorms", spy)
-    monkeypatch.setattr(idn, "_LANE_POINTS", lane_points)
+    monkeypatch.setattr(ex, "_BLOCK", block)
     split = idn.fg_formulas_suite(metric_count=5, point_count=10, seed=5)
-    # blocks of whole metrics, at most max(_LANE_POINTS, point_count) points each
-    assert calls == sizes
+    # passes of _BLOCK points, bound as floats when they lie inside one metric
+    starts = np.cumsum([0] + sizes[:-1])
+    assert calls == [(size, lo // 10 == (lo + size - 1) // 10)
+                     for lo, size in zip(starts, sizes)]
     for a, b in zip(whole, split, strict=True):
         assert a.name == b.name
         assert np.array_equal(a.points, b.points)

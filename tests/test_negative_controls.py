@@ -83,9 +83,9 @@ def test_planted_defect_fails_its_check(check, monkeypatch):
 
     def planted(gs, point_count, seed, tol, residuals, fields=None):
         def defective(g):
-            out = residuals(g)
+            out = dict(residuals(g))
             out[check] = minus(out[check], term(g))
-            return out
+            return tuple(out.items())
 
         return run_suite(gs, point_count, seed, tol, defective, fields)
 

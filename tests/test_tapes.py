@@ -340,7 +340,7 @@ def test_bianchi_lanes_with_a_nan_point_fault_as_the_reference_does():
     # in place, and the replay that locates the fault is derived from it
     gs = idn.suite_metrics(3, 2, 7)
     g = geo.MetricField(geo.Chart(gs[0].chart.coords, gs[0].chart.box), gs[0].comps)
-    roots = [e for row in g.comps for e in row] + list(idn.bianchi_residuals(g)["bianchi"])
+    roots = [e for row in g.comps for e in row] + list(dict(idn.bianchi_residuals(g))["bianchi"])
     tape = ex._compile(tuple(roots))
     assert sum(op in (1, 3, 5) for op in tape.ops) > len(tape.ops) / 2
     rng = np.random.default_rng(12)
@@ -374,3 +374,24 @@ def test_eval_many_peak_memory_grows_only_by_its_output():
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] <= outs[1] - outs[0]
+
+
+WIDTHS = """
+from solitonlab import expr as ex, geometry as geo, identities as idn
+for dim in (2, 3, 4, 5):
+    g = idn.suite_metrics(dim, 1, 7)[0]
+    g = geo.MetricField(geo.Chart(g.chart.coords, g.chart.box), g.comps)
+    roots = [e for row in g.comps for e in row] + list(dict(idn.bianchi_residuals(g))["bianchi"])
+    print(ex._compile(tuple(roots)).width)
+"""
+
+
+def test_bianchi_tape_widths_are_pinned():
+    # the slots the metric and Bianchi roots of a suite tape run over, in a
+    # fresh process (consumers in DAGs built earlier keep values longer):
+    # every array result writes into the last dropped array the tape allocated
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", WIDTHS], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert (proc.returncode, proc.stdout.split()) == (0, ["104", "512", "2002", "6937"])
