@@ -12,7 +12,6 @@ fail its conformal check and does.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
 from . import expr as ex
@@ -238,8 +237,7 @@ def _pseudo_hyperbolic_class(p: dict):
     return so.lambda_class((p["n"] + p["m"] - 1) * p["k"])
 
 
-@dataclass(frozen=True)
-class ExampleSpec:
+class ExampleSpec(geo.Frozen):
     """One catalog entry: how to build it and what its suite must show.
 
     A structure entry's constructor returns a SolitonStructure; any other
@@ -248,14 +246,19 @@ class ExampleSpec:
     the parameters to the expected verdicts, and `checks` maps the structure
     and parameters to the entry's own (name, tol, residual) checks.
     """
-    example_id: str
-    build: Callable
-    defaults: tuple                             # ((name, value), ...)
-    structure: bool = True
-    classification: Callable = lambda p: None   # None: any class
-    trivial: Callable = lambda p: False
-    checks: Callable = None
-    exclusive: tuple = ()                       # parameter pairs not both given
+    _fields = ("example_id", "build", "defaults", "structure", "classification",
+               "trivial", "checks", "exclusive")
+
+    def __init__(self, example_id: str, build: Callable,
+                 defaults: tuple,                             # ((name, value), ...)
+                 structure: bool = True,
+                 classification: Callable = lambda p: None,   # None: any class
+                 trivial: Callable = lambda p: False,
+                 checks: Callable = None,
+                 exclusive: tuple = ()):                      # parameter pairs not both given
+        vars(self).update(example_id=example_id, build=build, defaults=defaults,
+                          structure=structure, classification=classification,
+                          trivial=trivial, checks=checks, exclusive=exclusive)
 
     def params(self, overrides=None) -> dict:
         p = dict(self.defaults)
@@ -307,17 +310,20 @@ def build_structure(example_id: str, params=None) -> so.SolitonStructure:
     return spec.build(**spec.params(params))
 
 
-@dataclass
 class ExampleRun:
-    example_id: str
-    params: dict
-    checks: list
-    classification: str = None
-    trivial: bool = None
-    triviality: so.TrivialityVerdict = None
-    passed: bool = False
-    structure: so.SolitonStructure = None
-    notes: list = dc_field(default_factory=list)
+    def __init__(self, example_id: str, params: dict, checks: list,
+                 classification: str = None, trivial: bool = None,
+                 triviality: so.TrivialityVerdict = None, passed: bool = False,
+                 structure: so.SolitonStructure = None, notes: list = None):
+        self.example_id = example_id
+        self.params = params
+        self.checks = checks
+        self.classification = classification
+        self.trivial = trivial
+        self.triviality = triviality
+        self.passed = passed
+        self.structure = structure
+        self.notes = [] if notes is None else notes
 
 
 def structure_checks(s: so.SolitonStructure, pts, tol: float, divric: bool = True):

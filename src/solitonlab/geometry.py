@@ -1,6 +1,6 @@
 """Coordinate charts and the curvature calculus over exact expressions.
 
-Every field type is a frozen dataclass holding interned Expressions, so the
+Every field type is a frozen record holding interned Expressions, so the
 symbolic operators (Christoffel symbols, Ricci, divergences, ...) are pure
 functions of their inputs.  Every operator that builds symbols (determinant,
 inverse, Christoffel symbols, Riemann, Ricci, scalar curvature, gradients,
@@ -28,7 +28,7 @@ masked pass over the domain predicates and the metric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -44,8 +44,46 @@ class SamplingError(GeometryError):
     """Rejection sampling could not produce enough admissible points."""
 
 
-@dataclass(frozen=True)
-class Chart:
+class Frozen:
+    """Base of the immutable value records, the ones that key the lru_caches.
+
+    A subclass names its fields, in order, in `_fields`, and its __init__
+    sets them once with `vars(self).update`.  Two records are equal when they
+    are of one class and their fields are equal, and then they hash alike;
+    assigning to or deleting an attribute raises AttributeError.  The fields
+    never change, so a record's hash is computed at its first use and kept.
+    """
+
+    _fields = ()
+    _hash = None
+
+    def __init_subclass__(cls):
+        # not a descriptor: self._key(self) is the tuple of field values
+        cls._key = operator.attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = vars(self)["_hash"] = hash(self._key(self))
+        return h
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Chart(Frozen):
     """Coordinate chart: names, sampling box, domain predicate, parameters.
 
     `params` holds each named parameter with its value, as sorted
@@ -61,20 +99,16 @@ class Chart:
     Domain predicate expressions are required to be > 0 at admissible points.
     """
 
-    coords: tuple
-    box: tuple
-    domain: tuple = ()
-    params: tuple = ()
+    _fields = ("coords", "box", "domain", "params")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(self.coords))
-        object.__setattr__(self, "box", tuple(tuple(b) for b in self.box))
-        object.__setattr__(self, "domain", tuple(self.domain))
-        object.__setattr__(self, "params", tuple(sorted(
-            # a float passes as it is: suite charts carry 60-315 of them
-            ((k, v if type(v) is float else float(v) if np.ndim(v) == 0
-              else np.asarray(v, dtype=float))
-             for k, v in self.params), key=lambda kv: kv[0])))
+    def __init__(self, coords, box, domain=(), params=()):
+        vars(self).update(
+            coords=tuple(coords), box=tuple(tuple(b) for b in box), domain=tuple(domain),
+            params=tuple(sorted(
+                # a float passes as it is: suite charts carry 60-315 of them
+                ((k, v if type(v) is float else float(v) if np.ndim(v) == 0
+                  else np.asarray(v, dtype=float))
+                 for k, v in params), key=lambda kv: kv[0])))
         ex.check_names(self.coords, [k for k, _ in self.params])
         if len(self.coords) < 1:
             raise ValueError("chart needs at least one coordinate")
@@ -152,52 +186,45 @@ def sym_rows(entries):
     return sym2(n, lambda i, j: next(it))
 
 
-@dataclass(frozen=True)
-class ScalarField:
-    chart: Chart
-    expr: ex.Expression
+class ScalarField(Frozen):
+    _fields = ("chart", "expr")
+
+    def __init__(self, chart: Chart, expr: ex.Expression):
+        vars(self).update(chart=chart, expr=expr)
 
 
-@dataclass(frozen=True)
-class VectorField:
-    chart: Chart
-    comps: tuple
+class VectorField(Frozen):
+    _fields = ("chart", "comps")
 
-    def __post_init__(self):
-        object.__setattr__(self, "comps", tuple(self.comps))
-        if len(self.comps) != self.chart.dim:
+    def __init__(self, chart: Chart, comps):
+        vars(self).update(chart=chart, comps=tuple(comps))
+        if len(self.comps) != chart.dim:
             raise ValueError("vector field needs one component per coordinate")
 
 
-@dataclass(frozen=True)
-class OneFormField:
-    chart: Chart
-    comps: tuple
+class OneFormField(Frozen):
+    _fields = ("chart", "comps")
 
-    def __post_init__(self):
-        object.__setattr__(self, "comps", tuple(self.comps))
-        if len(self.comps) != self.chart.dim:
+    def __init__(self, chart: Chart, comps):
+        vars(self).update(chart=chart, comps=tuple(comps))
+        if len(self.comps) != chart.dim:
             raise ValueError("one-form needs one component per coordinate")
 
 
-@dataclass(frozen=True)
-class SymTensorField:
-    chart: Chart
-    comps: tuple
+class SymTensorField(Frozen):
+    _fields = ("chart", "comps")
 
-    def __post_init__(self):
-        object.__setattr__(self, "comps", _as_tuple_matrix(self.comps))
-        _check_square_sym(self.comps, self.chart.dim, "symmetric tensor")
+    def __init__(self, chart: Chart, comps):
+        vars(self).update(chart=chart, comps=_as_tuple_matrix(comps))
+        _check_square_sym(self.comps, chart.dim, "symmetric tensor")
 
 
-@dataclass(frozen=True)
-class MetricField:
-    chart: Chart
-    comps: tuple
+class MetricField(Frozen):
+    _fields = ("chart", "comps")
 
-    def __post_init__(self):
-        object.__setattr__(self, "comps", _as_tuple_matrix(self.comps))
-        _check_square_sym(self.comps, self.chart.dim, "metric")
+    def __init__(self, chart: Chart, comps):
+        vars(self).update(chart=chart, comps=_as_tuple_matrix(comps))
+        _check_square_sym(self.comps, chart.dim, "metric")
 
 
 def points_array(points) -> np.ndarray:

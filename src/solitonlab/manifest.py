@@ -15,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
 
 from . import expr as ex
 from . import soliton as so
@@ -38,14 +37,14 @@ class ManifestError(Exception):
         self.position = position
 
 
-@dataclass
 class Manifest:
     """A loaded manifest: its JSON document, the structure it declares (with
     the parameter values on the structure's chart), and the document's digest."""
 
-    document: dict
-    structure: so.SolitonStructure
-    digest: str
+    def __init__(self, document: dict, structure: so.SolitonStructure, digest: str):
+        self.document = document
+        self.structure = structure
+        self.digest = digest
 
 
 def canonical_bytes(doc: dict) -> bytes:

@@ -30,7 +30,6 @@ and builds warped-product Einstein metrics B x_u F^m with Ric = lambda g.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
 import numpy as np
@@ -38,7 +37,7 @@ import numpy as np
 from . import expr as ex
 from . import geometry as geo
 from . import spaces as sp
-from .geometry import MetricField, ScalarField, SymTensorField, VectorField
+from .geometry import Frozen, MetricField, ScalarField, SymTensorField, VectorField
 
 FORM_FREE = "free"
 FORM_M_OVER_U = "m-over-u"
@@ -55,30 +54,27 @@ class PreconditionError(Exception):
     """A check was invoked on a structure that fails its preconditions."""
 
 
-@dataclass(frozen=True)
-class SolitonStructure:
-    metric: MetricField
-    h: ScalarField
-    lam: ScalarField
-    vector_field: VectorField = None
-    potential: ScalarField = None
-    h_form: str = FORM_FREE
-    m: float = None
+class SolitonStructure(Frozen):
+    _fields = ("metric", "h", "lam", "vector_field", "potential", "h_form", "m")
 
-    def __post_init__(self):
-        if self.vector_field is None and self.potential is None:
+    def __init__(self, metric: MetricField, h: ScalarField, lam: ScalarField,
+                 vector_field: VectorField = None, potential: ScalarField = None,
+                 h_form: str = FORM_FREE, m: float = None):
+        vars(self).update(metric=metric, h=h, lam=lam, vector_field=vector_field,
+                          potential=potential, h_form=h_form, m=m)
+        if vector_field is None and potential is None:
             raise ValueError("need a vector field or a potential")
-        if self.vector_field is not None and self.potential is not None:
+        if vector_field is not None and potential is not None:
             raise ValueError("give either a vector field or a potential, not both")
-        if self.h_form not in _FORMS:
-            raise ValueError(f"unknown h form {self.h_form!r}")
-        if self.h_form != FORM_FREE:
-            if self.potential is None:
-                raise ValueError(f"h form {self.h_form!r} needs a gradient structure")
-            if self.m is None or not self.m > 0:
-                raise ValueError(f"h form {self.h_form!r} needs m > 0")
-        for f in (self.h, self.lam, self.vector_field, self.potential):
-            if f is not None and f.chart != self.metric.chart:
+        if h_form not in _FORMS:
+            raise ValueError(f"unknown h form {h_form!r}")
+        if h_form != FORM_FREE:
+            if potential is None:
+                raise ValueError(f"h form {h_form!r} needs a gradient structure")
+            if m is None or not m > 0:
+                raise ValueError(f"h form {h_form!r} needs m > 0")
+        for f in (h, lam, vector_field, potential):
+            if f is not None and f.chart != metric.chart:
                 raise ValueError("all structure fields must live on the metric's chart")
 
     @property
@@ -90,13 +86,14 @@ class SolitonStructure:
         return self.potential is not None
 
 
-@dataclass(frozen=True)
-class DerivedFields:
-    X: VectorField
-    S: SymTensorField          # ½ L_X g
-    S0: SymTensorField         # traceless part
-    ric0: SymTensorField
-    div_x: ScalarField
+class DerivedFields(Frozen):
+    _fields = ("X", "S", "S0", "ric0", "div_x")
+
+    def __init__(self, X: VectorField,
+                 S: SymTensorField,       # ½ L_X g
+                 S0: SymTensorField,      # traceless part
+                 ric0: SymTensorField, div_x: ScalarField):
+        vars(self).update(X=X, S=S, S0=S0, ric0=ric0, div_x=div_x)
 
 
 @lru_cache(maxsize=None)
@@ -110,16 +107,18 @@ def derive(s: SolitonStructure) -> DerivedFields:
     return DerivedFields(X, S, S0, ric0, div_x)
 
 
-@dataclass
 class ResidualReport:
-    name: str
-    tolerance: float
-    points: np.ndarray
-    residuals: np.ndarray
-    sup: float
-    passed: bool
-    worst_point: tuple
-    metadata: dict = dc_field(default_factory=dict)
+    def __init__(self, name: str, tolerance: float, points: np.ndarray,
+                 residuals: np.ndarray, sup: float, passed: bool, worst_point: tuple,
+                 metadata: dict = None):
+        self.name = name
+        self.tolerance = tolerance
+        self.points = points
+        self.residuals = residuals
+        self.sup = sup
+        self.passed = passed
+        self.worst_point = worst_point
+        self.metadata = {} if metadata is None else metadata
 
 
 def _report(name, tol, pts, res, **metadata) -> ResidualReport:
@@ -228,14 +227,16 @@ def lambda_class(vals) -> str:
     return "undefined"
 
 
-@dataclass
 class TrivialityVerdict:
-    trivial: bool
-    constant: float
-    sup_traceless: float
-    spread: float
-    lambda_spread: float = 0.0
-    classification: str = None     # lambda_class of the lambda values
+    def __init__(self, trivial: bool, constant: float, sup_traceless: float,
+                 spread: float, lambda_spread: float = 0.0,
+                 classification: str = None):    # lambda_class of the lambda values
+        self.trivial = trivial
+        self.constant = constant
+        self.sup_traceless = sup_traceless
+        self.spread = spread
+        self.lambda_spread = lambda_spread
+        self.classification = classification
 
 
 def triviality_fields(s: SolitonStructure) -> list:
@@ -268,15 +269,17 @@ def triviality_check(s: SolitonStructure, points, tol: float = 1e-8) -> Triviali
     return triviality_verdict(s, geo.gnorms(s.metric, triviality_fields(s), points), tol)
 
 
-@dataclass
 class ConformalVerdict:
-    conformal: bool
-    sup_traceless: float
-    rho_samples: np.ndarray
-    rho: ScalarField
-    traceless_part: SymTensorField
-    points: np.ndarray
-    residuals: np.ndarray
+    def __init__(self, conformal: bool, sup_traceless: float, rho_samples: np.ndarray,
+                 rho: ScalarField, traceless_part: SymTensorField, points: np.ndarray,
+                 residuals: np.ndarray):
+        self.conformal = conformal
+        self.sup_traceless = sup_traceless
+        self.rho_samples = rho_samples
+        self.rho = rho
+        self.traceless_part = traceless_part
+        self.points = points
+        self.residuals = residuals
 
 
 def conformal_killing_check(g: MetricField, X: VectorField, points,

@@ -17,25 +17,22 @@ half-space chart through the usual model map.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import expr as ex
 from .geometry import (
-    Chart, GeometryError, MetricField, ScalarField, eval_scalar, eval_tensors,
+    Chart, Frozen, GeometryError, MetricField, ScalarField, eval_scalar, eval_tensors,
     hessian, ricci, sample_points, sym2,
 )
 
 
-@dataclass(frozen=True)
-class ModelSpace:
-    kind: str
-    dim: int
-    radius: float
-    curvature: float
-    chart: Chart
-    metric: MetricField
+class ModelSpace(Frozen):
+    _fields = ("kind", "dim", "radius", "curvature", "chart", "metric")
+
+    def __init__(self, kind: str, dim: int, radius: float, curvature: float,
+                 chart: Chart, metric: MetricField):
+        vars(self).update(kind=kind, dim=dim, radius=radius, curvature=curvature,
+                          chart=chart, metric=metric)
 
     @property
     def einstein_mu(self) -> float:
@@ -43,32 +40,37 @@ class ModelSpace:
         return (self.dim - 1) * self.curvature
 
 
-@dataclass(frozen=True)
-class HeightFunction:
-    direction: tuple
-    curvature: float
-    field: ScalarField
+class HeightFunction(Frozen):
+    _fields = ("direction", "curvature", "field")
+
+    def __init__(self, direction: tuple, curvature: float, field: ScalarField):
+        vars(self).update(direction=direction, curvature=curvature, field=field)
 
 
-@dataclass(frozen=True)
-class AbstractFiber:
+class AbstractFiber(Frozen):
     """Einstein fiber known only through its dimension and Ric_F = mu*<,>."""
 
-    dim: int
-    mu: float = None
+    _fields = ("dim", "mu")
+
+    def __init__(self, dim: int, mu: float = None):
+        vars(self).update(dim=dim, mu=mu)
 
 
-@dataclass(frozen=True)
-class WarpedProduct:
-    base_chart: Chart
-    base_metric: MetricField
-    fiber_chart: Chart       # None for abstract fibers
-    fiber_metric: MetricField
-    fiber_dim: int
-    fiber_mu: float          # None when unknown
-    warping: ScalarField     # on the base chart
-    chart: Chart             # assembled product chart (None for abstract fibers)
-    metric: MetricField
+class WarpedProduct(Frozen):
+    _fields = ("base_chart", "base_metric", "fiber_chart", "fiber_metric", "fiber_dim",
+               "fiber_mu", "warping", "chart", "metric")
+
+    def __init__(self, base_chart: Chart, base_metric: MetricField,
+                 fiber_chart: Chart,          # None for abstract fibers
+                 fiber_metric: MetricField, fiber_dim: int,
+                 fiber_mu: float,             # None when unknown
+                 warping: ScalarField,        # on the base chart
+                 chart: Chart,                # assembled product chart (None for abstract fibers)
+                 metric: MetricField):
+        vars(self).update(base_chart=base_chart, base_metric=base_metric,
+                          fiber_chart=fiber_chart, fiber_metric=fiber_metric,
+                          fiber_dim=fiber_dim, fiber_mu=fiber_mu, warping=warping,
+                          chart=chart, metric=metric)
 
     @property
     def dim(self) -> int:

@@ -3,6 +3,8 @@
 # Each defect is planted right after the unperturbed run has passed in the same
 # process, so a check served from a stale cache entry fails its row.
 
+import json
+
 import pytest
 
 from solitonlab import cli
@@ -11,6 +13,7 @@ from solitonlab import expr as ex
 from solitonlab import geometry as geo
 from solitonlab import identities as idn
 from solitonlab import soliton as so
+from solitonlab import spaces as sp
 from solitonlab.geometry import ScalarField, SymTensorField
 
 EPS = 1e-3
@@ -157,3 +160,115 @@ def test_planted_structure_defect_fails_its_check(check, monkeypatch):
     assert reps[check].passed is False
     assert reps[check].sup >= 10 * reps[check].tolerance
     assert all(rep.passed for name, rep in reps.items() if name != check)
+
+
+def scaled_g(coef):
+    """coef * g_ij, as rows."""
+    return lambda g, meta: [[ex.mul(coef(g, meta), e) for e in row] for row in g.comps]
+
+
+def height_rho():
+    # the conformal factor that check-identity conformal-factor checks on S^3
+    return sp.height_function(sp.make_sphere(3), (0.0, 0.0, 0.0, 1.0)).field
+
+
+def hess_rho(g, meta):
+    # the Hess rho side of Hess rho + (R/(n(n-1))) rho g = 0
+    return geo.hessian(g, height_rho()).comps
+
+
+def hess_u(g, meta):
+    # the Hess u side of Hess u + k u g = 0, on the pseudo-hyperbolic defaults
+    s = exm.build_structure("pseudo-hyperbolic")
+    assert s.metric == g
+    return geo.hessian(g, s.potential).comps
+
+
+def planted_in_run_checks(term):
+    """The planting for a check that so.run_checks reduces: its residual
+    minus EPS * term(metric, the run's metadata)."""
+    def plant(check, monkeypatch):
+        run_checks = so.run_checks
+
+        def planted(g, points, checks, **metadata):
+            checks = [(name, tol, minus(r, term(g, metadata)) if name == check else r)
+                      for name, tol, r in checks]
+            return run_checks(g, points, checks, **metadata)
+
+        monkeypatch.setattr(so, "run_checks", planted)
+    return plant
+
+
+def planted_in_traceless(check, monkeypatch):
+    # conformal-killing reads the traceless part of (1/2) L_X g; the conformal
+    # side (tr S / n) g = rho g that it removes is scaled by 1 + EPS
+    traceless = geo.traceless
+
+    def planted(g, S):
+        rho = ex.div(geo.trace(g, S).expr, ex.const(g.chart.dim))
+        return SymTensorField(g.chart, minus(traceless(g, S).comps,
+                                             scaled_g(lambda *_: rho)(g, None)))
+
+    monkeypatch.setattr(geo, "traceless", planted)
+
+
+def planted_in_oneill(check, monkeypatch):
+    # the blockwise O'Neill formula side of the comparison, scaled by 1 + EPS
+    oneill_ricci = sp.oneill_ricci
+    monkeypatch.setattr(sp, "oneill_ricci", lambda w, pts: (1 + EPS) * oneill_ricci(w, pts))
+
+
+# check -> (the CLI argv that emits it, the planting of its defect)
+CLI_CONTROLS = {
+    "conformal-killing": ("verify-example euclidean-conformal-corrected",
+                          planted_in_traceless),
+    "conformal-factor-hessian": ("check-identity conformal-factor",
+                                 planted_in_run_checks(hess_rho)),
+    # the right side rho g of (1/2) L_{grad u} g = rho g
+    "factor-potential": ("check-identity conformal-factor", planted_in_run_checks(
+        scaled_g(lambda g, meta: height_rho().expr))),
+    "potential-hessian-equation": ("verify-example pseudo-hyperbolic",
+                                   planted_in_run_checks(hess_u)),
+    "oneill": ("check-identity oneill", planted_in_oneill),
+    # the right side lambda g of Ric = lambda g, on the product or the base block
+    "warped-einstein": ("construct-warped --base pseudo-hyperbolic", planted_in_run_checks(
+        scaled_g(lambda g, meta: ex.const(meta["lambda"])))),
+    "warped-einstein-base-block": (
+        "construct-warped --base pseudo-hyperbolic --fiber abstract",
+        planted_in_run_checks(scaled_g(lambda g, meta: ex.const(meta["lambda"])))),
+}
+
+
+def cli_checks(argv, capsys):
+    """The check documents that `solitonlab <argv>` prints, by name."""
+    cli.main(argv.split())
+    return {doc["name"]: doc for doc in json.loads(capsys.readouterr().out)["checks"]}
+
+
+@pytest.mark.parametrize("check", CLI_CONTROLS)
+def test_planted_cli_defect_fails_its_check(check, monkeypatch, capsys):
+    argv, plant = CLI_CONTROLS[check]
+    before = cli_checks(argv, capsys)
+    assert check in before and all(doc["pass"] for doc in before.values())
+    plant(check, monkeypatch)
+    docs = cli_checks(argv, capsys)
+    assert docs.keys() == before.keys()
+    assert docs[check]["pass"] is False
+    assert docs[check]["sup_residual"] >= 10 * docs[check]["tolerance"]
+    assert all(doc["pass"] for name, doc in docs.items() if name != check)
+
+
+def test_every_emitted_check_has_a_control(capsys):
+    # every check name the identities, the catalog and construct-warped can
+    # emit has exactly one row above, and every row names an emitted check
+    argvs = [f"check-identity {name} --points 20"
+             + (" --random-metrics 1" if "random_metrics" in reads else "")
+             for name, (_, _, reads) in cli.IDENTITIES.items()]
+    argvs += [f"verify-example {example_id} --points 20" for example_id in exm.EXAMPLES]
+    argvs += [CLI_CONTROLS["warped-einstein"][0], CLI_CONTROLS["warped-einstein-base-block"][0]]
+    emitted = set()
+    for argv in argvs:
+        emitted |= cli_checks(argv, capsys).keys()
+    rows = [*CONTROLS, *STRUCTURE_CONTROLS, *CLI_CONTROLS]
+    assert len(rows) == len(set(rows))
+    assert emitted == set(rows)

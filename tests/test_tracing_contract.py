@@ -2,6 +2,10 @@
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,3 +36,19 @@ def test_wrapped_names_are_callables_of_their_module(module):
 def test_eval_many_resolves_count_nodes():
     # the tracer counts the nodes of each eval_many call through its globals
     assert callable(ex.eval_many.__globals__.get("count_nodes"))
+
+
+def test_cli_import_loads_every_wrapped_module_and_no_dataclasses():
+    # Tracer.install reads each WRAPPED module from sys.modules right after
+    # `import solitonlab.cli`, so none of them may be imported lazily; and
+    # the records are plain classes, so a cold start never loads dataclasses
+    src = TRACER_PATH.parents[1] / "src"
+    code = ("import json, sys; import solitonlab.cli; "
+            "print(json.dumps(sorted(m for m in sys.modules "
+            "if m == 'dataclasses' or m.startswith('solitonlab.'))))")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    out = subprocess.run([sys.executable, "-c", code], env={**env, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True).stdout
+    loaded = set(json.loads(out))
+    assert "dataclasses" not in loaded
+    assert {f"solitonlab.{m}" for m in WRAPPED} <= loaded
