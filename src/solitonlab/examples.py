@@ -78,8 +78,6 @@ def example_space_form(c, n, m, tau) -> so.SolitonStructure:
 def example_euclidean_gradient(n, m, tau) -> so.SolitonStructure:
     """u = tau + |x|^2, h = m/u, lambda = 2m/u on flat space; tau > 0."""
     n = int(n)
-    if n < 2:
-        raise ValueError("need n >= 2")
     m = _check_m(m)
     tau = float(tau)
     if not tau > 0:
@@ -98,8 +96,6 @@ def example_euclidean_claimed_conformal(n):
     flag so the catalog records the discrepancy instead of hiding it.
     """
     n = int(n)
-    if n < 2:
-        raise ValueError("need n >= 2")
     E = sp.make_euclidean(n)
     xn = ex.coord(n - 1)
     comps = [ex.mul(xn, ex.coord(i)) for i in range(n - 1)]
@@ -116,8 +112,6 @@ def example_euclidean_corrected_conformal(n):
     catalog the claimed field was copied from.
     """
     n = int(n)
-    if n < 2:
-        raise ValueError("need n >= 2")
     E = sp.make_euclidean(n)
     xn = ex.coord(n - 1)
     norm2 = ex.nsum(ex.powi(ex.coord(i), 2) for i in range(n))
@@ -202,8 +196,6 @@ def example_neg_m_sphere(n, m, a, b) -> so.SolitonStructure:
     this is a genuinely almost structure.
     """
     n = int(n)
-    if n < 2:
-        raise ValueError("need n >= 2")
     m = _check_m(m)
     if not m > 0:
         raise ValueError("m must be positive for the -m/u form")
@@ -354,7 +346,7 @@ def structure_checks(s: so.SolitonStructure, pts, tol: float, divric: bool = Tru
         meta = {"precheck_sup": so.verified_sup(reports[1]), "m": m}
         if verdict.lambda_spread < so.LAMBDA_SPREAD_TOL:
             mu = so.mu_report(s, pts, m)
-        stage2.append((so.eqpprinc_check(s, m), meta))
+        stage2.append((so.eqpprinc_check(s), meta))
     vals = geo.gnorms(s.metric, [c[2] for c, _ in stage2], pts) if stage2 else []
     second = [so._report(name, t, pts, r, **md)
               for ((name, t, _), md), r in zip(stage2, vals)]

@@ -599,40 +599,6 @@ def _derive(e, i, memo):
     return d
 
 
-def substitute_coords(e: Expression, mapping: dict) -> Expression:
-    """Replace coordinate leaves by expressions, index -> replacement node."""
-    memo: dict = {}
-
-    def go(e):
-        hit = memo.get(e)
-        if hit is not None:
-            return hit
-        k = e.kind
-        if k == "coord":
-            r = mapping.get(e.payload, e)
-        elif not e.args:
-            r = e
-        elif k == "pow":
-            r = powi(go(e.args[0]), e.payload)
-        elif k in ("add", "sub", "mul", "div"):
-            a, b = (go(c) for c in e.args)
-            r = {"add": add, "sub": sub, "mul": mul, "div": div}[k](a, b)
-        elif k == "neg":
-            r = neg(go(e.args[0]))
-        else:
-            r = _call(k, go(e.args[0]))
-        memo[e] = r
-        return r
-
-    return go(e)
-
-
-def shift_coordinates(e: Expression, offset: int) -> Expression:
-    """Shift every coordinate index by `offset` (re-indexing into a product)."""
-    idx = sorted(free_coords(e))
-    return substitute_coords(e, {i: coord(i + offset) for i in idx})
-
-
 def _nodes(roots) -> set:
     """The distinct nodes of the DAG spanned by `roots`."""
     seen, stack = set(), list(roots)

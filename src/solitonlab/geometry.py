@@ -327,11 +327,7 @@ def ricci(g: MetricField) -> SymTensorField:
 
 @lru_cache(maxsize=None)
 def scalar_curvature(g: MetricField) -> ScalarField:
-    n = g.chart.dim
-    inv = inverse_metric(g)
-    ric = ricci(g).comps
-    r = ex.nsum(ex.mul(inv[j][k], ric[j][k]) for j in range(n) for k in range(n))
-    return ScalarField(g.chart, r)
+    return trace(g, ricci(g))
 
 
 @lru_cache(maxsize=None)
@@ -354,11 +350,8 @@ def riemann_up(g: MetricField):
 
 @lru_cache(maxsize=None)
 def gradient(g: MetricField, phi: ScalarField) -> VectorField:
-    n = g.chart.dim
-    inv = inverse_metric(g)
-    dphi = [ex.differentiate(phi.expr, j) for j in range(n)]
-    comps = [ex.nsum(ex.mul(inv[i][j], dphi[j]) for j in range(n)) for i in range(n)]
-    return VectorField(g.chart, comps)
+    dphi = [ex.differentiate(phi.expr, j) for j in range(g.chart.dim)]
+    return oneform_to_vector(g, OneFormField(g.chart, dphi))
 
 
 @lru_cache(maxsize=None)
@@ -478,18 +471,14 @@ def covariant_derivative_vector(g: MetricField, X: VectorField):
     """Lowered covariant derivative (∇X)_ij = g_jk ∇_i X^k, as rows[i][j]."""
     n = g.chart.dim
     gam = christoffel(g)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            terms = []
-            for k in range(n):
-                covk = ex.add(ex.differentiate(X.comps[k], i),
-                              ex.nsum(ex.mul(gam[k][i][p], X.comps[p]) for p in range(n)))
-                terms.append(ex.mul(g.comps[j][k], covk))
-            row.append(ex.nsum(terms))
-        rows.append(tuple(row))
-    return tuple(rows)
+
+    def row(i):  # ∇_i X^k = ∂_i X^k + Γ^k_ip X^p, lowered
+        cov = [ex.add(ex.differentiate(X.comps[k], i),
+                      ex.nsum(ex.mul(gam[k][i][p], X.comps[p]) for p in range(n)))
+               for k in range(n)]
+        return vector_to_oneform(g, VectorField(g.chart, cov)).comps
+
+    return tuple(row(i) for i in range(n))
 
 
 @lru_cache(maxsize=None)

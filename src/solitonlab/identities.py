@@ -43,7 +43,7 @@ from . import spaces as sp
 from .geometry import Chart, MetricField, ScalarField, SymTensorField, VectorField
 
 SUITE_TOL = 1e-7
-_TAGS = {"bianchi": 11, "fg": 13, "lemma21": 17}
+_TAGS = {"fg": 13, "lemma21": 17}
 
 
 def _chart(n: int, params=()) -> Chart:

@@ -131,7 +131,7 @@ def _report(name, tol, pts, res, **metadata) -> ResidualReport:
 
 
 def default_points(s, count: int = 200, seed: int = 42) -> np.ndarray:
-    """Seeded admissible samples for a structure (or metric, or chart).
+    """Seeded admissible samples for a structure, or for a chart.
 
     For a structure, h, lambda and u (or X) are evaluated strictly at the
     samples, so a field that is undefined there raises DomainError even when
@@ -142,8 +142,6 @@ def default_points(s, count: int = 200, seed: int = 42) -> np.ndarray:
         geo.eval_tensors(s.chart, [s.h.expr, s.lam.expr, s.potential.expr
                                    if s.is_gradient else s.vector_field.comps], pts)
         return pts
-    if isinstance(s, MetricField):
-        return geo.sample_points(s.chart, count, seed, metric=s)
     return geo.sample_points(s, count, seed)
 
 
@@ -407,10 +405,11 @@ def mu_field(s: SolitonStructure, points, tol: float = 1e-9) -> ResidualReport:
 
 
 @lru_cache(maxsize=None)
-def eqpprinc_check(s: SolitonStructure, m: float, tol: float = 1e-8):
-    """The check of eqpprinc_residual, for h = -m/u."""
+def eqpprinc_check(s: SolitonStructure, tol: float = 1e-8):
+    """The check of eqpprinc_residual, for h = -m/u with the structure's m."""
     g = s.metric
     n = g.chart.dim
+    m = float(s.m)
     u = s.potential.expr
     u2 = ex.powi(u, 2)
     lap = geo.laplacian(g, s.potential).expr
@@ -431,7 +430,7 @@ def eqpprinc_residual(s: SolitonStructure, points, tol: float = 1e-8) -> Residua
     which vanishes on gradient (-m/u)-almost structures."""
     m = neg_form_m(s, points)
     pre, rep = run_checks(s.metric, points, [soliton_check(s, PRECHECK_TOL, gradient=True),
-                                             eqpprinc_check(s, m, tol)], m=m)
+                                             eqpprinc_check(s, tol)], m=m)
     rep.metadata["precheck_sup"] = verified_sup(pre)
     return rep
 

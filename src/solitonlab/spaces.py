@@ -166,10 +166,7 @@ def height_function(space: ModelSpace, v) -> HeightFunction:
 def _as_chart_metric(obj):
     if isinstance(obj, ModelSpace):
         return obj.chart, obj.metric
-    if isinstance(obj, MetricField):
-        return obj.chart, obj
-    chart, metric = obj
-    return chart, metric
+    return obj
 
 
 def _fiber_mu_of(fiber, given):
@@ -185,7 +182,7 @@ def _fiber_mu_of(fiber, given):
 def _fresh_names(taken, count):
     for prefix in ("y", "z", "w", "v"):
         names = _coord_names(prefix, count)
-        if not (set(names) & set(taken)):
+        if not (set(names) & taken):
             return names
     raise ValueError("could not find fresh fiber coordinate names")
 
@@ -199,6 +196,10 @@ def make_warped(base, fiber, f: ScalarField, *, fiber_mu=None,
     formulas work from (m, mu) alone.  The warping f must be a positive
     scalar on the base chart, checked at 64 seeded samples.  The product chart
     carries the parameters of both charts, which must have distinct names.
+    Fiber coordinates named like a base coordinate or parameter are renamed
+    (y1, y2, ... or the first free of z, w, v).  Each fiber metric entry and
+    domain predicate is printed over the fiber names and parsed over the
+    product chart's, so fiber coordinate i becomes product coordinate nb + i.
     """
     base_chart, base_metric = _as_chart_metric(base)
     if f.chart != base_chart:
@@ -215,14 +216,19 @@ def make_warped(base, fiber, f: ScalarField, *, fiber_mu=None,
 
     fiber_chart, fiber_metric = _as_chart_metric(fiber)
     nb, m = base_chart.dim, fiber_chart.dim
+    params = base_chart.params + fiber_chart.params
+    taken = set(base_chart.coords) | {name for name, _ in params}
     fiber_names = fiber_chart.coords
-    if set(fiber_names) & set(base_chart.coords):
-        fiber_names = _fresh_names(base_chart.coords, m)
-    shifted_domain = tuple(ex.shift_coordinates(e, nb) for e in fiber_chart.domain)
-    chart = Chart(base_chart.coords + fiber_names,
-                  base_chart.box + fiber_chart.box,
-                  domain=base_chart.domain + shifted_domain,
-                  params=base_chart.params + fiber_chart.params)
+    if taken.intersection(fiber_names):
+        fiber_names = _fresh_names(taken, m)
+    coords = base_chart.coords + fiber_names
+
+    def shifted(e):
+        return ex.parse_expression(ex.to_text(e, fiber_names), coords, dict(params))
+
+    chart = Chart(coords, base_chart.box + fiber_chart.box,
+                  domain=base_chart.domain + tuple(map(shifted, fiber_chart.domain)),
+                  params=params)
     f2 = ex.powi(f.expr, 2)
 
     def block(i, j):
@@ -230,8 +236,7 @@ def make_warped(base, fiber, f: ScalarField, *, fiber_mu=None,
             return base_metric.comps[i][j]
         if i < nb:
             return ex.ZERO
-        comp = ex.shift_coordinates(fiber_metric.comps[i - nb][j - nb], nb)
-        return ex.mul(f2, comp)
+        return ex.mul(f2, shifted(fiber_metric.comps[i - nb][j - nb]))
 
     metric = MetricField(chart, sym2(nb + m, block))
     return WarpedProduct(base_chart, base_metric, fiber_chart, fiber_metric, m,

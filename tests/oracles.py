@@ -8,7 +8,8 @@ expression at one point through `eval_many`.  `finite_difference` is the numeric
 `expr.differentiate`.  `riemann_sectional` reads sectional curvatures off
 `geometry.riemann_up`, for the model spaces' known constants.
 `curvature_from_jets` rebuilds the curvature layer's tensors with numpy from
-the values of the metric entries and their partials.
+the values of the metric entries and their partials.  `zero_mod_p` evaluates
+rational DAGs exactly at a random point of the field of 2^61 - 1 elements.
 """
 
 import math
@@ -292,3 +293,56 @@ def curvature_from_jets(g, phi, points):
     return {"christoffel": gam, "ricci": ric, "scalar": es("njk,njk->n", Gi, ric),
             "hessian": d2phi - es("nkij,nk->nij", gam, dphi),
             "div_ricci": es("nik,nikj->nj", Gi, nabla)}
+
+
+P61 = 2 ** 61 - 1   # a Mersenne prime
+
+
+def _inverse_mod_p(v):
+    if v == 0:
+        raise ZeroDivisionError("zero divisor mod p")
+    return pow(v, -1, P61)
+
+
+def zero_mod_p(roots, rng, draws=8):
+    """Each root's value mod p = 2^61 - 1 at one random point of F_p.
+
+    Coordinates and parameters are drawn uniformly mod p from `rng`; a
+    constant, an exact dyadic rational, maps to numerator times denominator
+    inverse.  Walks `topo`'s order with `+ - * /`, unary minus and integer
+    powers; a zero divisor redraws the point, up to `draws` times.  A
+    nonzero rational function of degree d vanishes at the point with
+    probability at most d/p (Schwartz-Zippel), so an identity holds when
+    every value is 0.
+    """
+    order, _ = topo(list(roots))
+    for _ in range(draws):
+        leaf, val = {}, {}
+        try:
+            for node in order:
+                k, a = node.kind, [val[c] for c in node.args]
+                if k == "const":
+                    num, den = node.payload.as_integer_ratio()
+                    v = num * _inverse_mod_p(den % P61)
+                elif k in ("coord", "param"):
+                    v = leaf.setdefault((k, node.payload), int(rng.integers(P61)))
+                elif k == "add":
+                    v = a[0] + a[1]
+                elif k == "sub":
+                    v = a[0] - a[1]
+                elif k == "mul":
+                    v = a[0] * a[1]
+                elif k == "div":
+                    v = a[0] * _inverse_mod_p(a[1])
+                elif k == "neg":
+                    v = -a[0]
+                elif k == "pow":
+                    base = a[0] if node.payload >= 0 else _inverse_mod_p(a[0])
+                    v = pow(base, abs(node.payload), P61)
+                else:
+                    raise ValueError(f"no value mod p for {k!r}")
+                val[node] = v % P61
+        except ZeroDivisionError:
+            continue
+        return [val[r] for r in roots]
+    raise ZeroDivisionError(f"a zero divisor at each of {draws} points")

@@ -575,6 +575,76 @@ def test_construct_warped_rejections(tmp_path, capsys):
     assert code == 2 and "no manifest" in err
 
 
+def test_construct_warped_renames_fiber_coordinates_away_from_base_parameters(tmp_path,
+                                                                            capsys):
+    # u = x1 cosh t on the line, h = -2/u: mu = -1, so the hyperbolic fiber's
+    # coordinates x1, x2 meet the base parameter x1 and must be renamed
+    base = tmp_path / "line.json"
+    mf.write({"schema": mf.SCHEMA, "dimension": 1, "coordinates": ["t"],
+              "box": [[-1.5, 1.5]], "parameters": {"x1": 1.0}, "metric": ["1"],
+              "structure": {"potential": "x1*cosh(t)"}, "h": "-2/cosh(t)", "lambda": "-2",
+              "form": {"tag": "neg-m-over-u", "m": 2.0}}, str(base))
+    out_path = tmp_path / "product.json"
+    code, out, err = run_cli(capsys, "construct-warped", "--base", str(base),
+                             "--points", "40", "--out", str(out_path))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["checks"][0]["pass"] is True
+    assert mf.load(str(out_path)).document["coordinates"] == ["t", "y1", "y2"]
+
+
+# stdout SHA-256 at --seed 77 of the 15 catalog-cold argvs of perfbench/workloads.py,
+# and of two products with an explicit curved fiber: pseudo-hyperbolic --l 4 has a
+# hyperbolic one, and its construct-warped product a round fiber renamed to y1, y2.
+# Recorded before make_warped moved fiber coordinates by the printer/parser round
+# trip, which left every byte as it was.
+CATALOG_DIGESTS = {
+    "verify-example space-form-gradient --points 200":
+        "cd4728eff5465186ae5ad19990a92cff28a758ed778e758b9ade21d3d5b9e4a4",
+    "verify-example euclidean-gradient --points 200":
+        "52086676405d1c3398e8a98415d6e3a6a895b687a18ab6bc06ffe643a695c3d8",
+    "verify-example euclidean-conformal-claimed --points 200":
+        "4fb81978dacbeb7947181851b7a55855979e87df06860c31cee2523bfcb33546",
+    "verify-example euclidean-conformal-corrected --points 200":
+        "f0d1b988e9a075edd25f2c6c937ec4047ecb28a7feb9e6c4384f4dc5cbf17b18",
+    "verify-example pseudo-hyperbolic --points 200":
+        "13b0abd76e6cc4d8bebbb0e01b588c000b98f47dc5c4181e108a475d569160b2",
+    "verify-example neg-m-sphere --points 200":
+        "1b1ff121cc387c61eb71cbb5fdad35a6e031f693a7b21bc80444a4cae00a45ac",
+    "verify-manifest MANIFESTS/flat-m-over-u.json":
+        "5313376f0db97ef1e32343005923b988dbcfac64b90a69839c27b0d272cd591d",
+    "verify-manifest MANIFESTS/shell-neg-m-over-u.json":
+        "f7472317e299fcf18b14a2e842dc4baffeee10e2ae236c9f5b1010d226c76ab0",
+    "classify --example neg-m-sphere":
+        "dc3154b24101cc27cff798cf7b528f4195341d4df59dde9c3ffe3b97fbc20c36",
+    "construct-warped --base pseudo-hyperbolic --out TMP/product.json":
+        "f64b4a1d8d828cdfe38680831ac2496736f16bdb0d26b3d14627e683b2e7c0bd",
+    "check-identity divric":
+        "b6d3ae7563c65cd2e26ed2ef6afc7ab8ed416457f307c51f4401868f094c35dc",
+    "check-identity eqpprinc":
+        "c049766e4bcb0f623c14403ea5048afff3a1d626a70e1175fe9679d451d936f9",
+    "check-identity mu-const":
+        "7c6e5066e34e7007ed3967c17a5f46b3f1735d05ea7fc61a81a21d628bc76e5a",
+    "check-identity conformal-factor":
+        "54c163494fe8b07c6cb8eb4efa125db568f3d5f6b61eda66e162d782df0f2afb",
+    "check-identity oneill":
+        "5ae7656098f9b8fba18ccf6d21872261f5ecc8bc6f5b1350a45b6d4ef1af64be",
+    "verify-example pseudo-hyperbolic --l 4":
+        "7d0941a60025425df8ac31605f3ed9a6a3822088cc9f67acd6af6a8c73eea006",
+    "construct-warped --base pseudo-hyperbolic --l 4":
+        "6122c54464ae4a4840c6b88dd03acb1ff8ff15246d10ec3f5fb699f60cae50df",
+}
+
+
+@pytest.mark.parametrize("argv", CATALOG_DIGESTS)
+def test_catalog_report_bytes_are_pinned(argv, tmp_path, capsys):
+    dirs = {"MANIFESTS": ROOT / "perfbench" / "manifests", "TMP": tmp_path}
+    words = [word.partition("/") for word in argv.split()]
+    code, out, _ = run_cli(capsys, *(str(dirs[head] / rest) if head in dirs else head
+                                     for head, _, rest in words), "--seed", "77")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CATALOG_DIGESTS[argv]
+
+
 def test_construct_warped_runs_mu_field_once(capsys, monkeypatch):
     calls = []
     mu_field = so.mu_field

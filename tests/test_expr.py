@@ -698,12 +698,6 @@ def test_free_coords_and_params():
     assert ex.free_params(e) == {"tau"}
 
 
-def test_substitute_coords():
-    e = P("x1^2 + x2")
-    sub = ex.substitute_coords(e, {0: ex.coord(2), 1: ex.const(5.0)})
-    assert oracles.evaluate(sub, (0.0, 0.0, 3.0)) == 14.0
-
-
 def test_check_names_rejects_collisions_and_reserved():
     with pytest.raises(ValueError):
         ex.check_names(("x1", "x1"))

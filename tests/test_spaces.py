@@ -147,6 +147,37 @@ def test_make_warped_propagates_domains():
     assert np.all(pts[:, 1] > 0) and np.all(pts[:, 3] > 0)
 
 
+def fiber_with_a_parameter():
+    chart = geo.Chart(("x1", "x2"), ((-1.0, 1.0), (-1.0, 1.0)), params=(("a", 0.7),),
+                      domain=(ex.parse_expression("a + x2", ("x1", "x2"), ("a",)),))
+    P = chart.parse
+    return chart, geo.MetricField(chart, geo.sym_rows([P("1 + a*x1^2"), P("a*x1*x2"),
+                                                       P("2 - x2")]))
+
+
+@pytest.mark.parametrize("fiber", [lambda: sp.make_sphere(3, 1.7),
+                                   lambda: sp.make_hyperbolic(2), fiber_with_a_parameter],
+                         ids=["round-1.7", "hyperbolic", "parameter"])
+def test_make_warped_reads_the_fiber_at_the_product_fiber_columns(fiber):
+    base = sp.make_euclidean(2)
+    f = geo.ScalarField(base.chart, ex.add(ex.const(2.0), ex.powi(ex.coord(0), 2)))
+    fiber_chart, fiber_metric = sp._as_chart_metric(fiber())
+    w = sp.make_warped(base, fiber(), f)
+    nb, m = base.dim, fiber_chart.dim
+    assert w.chart.coords == base.chart.coords + tuple(f"y{i + 1}" for i in range(m))
+    assert w.chart.params == fiber_chart.params
+    pts = geo.sample_points(w.chart, 50, seed=3, metric=w.metric)
+    fiber_domain = w.chart.domain[len(base.chart.domain):]
+    prod, shifted = geo.eval_tensors(w.chart, [w.metric.comps, fiber_domain], pts)
+    (f2,) = geo.eval_tensors(base.chart, [ex.powi(f.expr, 2)], pts[:, :nb])
+    own, preds = geo.eval_tensors(fiber_chart, [fiber_metric.comps, fiber_chart.domain],
+                                  pts[:, nb:])
+    # every fiber-block entry is f^2 times the fiber's entry at columns nb + i, bit for bit
+    assert np.array_equal(prod[:, nb:, nb:], f2[:, None, None] * own)
+    assert not prod[:, :nb, nb:].any()
+    assert np.array_equal(shifted, preds)
+
+
 def test_make_warped_rejects_nonpositive_warping():
     base = sp.make_euclidean(2)
     f = geo.ScalarField(base.chart, ex.coord(0))  # changes sign on the box
