@@ -68,9 +68,12 @@ MAX_CATALOG_N = 16
 
 
 def catalog_n(text: str) -> int:
-    """argparse type for a catalog --n of at most MAX_CATALOG_N; each
-    constructor checks its own lower bound."""
+    """argparse type for a catalog --n from 2, the least dimension of every
+    entry's model space, to MAX_CATALOG_N; an entry with a higher lower
+    bound checks it in its constructor."""
     n = int(text)
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {n}")
     if n > MAX_CATALOG_N:
         raise argparse.ArgumentTypeError(f"must be at most {MAX_CATALOG_N}, got {n}")
     return n

@@ -44,11 +44,12 @@ values stay bit-identical.  A tape replays over blocks of `_BLOCK` points, so
 beside its result the memory an evaluation holds is bounded by the live
 values of one block, not by the DAG's size or the point count.
 A fault, a non-finite input, an unbound parameter or a coordinate out of
-range relabels the cached tape into keep-every-value form (`_unfold`: each
-instruction allocates its own slot) and replays that over every point with
-faults ignored; the first instruction with a non-finite lane locates the
-error.  The tables, the consumer counts and the tape cache are process state
-without locks: build and evaluate expressions from one thread at a time.
+range replays the cached tape over every point with faults ignored, each
+instruction allocating its value in the tape's own slots, and `_locate`
+checks each value as it is stored: the first instruction with a non-finite
+lane locates the error.  The tables, the consumer counts and the tape cache
+are process state without locks: build and evaluate expressions from one
+thread at a time.
 """
 
 from __future__ import annotations
@@ -648,8 +649,8 @@ class _Tape:
     opcode in `ops`, a numpy kernel or leaf payload in `kernels`, and three
     slots in `slots` (first operand, second operand, output; an unused one is
     0).  `width` is the length of the slot list the tape runs over, and `outs`
-    holds the roots' slots.  `_unfold` relabels a tape into the
-    keep-every-value form that `_locate` reads.
+    holds the roots' slots.  A fault replay runs the same slots with every
+    instruction in its allocating form (`_ALLOCATING`).
     """
 
     __slots__ = ("ops", "kernels", "slots", "width", "outs")
@@ -680,10 +681,11 @@ def eval_many(exprs, points, binding=None, mode="strict"):
     neither `points` nor an earlier result is written.  So the memory a pass
     holds is the result plus the live values of one block.  After a fault in
     any block, an unbound parameter, a coordinate index out of range, or on a
-    non-finite point or bound value, the same runner replays the cached
-    tape's keep-every-value form (`_unfold`) over every point with faults
-    ignored, and the first instruction with a non-finite lane locates the
-    error.  An
+    non-finite point or bound value, the same runner replays the cached tape
+    over every point with faults ignored, each instruction allocating its
+    value in the tape's own slots, and `_locate` checks each value as it is
+    stored: the first instruction with a non-finite lane locates the error,
+    and the replay holds the result, the mask and one column per slot.  An
     early block can fault at a later node than a later block would, so the
     error is located over every point: the node and point are those one
     whole-column pass names.  A coordinate index out of range raises
@@ -724,15 +726,12 @@ def eval_many(exprs, points, binding=None, mode="strict"):
         except (FloatingPointError, ValueError, UnboundParameterError):
             faulted = True
     if faulted:
-        # a block may fault before an earlier node's fault at a later point, and
-        # the fast pass overwrote values: replay every point keeping every value
-        tape = _unfold(tape)
-        vals = [None] * tape.width
-        try:
-            with np.errstate(all="ignore"):
-                _run(tape, vals, pts, binding)
-        finally:
-            ok = _locate(tape, vals, n, mode)
+        # a block may fault before an earlier node's fault at a later point:
+        # replay every point, checking each value as it is stored
+        vals = _locate(tape, n, mode)
+        with np.errstate(all="ignore"):
+            _run(vals, vals, pts, binding)
+        ok = vals.ok
         for i, slot in enumerate(tape.outs):
             out[i, :] = vals[slot]
     if mode == "masked":
@@ -903,24 +902,6 @@ def _compile(roots):
 _ALLOCATING = bytes.maketrans(b"\1\3\5", b"\0\2\4")
 
 
-def _unfold(tape):
-    """`tape` in keep-every-value form: instruction i allocates its value in
-    slot i, and each operand names the instruction that last wrote its slot.
-    The kernels and their order are the tape's, so the values are its bits.
-    """
-    # slot -> the instruction whose value it holds; an unused operand reads 0
-    last = [0] * tape.width
-    slots = array("i")
-    it = iter(tape.slots)
-    for i, (a, b, o) in enumerate(zip(it, it, it)):
-        slots.extend((last[a], last[b], i))
-        last[o] = i
-    full = _Tape()
-    full.ops, full.kernels, full.slots = tape.ops.translate(_ALLOCATING), tape.kernels, slots
-    full.width, full.outs = len(tape.ops), array("i", [last[s] for s in tape.outs])
-    return full
-
-
 def _run(tape, vals, pts, binding):
     """Replay `tape` over `pts`, storing each node's value in its slot of `vals`."""
     dim = pts.shape[1]
@@ -968,30 +949,42 @@ _KIND = {4: "pow", 6: "const", 7: "coord", 8: "param", np.negative: "neg",
          **{f: k for k, f in (*_BINARY.items(), *_NP_FUNC.items())}}
 
 
-def _locate(tape, vals, n_pts, mode):
-    """The valid-point mask of an `_unfold`ed replay; strict mode raises at the first fault.
+class _locate(list):
+    """The slot list of a fault replay, and the tape it runs: `tape` in
+    allocating form over `tape`'s own slots, so `_run` stores every value
+    here and each value is checked as it is stored.
 
-    Instruction i's value is in slot i, so the first instruction with a
-    non-finite lane is where the fault arose; a replay that stopped early
-    leaves None from there on.  The reason is the hazard's if any lane meets
-    the hazard, else "non-finite result in {kind}".
+    Strict mode checks a value before it replaces its slot's value, while
+    the operands it was computed from are still in their slots, and raises
+    at the first instruction with a non-finite lane, where the fault arose.
+    The reason is the hazard's if any lane meets the hazard, else
+    "non-finite result in {kind}".  Masked mode clears a value's non-finite
+    lanes in `ok` after storing it, so the value it replaced is freed first.
     """
-    ok = np.ones(n_pts, dtype=bool)
-    slots = iter(tape.slots)
-    for op, f, v, a, b, _ in zip(tape.ops, tape.kernels, vals, slots, slots, slots):
-        if v is None:
-            break
-        bad = ~np.isfinite(v)
-        if not bad.any():
-            continue
-        if mode == "masked":
-            ok &= ~bad
-            continue
-        kind = _KIND[op] if op >= 4 else _KIND[f]
-        reason = f"non-finite result in {kind}"
-        if kind in _HAZARDS:
-            arg, hazard, why = _HAZARDS[kind]
-            if np.any(hazard(vals[b if arg else a], f)):
-                reason = why
-        raise DomainError(reason, int(np.argmax(bad)))
-    return ok
+
+    __slots__ = ("ops", "kernels", "slots", "steps", "ok")
+
+    def __init__(self, tape, n_pts, mode):
+        super().__init__([None] * tape.width)
+        self.ops, self.kernels, self.slots = (tape.ops.translate(_ALLOCATING), tape.kernels,
+                                              tape.slots)
+        slots = iter(tape.slots)
+        self.steps = zip(self.ops, self.kernels, slots, slots, slots)
+        self.ok = np.ones(n_pts, dtype=bool) if mode == "masked" else None
+
+    def __setitem__(self, o, v):
+        if self.ok is not None:
+            super().__setitem__(o, v)
+            self.ok &= np.isfinite(v)
+            return
+        op, f, a, b, _ = next(self.steps)
+        finite = np.isfinite(v)
+        if not finite.all():
+            kind = _KIND[op] if op >= 4 else _KIND[f]
+            reason = f"non-finite result in {kind}"
+            if kind in _HAZARDS:
+                arg, hazard, why = _HAZARDS[kind]
+                if np.any(hazard(self[b if arg else a], f)):
+                    reason = why
+            raise DomainError(reason, int(np.argmin(finite)))
+        super().__setitem__(o, v)

@@ -27,7 +27,6 @@ SCHEMA = "soliton-manifest/1"
 # a base of up to 16 (the CLI's MAX_CATALOG_N) times an explicit fiber of up
 # to 16.
 MAX_DIMENSION = 32
-_FORM_TAGS = (so.FORM_FREE, so.FORM_M_OVER_U, so.FORM_NEG_M_OVER_U)
 
 
 class ManifestError(Exception):
@@ -175,7 +174,7 @@ def from_dict(doc: dict) -> Manifest:
     if "form" in doc:
         fb = _need(doc, "form", dict)
         form_tag = fb.get("tag", so.FORM_FREE)
-        if form_tag not in _FORM_TAGS:
+        if form_tag not in so.FORMS:
             _fail(f"unknown form tag {form_tag!r}", field="form")
         if form_tag != so.FORM_FREE:
             form_m = _number(fb.get("m"))

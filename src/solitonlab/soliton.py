@@ -42,7 +42,7 @@ from .geometry import Frozen, MetricField, ScalarField, SymTensorField, VectorFi
 FORM_FREE = "free"
 FORM_M_OVER_U = "m-over-u"
 FORM_NEG_M_OVER_U = "neg-m-over-u"
-_FORMS = (FORM_FREE, FORM_M_OVER_U, FORM_NEG_M_OVER_U)
+FORMS = (FORM_FREE, FORM_M_OVER_U, FORM_NEG_M_OVER_U)
 
 LAMBDA_SPREAD_TOL = 1e-8       # h-Ricci soliton vs h-almost: constancy of lambda
 HOMOTHETY_SPREAD_TOL = 1e-6    # triviality: relative spread of (2/n) div X
@@ -66,7 +66,7 @@ class SolitonStructure(Frozen):
             raise ValueError("need a vector field or a potential")
         if vector_field is not None and potential is not None:
             raise ValueError("give either a vector field or a potential, not both")
-        if h_form not in _FORMS:
+        if h_form not in FORMS:
             raise ValueError(f"unknown h form {h_form!r}")
         if h_form != FORM_FREE:
             if potential is None:

@@ -393,19 +393,23 @@ def test_dim_above_six_is_refused_before_any_metric_is_built(monkeypatch):
 
 def test_catalog_n_above_sixteen_is_refused_before_any_structure_is_built(
         monkeypatch, capsys):
-    # a catalog build grows about as n^4, so the parser refuses --n past 16
+    # a catalog build grows about as n^4, so the parser refuses --n past 16;
+    # every entry's model space needs dimension 2, so it refuses --n below 2
     fail = lambda *a, **k: pytest.fail("structure built")  # noqa: E731
     for name in ("run_example", "build_structure", "pseudo_hyperbolic_product"):
         monkeypatch.setattr(exm, name, fail)
     for argv in (("verify-example", "euclidean-gradient"),
+                 ("verify-example", "euclidean-conformal-claimed"),
                  ("verify-example", "space-form-gradient"),
+                 ("verify-example", "neg-m-sphere"),
                  ("classify", "--example", "neg-m-sphere"),
                  ("construct-warped", "--base", "pseudo-hyperbolic"),
                  ("check-identity", "divric"), ("check-identity", "oneill")):
-        with pytest.raises(SystemExit) as info:
-            cli.main([*argv, "--n", "17"])
-        assert info.value.code == 2
-        assert "argument --n: must be at most 16, got 17" in capsys.readouterr().err
+        for n, why in (("17", "at most 16"), ("1", "at least 2"), ("0", "at least 2")):
+            with pytest.raises(SystemExit) as info:
+                cli.main([*argv, "--n", n])
+            assert info.value.code == 2
+            assert f"argument --n: must be {why}, got {n}" in capsys.readouterr().err
 
 
 SPREAD_ARGVS = [("verify-example", "neg-m-sphere"),

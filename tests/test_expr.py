@@ -210,13 +210,16 @@ ARITY = {0: 2, 2: 1, 4: 1, 6: 0, 7: 0, 8: 0}
 
 
 def instructions(roots):
-    """The roots' tape in keep-every-value form: per instruction its opcode,
-    kernel or payload, and the instructions its operands read; and the
-    instructions that give the roots."""
-    tape = ex._unfold(ex._compile(tuple(roots)))
-    s = tape.slots
-    return [(op, f, list(s[3 * i:3 * i + ARITY[op]]))
-            for i, (op, f) in enumerate(zip(tape.ops, tape.kernels))], list(tape.outs)
+    """The roots' tape: per instruction its allocating opcode, kernel or
+    payload, and the instructions its operands read; and the instructions
+    that give the roots.  An operand reads the instruction that last wrote
+    its slot."""
+    tape = ex._compile(tuple(roots))
+    s, last, got = tape.slots, {}, []
+    for i, (op, f) in enumerate(zip(tape.ops.translate(ex._ALLOCATING), tape.kernels)):
+        got.append((op, f, [last[a] for a in s[3 * i:3 * i + ARITY[op]]]))
+        last[s[3 * i + 2]] = i
+    return got, [last[o] for o in tape.outs]
 
 
 def reference_instructions(roots):

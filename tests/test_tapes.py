@@ -145,14 +145,10 @@ def test_tapes_walk_in_topo_order_and_restore_consumer_counts():
     for roots in cases:
         order = oracles.topo(roots)[0]
         uses = [n.uses for n in order]
-        fast = ex._compile(tuple(roots))
-        full = ex._unfold(fast)
-        assert len(fast.ops) == len(full.ops) == len(order)
+        tape = ex._compile(tuple(roots))
+        assert len(tape.ops) == len(order) and tape.width <= len(order)
         assert [n.uses for n in order] == uses
-        # the unfolded tape gives instruction i slot i; a fast one reuses slots
-        assert list(full.slots[2::3]) == list(range(len(order))) and full.width == len(order)
-        assert fast.width <= full.width
-        assert set(full.ops) <= {0, 2, 4, 6, 7, 8} and full.kernels == fast.kernels
+        assert set(tape.ops.translate(ex._ALLOCATING)) <= {0, 2, 4, 6, 7, 8}
         dim = 1 + max(n.payload for n in order if n.kind == "coord")
         pts = np.random.default_rng(len(order)).uniform(0.5, 1.5, size=(5, dim))
         binding = {n.payload: 0.75 for n in order if n.kind == "param"}
@@ -357,11 +353,15 @@ def test_bianchi_lanes_with_a_nan_point_fault_as_the_reference_does():
     assert np.isnan(vals[:, ~ok]).all()
 
 
-def test_eval_many_peak_memory_grows_only_by_its_output():
-    # 40 shared values, each with one consumer in each half of the sum: a
-    # whole-column pass would hold all 40 columns at once
+def forty_shared_values():
+    """A sum in which each of 40 shared values has one consumer in each half:
+    a whole-column pass holds all 40 columns at once."""
     shared = [ex.mul(ex.add(X, ex.const(9.0 + i / 64)), Y) for i in range(40)]
-    e = ex.nsum([ex.sin(s) for s in shared] + [ex.cos(s) for s in shared])
+    return ex.nsum([ex.sin(s) for s in shared] + [ex.cos(s) for s in shared])
+
+
+def test_eval_many_peak_memory_grows_only_by_its_output():
+    e = forty_shared_values()
     rng = np.random.default_rng(10)
     ex.eval_many([e], PTS[:, :2])
     peaks, outs = [], []
@@ -374,6 +374,33 @@ def test_eval_many_peak_memory_grows_only_by_its_output():
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] <= outs[1] - outs[0]
+
+
+@pytest.mark.parametrize("mode", ["strict", "masked"])
+def test_fault_replay_peak_memory_grows_by_at_most_one_tape_width(mode):
+    # one NaN point sends every point through the replay that locates it:
+    # beside the output and the mask it holds the tape's slots, a column
+    # each, not a column per node
+    e = forty_shared_values()
+    ex.eval_many([e], PTS[:, :2])
+    width = ex._TAPES[(e,)].width
+    rng = np.random.default_rng(11)
+    peaks = []
+    for n in (4 * B, 16 * B):
+        pts = rng.uniform(-1.0, 1.0, size=(n, 2))
+        pts[n - 1, 1] = np.nan
+        tracemalloc.start()
+        try:
+            if mode == "strict":
+                with pytest.raises(ex.DomainError):
+                    ex.eval_many([e], pts)
+            else:
+                assert list(np.flatnonzero(~ex.eval_many([e], pts, mode=mode)[1])) == [n - 1]
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # per point: the output, a float per slot and the mask
+    assert peaks[1] - peaks[0] <= 12 * B * (8 + 8 * width + 1)
 
 
 WIDTHS = """
