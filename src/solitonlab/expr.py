@@ -7,7 +7,10 @@ There is one table per kind.  A leaf is keyed by its payload (the constant,
 the coordinate index or the parameter name), a power by `(k, args)`, and
 every other node by its own `args` tuple, so a node carries no key of its
 own.  `differentiate` memoizes in one `{node: derivative}` table per
-coordinate index.
+coordinate index.  That memo serves one symbolic build: `release_derivatives`
+empties it once the build's roots are in hand (an identity suite does so
+before it evaluates), and a later `differentiate` rebuilds the same interned
+nodes, so the release changes no node, tape or value.
 Smart constructors fold constants and eliminate `x+0`, `x*1`, `x*0` at build
 time, which keeps node counts small when curvature formulas contract over
 mostly-zero metric components.  They test for 0 and 1 by identity with the
@@ -553,6 +556,11 @@ def differentiate(e: Expression, coord_index: int) -> Expression:
     if memo is None:
         memo = _DIFF[coord_index] = {}
     return memo.get(e) or _derive(e, coord_index, memo)
+
+
+def release_derivatives() -> None:
+    """Empty the derivative memo; the derivatives stay interned in `_TABLE`."""
+    _DIFF.clear()
 
 
 def _derive(e, i, memo):

@@ -141,7 +141,8 @@ def _run_suite(gs, point_count, seed, tol, residuals, fields=None):
     differs.  The residuals are asked for once, over the first metric's
     chart without its values, so every call of one dimension reaches the same
     roots, and the suites' memoized builders (bianchi_residuals, ...) hand
-    out roots built by an earlier call.  Then one geo.gnorms pass per block
+    out roots built by an earlier call.  The derivative memo is released once
+    they are built (ex.release_derivatives).  Then one geo.gnorms pass per block
     of ex._BLOCK points evaluates them over the metric-major concatenation
     of every metric's points.  A pass inside one metric binds its values as
     floats; a pass that spans metrics binds each parameter to one lane, its
@@ -164,6 +165,8 @@ def _run_suite(gs, point_count, seed, tol, residuals, fields=None):
                              "components or parameter names")
     coords, box = gs[0].chart.coords, gs[0].chart.box
     checks = residuals(MetricField(Chart(coords, box), comps))
+    # the build is done: the blocks below reuse the derivative memo's memory
+    ex.release_derivatives()
     roots = [r for _, r in checks]
     # (parameters x metrics), and each point's metric
     table = np.array([[v for _, v in p] for p in params]).T

@@ -232,6 +232,36 @@ def test_warm_cli_calls_build_nothing(monkeypatch, argv):
     assert state_sizes() == sizes
 
 
+def memo_entries():
+    return sum(map(len, ex._DIFF.values()))
+
+
+@pytest.mark.parametrize("run", [
+    lambda: idn.bianchi_suite(dim=3, metric_count=2, point_count=5),
+    lambda: idn.fg_formulas_suite(dim=3, metric_count=2, point_count=5),
+    lambda: idn.lemma21_suite(dim=3, metric_count=2, point_count=5),
+    lambda: cli.main(["check-identity", "bianchi", "--dim", "3", "--random-metrics", "2",
+                      "--points", "5"]),
+], ids=["bianchi", "fg-formulas", "lemma21", "cli-bianchi"])
+def test_a_suite_run_releases_the_derivative_memo(run):
+    # the memo serves the symbolic build; a suite evaluates without it
+    ex.differentiate(ex.mul(ex.coord(0), ex.coord(1)), 0)
+    assert memo_entries() > 0
+    run()
+    assert memo_entries() == 0
+
+
+def test_derivatives_after_a_release_are_the_same_nodes():
+    g = idn.suite_metrics(3, 1, 7)[0]
+    scal = geo.scalar_curvature(g).expr
+    before = [ex.differentiate(scal, j) for j in range(3)]
+    nodes = sum(map(len, ex._TABLE.values()))
+    ex.release_derivatives()
+    assert memo_entries() == 0
+    assert all(ex.differentiate(scal, j) is d for j, d in enumerate(before))
+    assert sum(map(len, ex._TABLE.values())) == nodes
+
+
 @pytest.mark.parametrize("suite", [idn.bianchi_suite, idn.fg_formulas_suite,
                                    idn.lemma21_suite])
 def test_one_metric_passes_bind_floats_with_the_bits_of_one_pass(monkeypatch, suite):
