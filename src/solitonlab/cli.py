@@ -257,7 +257,7 @@ def cmd_construct_warped(args) -> dict:
                                           fiber_kind=args.fiber, points=pts,
                                           seed=args.seed, tol=args.tol)
     lam_bar = rep.metadata["lambda"]
-    if w.chart is not None:
+    if w is not None:
         prod = so.SolitonStructure(
             w.metric, ScalarField(w.chart, ex.ONE),
             ScalarField(w.chart, ex.const(lam_bar)),
@@ -289,8 +289,9 @@ def cmd_classify(args) -> dict:
 def _add_common(p: argparse.ArgumentParser, tol=1e-8, param_flags=False):
     p.add_argument("--points", type=positive_int, default=200,
                    help="admissible sample count (default 200)")
+    own = "the identity's own" if tol is None else f"{tol:g}"
     p.add_argument("--tol", type=tolerance, default=tol,
-                   help="residual tolerance (default 1e-8, or the identity's own)")
+                   help=f"residual tolerance (default {own})")
     p.add_argument("--seed", type=non_negative_int, default=42,
                    help="sampler seed (default 42)")
     p.add_argument("--json", metavar="PATH", default=None,
@@ -351,10 +352,16 @@ def build_parser() -> argparse.ArgumentParser:
                             "gradient base structure")
     p.add_argument("--base", required=True,
                    help="catalog id or manifest path of the base structure")
-    p.add_argument("--fiber-dim", type=int, default=None)
-    p.add_argument("--fiber-mu", type=finite_float, default=None)
+    p.add_argument("--fiber-dim", type=int, default=None,
+                   help="fiber dimension m (default the base's declared m)")
+    p.add_argument("--fiber-mu", type=finite_float, default=None,
+                   help="fiber Einstein constant; must match the base's conserved "
+                        "quantity mu (default mu)")
     p.add_argument("--fiber", default="auto",
-                   choices=("auto", "flat", "sphere", "hyperbolic", "abstract"))
+                   choices=("auto", "flat", "sphere", "hyperbolic", "abstract"),
+                   help="fiber model (default auto: flat, sphere or hyperbolic by "
+                        "the sign of mu); abstract checks only "
+                        "warped-einstein-base-block on the base and writes no product")
     p.add_argument("--out", default=None, help="write the product manifest here")
     _add_common(p, param_flags=True)
 

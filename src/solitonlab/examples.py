@@ -157,15 +157,9 @@ def pseudo_hyperbolic_product(n, k, A, l):
     if l < 0:
         raise ValueError("l must be nonnegative")
     chart, f, u_expr = _pseudo_hyperbolic_base(n, k, A, l)
-    base = (chart, sp.line_metric(chart))
-    if l == 0:
-        fiber = sp.make_euclidean(n - 1)
-        fiber_mu = 0.0
-    else:
-        fiber_mu = -(n - 2) * l
-        fiber = so.einstein_fiber(n - 1, fiber_mu, "hyperbolic")
-    W = sp.make_warped(base, fiber, f, fiber_mu=fiber_mu)
-    return W, u_expr
+    # "auto" would take a flat fiber for 0 < (n-2)l <= 1e-9
+    fiber = so.einstein_fiber(n - 1, -(n - 2) * l, "hyperbolic" if l else "flat")
+    return sp.make_warped((chart, sp.line_metric(chart)), fiber, f), u_expr
 
 
 def example_pseudo_hyperbolic(n, k, A, l, m=None, h_expr=None) -> so.SolitonStructure:

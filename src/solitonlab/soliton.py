@@ -447,11 +447,12 @@ def warped_einstein_construct(s: SolitonStructure, fiber_dim: int,
 
     The fiber is Einstein with Ric_F = fiber_mu <,>, which must match the
     conserved quantity mu of the base within 1e-7 (fiber_mu=None takes mu);
-    lambda must be constant.  For an explicit fiber (flat, sphere, or scaled
-    hyperbolic, chosen by the sign of fiber_mu under "auto") the assembled
-    product metric's Ricci tensor is compared against lambda g; for an
-    abstract fiber only the base block and the scalar fiber relation are
-    checkable.  Returns (WarpedProduct, report).
+    lambda must be constant, and the warping u must pass spaces.check_warping.
+    For an explicit fiber (flat, sphere, or scaled hyperbolic, chosen by the
+    sign of fiber_mu under "auto") the assembled product metric's Ricci
+    tensor is compared against lambda g.  For fiber_kind "abstract" only the
+    base block Ric - (m/u) Hess u - lambda g is checked on the base, and no
+    product is built.  Returns (WarpedProduct or None, report).
     """
     if isinstance(fiber_dim, float):
         if not fiber_dim.is_integer():
@@ -476,39 +477,33 @@ def warped_einstein_construct(s: SolitonStructure, fiber_dim: int,
             f"fiber Einstein constant {fiber_mu:g} does not match the base's "
             f"conserved quantity {mu_est:.12g}")
 
-    fiber = einstein_fiber(fiber_dim, fiber_mu, fiber_kind)
-    w = sp.make_warped((s.chart, s.metric), fiber, s.potential,
-                       fiber_mu=fiber_mu, seed=seed)
     meta = {
         "lambda": lam_est, "mu": mu_est, "fiber_kind": fiber_kind,
         "lambda_positive": lam_est > 0,
         "compactness_note": ("the compact case needs lambda > 0; recorded, "
                              "not enforced"),
     }
-    if w.chart is not None:
-        prod_pts = geo.sample_points(w.chart, len(pts), seed, metric=w.metric)
-        prod_ric = geo.ricci(w.metric)
-        T = geo.sym2(w.chart.dim, lambda i, j: ex.sub(
-            prod_ric.comps[i][j],
-            ex.mul(ex.const(lam_est), w.metric.comps[i][j])))
-        rep = run_checks(w.metric, prod_pts, [("warped-einstein", tol, T)], **meta)[0]
-    else:
+    if fiber_kind == "abstract":
+        sp.check_warping(s.chart, s.potential, seed)
         g = s.metric
         hess = geo.hessian(g, s.potential)
         mh = ex.div(ex.const(float(fiber_dim)), s.potential.expr)
         T = geo.sym2(g.chart.dim, lambda i, j: ex.sub(
             ex.sub(geo.ricci(g).comps[i][j], ex.mul(mh, hess.comps[i][j])),
             ex.mul(ex.const(lam_est), g.comps[i][j])))
-        rep = run_checks(g, pts, [("warped-einstein-base-block", tol, T)],
-                         fiber_relation_deviation=murep.sup, **meta)[0]
-    return w, rep
+        return None, run_checks(g, pts, [("warped-einstein-base-block", tol, T)],
+                                fiber_relation_deviation=murep.sup, **meta)[0]
+    w = sp.make_warped((s.chart, s.metric), einstein_fiber(fiber_dim, fiber_mu, fiber_kind),
+                       s.potential, seed=seed)
+    prod_pts = geo.sample_points(w.chart, len(pts), seed, metric=w.metric)
+    prod_ric = geo.ricci(w.metric)
+    T = geo.sym2(w.chart.dim, lambda i, j: ex.sub(
+        prod_ric.comps[i][j], ex.mul(ex.const(lam_est), w.metric.comps[i][j])))
+    return w, run_checks(w.metric, prod_pts, [("warped-einstein", tol, T)], **meta)[0]
 
 
 def einstein_fiber(dim: int, mu: float, kind: str = "auto"):
-    """An Einstein fiber with Ric = mu <,>: flat, round, scaled hyperbolic,
-    or abstract."""
-    if kind == "abstract":
-        return sp.AbstractFiber(dim, mu)
+    """An Einstein fiber with Ric = mu <,>: flat, round or scaled hyperbolic."""
     if kind == "auto":
         kind = "flat" if abs(mu) <= 1e-9 else ("sphere" if mu > 0 else "hyperbolic")
     if kind == "flat":

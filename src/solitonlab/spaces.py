@@ -34,11 +34,6 @@ class ModelSpace(Frozen):
         vars(self).update(kind=kind, dim=dim, radius=radius, curvature=curvature,
                           chart=chart, metric=metric)
 
-    @property
-    def einstein_mu(self) -> float:
-        """Einstein constant: Ric = einstein_mu * g."""
-        return (self.dim - 1) * self.curvature
-
 
 class HeightFunction(Frozen):
     _fields = ("direction", "curvature", "field")
@@ -47,30 +42,18 @@ class HeightFunction(Frozen):
         vars(self).update(direction=direction, curvature=curvature, field=field)
 
 
-class AbstractFiber(Frozen):
-    """Einstein fiber known only through its dimension and Ric_F = mu*<,>."""
-
-    _fields = ("dim", "mu")
-
-    def __init__(self, dim: int, mu: float = None):
-        vars(self).update(dim=dim, mu=mu)
-
-
 class WarpedProduct(Frozen):
     _fields = ("base_chart", "base_metric", "fiber_chart", "fiber_metric", "fiber_dim",
-               "fiber_mu", "warping", "chart", "metric")
+               "warping", "chart", "metric")
 
-    def __init__(self, base_chart: Chart, base_metric: MetricField,
-                 fiber_chart: Chart,          # None for abstract fibers
+    def __init__(self, base_chart: Chart, base_metric: MetricField, fiber_chart: Chart,
                  fiber_metric: MetricField, fiber_dim: int,
-                 fiber_mu: float,             # None when unknown
                  warping: ScalarField,        # on the base chart
-                 chart: Chart,                # assembled product chart (None for abstract fibers)
+                 chart: Chart,                # assembled product chart
                  metric: MetricField):
         vars(self).update(base_chart=base_chart, base_metric=base_metric,
                           fiber_chart=fiber_chart, fiber_metric=fiber_metric,
-                          fiber_dim=fiber_dim, fiber_mu=fiber_mu, warping=warping,
-                          chart=chart, metric=metric)
+                          fiber_dim=fiber_dim, warping=warping, chart=chart, metric=metric)
 
     @property
     def dim(self) -> int:
@@ -169,16 +152,6 @@ def _as_chart_metric(obj):
     return obj
 
 
-def _fiber_mu_of(fiber, given):
-    if given is not None:
-        return float(given)
-    if isinstance(fiber, AbstractFiber):
-        return fiber.mu
-    if isinstance(fiber, ModelSpace):
-        return fiber.einstein_mu
-    return None
-
-
 def _fresh_names(taken, count):
     for prefix in ("y", "z", "w", "v"):
         names = _coord_names(prefix, count)
@@ -187,33 +160,31 @@ def _fresh_names(taken, count):
     raise ValueError("could not find fresh fiber coordinate names")
 
 
-def make_warped(base, fiber, f: ScalarField, *, fiber_mu=None,
-                seed: int = 0) -> WarpedProduct:
-    """Assemble B x_f F with metric g_B + f^2 g_F (blockwise, no cross terms).
-
-    `fiber` may be a ModelSpace, a (chart, metric) pair, or an AbstractFiber;
-    in the abstract case no product chart is assembled and the O'Neill
-    formulas work from (m, mu) alone.  The warping f must be a positive
-    scalar on the base chart, checked at 64 seeded samples.  The product chart
-    carries the parameters of both charts, which must have distinct names.
-    Fiber coordinates named like a base coordinate or parameter are renamed
-    (y1, y2, ... or the first free of z, w, v).  Each fiber metric entry and
-    domain predicate is printed over the fiber names and parsed over the
-    product chart's, so fiber coordinate i becomes product coordinate nb + i.
-    """
-    base_chart, base_metric = _as_chart_metric(base)
+def check_warping(base_chart: Chart, f: ScalarField, seed: int = 0) -> None:
+    """Raise GeometryError unless the warping f, a scalar on base_chart, is
+    positive at 64 seeded samples of it."""
     if f.chart != base_chart:
         raise ValueError("warping function must live on the base chart")
     pts = sample_points(base_chart, 64, seed)
     fv = eval_scalar(f, pts)
     if not np.all(fv > 0.0):
         bad = pts[int(np.argmin(fv))]
-        raise GeometryError(f"non-positive warping at sample {tuple(bad)}")
+        raise GeometryError(f"non-positive warping at sample {tuple(map(float, bad))}")
 
-    if isinstance(fiber, AbstractFiber):
-        return WarpedProduct(base_chart, base_metric, None, None, fiber.dim,
-                             _fiber_mu_of(fiber, fiber_mu), f, None, None)
 
+def make_warped(base, fiber, f: ScalarField, *, seed: int = 0) -> WarpedProduct:
+    """Assemble B x_f F with metric g_B + f^2 g_F (blockwise, no cross terms).
+
+    `base` and `fiber` may each be a ModelSpace or a (chart, metric) pair.
+    The warping f must pass check_warping.  The product chart carries the
+    parameters of both charts, which must have distinct names.
+    Fiber coordinates named like a base coordinate or parameter are renamed
+    (y1, y2, ... or the first free of z, w, v).  Each fiber metric entry and
+    domain predicate is printed over the fiber names and parsed over the
+    product chart's, so fiber coordinate i becomes product coordinate nb + i.
+    """
+    base_chart, base_metric = _as_chart_metric(base)
+    check_warping(base_chart, f, seed)
     fiber_chart, fiber_metric = _as_chart_metric(fiber)
     nb, m = base_chart.dim, fiber_chart.dim
     params = base_chart.params + fiber_chart.params
@@ -239,25 +210,22 @@ def make_warped(base, fiber, f: ScalarField, *, fiber_mu=None,
         return ex.mul(f2, shifted(fiber_metric.comps[i - nb][j - nb]))
 
     metric = MetricField(chart, sym2(nb + m, block))
-    return WarpedProduct(base_chart, base_metric, fiber_chart, fiber_metric, m,
-                         _fiber_mu_of(fiber, fiber_mu), f, chart, metric)
+    return WarpedProduct(base_chart, base_metric, fiber_chart, fiber_metric, m, f,
+                         chart, metric)
 
 
 def oneill_ricci(w: WarpedProduct, points) -> np.ndarray:
     """Product Ricci assembled from the base/fiber formulas.
 
     Horizontal block Ric_B - (m/f) Hess_B f; mixed block zero; vertical block
-    Ric_F - (lap f / f + (m-1) |grad f|^2 / f^2) * f^2 g_F.  For an abstract
-    fiber, a point carries base coordinates only and the fiber block is
-    reported in an orthonormal-at-the-point fiber frame (g_F = identity,
-    Ric_F = mu * identity).
+    Ric_F - (lap f / f + (m-1) |grad f|^2 / f^2) * f^2 g_F.
 
     `points` is one point, giving a (d, d) array, or an (N, d) batch, giving
     (N, d, d).  One eval_tensors call evaluates the base fields (metric,
     Ricci, Hess f, df, f) and one the fiber's (Ricci, metric) over the batch;
-    the blocks are then one array pass over it, an abstract fiber entering
-    with g_F and Ric_F broadcast.  Every contraction sums one point's own
-    products, so a batch gives the same bits as its points one at a time.
+    the blocks are then one array pass over it.  Every contraction sums one
+    point's own products, so a batch gives the same bits as its points one at
+    a time.
     """
     nb, m = w.base_chart.dim, w.fiber_dim
     pts = np.asarray(points, dtype=float)
@@ -271,16 +239,10 @@ def oneill_ricci(w: WarpedProduct, points) -> np.ndarray:
     gBinv = np.linalg.inv(gB)
 
     d = nb + m
-    if w.fiber_chart is None:
-        if w.fiber_mu is None:
-            raise GeometryError("abstract fiber needs a declared Einstein constant")
-        gF = np.eye(m)  # broadcast over the points
-        ricF = w.fiber_mu * gF
-    else:
-        if pts.shape[1] != d:
-            raise ValueError(f"point must have {d} coordinates for an explicit fiber")
-        ricF, gF = eval_tensors(w.fiber_chart, [ricci(w.fiber_metric).comps,
-                                                w.fiber_metric.comps], pts[:, nb:])
+    if pts.shape[1] != d:
+        raise ValueError(f"point must have {d} coordinates")
+    ricF, gF = eval_tensors(w.fiber_chart, [ricci(w.fiber_metric).comps,
+                                            w.fiber_metric.comps], pts[:, nb:])
     lapf = (gBinv * hessf).sum(axis=(1, 2))
     grad2 = ((df[:, :, None] * gBinv).sum(axis=1) * df).sum(axis=1)
     coef = (lapf / fv + (m - 1) * grad2 / fv ** 2) * fv ** 2

@@ -596,6 +596,21 @@ def test_construct_warped_renames_fiber_coordinates_away_from_base_parameters(tm
     assert mf.load(str(out_path)).document["coordinates"] == ["t", "y1", "y2"]
 
 
+@pytest.mark.parametrize("fiber", ["auto", "abstract"])
+def test_construct_warped_refuses_a_warping_that_changes_sign(fiber, tmp_path, capsys):
+    # u = sinh t is negative on half the box; an abstract fiber, which builds
+    # no product, runs the same positivity check, and the sample prints as floats
+    base = tmp_path / "sinh.json"
+    mf.write({"schema": mf.SCHEMA, "dimension": 1, "coordinates": ["t"],
+              "box": [[-1.5, 1.5]], "metric": ["1"], "structure": {"potential": "sinh(t)"},
+              "h": "-2/sinh(t)", "lambda": "-2", "form": {"tag": "neg-m-over-u", "m": 2.0}},
+             str(base))
+    code, out, err = run_cli(capsys, "construct-warped", "--base", str(base),
+                             "--fiber", fiber)
+    assert (code, out) == (2, "")
+    assert err == "geometry error: non-positive warping at sample (-1.4779131907469836,)\n"
+
+
 # stdout SHA-256 at --seed 77 of the 15 catalog-cold argvs of perfbench/workloads.py,
 # and of two products with an explicit curved fiber: pseudo-hyperbolic --l 4 has a
 # hyperbolic one, and its construct-warped product a round fiber renamed to y1, y2.

@@ -659,7 +659,7 @@ def np_func_users(source):
                    if getattr(n, "id", getattr(n, "attr", None)) == "_NP_FUNC"})
 
 
-def test_eval_nodes_is_the_only_evaluator():
+def test_compile_is_the_only_evaluator():
     # a second interpreter would need the numpy function table too
     src = Path(ex.__file__).resolve().parent
     users = {path.name: np_func_users(path.read_text(encoding="utf-8"))

@@ -102,9 +102,9 @@ def test_chart_with_lanes_neither_hashes_nor_compares():
 def test_every_frozen_record_lists_its_init_parameters_as_fields():
     classes = geo.Frozen.__subclasses__()
     assert sorted(c.__name__ for c in classes) == [
-        "AbstractFiber", "Chart", "DerivedFields", "ExampleSpec", "HeightFunction",
-        "MetricField", "ModelSpace", "OneFormField", "ScalarField", "SolitonStructure",
-        "SymTensorField", "VectorField", "WarpedProduct"]
+        "Chart", "DerivedFields", "ExampleSpec", "HeightFunction", "MetricField",
+        "ModelSpace", "OneFormField", "ScalarField", "SolitonStructure", "SymTensorField",
+        "VectorField", "WarpedProduct"]
     for cls in classes:
         assert cls._fields == tuple(inspect.signature(cls).parameters), cls.__name__
 

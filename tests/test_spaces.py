@@ -20,13 +20,6 @@ def test_model_space_constructors_validate():
         sp.make_hyperbolic(1)
 
 
-def test_einstein_mu_values():
-    assert sp.make_euclidean(3).einstein_mu == 0.0
-    assert sp.make_sphere(3, 1.0).einstein_mu == 2.0
-    assert sp.make_sphere(4, 2.0).einstein_mu == pytest.approx(0.75)
-    assert sp.make_hyperbolic(3).einstein_mu == -2.0
-
-
 def test_sphere_embedding_lands_on_sphere():
     space = sp.make_sphere(3, 2.0)
     emb = sp.sphere_embedding(space)
@@ -126,7 +119,6 @@ def test_make_warped_block_structure():
     assert gv[0, 0] == 1.0
     e2t = math.exp(0.6)
     np.testing.assert_allclose(gv[1:, 1:], e2t * np.eye(2), atol=1e-14)
-    assert w.fiber_mu == 0.0
 
 
 def test_make_warped_renames_colliding_fiber_coords():
@@ -188,16 +180,6 @@ def test_make_warped_rejects_nonpositive_warping():
         sp.make_warped(base, sp.make_euclidean(2), g)
 
 
-def test_make_warped_abstract_fiber():
-    base = sp.line_metric()
-    f = geo.ScalarField(base.chart, ex.exp(ex.coord(0)))
-    w = sp.make_warped((base.chart, base), sp.AbstractFiber(2, 0.0), f)
-    assert w.chart is None and w.metric is None
-    assert w.fiber_dim == 2 and w.fiber_mu == 0.0
-    ric = sp.oneill_ricci(w, (0.2,))
-    assert ric.shape == (3, 3)
-
-
 def test_oneill_matches_direct_ricci_exponential_line():
     # R x_{e^t} R^2 is Einstein with Ric = -2g
     base = sp.line_metric()
@@ -233,21 +215,20 @@ def test_oneill_batch_is_bitwise_the_per_point_formula(params):
     np.testing.assert_array_equal(batch, [sp.oneill_ricci(w, q) for q in pts])
 
 
-def test_oneill_batch_on_abstract_fiber_over_a_3d_base():
+def test_oneill_batch_on_a_flat_fiber_over_a_3d_base():
     S = sp.make_sphere(3, 1.3)
     x1, x2, x3 = (ex.coord(i) for i in range(3))
     f = geo.ScalarField(S.chart, ex.add(ex.const(2.0),
                                         ex.mul(ex.sin(x1), ex.cos(ex.mul(x2, x3)))))
-    w = sp.make_warped((S.chart, S.metric), sp.AbstractFiber(2, 0.5), f)
-    pts = geo.sample_points(S.chart, 100, 5)
+    w = sp.make_warped(S, sp.make_euclidean(2), f)
+    pts = geo.sample_points(w.chart, 100, 5, metric=w.metric)
     np.testing.assert_array_equal(sp.oneill_ricci(w, pts),
                                   [sp.oneill_ricci(w, q) for q in pts])
 
 
 def test_oneill_ricci_makes_one_strict_call_per_chart(monkeypatch):
-    # the base fields in one call, the fiber's in another (none for an abstract fiber)
+    # the base fields in one call, the fiber's in another
     w, _ = exm.pseudo_hyperbolic_product(3, -1.0, 1.0, 0.0)
-    wa = sp.make_warped((w.base_chart, w.base_metric), sp.AbstractFiber(2, -1.0), w.warping)
     pts = geo.sample_points(w.chart, 30, 7, metric=w.metric)
     calls = []
     eval_many = ex.eval_many
@@ -259,21 +240,6 @@ def test_oneill_ricci_makes_one_strict_call_per_chart(monkeypatch):
     monkeypatch.setattr(ex, "eval_many", counted)
     sp.oneill_ricci(w, pts)
     assert calls == [("strict", 1), ("strict", 2)]
-    calls.clear()
-    sp.oneill_ricci(wa, pts[:, :1])
-    assert calls == [("strict", 1)]
-
-
-def test_oneill_abstract_matches_explicit():
-    # Euclidean fiber has g_F = identity, so the abstract orthonormal-frame
-    # block must agree entry for entry with the explicit chart computation
-    f = sp.warping_solution(-1.0, 2.0, 0.0)
-    base = (f.chart, sp.line_metric(f.chart))
-    wa = sp.make_warped(base, sp.AbstractFiber(2, 0.0), f)
-    we = sp.make_warped(base, sp.make_euclidean(2), f)
-    ra = sp.oneill_ricci(wa, (0.4,))
-    rv = sp.oneill_ricci(we, (0.4, 0.2, -0.3))
-    np.testing.assert_allclose(ra, rv, atol=1e-12)
 
 
 @pytest.mark.parametrize("fiber", [sp.make_euclidean(2), sp.make_sphere(2),
