@@ -159,6 +159,18 @@ def test_pseudo_hyperbolic_product_geometry():
     assert W.fiber_dim == 3
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_pseudo_hyperbolic_product_keeps_a_hyperbolic_fiber_for_tiny_l(n):
+    # Ric_F = -(n-2)l g_F is within 1e-9 of flat here, yet the fiber is the
+    # hyperbolic model scaled by (n-2)/((n-2)l) = 1e10, not a flat one
+    W, _ = exm.pseudo_hyperbolic_product(n, -1.0, 1.0, 1e-10)
+    model = sp.make_hyperbolic(n - 1)
+    pts = geo.sample_points(model.chart, 16, 3)
+    np.testing.assert_allclose(geo.eval_sym2_comps(W.fiber_metric.comps, pts),
+                               1e10 * geo.eval_sym2_comps(model.metric.comps, pts),
+                               rtol=1e-12)
+
+
 def test_pseudo_hyperbolic_rejections():
     with pytest.raises(ValueError, match="n >= 3"):
         exm.example_pseudo_hyperbolic(2, -1.0, 1.0, 0.0, m=2.0)
