@@ -629,8 +629,9 @@ def sample_points(chart: Chart, count: int, seed: int, *, metric: MetricField = 
     positive definite with condition number below _COND_LIMIT, and returns
     the first `count` of them as a (count, n) float array; one masked
     eval_many per batch evaluates the predicates and the metric entries.
-    Raises SamplingError when acceptance stays under 1% after 1e5 draws,
-    which bounds the draws at about 100 per point requested.
+    Raises SamplingError, naming the test that rejected the most draws, when
+    acceptance stays under 1% after 1e5 draws, which bounds the draws at
+    about 100 per point requested.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -640,8 +641,7 @@ def sample_points(chart: Chart, count: int, seed: int, *, metric: MetricField = 
     binding = chart.binding
     rng = np.random.default_rng(seed)
     chunks = []
-    accepted = 0
-    drawn = 0
+    accepted = drawn = by_domain = by_metric = 0
     k = len(chart.domain)
     roots = list(chart.domain)
     if metric is not None:
@@ -653,16 +653,18 @@ def sample_points(chart: Chart, count: int, seed: int, *, metric: MetricField = 
         if roots:
             vals, ok = ex.eval_many(roots, batch, binding, mode="masked")
             ok &= np.all(vals[:k] > 0.0, axis=0)
+        idx = np.nonzero(ok)[0]
+        by_domain += _BATCH - len(idx)
         if metric is not None:
-            idx = np.nonzero(ok)[0]
             eig = np.linalg.eigvalsh(vals[k:, idx].T.reshape(-1, n, n))
             ok[idx] = (eig[:, 0] > 0.0) & (eig[:, -1] < _COND_LIMIT * eig[:, 0])
+            by_metric += len(idx) - np.count_nonzero(ok)
         rows = batch[ok][:count - accepted]
         chunks.append(rows)
         accepted += len(rows)
         if drawn >= _EXHAUSTION_DRAWS and accepted < max(1, _EXHAUSTION_RATE * drawn):
-            raise SamplingError(
-                f"acceptance rate {accepted}/{drawn} below 1% — domain predicate "
-                "too tight for the sampling box"
-            )
+            cause = ("domain predicate too tight for the sampling box"
+                     if by_domain >= by_metric else "metric not positive definite "
+                     f"or over the condition-number cap {_COND_LIMIT:.0e}")
+            raise SamplingError(f"acceptance rate {accepted}/{drawn} below 1% — {cause}")
     return np.concatenate(chunks)

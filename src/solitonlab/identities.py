@@ -298,9 +298,10 @@ def lemma21_suite(dim: int = 3, metric_count: int = 20, point_count: int = 100,
 
 
 def oneill_suite(w, count: int = 100, seed: int = 7, tol: float = 1e-9):
-    """Direct symbolic Ricci of an assembled warped product against the
-    blockwise base/fiber formulas, componentwise sup over sampled points."""
+    """g-norm of the symbolic Ricci of an assembled warped product minus
+    O'Neill's blockwise formulas (spaces.oneill_tensor) at sampled points."""
     pts = geo.sample_points(w.chart, count, seed, metric=w.metric)
-    direct = geo.eval_tensors(w.chart, [geo.ricci(w.metric).comps], pts)[0]
-    res = np.max(np.abs(direct - sp.oneill_ricci(w, pts)), axis=(1, 2))
-    return [so._report("oneill", tol, pts, res, points_per_metric=count, seed=seed)]
+    ric, formulas = geo.ricci(w.metric).comps, sp.oneill_tensor(w)
+    res = geo.sym2(w.dim, lambda i, j: ex.sub(ric[i][j], formulas[i][j]))
+    return so.run_checks(w.metric, pts, [("oneill", tol, res)],
+                         points_per_metric=count, seed=seed)

@@ -2,9 +2,10 @@
 
 Euclidean space, round spheres in stereographic coordinates, hyperbolic space
 in the upper half-space chart, height functions on the curved models, and
-B x_f F warped products.  The O'Neill Ricci formulas are implemented directly
-from the base data so they can serve as an independent oracle against the
-symbolic Ricci tensor of the assembled product metric.
+B x_f F warped products.  O'Neill's Ricci formulas are built from the base's
+and the fiber's own curvature, as expressions on the product chart, so the
+symbolic Ricci tensor of the assembled product metric can be checked
+against them.
 
 Sphere chart: g_ij = 4 r^4 / (r^2 + |x|^2)^2 delta_ij, sectional curvature
 1/r^2, covering the sphere minus one point.  Hyperbolic chart: g = x_n^{-2}
@@ -17,12 +18,14 @@ half-space chart through the usual model map.
 from __future__ import annotations
 
 import math
+from functools import lru_cache, partial
+
 import numpy as np
 
 from . import expr as ex
 from .geometry import (
     Chart, Frozen, GeometryError, MetricField, ScalarField, eval_scalar, eval_tensors,
-    hessian, ricci, sample_points, sym2,
+    grad_norm2, hessian, laplacian, ricci, sample_points, sym2,
 )
 
 
@@ -172,6 +175,18 @@ def check_warping(base_chart: Chart, f: ScalarField, seed: int = 0) -> None:
         raise GeometryError(f"non-positive warping at sample {tuple(map(float, bad))}")
 
 
+def _lift(e, coords, nb: int, params):
+    """Fiber expression e on the product chart: printed over coords[nb:] and
+    parsed over coords, so fiber coordinate i becomes coordinate nb + i."""
+    return ex.parse_expression(ex.to_text(e, coords[nb:]), coords, dict(params))
+
+
+def _blocks(d: int, nb: int, horizontal, vertical) -> tuple:
+    """Rows horizontal(i, j) for i, j < nb, vertical(i-nb, j-nb) for i, j >= nb, else 0."""
+    return sym2(d, lambda i, j: horizontal(i, j) if j < nb
+                else ex.ZERO if i < nb else vertical(i - nb, j - nb))
+
+
 def make_warped(base, fiber, f: ScalarField, *, seed: int = 0) -> WarpedProduct:
     """Assemble B x_f F with metric g_B + f^2 g_F (blockwise, no cross terms).
 
@@ -180,8 +195,7 @@ def make_warped(base, fiber, f: ScalarField, *, seed: int = 0) -> WarpedProduct:
     parameters of both charts, which must have distinct names.
     Fiber coordinates named like a base coordinate or parameter are renamed
     (y1, y2, ... or the first free of z, w, v).  Each fiber metric entry and
-    domain predicate is printed over the fiber names and parsed over the
-    product chart's, so fiber coordinate i becomes product coordinate nb + i.
+    domain predicate moves to the product chart by _lift.
     """
     base_chart, base_metric = _as_chart_metric(base)
     check_warping(base_chart, f, seed)
@@ -193,63 +207,45 @@ def make_warped(base, fiber, f: ScalarField, *, seed: int = 0) -> WarpedProduct:
     if taken.intersection(fiber_names):
         fiber_names = _fresh_names(taken, m)
     coords = base_chart.coords + fiber_names
-
-    def shifted(e):
-        return ex.parse_expression(ex.to_text(e, fiber_names), coords, dict(params))
-
+    lift = partial(_lift, coords=coords, nb=nb, params=params)
     chart = Chart(coords, base_chart.box + fiber_chart.box,
-                  domain=base_chart.domain + tuple(map(shifted, fiber_chart.domain)),
+                  domain=base_chart.domain + tuple(map(lift, fiber_chart.domain)),
                   params=params)
     f2 = ex.powi(f.expr, 2)
-
-    def block(i, j):
-        if j < nb:
-            return base_metric.comps[i][j]
-        if i < nb:
-            return ex.ZERO
-        return ex.mul(f2, shifted(fiber_metric.comps[i - nb][j - nb]))
-
-    metric = MetricField(chart, sym2(nb + m, block))
+    metric = MetricField(chart, _blocks(
+        nb + m, nb, lambda i, j: base_metric.comps[i][j],
+        lambda i, j: ex.mul(f2, lift(fiber_metric.comps[i][j]))))
     return WarpedProduct(base_chart, base_metric, fiber_chart, fiber_metric, m, f,
                          chart, metric)
 
 
+@lru_cache(maxsize=None)
+def oneill_tensor(w: WarpedProduct) -> tuple:
+    """O'Neill's Ricci of the product w, as symmetric rows on w.chart: the
+    horizontal block Ric_B - (m/f) Hess_B f from the base DAGs as they are
+    (base coordinates come first), a zero mixed block, and the vertical block
+    Ric_F - (lap f / f + (m-1) |grad f|^2 / f^2) f^2 g_F, with Ric_F moved
+    over by _lift and f^2 g_F the product metric's own entries."""
+    g, f, nb, m = w.base_metric, w.warping, w.base_chart.dim, w.fiber_dim
+    ric_b, hess_f, ric_f = ricci(g).comps, hessian(g, f).comps, ricci(w.fiber_metric).comps
+    m_over_f = ex.div(ex.const(float(m)), f.expr)
+    coef = ex.add(ex.div(laplacian(g, f).expr, f.expr), ex.mul(
+        ex.const(m - 1.0), ex.div(grad_norm2(g, f).expr, ex.powi(f.expr, 2))))
+    return _blocks(
+        w.dim, nb, lambda i, j: ex.sub(ric_b[i][j], ex.mul(m_over_f, hess_f[i][j])),
+        lambda i, j: ex.sub(_lift(ric_f[i][j], w.chart.coords, nb, w.chart.params),
+                            ex.mul(coef, w.metric.comps[nb + i][nb + j])))
+
+
 def oneill_ricci(w: WarpedProduct, points) -> np.ndarray:
-    """Product Ricci assembled from the base/fiber formulas.
-
-    Horizontal block Ric_B - (m/f) Hess_B f; mixed block zero; vertical block
-    Ric_F - (lap f / f + (m-1) |grad f|^2 / f^2) * f^2 g_F.
-
-    `points` is one point, giving a (d, d) array, or an (N, d) batch, giving
-    (N, d, d).  One eval_tensors call evaluates the base fields (metric,
-    Ricci, Hess f, df, f) and one the fiber's (Ricci, metric) over the batch;
-    the blocks are then one array pass over it.  Every contraction sums one
-    point's own products, so a batch gives the same bits as its points one at
-    a time.
-    """
-    nb, m = w.base_chart.dim, w.fiber_dim
+    """oneill_tensor(w) at one point, a (d, d) array, or at an (N, d) batch,
+    an (N, d, d) array, in one eval_tensors call: each lane is evaluated on
+    its own, so a batch gives the same bits as its points one at a time."""
     pts = np.asarray(points, dtype=float)
-    single = pts.ndim == 1
-    pts = pts.reshape(-1, pts.shape[-1])
-
-    g, f = w.base_metric, w.warping
-    gB, ricB, hessf, df, fv = eval_tensors(w.base_chart, [
-        g.comps, ricci(g).comps, hessian(g, f).comps,
-        [ex.differentiate(f.expr, i) for i in range(nb)], f.expr], pts[:, :nb])
-    gBinv = np.linalg.inv(gB)
-
-    d = nb + m
-    if pts.shape[1] != d:
-        raise ValueError(f"point must have {d} coordinates")
-    ricF, gF = eval_tensors(w.fiber_chart, [ricci(w.fiber_metric).comps,
-                                            w.fiber_metric.comps], pts[:, nb:])
-    lapf = (gBinv * hessf).sum(axis=(1, 2))
-    grad2 = ((df[:, :, None] * gBinv).sum(axis=1) * df).sum(axis=1)
-    coef = (lapf / fv + (m - 1) * grad2 / fv ** 2) * fv ** 2
-    out = np.zeros((len(pts), d, d))
-    out[:, :nb, :nb] = ricB - (m / fv)[:, None, None] * hessf
-    out[:, nb:, nb:] = ricF - coef[:, None, None] * gF
-    return out[0] if single else out
+    if pts.shape[-1] != w.dim:
+        raise ValueError(f"point must have {w.dim} coordinates")
+    out = eval_tensors(w.chart, [oneill_tensor(w)], pts.reshape(-1, w.dim))[0]
+    return out[0] if pts.ndim == 1 else out
 
 
 # ---------------------------------------------------------------------------

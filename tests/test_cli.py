@@ -611,6 +611,27 @@ def test_construct_warped_refuses_a_warping_that_changes_sign(fiber, tmp_path, c
     assert err == "geometry error: non-positive warping at sample (-1.4779131907469836,)\n"
 
 
+def test_construct_warped_names_the_condition_number_cap(capsys):
+    # at l = 1e-10 the fiber metric is scaled by 1e10: both domain predicates
+    # pass at every draw and the condition-number cap rejects each of them
+    code, out, err = run_cli(capsys, "construct-warped", "--base", "pseudo-hyperbolic",
+                             "--l", "1e-10")
+    assert (code, out) == (2, "")
+    assert err == ("geometry error: acceptance rate 0/100352 below 1% — metric not "
+                   "positive definite or over the condition-number cap 1e+08\n")
+
+
+@pytest.mark.parametrize("params", [("--k", "-16", "--A", "10", "--l", "4"),
+                                    ("--k", "-25", "--A", "20", "--l", "5")])
+def test_oneill_passes_at_scale(params, capsys):
+    # O'Neill's formulas are exact: the residual's g-norm reads about 5e-14
+    # here against the default 1e-9
+    code, out, err = run_cli(capsys, "check-identity", "oneill", *params)
+    assert (code, err) == (0, "")
+    [check] = json.loads(out)["checks"]
+    assert check["name"] == "oneill" and check["pass"] is True
+
+
 # stdout SHA-256 at --seed 77 of the 15 catalog-cold argvs of perfbench/workloads.py,
 # and of two products with an explicit curved fiber: pseudo-hyperbolic --l 4 has a
 # hyperbolic one, and its construct-warped product a round fiber renamed to y1, y2.
@@ -646,7 +667,7 @@ CATALOG_DIGESTS = {
     "check-identity conformal-factor":
         "54c163494fe8b07c6cb8eb4efa125db568f3d5f6b61eda66e162d782df0f2afb",
     "check-identity oneill":
-        "5ae7656098f9b8fba18ccf6d21872261f5ecc8bc6f5b1350a45b6d4ef1af64be",
+        "8fd092bef233f020fc50f153adbe8c349e5e2c266f2faeaa9da216b71c02c24e",
     "verify-example pseudo-hyperbolic --l 4":
         "7d0941a60025425df8ac31605f3ed9a6a3822088cc9f67acd6af6a8c73eea006",
     "construct-warped --base pseudo-hyperbolic --l 4":

@@ -544,10 +544,19 @@ def test_sample_points_condition_limit(monkeypatch):
 def test_sample_points_exhaustion():
     chart = geo.Chart(("x1",), ((-1, 1),),
                       domain=(ex.sub(ex.coord(0), ex.const(10.0)),))
-    with pytest.raises(geo.SamplingError):
+    with pytest.raises(geo.SamplingError, match="domain predicate too tight"):
         geo.sample_points(chart, 10, seed=0)
     with pytest.raises(ValueError):
         geo.sample_points(chart, 0, seed=0)
+
+
+def test_sample_points_exhaustion_names_the_condition_number_cap():
+    # diag(1, 1e-9) is positive definite with condition number 1e9 everywhere
+    chart = geo.Chart(("x1", "x2"), ((-1, 1), (-1, 1)))
+    g = geo.MetricField(chart, geo.sym_rows([ex.ONE, ex.ZERO, ex.const(1e-9)]))
+    with pytest.raises(geo.SamplingError, match="condition-number cap") as err:
+        geo.sample_points(chart, 10, seed=0, metric=g)
+    assert "domain predicate" not in str(err.value)
 
 
 def test_sample_points_has_no_draw_cap():

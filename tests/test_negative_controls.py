@@ -258,8 +258,9 @@ def planted_in_traceless(check, monkeypatch):
 
 def planted_in_oneill(check, monkeypatch):
     # the blockwise O'Neill formula side of the comparison, scaled by 1 + EPS
-    oneill_ricci = sp.oneill_ricci
-    monkeypatch.setattr(sp, "oneill_ricci", lambda w, pts: (1 + EPS) * oneill_ricci(w, pts))
+    oneill_tensor = sp.oneill_tensor
+    monkeypatch.setattr(sp, "oneill_tensor", lambda w: [
+        [ex.mul(ex.const(1 + EPS), e) for e in row] for row in oneill_tensor(w)])
 
 
 # check -> (the CLI argv that emits it, the planting of its defect)
@@ -316,3 +317,26 @@ def test_every_emitted_check_has_a_control(capsys):
     rows = [*CONTROLS, *STRUCTURE_CONTROLS, *CLI_CONTROLS]
     assert len(rows) == len(set(rows))
     assert emitted == set(rows)
+
+
+def grad_term_on_the_fiber(w):
+    # (|grad f|^2 / f^2) f^2 g_F on the vertical block, zero elsewhere
+    nb, f = w.base_chart.dim, w.warping
+    c = ex.div(geo.grad_norm2(w.base_metric, f).expr, ex.powi(f.expr, 2))
+    return [[ex.mul(c, e) if min(i, j) >= nb else ex.ZERO for j, e in enumerate(row)]
+            for i, row in enumerate(w.metric.comps)]
+
+
+@pytest.mark.parametrize("params", ["", " --k -16 --A 10 --l 4"])
+def test_oneill_with_m_for_m_minus_1_fails(params, monkeypatch, capsys):
+    # (lap f / f + m |grad f|^2 / f^2) in the vertical coefficient, where
+    # O'Neill has (m - 1): the formula side loses one grad term on the fiber
+    argv = "check-identity oneill" + params
+    assert cli_checks(argv, capsys)["oneill"]["pass"] is True
+    oneill_tensor = sp.oneill_tensor
+    monkeypatch.setattr(sp, "oneill_tensor", lambda w: [
+        [ex.sub(a, b) for a, b in zip(row, grad_row)]
+        for row, grad_row in zip(oneill_tensor(w), grad_term_on_the_fiber(w))])
+    doc = cli_checks(argv, capsys)["oneill"]
+    assert doc["pass"] is False
+    assert doc["sup_residual"] >= 10 * doc["tolerance"]

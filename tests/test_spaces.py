@@ -226,8 +226,8 @@ def test_oneill_batch_on_a_flat_fiber_over_a_3d_base():
                                   [sp.oneill_ricci(w, q) for q in pts])
 
 
-def test_oneill_ricci_makes_one_strict_call_per_chart(monkeypatch):
-    # the base fields in one call, the fiber's in another
+def test_oneill_ricci_makes_one_strict_call_on_the_product_chart(monkeypatch):
+    # the cached O'Neill DAG, all blocks at once
     w, _ = exm.pseudo_hyperbolic_product(3, -1.0, 1.0, 0.0)
     pts = geo.sample_points(w.chart, 30, 7, metric=w.metric)
     calls = []
@@ -239,7 +239,7 @@ def test_oneill_ricci_makes_one_strict_call_per_chart(monkeypatch):
 
     monkeypatch.setattr(ex, "eval_many", counted)
     sp.oneill_ricci(w, pts)
-    assert calls == [("strict", 1), ("strict", 2)]
+    assert calls == [("strict", 3)]
 
 
 @pytest.mark.parametrize("fiber", [sp.make_euclidean(2), sp.make_sphere(2),
