@@ -22,8 +22,14 @@ rule is written: every symmetric 2-tensor in the package is built by it.
 at the points in one pass; `gnorms`, the one reduction, evaluates the metric
 and a list of residuals through it and returns their g-norms, sqrt(g^{ik}
 g^{jl} T_ij T_kl) at rank 2 and alike at ranks 1 and 3; a rank-0 residual's
-values come back signed.  `sample_points` filters each seeded batch with one
-masked pass over the domain predicates and the metric.
+values come back signed.  The rank-2 and rank-3 g-norms keep np.einsum's
+bits: while a point's d**4 or d**6 terms fit numpy's 8,192-element einsum
+buffer, np.einsum adds them one at a time, in C order of the sorted labels,
+each the product of its operands from left to right, and
+_einsum_over_points forms that same sum a slab of terms x points at a time;
+above the buffer (rank 2 at d >= 10, rank 3 at d >= 5) it calls np.einsum.
+`sample_points` filters each seeded batch with one masked pass over the
+domain predicates and the metric.
 """
 
 from __future__ import annotations
@@ -575,8 +581,69 @@ def eval_metric(g: MetricField, points):
     return gv, np.linalg.inv(gv)
 
 
+# NPY_BUFSIZE, the buffer np.einsum's iterator is built with: compiled into
+# numpy, so np.setbufsize does not move it (np.getbufsize() reads it by default)
+_EINSUM_BUFFER = 8192
+# float64 products one slab holds in _einsum_over_points (256 kB), and the
+# points a slab spans at the least, so that each array pass runs long rows
+_SLAB = 1 << 15
+_ROW = 128
+
+
+def _einsum_over_points(spec: str, *operands) -> np.ndarray:
+    """np.einsum(spec, *operands), bit for bit, for a spec like "nik,nij->n".
+
+    Every operand has the point axis n first and its other labels in
+    ascending order, each of one length d.  While the d**L terms of a point
+    (L summation labels) fit numpy's einsum buffer, np.einsum adds them to
+    the point's sum one at a time, from 0.0, in C order of the sorted
+    labels, each term the product of its operands from left to right.  This
+    forms the same sums a slab at a time: the products of the terms that
+    share one value of the first few labels, at a block of points, then
+    their rows added in order.  Slabs hold _SLAB products, so the
+    temporaries stay bounded whatever the point count.  Above the buffer
+    np.einsum sums chunks in an order that depends on the operands'
+    strides, so it is called as it is.  Like np.einsum, this never warns:
+    an overflow gives inf or nan.
+    """
+    inputs = [s[1:] for s in spec.removesuffix("->n").split(",")]
+    labels = sorted(set("".join(inputs)))
+    n, d = operands[0].shape[:2]
+    L = len(labels)
+    if d ** L > _EINSUM_BUFFER:
+        return np.einsum(spec, *operands)
+    # each operand as (labels..., n), broadcast over the labels it lacks
+    views = [np.broadcast_to(
+        np.moveaxis(x, 0, -1).reshape([d if c in s else 1 for c in labels] + [n]),
+        (d,) * L + (n,)) for s, x in zip(inputs, operands)]
+    # fix the fewest leading labels that leave room for _ROW points a slab
+    fixed = 0
+    while d ** (L - fixed) * min(n, _ROW) > _SLAB:
+        fixed += 1
+    terms = d ** (L - fixed)
+    step = _SLAB // terms
+    out = np.zeros(n)
+    slab = np.empty(terms * min(step, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, n, step):
+            acc = out[lo:lo + step]
+            prod = slab[:terms * len(acc)].reshape((d,) * (L - fixed) + (len(acc),))
+            rows = prod.reshape(terms, len(acc))
+            for head in np.ndindex((d,) * fixed):
+                at = head + (..., slice(lo, lo + step))
+                np.multiply(views[0][at], views[1][at], out=prod)
+                for v in views[2:]:
+                    np.multiply(prod, v[at], out=prod)
+                rows[0] += acc
+                if len(acc) > 1:  # row after row into the block's sums
+                    np.add.reduce(rows, axis=0, out=acc)
+                else:  # a reduce down one column would sum it pairwise
+                    acc[:] = np.add.accumulate(rows[:, 0])[-1]
+    return out
+
+
 def gnorm_sym2(tv: np.ndarray, ginv: np.ndarray) -> np.ndarray:
-    sq = np.einsum("nik,njl,nij,nkl->n", ginv, ginv, tv, tv)
+    sq = _einsum_over_points("nik,njl,nij,nkl->n", ginv, ginv, tv, tv)
     return np.sqrt(np.clip(sq, 0.0, None))
 
 
@@ -586,7 +653,7 @@ def gnorm_oneform(wv: np.ndarray, ginv: np.ndarray) -> np.ndarray:
 
 
 def gnorm_rank3(av: np.ndarray, ginv: np.ndarray) -> np.ndarray:
-    sq = np.einsum("nad,nbe,ncf,nabc,ndef->n", ginv, ginv, ginv, av, av)
+    sq = _einsum_over_points("nad,nbe,ncf,nabc,ndef->n", ginv, ginv, ginv, av, av)
     return np.sqrt(np.clip(sq, 0.0, None))
 
 

@@ -46,17 +46,17 @@ class HeightFunction(Frozen):
 
 
 class WarpedProduct(Frozen):
-    _fields = ("base_chart", "base_metric", "fiber_chart", "fiber_metric", "fiber_dim",
+    _fields = ("base_chart", "base_metric", "fiber_metric", "fiber_dim",
                "warping", "chart", "metric")
 
-    def __init__(self, base_chart: Chart, base_metric: MetricField, fiber_chart: Chart,
+    def __init__(self, base_chart: Chart, base_metric: MetricField,
                  fiber_metric: MetricField, fiber_dim: int,
                  warping: ScalarField,        # on the base chart
                  chart: Chart,                # assembled product chart
                  metric: MetricField):
         vars(self).update(base_chart=base_chart, base_metric=base_metric,
-                          fiber_chart=fiber_chart, fiber_metric=fiber_metric,
-                          fiber_dim=fiber_dim, warping=warping, chart=chart, metric=metric)
+                          fiber_metric=fiber_metric, fiber_dim=fiber_dim,
+                          warping=warping, chart=chart, metric=metric)
 
     @property
     def dim(self) -> int:
@@ -215,8 +215,7 @@ def make_warped(base, fiber, f: ScalarField, *, seed: int = 0) -> WarpedProduct:
     metric = MetricField(chart, _blocks(
         nb + m, nb, lambda i, j: base_metric.comps[i][j],
         lambda i, j: ex.mul(f2, lift(fiber_metric.comps[i][j]))))
-    return WarpedProduct(base_chart, base_metric, fiber_chart, fiber_metric, m, f,
-                         chart, metric)
+    return WarpedProduct(base_chart, base_metric, fiber_metric, m, f, chart, metric)
 
 
 @lru_cache(maxsize=None)

@@ -2,6 +2,8 @@
 
 import ast
 import inspect
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -334,7 +336,7 @@ def test_gnorm_against_direct_contraction():
     tv = geo.eval_sym2_comps(T.comps, pts)
     got = geo.gnorm_sym2(tv, ginv)
     want = np.sqrt(np.einsum("aik,ajl,aij,akl->a", ginv, ginv, tv, tv))
-    np.testing.assert_allclose(got, want, atol=1e-12)
+    np.testing.assert_array_equal(got, want)
     # one list-form call over ranks 0-3 gives, for each residual, the g-norm of
     # the reference interpreter's values, bit for bit
     f = chart.parse("x1*x2 - 0.3")
@@ -368,6 +370,68 @@ def test_gnorm_against_direct_contraction():
                        (inv_x1, "division by zero at point index 1")):
         with pytest.raises(ex.DomainError, match=why):
             geo.gnorms(g, [first, [ln_x2, inv_x1]], at_zero)
+
+
+EINSUMS = {2: ("nik,njl,nij,nkl->n", geo.gnorm_sym2),
+           3: ("nad,nbe,ncf,nabc,ndef->n", geo.gnorm_rank3)}
+
+
+def reduction_operands(rank, dim, n, rng):
+    """(ginv, residual values) as gnorms passes them: the inverse of SPD
+    matrices, and (N,) + (dim,) * rank values viewed, as eval_tensors returns
+    them, from one row per component."""
+    a = rng.standard_normal((n, dim, dim))
+    ginv = np.linalg.inv(a @ a.transpose(0, 2, 1) + dim * np.eye(dim))
+    rows = rng.standard_normal((dim ** rank, n)) * np.exp(rng.uniform(-3, 3, (dim ** rank, n)))
+    rows[::5] = -0.0  # zero components whose products are signed zeros
+    return ginv, rows.T.reshape((n,) + (dim,) * rank)
+
+
+# both sides of numpy's 8,192-element einsum buffer: d**4 terms up to d = 9,
+# d**6 terms up to d = 4.  Above it the reduction is np.einsum's own call, and
+# its order already differs at one point, so larger point counts add only time.
+@pytest.mark.parametrize("rank,dim", [(2, d) for d in range(1, 13)] + [(3, d) for d in range(1, 7)])
+def test_gnorms_keep_the_bits_of_np_einsum(rank, dim):
+    spec, reduce = EINSUMS[rank]
+    rng = np.random.default_rng(10 * rank + dim)
+    below = dim ** (2 * rank) <= geo._EINSUM_BUFFER
+    for n in (1, 2, 57, 1024, 2000) if below else (1, 2, 57):
+        ginv, view = reduction_operands(rank, dim, n, rng)
+        for tv in (view, np.ascontiguousarray(view)):
+            want = np.einsum(spec, *[ginv] * rank, tv, tv)
+            got = geo._einsum_over_points(spec, *[ginv] * rank, tv, tv)
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    # and the g-norm is the root of that sum
+    np.testing.assert_array_equal(reduce(tv, ginv), np.sqrt(np.clip(want, 0.0, None)))
+
+
+def test_gnorm_temporaries_are_bounded_in_terms_and_points():
+    # one slab of products (256 kB) and the (N,) sums, whatever the point count
+    rng = np.random.default_rng(5)
+    for rank, dim, n in ((2, 3, 20_000), (3, 4, 1024)):
+        ginv, tv = reduction_operands(rank, dim, n, rng)
+        tracemalloc.start()
+        try:
+            norms = EINSUMS[rank][1](tv, ginv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - norms.nbytes <= 2 * 2**20, (rank, peak)
+
+
+def test_overflowing_rank3_gnorm_is_a_domain_error_without_a_warning():
+    # the components are finite at 1e200, their products in the g-norm are not
+    chart, g = perturbed_metric(3, seed=4)
+    T = geo.SymTensorField(chart, geo.sym2(3, lambda i, j: chart.parse(f"x{i + 1}*x{j + 1} + 2")))
+    big = ex.const(1e200)
+    scaled = tuple(tuple(tuple(ex.mul(big, e) for e in row) for row in m)
+                   for m in geo.covariant_derivative_sym2(g, T))
+    pts = np.random.default_rng(6).uniform(-1, 1, size=(30, 3))
+    assert np.isfinite(geo.eval_tensors(chart, [scaled], pts)[0]).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ex.DomainError, match="non-finite g-norm at point index 0"):
+            geo.gnorms(g, [scaled], pts)
 
 
 REDUCTIONS = {"gnorm_sym2", "gnorm_oneform", "gnorm_rank3"}

@@ -317,7 +317,7 @@ def test_warped_einstein_construct_hyperbolic_fiber():
     w, rep = so.warped_einstein_construct(s, 2, (m - 1.0) * l, count=60)
     assert rep.passed
     # positive mu picks a round fiber under "auto"
-    assert w.fiber_chart is not None
+    assert w.fiber_metric.chart.dim == w.fiber_dim == 2
     assert rep.metadata["lambda"] == pytest.approx((3 + m - 1) * -4.0)
 
 
