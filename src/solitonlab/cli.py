@@ -63,7 +63,8 @@ def tolerance(text: str) -> float:
     return v
 
 
-# catalog and explicit-fiber builds cost about n^4: at 16 the slowest takes about 2 s
+# a catalog build at --n, and a construct-warped fiber of the base's m, costs about
+# n^4: at 16 the slowest takes about 2 s
 MAX_CATALOG_N = 16
 
 
@@ -235,40 +236,25 @@ def _base_structure(args) -> so.SolitonStructure:
 
 def cmd_construct_warped(args) -> dict:
     s = _base_structure(args)
-    if args.fiber_dim is not None:
-        fiber_dim = args.fiber_dim
-    elif s.m is not None:
-        fiber_dim = int(round(s.m))
-    else:
-        raise ValueError("--fiber-dim is required when the base declares no m")
-    if args.fiber != "abstract":
-        if fiber_dim > MAX_CATALOG_N:
-            raise ValueError(f"--fiber-dim (or the base's m) must be at most {MAX_CATALOG_N} "
-                             f"for an explicit fiber, got {fiber_dim}")
-        # the product of an explicit fiber is a manifest, which must load again
-        dim = s.chart.dim + fiber_dim
-        if dim > mf.MAX_DIMENSION:
-            raise ValueError(f"the product's dimension {dim} exceeds a manifest's "
-                             f"dimension bound {mf.MAX_DIMENSION}")
-    if args.fiber == "abstract" and args.out:
-        raise ValueError("an abstract fiber has no chart; no manifest to write")
+    m = so.fiber_dimension(s)
+    if m > MAX_CATALOG_N:
+        raise ValueError(f"the base's m must be at most {MAX_CATALOG_N}, got {m}")
+    # the product is a manifest, which must load again
+    dim = s.chart.dim + m
+    if dim > mf.MAX_DIMENSION:
+        raise ValueError(f"the product's dimension {dim} exceeds a manifest's "
+                         f"dimension bound {mf.MAX_DIMENSION}")
     pts = so.default_points(s, args.points, args.seed)
-    w, rep = so.warped_einstein_construct(s, fiber_dim, args.fiber_mu,
-                                          fiber_kind=args.fiber, points=pts,
-                                          seed=args.seed, tol=args.tol)
+    w, rep = so.warped_einstein_construct(s, points=pts, seed=args.seed, tol=args.tol)
     lam_bar = rep.metadata["lambda"]
-    if w is not None:
-        prod = so.SolitonStructure(
-            w.metric, ScalarField(w.chart, ex.ONE),
-            ScalarField(w.chart, ex.const(lam_bar)),
-            vector_field=VectorField(w.chart, [ex.ZERO] * w.chart.dim))
-        out_doc = mf.structure_to_dict(prod)
-        if args.out:
-            mf.write(out_doc, args.out)
-        digest = mf.digest(out_doc)
-    else:
-        digest = mf.digest(mf.structure_to_dict(s))
-    return report_document(digest, [check_dict(rep)], so.lambda_class(lam_bar), True)
+    prod = so.SolitonStructure(
+        w.metric, ScalarField(w.chart, ex.ONE), ScalarField(w.chart, ex.const(lam_bar)),
+        vector_field=VectorField(w.chart, [ex.ZERO] * w.chart.dim))
+    out_doc = mf.structure_to_dict(prod)
+    if args.out:
+        mf.write(out_doc, args.out)
+    return report_document(mf.digest(out_doc), [check_dict(rep)],
+                           so.lambda_class(lam_bar), True)
 
 
 def cmd_classify(args) -> dict:
@@ -348,20 +334,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, tol=None, param_flags=True)
 
     p = sub.add_parser("construct-warped",
-                       help="build a warped-product Einstein metric from a "
-                            "gradient base structure")
+                       help="build the Einstein warped product of a gradient base "
+                            "declared h = -m/u",
+                       description="Build B x_u F^m from a gradient base declared "
+                                   "h = -m/u with constant lambda, and verify Ric = "
+                                   "lambda g on it.  The base fixes the fiber: m is its "
+                                   "declared m, and Ric_F = mu g_F with mu its conserved "
+                                   "quantity, so the fiber is flat, round or hyperbolic "
+                                   "by the sign of mu.")
     p.add_argument("--base", required=True,
                    help="catalog id or manifest path of the base structure")
-    p.add_argument("--fiber-dim", type=int, default=None,
-                   help="fiber dimension m (default the base's declared m)")
-    p.add_argument("--fiber-mu", type=finite_float, default=None,
-                   help="fiber Einstein constant; must match the base's conserved "
-                        "quantity mu (default mu)")
-    p.add_argument("--fiber", default="auto",
-                   choices=("auto", "flat", "sphere", "hyperbolic", "abstract"),
-                   help="fiber model (default auto: flat, sphere or hyperbolic by "
-                        "the sign of mu); abstract checks only "
-                        "warped-einstein-base-block on the base and writes no product")
     p.add_argument("--out", default=None, help="write the product manifest here")
     _add_common(p, param_flags=True)
 

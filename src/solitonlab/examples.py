@@ -157,8 +157,7 @@ def pseudo_hyperbolic_product(n, k, A, l):
     if l < 0:
         raise ValueError("l must be nonnegative")
     chart, f, u_expr = _pseudo_hyperbolic_base(n, k, A, l)
-    # "auto" would take a flat fiber for 0 < (n-2)l <= 1e-9
-    fiber = so.einstein_fiber(n - 1, -(n - 2) * l, "hyperbolic" if l else "flat")
+    fiber = so.einstein_fiber(n - 1, -(n - 2) * l)
     return sp.make_warped((chart, sp.line_metric(chart)), fiber, f), u_expr
 
 

@@ -24,8 +24,8 @@ SCHEMA = "soliton-manifest/1"
 # The largest dimension a manifest may declare: the symbolic curvature build
 # grows about 2.6x per dimension, so a manifest may not ask for an unbounded
 # one.  32 admits every product construct-warped writes from a catalog base,
-# a base of up to 16 (the CLI's MAX_CATALOG_N) times an explicit fiber of up
-# to 16.
+# a base of up to 16 (the CLI's MAX_CATALOG_N) times a fiber of the base's m,
+# also at most 16.
 MAX_DIMENSION = 32
 
 
@@ -126,6 +126,11 @@ def from_dict(doc: dict) -> Manifest:
         if v is None:
             _fail(f"parameter {name!r} must be a finite number", field="parameters")
         binding[str(name)] = v
+    # a bad name would otherwise first meet the parser of a domain predicate
+    try:
+        ex.check_names(coords, binding)
+    except ValueError as err:
+        _fail(f"invalid chart: {err}")
 
     metric_texts = _need(doc, "metric", list)
     want = n * (n + 1) // 2

@@ -439,31 +439,34 @@ def eqpprinc_residual(s: SolitonStructure, points, tol: float = 1e-8) -> Residua
 # the warped-Einstein construction
 
 
-def warped_einstein_construct(s: SolitonStructure, fiber_dim: int,
-                              fiber_mu: float = None, fiber_kind: str = "auto", *,
-                              points=None, count: int = 200, seed: int = 42,
-                              tol: float = 1e-8):
+def fiber_dimension(s: SolitonStructure) -> int:
+    """The fiber dimension of the warped-Einstein construction: the m of the
+    base's declared h = -m/u, which must be an integer >= 2."""
+    if s.h_form != FORM_NEG_M_OVER_U:
+        raise PreconditionError("the warped-Einstein construction needs the "
+                                "declared form h = -m/u")
+    if not (float(s.m).is_integer() and s.m >= 2):
+        raise ValueError(f"fiber dimension m must be an integer >= 2, got {s.m:g}")
+    return int(s.m)
+
+
+def warped_einstein_construct(s: SolitonStructure, fiber_dim: int = None,
+                              fiber_mu: float = None, *, points=None, count: int = 200,
+                              seed: int = 42, tol: float = 1e-8):
     """Build B x_u F^m from a gradient (-m/u)-Ricci soliton and verify Einstein.
 
-    The fiber is Einstein with Ric_F = fiber_mu <,>, which must match the
-    conserved quantity mu of the base within 1e-7 (fiber_mu=None takes mu);
+    The base fixes the fiber: m is its fiber_dimension, and the fiber is
+    Einstein with Ric_F = mu <,>, mu the base's conserved quantity (taken as 0
+    within 1e-9), so it is flat, round or scaled hyperbolic by mu's sign.
+    fiber_dim and fiber_mu, when given, must match m and mu (within 1e-7).
     lambda must be constant, and the warping u must pass spaces.check_warping.
-    For an explicit fiber (flat, sphere, or scaled hyperbolic, chosen by the
-    sign of fiber_mu under "auto") the assembled product metric's Ricci
-    tensor is compared against lambda g.  For fiber_kind "abstract" only the
-    base block Ric - (m/u) Hess u - lambda g is checked on the base, and no
-    product is built.  Returns (WarpedProduct or None, report).
+    The assembled product metric's Ricci tensor is compared against lambda g.
+    Returns (WarpedProduct, report).
     """
-    if isinstance(fiber_dim, float):
-        if not fiber_dim.is_integer():
-            raise ValueError("fiber dimension must be an integer >= 2")
-        fiber_dim = int(fiber_dim)
-    if not isinstance(fiber_dim, int) or fiber_dim < 2:
-        raise ValueError("fiber dimension must be an integer >= 2")
-    if s.m is not None and abs(float(s.m) - fiber_dim) > 1e-12:
-        raise ValueError(
-            f"fiber dimension {fiber_dim} must equal the m = {s.m:g} of the "
-            "declared h = -m/u form")
+    m = fiber_dimension(s)
+    if fiber_dim is not None and fiber_dim != m:
+        raise ValueError(f"fiber dimension {fiber_dim} must equal the m = {m} of the "
+                         "declared h = -m/u form")
     pts = geo.points_array(points) if points is not None else default_points(s, count, seed)
     murep = mu_field(s, pts)
     if not murep.passed:
@@ -471,30 +474,18 @@ def warped_einstein_construct(s: SolitonStructure, fiber_dim: int,
             f"conserved quantity is not constant (deviation {murep.sup:.3e})")
     mu_est = murep.metadata["mu_estimate"]
     lam_est = murep.metadata["lambda_estimate"]
-    fiber_mu = mu_est if fiber_mu is None else float(fiber_mu)
-    if abs(mu_est - fiber_mu) > 1e-7:
+    if fiber_mu is not None and abs(mu_est - fiber_mu) > 1e-7:
         raise ValueError(
             f"fiber Einstein constant {fiber_mu:g} does not match the base's "
             f"conserved quantity {mu_est:.12g}")
 
     meta = {
-        "lambda": lam_est, "mu": mu_est, "fiber_kind": fiber_kind,
-        "lambda_positive": lam_est > 0,
+        "lambda": lam_est, "mu": mu_est, "lambda_positive": lam_est > 0,
         "compactness_note": ("the compact case needs lambda > 0; recorded, "
                              "not enforced"),
     }
-    if fiber_kind == "abstract":
-        sp.check_warping(s.chart, s.potential, seed)
-        g = s.metric
-        hess = geo.hessian(g, s.potential)
-        mh = ex.div(ex.const(float(fiber_dim)), s.potential.expr)
-        T = geo.sym2(g.chart.dim, lambda i, j: ex.sub(
-            ex.sub(geo.ricci(g).comps[i][j], ex.mul(mh, hess.comps[i][j])),
-            ex.mul(ex.const(lam_est), g.comps[i][j])))
-        return None, run_checks(g, pts, [("warped-einstein-base-block", tol, T)],
-                                fiber_relation_deviation=murep.sup, **meta)[0]
-    w = sp.make_warped((s.chart, s.metric), einstein_fiber(fiber_dim, fiber_mu, fiber_kind),
-                       s.potential, seed=seed)
+    fiber = einstein_fiber(m, mu_est if abs(mu_est) > 1e-9 else 0.0)
+    w = sp.make_warped((s.chart, s.metric), fiber, s.potential, seed=seed)
     prod_pts = geo.sample_points(w.chart, len(pts), seed, metric=w.metric)
     prod_ric = geo.ricci(w.metric)
     T = geo.sym2(w.chart.dim, lambda i, j: ex.sub(
@@ -502,23 +493,14 @@ def warped_einstein_construct(s: SolitonStructure, fiber_dim: int,
     return w, run_checks(w.metric, prod_pts, [("warped-einstein", tol, T)], **meta)[0]
 
 
-def einstein_fiber(dim: int, mu: float, kind: str = "auto"):
-    """An Einstein fiber with Ric = mu <,>: flat, round or scaled hyperbolic."""
-    if kind == "auto":
-        kind = "flat" if abs(mu) <= 1e-9 else ("sphere" if mu > 0 else "hyperbolic")
-    if kind == "flat":
-        if abs(mu) > 1e-9:
-            raise ValueError("a flat fiber has mu = 0")
+def einstein_fiber(dim: int, mu: float):
+    """An Einstein fiber with Ric = mu <,>: flat for mu = 0, round for mu > 0,
+    scaled hyperbolic for mu < 0."""
+    if mu == 0:
         return sp.make_euclidean(dim)
-    if kind == "sphere":
-        if not mu > 0:
-            raise ValueError("a round fiber needs mu > 0")
+    if mu > 0:
         return sp.make_sphere(dim, math.sqrt((dim - 1) / mu))
-    if kind == "hyperbolic":
-        if not mu < 0:
-            raise ValueError("a hyperbolic fiber needs mu < 0")
-        model = sp.make_hyperbolic(dim)
-        scale = ex.const((dim - 1) / (-mu))
-        comps = geo.sym2(dim, lambda i, j: ex.mul(scale, model.metric.comps[i][j]))
-        return (model.chart, MetricField(model.chart, comps))
-    raise ValueError(f"unknown fiber kind {kind!r}")
+    model = sp.make_hyperbolic(dim)
+    scale = ex.const((dim - 1) / (-mu))
+    comps = geo.sym2(dim, lambda i, j: ex.mul(scale, model.metric.comps[i][j]))
+    return (model.chart, MetricField(model.chart, comps))

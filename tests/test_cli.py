@@ -8,6 +8,7 @@ import importlib
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -188,6 +189,23 @@ def test_box_wider_than_a_float_spans_is_manifest_error(tmp_path):
     assert code == 2 and out == b""
     assert err.startswith("manifest error: invalid chart:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("domain", [None, ["2 + x3"]], ids=["no-domain", "domain"])
+@pytest.mark.parametrize("names,message", [
+    ({"coordinates": ["x1", "x1", "x3"]}, "duplicate symbol name 'x1'"),
+    ({"coordinates": ["exp", "x2", "x3"]}, "symbol name 'exp' shadows a builtin function"),
+    ({"parameters": {"x2": 1.0}}, "duplicate symbol name 'x2'")],
+    ids=["duplicate", "exp", "parameter"])
+def test_bad_symbol_name_is_manifest_error_with_or_without_a_domain(names, message, domain,
+                                                                    tmp_path, capsys):
+    # the names are checked before any expression, a domain predicate's
+    # included, is parsed
+    doc, path = flat_manifest(tmp_path, name="names.json")
+    doc.update(names, **({} if domain is None else {"domain": domain}))
+    mf.write(doc, path)
+    code, out, err = run_cli(capsys, "verify-manifest", path, "--points", "20")
+    assert (code, out, err) == (2, "", f"manifest error: invalid chart: {message}\n")
 
 
 @pytest.mark.parametrize("where,number,message", [
@@ -467,8 +485,6 @@ BAD_NUMBERS = [
     (("verify-example", "neg-m-sphere", "--points", "0"), "--points: must be at least 1, got 0"),
     (("check-identity", "bianchi", "--points", "-3"), "--points: must be at least 1, got -3"),
     (("check-identity", "bianchi", "--dim", "0"), "--dim: must be at least 1, got 0"),
-    (("construct-warped", "--base", "neg-m-sphere", "--fiber-mu", "inf"),
-     "--fiber-mu: must be finite, got inf"),
 ] + [(("verify-example", "pseudo-hyperbolic", f"{flag}={value}"),
       f"{flag}: must be finite, got {value}")
      for flag, value in (("--m", "nan"), ("--tau", "inf"), ("--k", "-inf"), ("--A", "1e999"),
@@ -492,13 +508,10 @@ def test_numeric_flags_keep_finite_values():
         ["verify-example", "pseudo-hyperbolic", "--tol", "0", "--points", "7",
          "--k", "-16", "--A", "1e-300", "--m", "2.5"])
     assert (args.tol, args.points, args.k, args.A, args.m) == (0.0, 7, -16.0, 1e-300, 2.5)
-    args = cli.build_parser().parse_args(["construct-warped", "--base", "x", "--fiber-mu", "-0.5"])
-    assert args.fiber_mu == -0.5
 
 
 FLOAT_FLAGS = [("verify-example", "pseudo-hyperbolic", flag)
-               for flag in ("--m", "--tau", "--k", "--A", "--l", "--a", "--b")] + [
-               ("construct-warped", "--base", "x", "--fiber-mu")]
+               for flag in ("--m", "--tau", "--k", "--A", "--l", "--a", "--b")]
 
 
 @pytest.mark.parametrize("value", ["-1e1", "-.5e1", "-1.5E+2", "-2.e-1", "-16"])
@@ -565,18 +578,22 @@ def test_construct_warped_round_trip(tmp_path, capsys):
     assert rep["trivial"] is True and rep["classification"] == "expanding"
 
 
-def test_construct_warped_rejections(tmp_path, capsys):
-    code, _, err = run_cli(capsys, "construct-warped", "--base", "pseudo-hyperbolic",
-                           "--fiber-mu", "1.0", "--points", "40")
-    assert code == 2 and "does not match" in err
+def test_construct_warped_rejections(capsys):
     code, _, err = run_cli(capsys, "construct-warped", "--base", "neg-m-sphere",
                            "--points", "40")
     assert code == 2 and "not constant" in err
     code, _, err = run_cli(capsys, "construct-warped", "--base", "no-such-thing")
     assert code == 2 and "neither" in err
-    code, _, err = run_cli(capsys, "construct-warped", "--base", "pseudo-hyperbolic",
-                           "--fiber", "abstract", "--out", str(tmp_path / "x.json"))
-    assert code == 2 and "no manifest" in err
+
+
+@pytest.mark.parametrize("flag", [("--fiber-dim", "2"), ("--fiber-mu", "0"),
+                                  ("--fiber", "auto")], ids=lambda f: f[0])
+def test_construct_warped_takes_no_fiber_option(flag, capsys):
+    # the base fixes the fiber's dimension, Einstein constant and model
+    with pytest.raises(SystemExit) as info:
+        cli.main(["construct-warped", "--base", "pseudo-hyperbolic", *flag])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 def test_construct_warped_renames_fiber_coordinates_away_from_base_parameters(tmp_path,
@@ -596,17 +613,14 @@ def test_construct_warped_renames_fiber_coordinates_away_from_base_parameters(tm
     assert mf.load(str(out_path)).document["coordinates"] == ["t", "y1", "y2"]
 
 
-@pytest.mark.parametrize("fiber", ["auto", "abstract"])
-def test_construct_warped_refuses_a_warping_that_changes_sign(fiber, tmp_path, capsys):
-    # u = sinh t is negative on half the box; an abstract fiber, which builds
-    # no product, runs the same positivity check, and the sample prints as floats
+def test_construct_warped_refuses_a_warping_that_changes_sign(tmp_path, capsys):
+    # u = sinh t is negative on half the box, and the sample prints as floats
     base = tmp_path / "sinh.json"
     mf.write({"schema": mf.SCHEMA, "dimension": 1, "coordinates": ["t"],
               "box": [[-1.5, 1.5]], "metric": ["1"], "structure": {"potential": "sinh(t)"},
               "h": "-2/sinh(t)", "lambda": "-2", "form": {"tag": "neg-m-over-u", "m": 2.0}},
              str(base))
-    code, out, err = run_cli(capsys, "construct-warped", "--base", str(base),
-                             "--fiber", fiber)
+    code, out, err = run_cli(capsys, "construct-warped", "--base", str(base))
     assert (code, out) == (2, "")
     assert err == "geometry error: non-positive warping at sample (-1.4779131907469836,)\n"
 
@@ -699,28 +713,14 @@ def test_construct_warped_runs_mu_field_once(capsys, monkeypatch):
     assert code == 0 and len(calls) == 1
 
 
-def test_construct_warped_abstract_fiber(capsys):
-    code, out, _ = run_cli(capsys, "construct-warped", "--base", "pseudo-hyperbolic",
-                           "--fiber", "abstract", "--points", "50")
-    assert code == 0
-    assert json.loads(out)["checks"][0]["name"] == "warped-einstein-base-block"
-
-
-def test_explicit_fiber_above_sixteen_is_refused_before_sampling(monkeypatch, capsys):
-    # the product chart's Ricci build grows with the fiber dimension as a
-    # catalog's does with --n; an abstract fiber builds no chart
+def test_fiber_above_sixteen_is_refused_before_sampling(monkeypatch, capsys):
+    # the product chart's Ricci build grows with the fiber dimension, the
+    # base's m, as a catalog's does with --n
     monkeypatch.setattr(so, "default_points", lambda *a, **k: pytest.fail("sampled"))
-    for argv in (("--m", "17"), ("--m", "17", "--fiber-dim", "17"),
-                 ("--m", "17", "--fiber", "sphere")):
-        code, out, err = run_cli(capsys, "construct-warped", "--base", "pseudo-hyperbolic",
-                                 *argv)
-        assert (code, out) == (2, "")
-        assert err == ("invalid input: --fiber-dim (or the base's m) must be at most 16 "
-                       "for an explicit fiber, got 17\n")
-    monkeypatch.undo()
-    code, _, _ = run_cli(capsys, "construct-warped", "--base", "pseudo-hyperbolic",
-                         "--m", "40", "--fiber", "abstract", "--points", "20")
-    assert code == 0
+    code, out, err = run_cli(capsys, "construct-warped", "--base", "pseudo-hyperbolic",
+                             "--m", "17")
+    assert (code, out) == (2, "")
+    assert err == "invalid input: the base's m must be at most 16, got 17\n"
 
 
 class Sampled(ValueError):
@@ -731,40 +731,57 @@ def refuse_sampling(*args, **kwargs):
     raise Sampled("sampled")
 
 
+NOT_MINUS_M_OVER_U = ("precondition not met: the warped-Einstein construction needs "
+                      "the declared form h = -m/u\n")
+
+
 def test_construct_warped_admits_every_catalog_product(monkeypatch, capsys):
-    # a catalog base of the largest --n times an explicit fiber of as many
-    # passes the manifest dimension bound and goes on to sampling
+    # a catalog base of the largest --n, with m as large, passes the manifest
+    # dimension bound and goes on to sampling when it is declared h = -m/u;
+    # one declared h = m/u is refused before sampling
     monkeypatch.setattr(so, "default_points", refuse_sampling)
     n = str(cli.MAX_CATALOG_N)
     assert 2 * cli.MAX_CATALOG_N <= mf.MAX_DIMENSION
-    for example_id, spec in sorted(exm.EXAMPLES.items()):
-        if spec.structure:
-            code, _, err = run_cli(capsys, "construct-warped", "--base", example_id,
-                                   "--n", n, "--fiber-dim", n)
-            assert (code, err) == (2, "invalid input: sampled\n"), example_id
+    errors = {example_id: run_cli(capsys, "construct-warped", "--base", example_id,
+                                  "--n", n, "--m", n)[::2]
+              for example_id, spec in exm.EXAMPLES.items() if spec.structure}
+    assert errors == {
+        "neg-m-sphere": (2, "invalid input: sampled\n"),
+        "pseudo-hyperbolic": (2, "invalid input: sampled\n"),
+        "euclidean-gradient": (2, NOT_MINUS_M_OVER_U),
+        "space-form-gradient": (2, NOT_MINUS_M_OVER_U)}
+
+
+@pytest.mark.parametrize("base", [("euclidean-gradient",), ("space-form-gradient",),
+                                  ("pseudo-hyperbolic", "--h-expr", "sinh(t)"),
+                                  ("FREE",)], ids=lambda b: " ".join(b))
+def test_construct_warped_needs_the_form_minus_m_over_u_before_sampling(base, tmp_path,
+                                                                        monkeypatch, capsys):
+    base = [flat_manifest(tmp_path)[1] if a == "FREE" else a for a in base]
+    monkeypatch.setattr(so, "default_points", refuse_sampling)
+    code, out, err = run_cli(capsys, "construct-warped", "--base", *base)
+    assert (code, out) == (2, "")
+    assert err == NOT_MINUS_M_OVER_U
 
 
 def test_construct_warped_refuses_a_product_past_the_dimension_bound(tmp_path, monkeypatch,
                                                                     capsys):
-    dim = mf.MAX_DIMENSION - 1
+    dim = mf.MAX_DIMENSION - 2
     coords = [f"x{i + 1}" for i in range(dim)]
     base = tmp_path / "base.json"
-    mf.write({"schema": mf.SCHEMA, "dimension": dim, "coordinates": coords,
-              "box": [[-1.0, 1.0]] * dim,
-              "metric": ["1" if i == j else "0" for i in range(dim) for j in range(i, dim)],
-              "structure": {"potential": "x1"}, "h": "1", "lambda": "0"}, str(base))
     monkeypatch.setattr(so, "default_points", refuse_sampling)
-    code, _, err = run_cli(capsys, "construct-warped", "--base", str(base), "--fiber-dim", "1")
-    assert (code, err) == (2, "invalid input: sampled\n")
-    for fiber in ("auto", "flat", "sphere"):
-        code, out, err = run_cli(capsys, "construct-warped", "--base", str(base),
-                                 "--fiber-dim", "2", "--fiber", fiber)
-        assert (code, out) == (2, "")
-        assert err == (f"invalid input: the product's dimension {dim + 2} exceeds a "
-                       f"manifest's dimension bound {mf.MAX_DIMENSION}\n")
-    code, _, err = run_cli(capsys, "construct-warped", "--base", str(base), "--fiber-dim", "2",
-                           "--fiber", "abstract")
-    assert (code, err) == (2, "invalid input: sampled\n")
+    # the fiber dimension is the m of the manifest's form: m = 2 brings the
+    # product to the bound and goes on to sampling, m = 3 passes the bound
+    for m, want in ((2, "invalid input: sampled\n"),
+                    (3, f"invalid input: the product's dimension {dim + 3} exceeds a "
+                        f"manifest's dimension bound {mf.MAX_DIMENSION}\n")):
+        mf.write({"schema": mf.SCHEMA, "dimension": dim, "coordinates": coords,
+                  "box": [[1.0, 2.0]] * dim,
+                  "metric": ["1" if i == j else "0" for i in range(dim) for j in range(i, dim)],
+                  "structure": {"potential": "x1"}, "h": f"-{m}/x1", "lambda": "0",
+                  "form": {"tag": "neg-m-over-u", "m": m}}, str(base))
+        code, out, err = run_cli(capsys, "construct-warped", "--base", str(base))
+        assert (code, out, err) == (2, "", want)
 
 
 def test_manifest_past_the_dimension_bound_exits_2(tmp_path, capsys):
@@ -773,7 +790,7 @@ def test_manifest_past_the_dimension_bound_exits_2(tmp_path, capsys):
     mf.write({"schema": mf.SCHEMA, "dimension": dim,
               "coordinates": [f"x{i + 1}" for i in range(dim)]}, str(path))
     for argv in (("verify-manifest", str(path)), ("classify", "--manifest", str(path)),
-                 ("construct-warped", "--base", str(path), "--fiber-dim", "1")):
+                 ("construct-warped", "--base", str(path))):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err == f"manifest error: dimension must be at most {mf.MAX_DIMENSION}, got {dim}\n"
@@ -803,6 +820,33 @@ def test_readme_command_runs(argv, tmp_path, capsys):
             str(tmp_path / Path(a).name) if prev == "--out" else a
             for prev, a in zip([None, *argv], argv)]
     assert run_cli(capsys, *argv)[0] == 0
+
+
+def _parsers():
+    """The top-level parser and each subcommand's, by command name."""
+    top = cli.build_parser()
+    sub = next(a for a in top._actions if isinstance(a, argparse._SubParsersAction))
+    return {None: top, **sub.choices}
+
+
+def test_readme_names_only_flags_the_parser_has():
+    # a retired option must not linger in the docs; pip's own flags are not ours
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    named = {flag for line in lines if "pip install" not in line
+             for flag in re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", line)}
+    options = {opt for p in _parsers().values() for a in p._actions for opt in a.option_strings}
+    assert named and named <= options, sorted(named - options)
+
+
+@pytest.mark.parametrize("command", ["verify-example", "verify-manifest", "check-identity",
+                                     "construct-warped", "classify"])
+def test_subcommand_help_exits_0(command, capsys):
+    # argparse formats a help string only here, so a stray % fails only here
+    assert command in _parsers()
+    with pytest.raises(SystemExit) as info:
+        cli.main([command, "--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: solitonlab {command} ")
 
 
 def test_classify_example(capsys):
@@ -877,9 +921,8 @@ def test_option_the_command_does_not_read_is_input_error(argv, message, tmp_path
 
 
 def _hidden_flags():
-    parser = next(a for a in cli.build_parser()._actions
-                  if isinstance(a, argparse._SubParsersAction)).choices["verify-example"]
-    return {a.dest: a for a in parser._actions if a.help == argparse.SUPPRESS}
+    return {a.dest: a for a in _parsers()["verify-example"]._actions
+            if a.help == argparse.SUPPRESS}
 
 
 def test_hidden_flags_are_the_catalog_parameters():

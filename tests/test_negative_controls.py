@@ -275,12 +275,9 @@ CLI_CONTROLS = {
     "potential-hessian-equation": ("verify-example pseudo-hyperbolic",
                                    planted_in_run_checks(hess_u)),
     "oneill": ("check-identity oneill", planted_in_oneill),
-    # the right side lambda g of Ric = lambda g, on the product or the base block
+    # the right side lambda g of Ric = lambda g on the product
     "warped-einstein": ("construct-warped --base pseudo-hyperbolic", planted_in_run_checks(
         scaled_g(lambda g, meta: ex.const(meta["lambda"])))),
-    "warped-einstein-base-block": (
-        "construct-warped --base pseudo-hyperbolic --fiber abstract",
-        planted_in_run_checks(scaled_g(lambda g, meta: ex.const(meta["lambda"])))),
 }
 
 
@@ -310,7 +307,7 @@ def test_every_emitted_check_has_a_control(capsys):
              + (" --random-metrics 1" if "random_metrics" in reads else "")
              for name, (_, _, reads) in cli.IDENTITIES.items()]
     argvs += [f"verify-example {example_id} --points 20" for example_id in exm.EXAMPLES]
-    argvs += [CLI_CONTROLS["warped-einstein"][0], CLI_CONTROLS["warped-einstein-base-block"][0]]
+    argvs.append(CLI_CONTROLS["warped-einstein"][0])
     emitted = set()
     for argv in argvs:
         emitted |= cli_checks(argv, capsys).keys()

@@ -301,14 +301,6 @@ def test_warped_einstein_construct_flat_fiber():
     assert rep.metadata["lambda_positive"] is False
 
 
-def test_warped_einstein_construct_abstract():
-    s = exm.example_pseudo_hyperbolic(3, -1.0, 1.0, 0.0, m=2.0)
-    w, rep = so.warped_einstein_construct(s, 2, 0.0, fiber_kind="abstract", count=60)
-    assert rep.name == "warped-einstein-base-block"
-    assert rep.passed
-    assert w is None
-
-
 def test_warped_einstein_construct_hyperbolic_fiber():
     # l > 0 forces a negatively curved fiber with mu = (m-1) l... the fiber of
     # the *construction* uses the conserved quantity of the base as mu
@@ -316,8 +308,9 @@ def test_warped_einstein_construct_hyperbolic_fiber():
     s = exm.example_pseudo_hyperbolic(3, -4.0, 2.0, l, m=m)
     w, rep = so.warped_einstein_construct(s, 2, (m - 1.0) * l, count=60)
     assert rep.passed
-    # positive mu picks a round fiber under "auto"
+    # positive mu picks a round fiber
     assert w.fiber_metric.chart.dim == w.fiber_dim == 2
+    assert rep.metadata["mu"] == pytest.approx((m - 1.0) * l)
     assert rep.metadata["lambda"] == pytest.approx((3 + m - 1) * -4.0)
 
 
@@ -327,34 +320,51 @@ def test_warped_einstein_construct_rejections():
         so.warped_einstein_construct(s, 2, 1.0, count=40)
     with pytest.raises(ValueError, match="must equal the m"):
         so.warped_einstein_construct(s, 3, 0.0, count=40)
-    with pytest.raises(ValueError, match="integer"):
-        so.warped_einstein_construct(s, 2.5, 0.0, count=40)
     varying = exm.example_neg_m_sphere(3, 2.0, 1.0, 2.0)
     with pytest.raises(so.PreconditionError):
         so.warped_einstein_construct(varying, 2, 0.0, count=40)
 
 
+def test_warped_einstein_construct_takes_its_fiber_from_the_base():
+    # the base alone fixes m and mu: the same product with or without the
+    # optional expectations
+    s = exm.example_pseudo_hyperbolic(3, -1.0, 1.0, 0.0, m=2.0)
+    w, rep = so.warped_einstein_construct(s, count=40)
+    w2, rep2 = so.warped_einstein_construct(s, 2, 0.0, count=40)
+    assert w.metric == w2.metric and w.fiber_dim == 2
+    assert rep.sup == rep2.sup and rep.passed
+
+
+@pytest.mark.parametrize("m,error,match", [
+    (2.5, ValueError, "integer >= 2, got 2.5"),
+    (1.0, ValueError, "integer >= 2, got 1"),
+    (None, so.PreconditionError, "declared form h = -m/u")])
+def test_fiber_dimension_needs_an_integer_m_of_the_form_minus_m_over_u(m, error, match):
+    s = (exm.example_euclidean_gradient(2, 2.0, 1.0) if m is None
+         else exm.example_pseudo_hyperbolic(3, -1.0, 1.0, 0.0, m=m))
+    with pytest.raises(error, match=match):
+        so.fiber_dimension(s)
+    with pytest.raises(error, match=match):
+        so.warped_einstein_construct(s, count=40)
+
+
 def test_einstein_fiber_kinds():
-    flat = so.einstein_fiber(2, 0.0)
-    assert isinstance(flat, sp.ModelSpace) and flat.kind == "euclidean"
+    # mu's exact sign picks the model: flat at mu = 0 (or -0.0), round above,
+    # scaled hyperbolic below, however small |mu| is
+    for zero in (0.0, -0.0):
+        flat = so.einstein_fiber(2, zero)
+        assert isinstance(flat, sp.ModelSpace) and flat.kind == "euclidean"
     round_f = so.einstein_fiber(3, 2.0)
     assert round_f.kind == "sphere" and round_f.radius == pytest.approx(1.0)
-    chart, gm = so.einstein_fiber(2, -3.0)
-    ric = geo.ricci(gm)
-    pts = geo.points_array(geo.sample_points(chart, 20, seed=1))
-    rv = geo.eval_sym2_comps(ric.comps, pts)
-    gv = geo.eval_sym2_comps(gm.comps, pts)
-    assert np.max(np.abs(rv + 3.0 * gv)) < 1e-10
-    with pytest.raises(ValueError, match="unknown fiber kind"):
-        so.einstein_fiber(7, 1.5, "abstract")
-    with pytest.raises(ValueError):
-        so.einstein_fiber(2, 1.0, "flat")
-    with pytest.raises(ValueError):
-        so.einstein_fiber(2, -1.0, "sphere")
-    with pytest.raises(ValueError):
-        so.einstein_fiber(2, 1.0, "hyperbolic")
-    with pytest.raises(ValueError):
-        so.einstein_fiber(2, 1.0, "dodecahedron")
+    assert so.einstein_fiber(2, 1e-12).kind == "sphere"
+    for mu in (-3.0, -1e-12):
+        chart, gm = so.einstein_fiber(2, mu)
+        assert chart == sp.make_hyperbolic(2).chart
+        ric = geo.ricci(gm)
+        pts = geo.points_array(geo.sample_points(chart, 20, seed=1))
+        rv = geo.eval_sym2_comps(ric.comps, pts)
+        gv = geo.eval_sym2_comps(gm.comps, pts)
+        assert np.max(np.abs(rv - mu * gv)) < 1e-10 * max(1.0, 1.0 / abs(mu))
 
 
 def test_default_points_deterministic():
