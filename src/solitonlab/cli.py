@@ -134,9 +134,9 @@ def _refuse_unread(args, reads, what: str) -> None:
 def cmd_verify_example(args) -> dict:
     run = cat.run_example(args.id, _params(args), count=args.points, tol=args.tol,
                           seed=args.seed)
-    source = ({"example": run.example_id, "parameters": run.params}
-              if run.structure is None else mf.structure_to_dict(run.structure))
-    return report_document(mf.digest(source), [check_dict(r) for r in run.checks],
+    digest = (mf.digest({"example": run.example_id, "parameters": run.params})
+              if run.structure is None else mf.structure_digest(run.structure))
+    return report_document(digest, [check_dict(r) for r in run.checks],
                            run.classification, run.trivial, run.passed)
 
 
@@ -162,7 +162,7 @@ def _on_structure(args, tol, check, default_example):
     """A structure-level identity on the catalog structure --example."""
     s = cat.build_structure(args.example or default_example, _params(args))
     pts = so.default_points(s, args.points, args.seed)
-    return [check(s, pts, tol)], mf.digest(mf.structure_to_dict(s))
+    return [check(s, pts, tol)], mf.structure_digest(s)
 
 
 _ONEILL_PARAMS = ("n", "k", "A", "l")
@@ -262,7 +262,7 @@ def cmd_classify(args) -> dict:
         raise ValueError("give exactly one of --example or --manifest")
     if args.example is not None:
         s = cat.build_structure(args.example, _params(args))
-        digest = mf.digest(mf.structure_to_dict(s))
+        digest = mf.structure_digest(s)
     else:
         _refuse_unread(args, (), "classify --manifest")
         man = mf.load(args.manifest)

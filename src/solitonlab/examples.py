@@ -6,12 +6,15 @@ catalog table, pairs every catalog id with its constructor, its default
 parameters, the verdicts its check suite is expected to realize and any
 checks of its own.  run_example executes the suite and reports whether all
 expectations were met — including the one construction that is supposed to
-fail its conformal check and does.
+fail its conformal check and does.  `run_example` and `build_structure` reach
+the constructors through one memo on the entry and its resolved parameters,
+so a call at new points or a new seed constructs nothing.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Callable
 
 from . import expr as ex
@@ -144,8 +147,13 @@ def _pseudo_hyperbolic_base(n, k, A, l):
     return chart, f, u_expr
 
 
+@lru_cache(maxsize=None)
 def pseudo_hyperbolic_product(n, k, A, l):
-    """The warped space R x_f F^{n-1} itself, plus its potential expression."""
+    """The warped space R x_f F^{n-1} itself, plus its potential expression.
+
+    Memoized on (n, k, A, l), as `check-identity oneill` calls it directly:
+    a repeated call samples no warping check and builds nothing.
+    """
     n = int(n)
     if n < 3:
         raise ValueError("need n >= 3 (the fiber needs dimension >= 2)")
@@ -287,12 +295,21 @@ def _spec(example_id: str) -> ExampleSpec:
     return EXAMPLES[example_id]
 
 
+@lru_cache(maxsize=None)
+def _construct(example_id: str, params: tuple):
+    """The construction of catalog entry example_id at its resolved
+    (name, value) parameters: a frozen structure, or a frozen vector field
+    and its expected-failure flag.  Memoized, so a call at new points or a
+    new seed builds nothing; the memo grows per distinct parameter set."""
+    return EXAMPLES[example_id].build(**dict(params))
+
+
 def build_structure(example_id: str, params=None) -> so.SolitonStructure:
     """The soliton structure of a catalog entry, defaults overridden by params."""
     spec = _spec(example_id)
     if not spec.structure:
         raise ValueError(f"example {example_id!r} carries no soliton structure")
-    return spec.build(**spec.params(params))
+    return _construct(example_id, tuple(spec.params(params).items()))
 
 
 class ExampleRun:
@@ -356,9 +373,10 @@ def run_example(example_id: str, params=None, count: int = 200,
     p = spec.params(params)
     run = ExampleRun(example_id, p, [])
     expect_fail, missed = (), []
+    built = _construct(example_id, tuple(p.items()))
 
     if not spec.structure:
-        X, expect_failure = spec.build(**p)
+        X, expect_failure = built
         g = sp.make_euclidean(int(p["n"])).metric
         pts = geo.sample_points(g.chart, count, seed)
         verdict = so.conformal_killing_check(g, X, pts, tol)
@@ -367,7 +385,7 @@ def run_example(example_id: str, params=None, count: int = 200,
             expect_fail = ("conformal-killing",)
             run.notes.append("conformal claim does not hold; failure expected")
     else:
-        s = spec.build(**p)
+        s = built
         pts = so.default_points(s, count, seed)
         run.structure = s
         run.checks, tv = structure_checks(s, pts, tol)

@@ -29,7 +29,8 @@ each the product of its operands from left to right, and
 _einsum_over_points forms that same sum a slab of terms x points at a time;
 above the buffer (rank 2 at d >= 10, rank 3 at d >= 5) it calls np.einsum.
 `sample_points` filters each seeded batch with one masked pass over the
-domain predicates and the metric.
+domain predicates and the metric, then eigen-tests the metric at as many
+admissible draws as it still wants, and at the rest only when one fails.
 """
 
 from __future__ import annotations
@@ -688,14 +689,25 @@ _EXHAUSTION_RATE = 0.01
 _COND_LIMIT = 1e8
 
 
+def _conditioned(metric_vals, n: int, idx) -> np.ndarray:
+    """Whether each draw in idx has a positive definite metric with
+    condition number below _COND_LIMIT, from its (n*n, draws) entries."""
+    eig = np.linalg.eigvalsh(metric_vals[:, idx].T.reshape(-1, n, n))
+    return (eig[:, 0] > 0.0) & (eig[:, -1] < _COND_LIMIT * eig[:, 0])
+
+
 def sample_points(chart: Chart, count: int, seed: int, *, metric: MetricField = None):
     """Deterministic rejection sampling of admissible chart points.
 
     Draws uniformly from the chart box, keeps points where every domain
     predicate is > 0 and (when `metric` is given) the metric matrix is
     positive definite with condition number below _COND_LIMIT, and returns
-    the first `count` of them as a (count, n) float array; one masked
-    eval_many per batch evaluates the predicates and the metric entries.
+    the first `count` of them as a (count, n) float array, allocated before
+    the first draw, so a count that cannot be held raises MemoryError at
+    once.  One masked eval_many per batch evaluates the predicates and the
+    metric entries; the eigenvalue test runs first on as many admissible
+    draws as are still wanted, and on the rest of the batch only when one
+    of those fails or the batch may end the sampling in a SamplingError.
     Raises SamplingError, naming the test that rejected the most draws, when
     acceptance stays under 1% after 1e5 draws, which bounds the draws at
     about 100 per point requested.
@@ -703,11 +715,11 @@ def sample_points(chart: Chart, count: int, seed: int, *, metric: MetricField = 
     if count < 1:
         raise ValueError("count must be >= 1")
     n = chart.dim
+    out = np.empty((count, n))
     lo = np.array([b[0] for b in chart.box])
     hi = np.array([b[1] for b in chart.box])
     binding = chart.binding
     rng = np.random.default_rng(seed)
-    chunks = []
     accepted = drawn = by_domain = by_metric = 0
     k = len(chart.domain)
     roots = list(chart.domain)
@@ -716,22 +728,27 @@ def sample_points(chart: Chart, count: int, seed: int, *, metric: MetricField = 
     while accepted < count:
         batch = rng.uniform(lo, hi, size=(_BATCH, n))
         drawn += _BATCH
-        ok = np.ones(_BATCH, dtype=bool)
+        need = count - accepted
         if roots:
             vals, ok = ex.eval_many(roots, batch, binding, mode="masked")
             ok &= np.all(vals[:k] > 0.0, axis=0)
-        idx = np.nonzero(ok)[0]
+            idx = np.nonzero(ok)[0]
+        else:
+            idx = np.arange(_BATCH)
         by_domain += _BATCH - len(idx)
         if metric is not None:
-            eig = np.linalg.eigvalsh(vals[k:, idx].T.reshape(-1, n, n))
-            ok[idx] = (eig[:, 0] > 0.0) & (eig[:, -1] < _COND_LIMIT * eig[:, 0])
-            by_metric += len(idx) - np.count_nonzero(ok)
-        rows = batch[ok][:count - accepted]
-        chunks.append(rows)
+            good = _conditioned(vals[k:], n, idx[:need])
+            # the message of a SamplingError counts every rejection of the batch
+            if len(idx) > need and (not good.all() or drawn >= _EXHAUSTION_DRAWS):
+                good = np.concatenate((good, _conditioned(vals[k:], n, idx[need:])))
+            by_metric += len(good) - np.count_nonzero(good)
+            idx = idx[:len(good)][good]
+        rows = idx[:need]
+        out[accepted:accepted + len(rows)] = batch[rows]
         accepted += len(rows)
         if drawn >= _EXHAUSTION_DRAWS and accepted < max(1, _EXHAUSTION_RATE * drawn):
             cause = ("domain predicate too tight for the sampling box"
                      if by_domain >= by_metric else "metric not positive definite "
                      f"or over the condition-number cap {_COND_LIMIT:.0e}")
             raise SamplingError(f"acceptance rate {accepted}/{drawn} below 1% — {cause}")
-    return np.concatenate(chunks)
+    return out

@@ -7,7 +7,9 @@ in the expression grammar.  The parameter values go onto the chart, which
 every evaluator of the structure reads them from.  Loading validates the
 schema and parses every expression against the declared names, reporting the
 exact offset of any syntax error.  The digest (sha256 over a canonical single-line JSON
-serialization) identifies the manifest in reports.
+serialization) identifies the manifest in reports.  `structure_digest` keeps
+the digest of each structure it serialized, and `load` the parsed structure
+and digest of each manifest text it read, so neither is rebuilt by a warm call.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from functools import lru_cache
 
 from . import expr as ex
 from . import soliton as so
@@ -194,15 +197,29 @@ def from_dict(doc: dict) -> Manifest:
     return Manifest(doc, structure, digest(doc))
 
 
+# (structure, digest) of each manifest text that loaded, by the text
+_LOADED: dict = {}
+
+
 def load(path: str) -> Manifest:
+    """The manifest at path.  The file is read at every call; a text that
+    loaded before reuses its structure and digest, and its document is
+    parsed afresh, so that a caller may change it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            text = fh.read()
     except OSError as err:
         _fail(f"cannot read manifest: {err}")
+    try:
+        doc = json.loads(text)
     except json.JSONDecodeError as err:
         _fail(f"not valid JSON: {err}")
-    return from_dict(doc)
+    hit = _LOADED.get(text)
+    if hit is not None:
+        return Manifest(doc, *hit)
+    man = from_dict(doc)
+    _LOADED[text] = man.structure, man.digest
+    return man
 
 
 def structure_to_dict(s: so.SolitonStructure) -> dict:
@@ -231,6 +248,12 @@ def structure_to_dict(s: so.SolitonStructure) -> dict:
     if s.h_form != so.FORM_FREE:
         doc["form"] = {"tag": s.h_form, "m": s.m}
     return doc
+
+
+@lru_cache(maxsize=None)
+def structure_digest(s: so.SolitonStructure) -> str:
+    """digest(structure_to_dict(s)), memoized on the frozen structure."""
+    return digest(structure_to_dict(s))
 
 
 def write(doc: dict, path: str):

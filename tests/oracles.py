@@ -10,6 +10,7 @@ expression at one point through `eval_many`.  `finite_difference` is the numeric
 `curvature_from_jets` rebuilds the curvature layer's tensors with numpy from
 the values of the metric entries and their partials.  `zero_mod_p` evaluates
 rational DAGs exactly at a random point of the field of 2^61 - 1 elements.
+`sample_points_full_batch` is the sampler that eigen-tested whole batches.
 """
 
 import math
@@ -346,3 +347,46 @@ def zero_mod_p(roots, rng, draws=8):
             continue
         return [val[r] for r in roots]
     raise ZeroDivisionError(f"a zero divisor at each of {draws} points")
+
+
+def sample_points_full_batch(chart, count: int, seed: int, *, metric=None):
+    """`geometry.sample_points` as it was before it tested draws in order:
+    every domain-admissible draw of a batch gets the metric's eigenvalue
+    test, and the accepted rows are gathered in a list and concatenated.
+    It reads the sampler's constants from `geometry`, so a test may move them."""
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    n = chart.dim
+    lo = np.array([b[0] for b in chart.box])
+    hi = np.array([b[1] for b in chart.box])
+    rng = np.random.default_rng(seed)
+    chunks = []
+    accepted = drawn = by_domain = by_metric = 0
+    k = len(chart.domain)
+    roots = list(chart.domain)
+    if metric is not None:
+        roots += [metric.comps[i][j] for i in range(n) for j in range(n)]
+    batch_size, cap = geo._BATCH, geo._COND_LIMIT
+    while accepted < count:
+        batch = rng.uniform(lo, hi, size=(batch_size, n))
+        drawn += batch_size
+        ok = np.ones(batch_size, dtype=bool)
+        if roots:
+            vals, ok = eval_many(roots, batch, chart.binding, mode="masked")
+            ok &= np.all(vals[:k] > 0.0, axis=0)
+        idx = np.nonzero(ok)[0]
+        by_domain += batch_size - len(idx)
+        if metric is not None:
+            eig = np.linalg.eigvalsh(vals[k:, idx].T.reshape(-1, n, n))
+            ok[idx] = (eig[:, 0] > 0.0) & (eig[:, -1] < cap * eig[:, 0])
+            by_metric += len(idx) - np.count_nonzero(ok)
+        rows = batch[ok][:count - accepted]
+        chunks.append(rows)
+        accepted += len(rows)
+        if (drawn >= geo._EXHAUSTION_DRAWS
+                and accepted < max(1, geo._EXHAUSTION_RATE * drawn)):
+            cause = ("domain predicate too tight for the sampling box"
+                     if by_domain >= by_metric else "metric not positive definite "
+                     f"or over the condition-number cap {cap:.0e}")
+            raise geo.SamplingError(f"acceptance rate {accepted}/{drawn} below 1% — {cause}")
+    return np.concatenate(chunks)

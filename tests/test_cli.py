@@ -38,7 +38,8 @@ def run_cli(capsys, *argv):
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_entry(*argv, stdout=subprocess.PIPE, unbuffered=None, preexec_fn=None):
+def run_entry(*argv, stdout=subprocess.PIPE, unbuffered=None, preexec_fn=None,
+              timeout=None):
     """Run ``python -m solitonlab.cli`` in a fresh process; stdout stays bytes."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
@@ -46,7 +47,8 @@ def run_entry(*argv, stdout=subprocess.PIPE, unbuffered=None, preexec_fn=None):
     if unbuffered is not None:
         env["PYTHONUNBUFFERED"] = unbuffered
     proc = subprocess.run([sys.executable, "-m", "solitonlab.cli", *argv], stdout=stdout,
-                          stderr=subprocess.PIPE, env=env, preexec_fn=preexec_fn)
+                          stderr=subprocess.PIPE, env=env, preexec_fn=preexec_fn,
+                          timeout=timeout)
     return proc.returncode, proc.stdout, proc.stderr.decode()
 
 
@@ -1039,6 +1041,19 @@ def test_entry_out_of_memory_exits_2(monkeypatch):
     argv = ("check-identity", "bianchi", "--random-metrics", "1", "--points")
     assert run_entry(*argv, "30", preexec_fn=limit)[0] == 0
     code, out, err = run_entry(*argv, "10000000", preexec_fn=limit)
+    assert (code, out) == (2, b"")
+    assert err.startswith("out of memory: ") and "--points" in err
+    assert "Traceback" not in err
+
+
+def test_unallocatable_points_exit_2_at_once(monkeypatch):
+    # 10^15 points of R^3 take 24 PB, past a 48-bit address space, so the
+    # sampler's result cannot be allocated under any overcommit setting; it
+    # is allocated before the first draw, so the run fails at once instead of
+    # drawing batches toward it (subprocess.TimeoutExpired if it does)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    code, out, err = run_entry("verify-example", "neg-m-sphere",
+                               "--points", "1000000000000000", timeout=30)
     assert (code, out) == (2, b"")
     assert err.startswith("out of memory: ") and "--points" in err
     assert "Traceback" not in err

@@ -284,9 +284,10 @@ def test_classify_makes_two_strict_calls(monkeypatch, capsys):
     # the sampler's strict pass, stage 1 with the triviality fields, then the
     # h = -m/u probe and stage 2
     (("verify-example", "neg-m-sphere"), 4),
-    # as neg-m-sphere, plus make_warped's pass over the warping function, mu
-    # and the Hessian equation
-    (("verify-example", "pseudo-hyperbolic"), 7),
+    # as neg-m-sphere, plus mu and the Hessian equation; make_warped's pass
+    # over the warping function belongs to the construction, which a warm call
+    # takes from the catalog's memo
+    (("verify-example", "pseudo-hyperbolic"), 6),
     (("verify-example", "space-form-gradient"), 3),
     (("verify-example", "euclidean-gradient"), 3),
     (("verify-manifest", str(MANIFESTS / "shell-neg-m-over-u.json")), 4),
@@ -298,6 +299,7 @@ def test_classify_makes_two_strict_calls(monkeypatch, capsys):
 ], ids=lambda v: v if isinstance(v, int) else " ".join(Path(a).name for a in v))
 def test_structure_commands_make_one_strict_call_per_stage(argv, count, monkeypatch,
                                                            capsys):
+    assert cli.main([*argv, "--points", "40", "--seed", "1"]) == 0
     calls = strict_calls(monkeypatch)
     assert cli.main([*argv, "--points", "40"]) == 0
     assert len(calls) == count
@@ -342,3 +344,44 @@ def test_stage_two_runs_when_stage_one_passes_at_its_own_tolerance():
         so.divric_identity_residual(shifted, pts)
     with pytest.raises(so.PreconditionError, match="exceeds 1e-08"):
         so.eqpprinc_residual(shifted, pts)
+
+
+# every catalog-cold template of perfbench/workloads.py, at 20 points
+CATALOG_ARGVS = [
+    *(("verify-example", i) for i in exm.EXAMPLES),
+    ("verify-manifest", str(MANIFESTS / "flat-m-over-u.json")),
+    ("verify-manifest", str(MANIFESTS / "shell-neg-m-over-u.json")),
+    ("classify", "--example", "neg-m-sphere"),
+    ("construct-warped", "--base", "pseudo-hyperbolic", "--out", "{tmp}/product.json"),
+    *(("check-identity", name) for name in ("divric", "eqpprinc", "mu-const",
+                                            "conformal-factor", "oneill")),
+]
+
+
+@pytest.mark.parametrize("argv", CATALOG_ARGVS,
+                         ids=[" ".join(Path(a).name for a in v) for v in CATALOG_ARGVS])
+def test_warm_catalog_calls_construct_nothing(argv, monkeypatch, tmp_path, capsys):
+    # a second call at a new seed takes its structure, its digest and its
+    # parsed manifest from the memos; construct-warped still builds its
+    # product (make_warped checks the warping) and serializes it for --out
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv] + ["--points", "20"]
+    assert cli.main([*argv, "--seed", "100"]) == 0
+    calls = []
+
+    def spy(name, fn):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return counted
+
+    for i, spec in exm.EXAMPLES.items():
+        fields = dict(zip(spec._fields, (getattr(spec, f) for f in spec._fields)))
+        fields["build"] = spy(i, spec.build)
+        monkeypatch.setitem(exm.EXAMPLES, i, exm.ExampleSpec(**fields))
+    # the body of the memoized pseudo_hyperbolic_product starts with the base
+    for mod, name in ((exm, "_pseudo_hyperbolic_base"), (sp, "check_warping"),
+                      (mf, "from_dict"), (mf, "structure_to_dict")):
+        monkeypatch.setattr(mod, name, spy(name, getattr(mod, name)))
+    assert cli.main([*argv, "--seed", "101"]) == 0
+    product = argv[0] == "construct-warped"
+    assert sorted(calls) == (["check_warping", "structure_to_dict"] if product else [])

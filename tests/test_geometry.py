@@ -9,13 +9,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from solitonlab import examples as exm
 from solitonlab import expr as ex
 from solitonlab import geometry as geo
 from solitonlab import manifest as mf
 from solitonlab import soliton as so
 from solitonlab import spaces as sp
 
-from oracles import DegeneratePlaneError, eval_checked, evaluate, riemann_sectional
+from oracles import (DegeneratePlaneError, eval_checked, evaluate, riemann_sectional,
+                     sample_points_full_batch)
 
 
 def euclidean_setup(n=3):
@@ -621,6 +623,91 @@ def test_sample_points_exhaustion_names_the_condition_number_cap():
     with pytest.raises(geo.SamplingError, match="condition-number cap") as err:
         geo.sample_points(chart, 10, seed=0, metric=g)
     assert "domain predicate" not in str(err.value)
+
+
+def assert_samples_as_the_full_batch_sampler(chart, count, seed, metric=None):
+    """sample_points gives the full-batch reference's points, or raises its
+    SamplingError with the same message."""
+    try:
+        want = sample_points_full_batch(chart, count, seed, metric=metric)
+    except geo.SamplingError as err:
+        with pytest.raises(geo.SamplingError) as got:
+            geo.sample_points(chart, count, seed, metric=metric)
+        assert str(got.value) == str(err)
+        return str(err)
+    got = geo.sample_points(chart, count, seed, metric=metric)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    return got
+
+
+# the catalog's charts with their metrics; two carry a domain predicate
+SAMPLED_STRUCTURES = [("space-form-gradient", {}), ("space-form-gradient", {"c": -1}),
+                      ("euclidean-gradient", {}), ("pseudo-hyperbolic", {}),
+                      ("pseudo-hyperbolic", {"l": 4.0}), ("neg-m-sphere", {})]
+
+
+@pytest.mark.parametrize("count", [1, 200, 511, 512, 513, 20_000])
+@pytest.mark.parametrize("example, params", SAMPLED_STRUCTURES,
+                         ids=[f"{e}{p}" for e, p in SAMPLED_STRUCTURES])
+def test_sample_points_keeps_the_full_batch_points_on_the_catalog(example, params, count):
+    s = exm.build_structure(example, params)
+    assert_samples_as_the_full_batch_sampler(s.chart, count, 7, s.metric)
+
+
+@pytest.mark.parametrize("count", [1, 200, 511, 512, 513, 20_000])
+def test_sample_points_keeps_the_full_batch_points_without_a_metric(count):
+    assert_samples_as_the_full_batch_sampler(sp.make_euclidean(3).chart, count, 7)
+
+
+@pytest.mark.parametrize("count", [1, 200, 511, 512, 513, 20_000])
+def test_sample_points_keeps_the_full_batch_points_under_partial_acceptance(count):
+    # the unit disk keeps about 79% of the box's draws, and diag(1, x1 + 0.6)
+    # is positive definite on about 80% of the disk, so most batches reject
+    # some of the draws tested first and go on to the rest
+    chart = geo.Chart(("x1", "x2"), ((-1, 1), (-1, 1)),
+                      domain=(ex.sub(ex.ONE, ex.add(ex.powi(ex.coord(0), 2),
+                                                    ex.powi(ex.coord(1), 2))),))
+    g = geo.MetricField(chart, geo.sym_rows(
+        [ex.ONE, ex.ZERO, ex.add(ex.coord(0), ex.const(0.6))]))
+    pts = assert_samples_as_the_full_batch_sampler(chart, count, 3, g)
+    assert np.all(pts[:, 0] > -0.6) and np.all(np.hypot(pts[:, 0], pts[:, 1]) < 1)
+
+
+@pytest.mark.parametrize("count", [1, 10, 600])
+def test_sample_points_cap_exhaustion_message_matches_the_full_batch_sampler(count):
+    chart = geo.Chart(("x1", "x2"), ((-1, 1), (-1, 1)))
+    g = geo.MetricField(chart, geo.sym_rows([ex.ONE, ex.ZERO, ex.const(1e-9)]))
+    assert "condition-number cap" in assert_samples_as_the_full_batch_sampler(
+        chart, count, 0, g)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("with_metric", [False, True])
+def test_sample_points_domain_exhaustion_message_matches_the_full_batch_sampler(
+        seed, with_metric):
+    # a disk of radius 0.05 keeps about 0.2% of the draws: 600 points are
+    # not reached before the acceptance is checked at 1e5 draws
+    chart = geo.Chart(("x1", "x2"), ((-1, 1), (-1, 1)), domain=(ex.sub(
+        ex.const(0.0025), ex.add(ex.powi(ex.coord(0), 2), ex.powi(ex.coord(1), 2))),))
+    g = geo.MetricField(chart, geo.sym_rows([ex.ONE, ex.ZERO, ex.ONE]))
+    assert "domain predicate" in assert_samples_as_the_full_batch_sampler(
+        chart, 600, seed, g if with_metric else None)
+
+
+def test_sample_points_exhaustion_counts_the_rejections_of_the_whole_last_batch(
+        monkeypatch):
+    # with one batch allowed, the first draw with x1 > 0.3 has x2 > 0.5 and is
+    # accepted, but the batch still ends in a SamplingError: 155 draws fail the
+    # predicate, and 172 of the rest fail the metric diag(1, x2 - 0.5) after it
+    monkeypatch.setattr(geo, "_EXHAUSTION_DRAWS", geo._BATCH)
+    chart = geo.Chart(("x1", "x2"), ((0, 1), (0, 1)),
+                      domain=(ex.sub(ex.coord(0), ex.const(0.3)),))
+    g = geo.MetricField(chart, geo.sym_rows(
+        [ex.ONE, ex.ZERO, ex.sub(ex.coord(1), ex.const(0.5))]))
+    batch = np.random.default_rng(1).uniform(np.zeros(2), np.ones(2), size=(geo._BATCH, 2))
+    assert batch[batch[:, 0] > 0.3][0, 1] > 0.5
+    msg = assert_samples_as_the_full_batch_sampler(chart, 1, 1, g)
+    assert msg.startswith("acceptance rate 1/512 below 1%") and "condition-number cap" in msg
 
 
 def test_sample_points_has_no_draw_cap():

@@ -232,6 +232,18 @@ def test_warm_cli_calls_build_nothing(monkeypatch, argv):
     assert state_sizes() == sizes
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "potential_from_factor folds the sampled -n(n-1)/mean R into the DAG, so "
+    "each seed builds new nodes and compiles a new tape (ROADMAP item 9)"))
+def test_warm_conformal_factor_calls_add_no_node_and_no_tape():
+    argv = ["check-identity", "conformal-factor", "--points", "20", "--seed"]
+    assert cli.main([*argv, "100"]) == 0
+    nodes, tapes = sum(map(len, ex._TABLE.values())), len(ex._TAPES)
+    for seed in range(101, 111):
+        assert cli.main([*argv, str(seed)]) == 0
+    assert (sum(map(len, ex._TABLE.values())), len(ex._TAPES)) == (nodes, tapes)
+
+
 def memo_entries():
     return sum(map(len, ex._DIFF.values()))
 

@@ -162,6 +162,38 @@ def test_write_and_load_round_trip(tmp_path):
     assert json.loads(text) == doc
 
 
+def test_load_reuses_the_structure_of_a_text_and_parses_a_fresh_document(tmp_path):
+    doc = flat_doc()
+    path = tmp_path / "m.json"
+    mf.write(doc, str(path))
+    first, second = mf.load(str(path)), mf.load(str(path))
+    assert second.structure is first.structure and second.digest == first.digest
+    assert second.document == doc and second.document is not first.document
+    first.document["lambda"] = "1"
+    assert mf.load(str(path)).document == doc
+    # the file is read at every call: new bytes load as a new manifest
+    mf.write(flat_doc(**{"lambda": "2"}), str(path))
+    third = mf.load(str(path))
+    assert third.digest != first.digest and third.structure != first.structure
+
+
+def test_load_keeps_nothing_of_a_rejected_text(tmp_path):
+    path = tmp_path / "bad.json"
+    mf.write(flat_doc(dimension=2), str(path))
+    kept = len(mf._LOADED)
+    for _ in range(2):
+        with pytest.raises(mf.ManifestError, match="coordinates must be 2 names"):
+            mf.load(str(path))
+    assert len(mf._LOADED) == kept
+
+
+@pytest.mark.parametrize("example_id", [i for i, spec in exm.EXAMPLES.items()
+                                        if spec.structure])
+def test_structure_digest_is_the_digest_of_the_serialized_structure(example_id):
+    s = exm.build_structure(example_id)
+    assert mf.structure_digest(s) == mf.digest(mf.structure_to_dict(s))
+
+
 def test_load_errors(tmp_path):
     with pytest.raises(mf.ManifestError, match="cannot read"):
         mf.load(str(tmp_path / "absent.json"))
