@@ -328,22 +328,28 @@ class ExampleRun:
         self.notes = [] if notes is None else notes
 
 
-def structure_checks(s: so.SolitonStructure, pts, tol: float, divric: bool = True):
+def structure_checks(s: so.SolitonStructure, pts, tol: float, divric: bool = True,
+                     inverse: geo.Inverse = None):
     """The declared suite for a structure, in two stages of one evaluation
     each, and its triviality verdict: (reports, TrivialityVerdict).
 
     Stage 1 is the defining residual(s) at `tol`, evaluated together with the
-    fields of the triviality verdict.  Stage 2, the identities the form makes
-    applicable, runs only when stage 1's soliton residual passes; their
-    prechecks read the stage-1 reports, and mu-constancy joins them when the
-    verdict finds lambda constant.  `divric=False` leaves the divergence
-    identity out (the manifest report does not list it).
+    metric and the fields of the triviality verdict.  Stage 2, the identities
+    the form makes applicable, runs only when stage 1's soliton residual
+    passes; their prechecks read the stage-1 reports, and mu-constancy joins
+    them when the verdict finds lambda constant.  Both stages reduce with the
+    metric's inverse that stage 1 computes, kept in `inverse` (a fresh
+    geo.Inverse when not given), so a caller that passes its own hands that
+    inverse on to its further checks at `pts`.  `divric=False` leaves the
+    divergence identity out (the manifest report does not list it).
     """
     pts = geo.points_array(pts)
+    inverse = geo.Inverse() if inverse is None else inverse
     stage1 = [so.soliton_check(s, tol)]
     if s.is_gradient:
         stage1.append(so.soliton_check(s, tol, gradient=True))
-    vals = geo.gnorms(s.metric, [c[2] for c in stage1] + so.triviality_fields(s), pts)
+    vals = geo.gnorms(s.metric, [c[2] for c in stage1] + so.triviality_fields(s), pts,
+                      inverse)
     reports = [so._report(name, t, pts, r) for (name, t, _), r in zip(stage1, vals)]
     verdict = so.triviality_verdict(s, vals[len(stage1):], tol)
     if not reports[0].passed:
@@ -357,7 +363,7 @@ def structure_checks(s: so.SolitonStructure, pts, tol: float, divric: bool = Tru
         if verdict.lambda_spread < so.LAMBDA_SPREAD_TOL:
             mu = so.mu_report(s, pts, m)
         stage2.append((so.eqpprinc_check(s), meta))
-    vals = geo.gnorms(s.metric, [c[2] for c, _ in stage2], pts) if stage2 else []
+    vals = geo.gnorms(s.metric, [c[2] for c, _ in stage2], pts, inverse) if stage2 else []
     second = [so._report(name, t, pts, r, **md)
               for ((name, t, _), md), r in zip(stage2, vals)]
     if mu is not None:
@@ -388,9 +394,10 @@ def run_example(example_id: str, params=None, count: int = 200,
         s = built
         pts = so.default_points(s, count, seed)
         run.structure = s
-        run.checks, tv = structure_checks(s, pts, tol)
+        inverse = geo.Inverse()
+        run.checks, tv = structure_checks(s, pts, tol, inverse=inverse)
         if spec.checks is not None:
-            run.checks += so.run_checks(s.metric, pts, spec.checks(s, p))
+            run.checks += so.run_checks(s.metric, pts, spec.checks(s, p), inverse=inverse)
         run.triviality, run.trivial, run.classification = tv, tv.trivial, tv.classification
         want = spec.classification(p)
         if want is not None and run.classification != want:

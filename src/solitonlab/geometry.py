@@ -22,12 +22,15 @@ rule is written: every symmetric 2-tensor in the package is built by it.
 at the points in one pass; `gnorms`, the one reduction, evaluates the metric
 and a list of residuals through it and returns their g-norms, sqrt(g^{ik}
 g^{jl} T_ij T_kl) at rank 2 and alike at ranks 1 and 3; a rank-0 residual's
-values come back signed.  The rank-2 and rank-3 g-norms keep np.einsum's
-bits: while a point's d**4 or d**6 terms fit numpy's 8,192-element einsum
-buffer, np.einsum adds them one at a time, in C order of the sorted labels,
-each the product of its operands from left to right, and
-_einsum_over_points forms that same sum a slab of terms x points at a time;
-above the buffer (rank 2 at d >= 10, rank 3 at d >= 5) it calls np.einsum.
+values come back signed.  An `Inverse` hands the metric's numeric inverse
+from one gnorms call to the next at one point set, so a command inverts
+each metric once per point set.  The g-norms keep np.einsum's bits: while
+a point's d**2, d**4 or d**6 terms fit numpy's 8,192-element einsum buffer,
+np.einsum adds them one at a time, in C order of the sorted labels, each
+the product of its operands from left to right, and _einsum_over_points
+forms that same sum a slab of terms x points at a time, for every residual
+of one rank in one pass; above the buffer (rank 1 at d >= 91, rank 2 at
+d >= 10, rank 3 at d >= 5) it calls np.einsum once per residual.
 `sample_points` filters each seeded batch with one masked pass over the
 domain predicates and the metric, then eigen-tests the metric at as many
 admissible draws as it still wants, and at the rest only when one fails.
@@ -591,89 +594,166 @@ _SLAB = 1 << 15
 _ROW = 128
 
 
-def _einsum_over_points(spec: str, *operands) -> np.ndarray:
-    """np.einsum(spec, *operands), bit for bit, for a spec like "nik,nij->n".
+@lru_cache(maxsize=None)
+def _view_plan(spec: str, d: int, fixed: int) -> tuple:
+    """How _einsum_over_points views the operands of `spec` at dimension d,
+    with its first `fixed` labels fixed per slab: (moves, heads).
 
-    Every operand has the point axis n first and its other labels in
-    ascending order, each of one length d.  While the d**L terms of a point
-    (L summation labels) fit numpy's einsum buffer, np.einsum adds them to
-    the point's sum one at a time, from 0.0, in C order of the sorted
-    labels, each term the product of its operands from left to right.  This
-    forms the same sums a slab at a time: the products of the terms that
-    share one value of the first few labels, at a block of points, then
-    their rows added in order.  Slabs hold _SLAB products, so the
-    temporaries stay bounded whatever the point count.  Above the buffer
-    np.einsum sums chunks in an order that depends on the operands'
-    strides, so it is called as it is.  Like np.einsum, this never warns:
-    an overflow gives inf or nan.
+    moves[i] is the transpose that puts operand i's point axis last and the
+    index that then gives it a length-1 axis for each label it lacks, so
+    that the ufuncs broadcast it over the labels.  heads holds, for each
+    value of the fixed labels in C order, every operand's index: the value
+    on a label it has, 0 on one it lacks.
     """
     inputs = [s[1:] for s in spec.removesuffix("->n").split(",")]
     labels = sorted(set("".join(inputs)))
-    n, d = operands[0].shape[:2]
-    L = len(labels)
+    moves = [(tuple(range(1, len(s) + 1)) + (0,),
+              tuple(slice(None) if c in s else None for c in labels) + (slice(None),))
+             for s in inputs]
+    heads = [tuple(tuple(h if labels[p] in s else 0 for p, h in enumerate(head))
+                   + (Ellipsis,) for s in inputs)
+             for head in np.ndindex((d,) * fixed)]
+    return moves, heads
+
+
+def _einsum_over_points(spec: str, ginv: np.ndarray, tvs) -> np.ndarray:
+    """np.einsum(spec, ginv, ..., ginv, tv, tv) for each tv in tvs, bit for
+    bit: row r of the (len(tvs), N) result is that of tvs[r].
+
+    `spec`, like "nik,njl,nij,nkl->n", names the metric's operands first and
+    the residual's two last.  Every operand has the point axis n first and
+    its other labels in ascending order, each of one length d.  While the
+    d**L terms of a point (L summation labels) fit numpy's einsum buffer,
+    np.einsum adds them to the point's sum one at a time, from 0.0, in C
+    order of the sorted labels, each term the product of its operands from
+    left to right.  This forms the same sums a slab at a time, in one pass
+    over the points for every residual: the products of the terms that share
+    one value of the first few labels, at a block of points of each residual,
+    then their rows added in order.  The product of the metric's factors
+    leads every term, so a slab forms it once and each residual multiplies
+    it by its own two.  Np.einsum's order is per point, so a residual's sums
+    do not depend on the others beside it.  Slabs hold _SLAB products over
+    all residuals, each residual's in a contiguous block, so the temporaries
+    stay bounded whatever the point count.  The operands' views follow a
+    plan made once per (spec, d, fixed labels).  Above the buffer np.einsum
+    sums chunks in an order that depends on the operands' strides, so it is
+    called as it is, once per residual.  Like np.einsum, this never warns:
+    an overflow gives inf or nan.
+    """
+    n, d = ginv.shape[:2]
+    # the residuals, the summation labels and the metric's operands
+    k, L, m = len(tvs), len(set(spec) - set("n,->")), spec.count(",") - 1
+    out = np.zeros((k, n))
     if d ** L > _EINSUM_BUFFER:
-        return np.einsum(spec, *operands)
-    # each operand as (labels..., n), broadcast over the labels it lacks
-    views = [np.broadcast_to(
-        np.moveaxis(x, 0, -1).reshape([d if c in s else 1 for c in labels] + [n]),
-        (d,) * L + (n,)) for s, x in zip(inputs, operands)]
-    # fix the fewest leading labels that leave room for _ROW points a slab
+        for r, tv in enumerate(tvs):
+            out[r] = np.einsum(spec, *[ginv] * m, tv, tv)
+        return out
+    # fix the fewest leading labels that leave room for _ROW points of each
+    # residual a slab
     fixed = 0
-    while d ** (L - fixed) * min(n, _ROW) > _SLAB:
+    while fixed < L and d ** (L - fixed) * k * min(n, _ROW) > _SLAB:
         fixed += 1
+    moves, heads = _view_plan(spec, d, fixed)
+    # each operand as (labels..., n), with length 1 on the labels it lacks
+    gviews = [ginv.transpose(axes)[grow] for axes, grow in moves[:m]]
+    tviews = [[tv.transpose(axes)[grow] for axes, grow in moves[m:]] for tv in tvs]
+    block = (d,) * (L - fixed)
     terms = d ** (L - fixed)
-    step = _SLAB // terms
-    out = np.zeros(n)
-    slab = np.empty(terms * min(step, n))
+    step = max(1, _SLAB // (terms * k))
+    slab = np.empty(terms * k * min(step, n))
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, n, step):
-            acc = out[lo:lo + step]
-            prod = slab[:terms * len(acc)].reshape((d,) * (L - fixed) + (len(acc),))
-            rows = prod.reshape(terms, len(acc))
-            for head in np.ndindex((d,) * fixed):
-                at = head + (..., slice(lo, lo + step))
-                np.multiply(views[0][at], views[1][at], out=prod)
-                for v in views[2:]:
-                    np.multiply(prod, v[at], out=prod)
-                rows[0] += acc
-                if len(acc) > 1:  # row after row into the block's sums
-                    np.add.reduce(rows, axis=0, out=acc)
+            sl = (slice(lo, lo + step),)
+            acc = out[:, sl[0]]
+            w = acc.shape[1]
+            prod = slab[:terms * k * w].reshape((k,) + block + (w,))
+            own = list(prod[::-1])
+            rows = prod.reshape(k, terms, w)
+            for at in heads:
+                # the metric's factors lead every term: their product goes to
+                # the first residual's products, which take it in place last
+                lead = gviews[0][at[0] + sl]
+                if m > 1:
+                    np.multiply(lead, gviews[1][at[1] + sl], out=own[-1])
+                    lead = own[-1]
+                    for v, a in zip(gviews[2:], at[2:m]):
+                        np.multiply(lead, v[a + sl], out=lead)
+                for p, (t1, t2) in zip(own, tviews[::-1]):
+                    np.multiply(lead, t1[at[m] + sl], out=p)
+                    np.multiply(p, t2[at[m + 1] + sl], out=p)
+                rows[:, 0] += acc
+                if w > 1:  # row after row into the block's sums
+                    np.add.reduce(rows, axis=1, out=acc)
                 else:  # a reduce down one column would sum it pairwise
-                    acc[:] = np.add.accumulate(rows[:, 0])[-1]
+                    acc[:, 0] = np.add.accumulate(rows[:, :, 0], axis=1)[:, -1]
     return out
 
 
-def gnorm_sym2(tv: np.ndarray, ginv: np.ndarray) -> np.ndarray:
-    sq = _einsum_over_points("nik,njl,nij,nkl->n", ginv, ginv, tv, tv)
-    return np.sqrt(np.clip(sq, 0.0, None))
+def _gnorm(spec: str, tv, ginv: np.ndarray):
+    """The g-norms of `spec`'s sums: an (N,) array for one residual's
+    values, or a list of them, from one pass, for a list of such arrays."""
+    one = isinstance(tv, np.ndarray)
+    sq = _einsum_over_points(spec, ginv, [tv] if one else tv)
+    np.sqrt(np.clip(sq, 0.0, None, out=sq), out=sq)
+    return sq[0] if one else list(sq)
 
 
-def gnorm_oneform(wv: np.ndarray, ginv: np.ndarray) -> np.ndarray:
-    sq = np.einsum("nij,ni,nj->n", ginv, wv, wv)
-    return np.sqrt(np.clip(sq, 0.0, None))
+def gnorm_oneform(wv, ginv: np.ndarray):
+    return _gnorm("nij,ni,nj->n", wv, ginv)
 
 
-def gnorm_rank3(av: np.ndarray, ginv: np.ndarray) -> np.ndarray:
-    sq = _einsum_over_points("nad,nbe,ncf,nabc,ndef->n", ginv, ginv, ginv, av, av)
-    return np.sqrt(np.clip(sq, 0.0, None))
+def gnorm_sym2(tv, ginv: np.ndarray):
+    return _gnorm("nik,njl,nij,nkl->n", tv, ginv)
 
 
-def gnorms(g: MetricField, residuals, points) -> list:
+def gnorm_rank3(av, ginv: np.ndarray):
+    return _gnorm("nad,nbe,ncf,nabc,ndef->n", av, ginv)
+
+
+class Inverse:
+    """The numeric inverse of one metric at one point set, handed from one
+    gnorms call to the next.
+
+    A command that reduces one point set in several gnorms calls gives each
+    the same Inverse.  The first call with a residual of rank 1 or more
+    inverts the metric values of its own strict evaluation and keeps them
+    here; a later call on the same metric object reads them, and evaluates
+    only its residuals.  The caller makes one per point set and drops it
+    with the command, so no inverse outlives the command.
+    """
+
+    __slots__ = ("metric", "values")
+
+    def __init__(self):
+        self.metric = self.values = None
+
+
+def gnorms(g: MetricField, residuals, points, inverse: Inverse = None) -> list:
     """g-norm of each residual at each point: one (N,) array per residual.
 
     A residual is one expression (rank 0, its values returned signed) or
     nested n-tuples of them (ranks 1-3, reduced with the metric's inverse).
     One eval_tensors call evaluates the metric first, when some residual
-    has rank 1 or more, and then the residuals, so the metric raises before
-    any of them.  A g-norm that overflows raises DomainError at its first
-    such point.  Every residual check reduces through here.
+    has rank 1 or more and `inverse` holds none of g at these points, and
+    then the residuals, so the metric raises before any of them.  The
+    residuals of one rank are reduced together, in one gnorm_* pass.  A
+    g-norm that overflows raises DomainError at its first such point.
+    Every residual check reduces through here.
     """
-    head = [g.comps] if any(not isinstance(r, ex.Expression) for r in residuals) else []
-    vals = eval_tensors(g.chart, head + list(residuals), points)
-    ginv = np.linalg.inv(vals[0]) if head else None
-    norms = [tv if tv.ndim == 1 else
-             (gnorm_oneform, gnorm_sym2, gnorm_rank3)[tv.ndim - 2](tv, ginv)
-             for tv in vals[len(head):]]
+    ranked = not all(isinstance(r, ex.Expression) for r in residuals)
+    ginv = (inverse.values if ranked and inverse is not None and inverse.metric is g
+            else None)
+    head = [g.comps] if ranked and ginv is None else []
+    norms = eval_tensors(g.chart, head + list(residuals), points)
+    if head:
+        ginv = np.linalg.inv(norms.pop(0))
+        if inverse is not None:
+            inverse.metric, inverse.values = g, ginv
+    for ndim, reduce in enumerate((gnorm_oneform, gnorm_sym2, gnorm_rank3), 2):
+        at = [i for i, tv in enumerate(norms) if tv.ndim == ndim]
+        if at:
+            for i, r in zip(at, reduce([norms[i] for i in at], ginv)):
+                norms[i] = r
     for r in norms:
         if not np.isfinite(r).all():
             raise ex.DomainError("non-finite g-norm", int(np.argmax(~np.isfinite(r))))
@@ -703,11 +783,12 @@ def sample_points(chart: Chart, count: int, seed: int, *, metric: MetricField = 
     predicate is > 0 and (when `metric` is given) the metric matrix is
     positive definite with condition number below _COND_LIMIT, and returns
     the first `count` of them as a (count, n) float array, allocated before
-    the first draw, so a count that cannot be held raises MemoryError at
-    once.  One masked eval_many per batch evaluates the predicates and the
-    metric entries; the eigenvalue test runs first on as many admissible
-    draws as are still wanted, and on the rest of the batch only when one
-    of those fails or the batch may end the sampling in a SamplingError.
+    the first draw, so a count that cannot be held, or that numpy's index
+    range cannot, raises MemoryError at once.  One masked eval_many per
+    batch evaluates the predicates and the metric entries; the eigenvalue
+    test runs first on as many admissible draws as are still wanted, and on
+    the rest of the batch only when one of those fails or the batch may end
+    the sampling in a SamplingError.
     Raises SamplingError, naming the test that rejected the most draws, when
     acceptance stays under 1% after 1e5 draws, which bounds the draws at
     about 100 per point requested.
@@ -715,7 +796,11 @@ def sample_points(chart: Chart, count: int, seed: int, *, metric: MetricField = 
     if count < 1:
         raise ValueError("count must be >= 1")
     n = chart.dim
-    out = np.empty((count, n))
+    try:
+        out = np.empty((count, n))
+    except ValueError:  # numpy refuses a size past its index range before allocating
+        raise MemoryError(f"{count} points of {n} coordinates exceed numpy's "
+                          "index range") from None
     lo = np.array([b[0] for b in chart.box])
     hi = np.array([b[1] for b in chart.box])
     binding = chart.binding

@@ -149,11 +149,14 @@ def default_points(s, count: int = 200, seed: int = 42) -> np.ndarray:
 # residual operators
 
 
-def run_checks(g: MetricField, points, checks, **metadata) -> list:
+def run_checks(g: MetricField, points, checks, *, inverse: geo.Inverse = None,
+               **metadata) -> list:
     """One ResidualReport per (name, tol, residual) check, in order, from one
-    geo.gnorms call; each report gets its own copy of `metadata`."""
+    geo.gnorms call; each report gets its own copy of `metadata`.  `inverse`
+    hands the metric's inverse at these points to and from the other
+    reductions of the caller's point set (see geo.Inverse)."""
     pts = geo.points_array(points)
-    res = geo.gnorms(g, [c[2] for c in checks], pts)
+    res = geo.gnorms(g, [c[2] for c in checks], pts, inverse)
     return [_report(name, tol, pts, r, **metadata) for (name, tol, _), r in zip(checks, res)]
 
 
@@ -294,14 +297,16 @@ def conformal_killing_check(g: MetricField, X: VectorField, points,
 
 
 def conformal_factor_hessian_check(g: MetricField, rho: ScalarField, points,
-                                   tol: float = 1e-9) -> ResidualReport:
-    """g-norm of Hess rho + (R/(n(n-1))) rho g (the conformal-factor equation)."""
+                                   tol: float = 1e-9,
+                                   inverse: geo.Inverse = None) -> ResidualReport:
+    """g-norm of Hess rho + (R/(n(n-1))) rho g (the conformal-factor equation);
+    `inverse` as in run_checks."""
     n = g.chart.dim
     hess = geo.hessian(g, rho)
     scal = geo.scalar_curvature(g)
     coef = ex.mul(ex.div(scal.expr, ex.const(n * (n - 1))), rho.expr)
     T = geo.sym2(n, lambda i, j: ex.add(hess.comps[i][j], ex.mul(coef, g.comps[i][j])))
-    return run_checks(g, points, [("conformal-factor-hessian", tol, T)])[0]
+    return run_checks(g, points, [("conformal-factor-hessian", tol, T)], inverse=inverse)[0]
 
 
 def potential_from_factor(g: MetricField, rho: ScalarField, points) -> ScalarField:

@@ -1059,6 +1059,16 @@ def test_unallocatable_points_exit_2_at_once(monkeypatch):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("points", ["1000000000000000000", "9223372036854775807",
+                                    "10000000000000000000", "1" + "0" * 40])
+def test_points_past_numpys_index_range_are_out_of_memory(points, capsys):
+    # numpy refuses these sizes with a ValueError of its own before it tries
+    # to allocate; the sampler reports them as the memory they would take
+    code, out, err = run_cli(capsys, "verify-example", "neg-m-sphere", "--points", points)
+    assert (code, out) == (2, "")
+    assert err == "out of memory: the point arrays do not fit; lower --points\n"
+
+
 @pytest.mark.parametrize("lam,expected", [("0", 0), ("0.1", 1)])
 def test_entry_stdout_matches_main_and_json_file(lam, expected, tmp_path, capsys):
     _, path = flat_manifest(tmp_path, lam=lam)

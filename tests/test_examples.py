@@ -305,6 +305,29 @@ def test_structure_commands_make_one_strict_call_per_stage(argv, count, monkeypa
     assert len(calls) == count
 
 
+@pytest.mark.parametrize("argv", [
+    # stage 1's inverse serves stage 2 and the entry's Hessian equation
+    ("verify-example", "pseudo-hyperbolic"),
+    ("verify-example", "neg-m-sphere"),
+    ("verify-manifest", str(MANIFESTS / "shell-neg-m-over-u.json")),
+    # the factor's Hessian equation hands its inverse to factor-potential
+    ("check-identity", "conformal-factor"),
+    ("check-identity", "divric"),
+    ("classify", "--example", "neg-m-sphere"),
+], ids=lambda v: " ".join(Path(a).name for a in v))
+def test_a_command_inverts_its_metric_once(argv, monkeypatch, capsys):
+    calls = []
+    inv = np.linalg.inv
+
+    def recorded(a):
+        calls.append(a.shape)
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", recorded)
+    assert cli.main([*argv, "--points", "40"]) == 0
+    assert len(calls) == 1 and calls[0][0] == 40
+
+
 VECTOR_FIELD_MANIFEST = {
     "schema": mf.SCHEMA, "dimension": 2, "coordinates": ["x1", "x2"],
     "box": [[-1.0, 1.0], [-1.0, 1.0]], "metric": ["1", "0", "1"],

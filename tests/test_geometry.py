@@ -374,51 +374,122 @@ def test_gnorm_against_direct_contraction():
             geo.gnorms(g, [first, [ln_x2, inv_x1]], at_zero)
 
 
-EINSUMS = {2: ("nik,njl,nij,nkl->n", geo.gnorm_sym2),
+EINSUMS = {1: ("nij,ni,nj->n", geo.gnorm_oneform),
+           2: ("nik,njl,nij,nkl->n", geo.gnorm_sym2),
            3: ("nad,nbe,ncf,nabc,ndef->n", geo.gnorm_rank3)}
 
 
-def reduction_operands(rank, dim, n, rng):
-    """(ginv, residual values) as gnorms passes them: the inverse of SPD
-    matrices, and (N,) + (dim,) * rank values viewed, as eval_tensors returns
-    them, from one row per component."""
-    a = rng.standard_normal((n, dim, dim))
-    ginv = np.linalg.inv(a @ a.transpose(0, 2, 1) + dim * np.eye(dim))
+def residual_values(rank, dim, n, rng):
+    """(N,) + (dim,) * rank values viewed, as eval_tensors returns them, from
+    one row per component, with signed zeros among them."""
     rows = rng.standard_normal((dim ** rank, n)) * np.exp(rng.uniform(-3, 3, (dim ** rank, n)))
     rows[::5] = -0.0  # zero components whose products are signed zeros
-    return ginv, rows.T.reshape((n,) + (dim,) * rank)
+    return rows.T.reshape((n,) + (dim,) * rank)
 
 
-# both sides of numpy's 8,192-element einsum buffer: d**4 terms up to d = 9,
-# d**6 terms up to d = 4.  Above it the reduction is np.einsum's own call, and
-# its order already differs at one point, so larger point counts add only time.
-@pytest.mark.parametrize("rank,dim", [(2, d) for d in range(1, 13)] + [(3, d) for d in range(1, 7)])
+def reduction_operands(rank, dim, n, rng, count=1):
+    """(ginv, residual values) as gnorms passes them: the inverse of SPD
+    matrices, and the values of one residual, or a list of `count` of them."""
+    a = rng.standard_normal((n, dim, dim))
+    ginv = np.linalg.inv(a @ a.transpose(0, 2, 1) + dim * np.eye(dim))
+    tvs = [residual_values(rank, dim, n, rng) for _ in range(count)]
+    return ginv, tvs[0] if count == 1 else tvs
+
+
+# both sides of numpy's 8,192-element einsum buffer: d**2 terms up to d = 90,
+# d**4 up to d = 9, d**6 up to d = 4.  Above it each residual is np.einsum's
+# own call, and its order already differs at one point, so larger point
+# counts add only time.
+@pytest.mark.parametrize("rank,dim", [(1, d) for d in (*range(1, 13), 91)]
+                         + [(2, d) for d in range(1, 13)] + [(3, d) for d in range(1, 7)])
 def test_gnorms_keep_the_bits_of_np_einsum(rank, dim):
     spec, reduce = EINSUMS[rank]
     rng = np.random.default_rng(10 * rank + dim)
     below = dim ** (2 * rank) <= geo._EINSUM_BUFFER
-    for n in (1, 2, 57, 1024, 2000) if below else (1, 2, 57):
-        ginv, view = reduction_operands(rank, dim, n, rng)
-        for tv in (view, np.ascontiguousarray(view)):
-            want = np.einsum(spec, *[ginv] * rank, tv, tv)
-            got = geo._einsum_over_points(spec, *[ginv] * rank, tv, tv)
-            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
-    # and the g-norm is the root of that sum
-    np.testing.assert_array_equal(reduce(tv, ginv), np.sqrt(np.clip(want, 0.0, None)))
+    for n in (1, 2, 57, 127, 128, 129, 1024) if below else (1, 2, 57):
+        ginv, tvs = reduction_operands(rank, dim, n, rng, count=4)
+        # as eval_tensors returns them, and contiguous
+        tvs[1::2] = [np.ascontiguousarray(tv) for tv in tvs[1::2]]
+        wants = [np.einsum(spec, *[ginv] * rank, tv, tv) for tv in tvs]
+        # 1-4 residuals of one rank in one pass: each keeps its own sums' bits
+        for count in range(1, 5):
+            got = geo._einsum_over_points(spec, ginv, tvs[:count])
+            assert got.shape == (count, n)
+            for row, want in zip(got, wants):
+                np.testing.assert_array_equal(row.view(np.int64), want.view(np.int64))
+    # and each g-norm is the root of its sum, for one residual or a list
+    roots = [np.sqrt(np.clip(want, 0.0, None)) for want in wants]
+    np.testing.assert_array_equal(reduce(tvs[0], ginv), roots[0])
+    norms = reduce(tvs, ginv)
+    assert len(norms) == len(tvs)
+    for norm, root in zip(norms, roots):
+        np.testing.assert_array_equal(norm, root)
 
 
 def test_gnorm_temporaries_are_bounded_in_terms_and_points():
-    # one slab of products (256 kB) and the (N,) sums, whatever the point count
+    # one slab of products (256 kB) and the (N,) sums, whatever the point
+    # count, and one slab for four residuals reduced in one pass
     rng = np.random.default_rng(5)
-    for rank, dim, n in ((2, 3, 20_000), (3, 4, 1024)):
-        ginv, tv = reduction_operands(rank, dim, n, rng)
+    for rank, dim, n, count in ((2, 3, 20_000, 1), (3, 4, 1024, 1), (2, 3, 20_000, 4)):
+        ginv, tv = reduction_operands(rank, dim, n, rng, count)
         tracemalloc.start()
         try:
             norms = EINSUMS[rank][1](tv, ginv)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - norms.nbytes <= 2 * 2**20, (rank, peak)
+        held = sum(r.nbytes for r in norms) if count > 1 else norms.nbytes
+        assert peak - held <= 2 * 2**20, (rank, count, peak)
+
+
+def inv_calls(monkeypatch):
+    """Record the batch size of every np.linalg.inv call from now on."""
+    calls = []
+    inv = np.linalg.inv
+
+    def recorded(a):
+        calls.append(len(a))
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", recorded)
+    return calls
+
+
+def test_an_inverse_passes_from_one_gnorms_call_to_the_next(monkeypatch):
+    chart, g = perturbed_metric(2, seed=13)
+    pts = np.random.default_rng(3).uniform(-1, 1, size=(12, 2))
+    T = geo.sym_rows([chart.parse("x1"), ex.ONE, chart.parse("x2^2")])
+    w = [chart.parse("x1^2"), chart.parse("sin(x2)")]
+    alone = [geo.gnorms(g, [r], pts)[0] for r in (T, w)]
+    calls = inv_calls(monkeypatch)
+    inverse = geo.Inverse()
+    # a rank-0 call leaves it empty; the first ranked call fills it
+    geo.gnorms(g, [chart.parse("x1")], pts, inverse)
+    assert inverse.values is None and calls == []
+    first = geo.gnorms(g, [T], pts, inverse)
+    assert inverse.metric is g and calls == [12]
+    second = geo.gnorms(g, [w], pts, inverse)
+    assert calls == [12]
+    for got, want in zip(first + second, alone):
+        np.testing.assert_array_equal(got, want)
+    # another metric is inverted afresh, and then held in its place
+    _, h = perturbed_metric(2, seed=14)
+    np.testing.assert_array_equal(geo.gnorms(h, [T], pts, inverse)[0],
+                                  geo.gnorms(h, [T], pts)[0])
+    assert inverse.metric is h and calls == [12, 12, 12]
+
+
+def test_a_faulting_metric_raises_before_any_residual_and_keeps_no_inverse():
+    chart = geo.Chart(("x1", "x2"), ((-1.0, 1.0), (-1.0, 1.0)))
+    g0 = geo.MetricField(chart, geo.sym_rows([chart.parse("1/x1"), ex.ZERO, ex.ONE]))
+    at_zero = np.array([[0.5, 0.5], [0.0, 0.25]])
+    # the residual faults at point 0, the metric only at point 1
+    early = chart.parse("ln(x2 - 0.6)")
+    inverse = geo.Inverse()
+    for residuals in ([[early, ex.ONE]], [early, [ex.ONE, ex.ONE]]):
+        with pytest.raises(ex.DomainError, match="division by zero at point index 1"):
+            geo.gnorms(g0, residuals, at_zero, inverse)
+        assert inverse.values is None
 
 
 def test_overflowing_rank3_gnorm_is_a_domain_error_without_a_warning():
