@@ -370,6 +370,7 @@ def main(argv=None) -> int:
     global _PARSER
     gc_was_enabled = gc.isenabled()
     gc.disable()
+    args = None
     try:
         if _PARSER is None:
             _PARSER = build_parser()
@@ -396,8 +397,10 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"io error: {err}", file=sys.stderr)
         return EXIT_INPUT
-    except MemoryError:
-        print("out of memory: the point arrays do not fit; lower --points", file=sys.stderr)
+    except MemoryError:  # name the flags that size the arrays
+        _, _, reads = IDENTITIES.get(getattr(args, "name", None), (0, 0, ()))
+        more = " or --random-metrics" if "random_metrics" in reads else ""
+        print(f"out of memory: the point arrays do not fit; lower --points{more}", file=sys.stderr)
         return EXIT_INPUT
     finally:
         if gc_was_enabled:

@@ -24,13 +24,10 @@ and a list of residuals through it and returns their g-norms, sqrt(g^{ik}
 g^{jl} T_ij T_kl) at rank 2 and alike at ranks 1 and 3; a rank-0 residual's
 values come back signed.  An `Inverse` hands the metric's numeric inverse
 from one gnorms call to the next at one point set, so a command inverts
-each metric once per point set.  The g-norms keep np.einsum's bits: while
-a point's d**2, d**4 or d**6 terms fit numpy's 8,192-element einsum buffer,
-np.einsum adds them one at a time, in C order of the sorted labels, each
-the product of its operands from left to right, and _einsum_over_points
-forms that same sum a slab of terms x points at a time, for every residual
-of one rank in one pass; above the buffer (rank 1 at d >= 91, rank 2 at
-d >= 10, rank 3 at d >= 5) it calls np.einsum once per residual.
+each metric once per point set.  The g-norms are two-operand np.einsum
+chains over blocks of points (_gnorm), with no BLAS call, so their bits do
+not depend on the host's SIMD kernels; the rank-2 chain, Σ_ij A_ij A_ji
+with A = g⁻¹T, is the g-norm of a symmetric T, as `sym2` builds them all.
 `sample_points` filters each seeded batch with one masked pass over the
 domain predicates and the metric, then eigen-tests the metric at as many
 admissible draws as it still wants, and at the rest only when one fails.
@@ -585,129 +582,59 @@ def eval_metric(g: MetricField, points):
     return gv, np.linalg.inv(gv)
 
 
-# NPY_BUFSIZE, the buffer np.einsum's iterator is built with: compiled into
-# numpy, so np.setbufsize does not move it (np.getbufsize() reads it by default)
-_EINSUM_BUFFER = 8192
-# float64 products one slab holds in _einsum_over_points (256 kB), and the
-# points a slab spans at the least, so that each array pass runs long rows
-_SLAB = 1 << 15
-_ROW = 128
+# floats in one block of a g-norm chain's operands or temporaries (256 kB)
+_TERMS = 1 << 15
 
 
-@lru_cache(maxsize=None)
-def _view_plan(spec: str, d: int, fixed: int) -> tuple:
-    """How _einsum_over_points views the operands of `spec` at dimension d,
-    with its first `fixed` labels fixed per slab: (moves, heads).
-
-    moves[i] is the transpose that puts operand i's point axis last and the
-    index that then gives it a length-1 axis for each label it lacks, so
-    that the ufuncs broadcast it over the labels.  heads holds, for each
-    value of the fixed labels in C order, every operand's index: the value
-    on a label it has, 0 on one it lacks.
-    """
-    inputs = [s[1:] for s in spec.removesuffix("->n").split(",")]
-    labels = sorted(set("".join(inputs)))
-    moves = [(tuple(range(1, len(s) + 1)) + (0,),
-              tuple(slice(None) if c in s else None for c in labels) + (slice(None),))
-             for s in inputs]
-    heads = [tuple(tuple(h if labels[p] in s else 0 for p, h in enumerate(head))
-                   + (Ellipsis,) for s in inputs)
-             for head in np.ndindex((d,) * fixed)]
-    return moves, heads
-
-
-def _einsum_over_points(spec: str, ginv: np.ndarray, tvs) -> np.ndarray:
-    """np.einsum(spec, ginv, ..., ginv, tv, tv) for each tv in tvs, bit for
-    bit: row r of the (len(tvs), N) result is that of tvs[r].
-
-    `spec`, like "nik,njl,nij,nkl->n", names the metric's operands first and
-    the residual's two last.  Every operand has the point axis n first and
-    its other labels in ascending order, each of one length d.  While the
-    d**L terms of a point (L summation labels) fit numpy's einsum buffer,
-    np.einsum adds them to the point's sum one at a time, from 0.0, in C
-    order of the sorted labels, each term the product of its operands from
-    left to right.  This forms the same sums a slab at a time, in one pass
-    over the points for every residual: the products of the terms that share
-    one value of the first few labels, at a block of points of each residual,
-    then their rows added in order.  The product of the metric's factors
-    leads every term, so a slab forms it once and each residual multiplies
-    it by its own two.  Np.einsum's order is per point, so a residual's sums
-    do not depend on the others beside it.  Slabs hold _SLAB products over
-    all residuals, each residual's in a contiguous block, so the temporaries
-    stay bounded whatever the point count.  The operands' views follow a
-    plan made once per (spec, d, fixed labels).  Above the buffer np.einsum
-    sums chunks in an order that depends on the operands' strides, so it is
-    called as it is, once per residual.  Like np.einsum, this never warns:
-    an overflow gives inf or nan.
-    """
+def _gnorm(tv, ginv: np.ndarray, square):
+    """The g-norms of one residual's (N,) + (d,) * rank values, an (N,) array,
+    or of each of a list of them, a list of (N,) arrays.  square(g, t)
+    contracts a block of points of the inverse and of one residual, each a
+    C-ordered copy with the point axis last, over two points at the least
+    (one is repeated): np.einsum then loops innermost along the points, and
+    adds each point's terms in one order, whatever the points beside it.
+    Like np.einsum, this never warns: an overflow gives inf or nan."""
+    tvs = [tv] if isinstance(tv, np.ndarray) else tv
     n, d = ginv.shape[:2]
-    # the residuals, the summation labels and the metric's operands
-    k, L, m = len(tvs), len(set(spec) - set("n,->")), spec.count(",") - 1
-    out = np.zeros((k, n))
-    if d ** L > _EINSUM_BUFFER:
-        for r, tv in enumerate(tvs):
-            out[r] = np.einsum(spec, *[ginv] * m, tv, tv)
-        return out
-    # fix the fewest leading labels that leave room for _ROW points of each
-    # residual a slab
-    fixed = 0
-    while fixed < L and d ** (L - fixed) * k * min(n, _ROW) > _SLAB:
-        fixed += 1
-    moves, heads = _view_plan(spec, d, fixed)
-    # each operand as (labels..., n), with length 1 on the labels it lacks
-    gviews = [ginv.transpose(axes)[grow] for axes, grow in moves[:m]]
-    tviews = [[tv.transpose(axes)[grow] for axes, grow in moves[m:]] for tv in tvs]
-    block = (d,) * (L - fixed)
-    terms = d ** (L - fixed)
-    step = max(1, _SLAB // (terms * k))
-    slab = np.empty(terms * k * min(step, n))
+    out = np.empty((len(tvs), n))
+    step = max(1, _TERMS // d ** max(2, tvs[0].ndim - 1))
+
+    def block(a, lo, hi):
+        v = a[lo:hi].transpose((*range(1, a.ndim), 0))
+        return np.repeat(v, 2, axis=-1) if hi - lo == 1 else np.ascontiguousarray(v)
+
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, n, step):
-            sl = (slice(lo, lo + step),)
-            acc = out[:, sl[0]]
-            w = acc.shape[1]
-            prod = slab[:terms * k * w].reshape((k,) + block + (w,))
-            own = list(prod[::-1])
-            rows = prod.reshape(k, terms, w)
-            for at in heads:
-                # the metric's factors lead every term: their product goes to
-                # the first residual's products, which take it in place last
-                lead = gviews[0][at[0] + sl]
-                if m > 1:
-                    np.multiply(lead, gviews[1][at[1] + sl], out=own[-1])
-                    lead = own[-1]
-                    for v, a in zip(gviews[2:], at[2:m]):
-                        np.multiply(lead, v[a + sl], out=lead)
-                for p, (t1, t2) in zip(own, tviews[::-1]):
-                    np.multiply(lead, t1[at[m] + sl], out=p)
-                    np.multiply(p, t2[at[m + 1] + sl], out=p)
-                rows[:, 0] += acc
-                if w > 1:  # row after row into the block's sums
-                    np.add.reduce(rows, axis=1, out=acc)
-                else:  # a reduce down one column would sum it pairwise
-                    acc[:, 0] = np.add.accumulate(rows[:, :, 0], axis=1)[:, -1]
-    return out
-
-
-def _gnorm(spec: str, tv, ginv: np.ndarray):
-    """The g-norms of `spec`'s sums: an (N,) array for one residual's
-    values, or a list of them, from one pass, for a list of such arrays."""
-    one = isinstance(tv, np.ndarray)
-    sq = _einsum_over_points(spec, ginv, [tv] if one else tv)
-    np.sqrt(np.clip(sq, 0.0, None, out=sq), out=sq)
-    return sq[0] if one else list(sq)
+            hi = min(n, lo + step)
+            g = block(ginv, lo, hi)
+            for r, t in enumerate(tvs):
+                out[r, lo:hi] = square(g, block(t, lo, hi))[:hi - lo]
+    np.sqrt(np.maximum(out, 0.0, out=out), out=out)
+    return list(out) if tvs is tv else out[0]
 
 
 def gnorm_oneform(wv, ginv: np.ndarray):
-    return _gnorm("nij,ni,nj->n", wv, ginv)
+    """sqrt(Σ_i (g⁻¹w)_i w_i) at each point."""
+    return _gnorm(wv, ginv, lambda g, w: np.einsum("in,in->n", np.einsum("ijn,jn->in", g, w), w))
 
 
 def gnorm_sym2(tv, ginv: np.ndarray):
-    return _gnorm("nik,njl,nij,nkl->n", tv, ginv)
+    """sqrt(Σ_ij A_ij A_ji), A = g⁻¹T, at each point: the g-norm
+    sqrt(g^{ik} g^{jl} T_ij T_kl) of a symmetric T, as sym2 builds them all."""
+    def square(g, t):
+        a = np.einsum("ikn,kjn->ijn", g, t)
+        return np.einsum("ijn,jin->n", a, a)
+    return _gnorm(tv, ginv, square)
 
 
 def gnorm_rank3(av, ginv: np.ndarray):
-    return _gnorm("nad,nbe,ncf,nabc,ndef->n", av, ginv)
+    """sqrt(A^{abc} A_abc) at each point, the indices raised one at a time."""
+    def square(g, t):
+        up = t
+        for _ in range(3):  # raise the first index and move it last
+            up = np.einsum("dan,abcn->bcdn", g, up)
+        return np.einsum("abcn,abcn->n", up, t)
+    return _gnorm(av, ginv, square)
 
 
 class Inverse:

@@ -8,8 +8,10 @@ expression at one point through `eval_many`.  `finite_difference` is the numeric
 `expr.differentiate`.  `riemann_sectional` reads sectional curvatures off
 `geometry.riemann_up`, for the model spaces' known constants.
 `curvature_from_jets` rebuilds the curvature layer's tensors with numpy from
-the values of the metric entries and their partials.  `zero_mod_p` evaluates
-rational DAGs exactly at a random point of the field of 2^61 - 1 elements.
+the values of the metric entries and their partials.  `gnorm_fsum` is the
+g-norm of rank-1 to rank-3 values, each point's terms summed exactly.
+`zero_mod_p` evaluates rational DAGs exactly at a random point of the field
+of 2^61 - 1 elements.
 `sample_points_full_batch` is the sampler that eigen-tested whole batches.
 """
 
@@ -294,6 +296,30 @@ def curvature_from_jets(g, phi, points):
     return {"christoffel": gam, "ricci": ric, "scalar": es("njk,njk->n", Gi, ric),
             "hessian": d2phi - es("nkij,nk->nij", gam, dphi),
             "div_ricci": es("nik,nikj->nj", Gi, nabla)}
+
+
+def gnorm_fsum(ginv, tv, at):
+    """(g-norms, sums of |terms|) at the point indices `at` of (N,) + (d,) * r
+    values tv, r in 1..3, with the (N, d, d) inverse metric ginv.
+
+    A point's terms are g^{a a'} g^{b b'} ... T_ab... T_a'b'... over every
+    index pair, each the product of its 2r factors rounded after each
+    multiplication; math.fsum adds them exactly, so the one other rounding
+    is the square root's.  Nothing here is read from `geometry`.
+    """
+    r = tv.ndim - 1
+    norms, sizes = [], []
+    for p in at:
+        t, g = np.asarray(tv[p]), np.asarray(ginv[p])
+        terms = np.multiply.outer(t, t)   # axes: a, b, ..., a', b', ...
+        for k in range(r):
+            shape = [1] * (2 * r)
+            shape[k] = shape[r + k] = len(g)
+            terms = terms * g.reshape(shape)
+        flat = terms.ravel().tolist()
+        norms.append(math.sqrt(max(0.0, math.fsum(flat))))
+        sizes.append(math.fsum(map(abs, flat)))
+    return np.array(norms), np.array(sizes)
 
 
 P61 = 2 ** 61 - 1   # a Mersenne prime

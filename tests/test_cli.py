@@ -24,6 +24,9 @@ from solitonlab import identities as idn
 from solitonlab import manifest as mf
 from solitonlab import soliton as so
 
+import kernel_paths
+from kernel_paths import kernel_path
+
 REPORT_KEYS = {"version", "manifest_digest", "checks", "classification",
                "trivial", "pass"}
 CHECK_KEYS = {"name", "points", "sup_residual", "tolerance", "pass", "worst_point"}
@@ -651,43 +654,78 @@ def test_oneill_passes_at_scale(params, capsys):
 # stdout SHA-256 at --seed 77 of the 15 catalog-cold argvs of perfbench/workloads.py,
 # and of two products with an explicit curved fiber: pseudo-hyperbolic --l 4 has a
 # hyperbolic one, and its construct-warped product a round fiber renamed to y1, y2.
-# Recorded before make_warped moved fiber coordinates by the printer/parser round
-# trip, which left every byte as it was.
+# One digest per numpy kernel path (kernel_paths.PATHS): exp, log, sinh, cosh and
+# power round apart between them, and so do some printed sups.  Recorded with
+# the g-norms as two-operand np.einsum chains.
 CATALOG_DIGESTS = {
-    "verify-example space-form-gradient --points 200":
-        "cd4728eff5465186ae5ad19990a92cff28a758ed778e758b9ade21d3d5b9e4a4",
-    "verify-example euclidean-gradient --points 200":
-        "52086676405d1c3398e8a98415d6e3a6a895b687a18ab6bc06ffe643a695c3d8",
-    "verify-example euclidean-conformal-claimed --points 200":
-        "4fb81978dacbeb7947181851b7a55855979e87df06860c31cee2523bfcb33546",
-    "verify-example euclidean-conformal-corrected --points 200":
-        "f0d1b988e9a075edd25f2c6c937ec4047ecb28a7feb9e6c4384f4dc5cbf17b18",
-    "verify-example pseudo-hyperbolic --points 200":
-        "13b0abd76e6cc4d8bebbb0e01b588c000b98f47dc5c4181e108a475d569160b2",
-    "verify-example neg-m-sphere --points 200":
-        "1b1ff121cc387c61eb71cbb5fdad35a6e031f693a7b21bc80444a4cae00a45ac",
-    "verify-manifest MANIFESTS/flat-m-over-u.json":
-        "5313376f0db97ef1e32343005923b988dbcfac64b90a69839c27b0d272cd591d",
-    "verify-manifest MANIFESTS/shell-neg-m-over-u.json":
-        "f7472317e299fcf18b14a2e842dc4baffeee10e2ae236c9f5b1010d226c76ab0",
-    "classify --example neg-m-sphere":
-        "dc3154b24101cc27cff798cf7b528f4195341d4df59dde9c3ffe3b97fbc20c36",
-    "construct-warped --base pseudo-hyperbolic --out TMP/product.json":
-        "f64b4a1d8d828cdfe38680831ac2496736f16bdb0d26b3d14627e683b2e7c0bd",
-    "check-identity divric":
-        "b6d3ae7563c65cd2e26ed2ef6afc7ab8ed416457f307c51f4401868f094c35dc",
-    "check-identity eqpprinc":
-        "c049766e4bcb0f623c14403ea5048afff3a1d626a70e1175fe9679d451d936f9",
-    "check-identity mu-const":
-        "7c6e5066e34e7007ed3967c17a5f46b3f1735d05ea7fc61a81a21d628bc76e5a",
-    "check-identity conformal-factor":
-        "54c163494fe8b07c6cb8eb4efa125db568f3d5f6b61eda66e162d782df0f2afb",
-    "check-identity oneill":
-        "8fd092bef233f020fc50f153adbe8c349e5e2c266f2faeaa9da216b71c02c24e",
-    "verify-example pseudo-hyperbolic --l 4":
-        "7d0941a60025425df8ac31605f3ed9a6a3822088cc9f67acd6af6a8c73eea006",
-    "construct-warped --base pseudo-hyperbolic --l 4":
-        "6122c54464ae4a4840c6b88dd03acb1ff8ff15246d10ec3f5fb699f60cae50df",
+    "verify-example space-form-gradient --points 200": {
+        "X86_V4": "cd4728eff5465186ae5ad19990a92cff28a758ed778e758b9ade21d3d5b9e4a4",
+        "X86_V3": "cd4728eff5465186ae5ad19990a92cff28a758ed778e758b9ade21d3d5b9e4a4",
+        "baseline": "cd4728eff5465186ae5ad19990a92cff28a758ed778e758b9ade21d3d5b9e4a4"},
+    "verify-example euclidean-gradient --points 200": {
+        "X86_V4": "52086676405d1c3398e8a98415d6e3a6a895b687a18ab6bc06ffe643a695c3d8",
+        "X86_V3": "52086676405d1c3398e8a98415d6e3a6a895b687a18ab6bc06ffe643a695c3d8",
+        "baseline": "52086676405d1c3398e8a98415d6e3a6a895b687a18ab6bc06ffe643a695c3d8"},
+    "verify-example euclidean-conformal-claimed --points 200": {
+        "X86_V4": "4fb81978dacbeb7947181851b7a55855979e87df06860c31cee2523bfcb33546",
+        "X86_V3": "4fb81978dacbeb7947181851b7a55855979e87df06860c31cee2523bfcb33546",
+        "baseline": "4fb81978dacbeb7947181851b7a55855979e87df06860c31cee2523bfcb33546"},
+    "verify-example euclidean-conformal-corrected --points 200": {
+        "X86_V4": "f0d1b988e9a075edd25f2c6c937ec4047ecb28a7feb9e6c4384f4dc5cbf17b18",
+        "X86_V3": "f0d1b988e9a075edd25f2c6c937ec4047ecb28a7feb9e6c4384f4dc5cbf17b18",
+        "baseline": "f0d1b988e9a075edd25f2c6c937ec4047ecb28a7feb9e6c4384f4dc5cbf17b18"},
+    "verify-example pseudo-hyperbolic --points 200": {
+        "X86_V4": "13b0abd76e6cc4d8bebbb0e01b588c000b98f47dc5c4181e108a475d569160b2",
+        "X86_V3": "efea0919f1a56bcb9d7493d817311ab7703c4981435b5dbc6c5f882b16fa3fb9",
+        "baseline": "efea0919f1a56bcb9d7493d817311ab7703c4981435b5dbc6c5f882b16fa3fb9"},
+    "verify-example neg-m-sphere --points 200": {
+        "X86_V4": "aedd8da9bbed6c2f6f982a99aa4575fe70c3ad91336c1ed89be404b18a738e63",
+        "X86_V3": "aedd8da9bbed6c2f6f982a99aa4575fe70c3ad91336c1ed89be404b18a738e63",
+        "baseline": "aedd8da9bbed6c2f6f982a99aa4575fe70c3ad91336c1ed89be404b18a738e63"},
+    "verify-manifest MANIFESTS/flat-m-over-u.json": {
+        "X86_V4": "5313376f0db97ef1e32343005923b988dbcfac64b90a69839c27b0d272cd591d",
+        "X86_V3": "5313376f0db97ef1e32343005923b988dbcfac64b90a69839c27b0d272cd591d",
+        "baseline": "5313376f0db97ef1e32343005923b988dbcfac64b90a69839c27b0d272cd591d"},
+    "verify-manifest MANIFESTS/shell-neg-m-over-u.json": {
+        "X86_V4": "f7472317e299fcf18b14a2e842dc4baffeee10e2ae236c9f5b1010d226c76ab0",
+        "X86_V3": "f7472317e299fcf18b14a2e842dc4baffeee10e2ae236c9f5b1010d226c76ab0",
+        "baseline": "f7472317e299fcf18b14a2e842dc4baffeee10e2ae236c9f5b1010d226c76ab0"},
+    "classify --example neg-m-sphere": {
+        "X86_V4": "dc3154b24101cc27cff798cf7b528f4195341d4df59dde9c3ffe3b97fbc20c36",
+        "X86_V3": "dc3154b24101cc27cff798cf7b528f4195341d4df59dde9c3ffe3b97fbc20c36",
+        "baseline": "dc3154b24101cc27cff798cf7b528f4195341d4df59dde9c3ffe3b97fbc20c36"},
+    "construct-warped --base pseudo-hyperbolic --out TMP/product.json": {
+        "X86_V4": "f64b4a1d8d828cdfe38680831ac2496736f16bdb0d26b3d14627e683b2e7c0bd",
+        "X86_V3": "f64b4a1d8d828cdfe38680831ac2496736f16bdb0d26b3d14627e683b2e7c0bd",
+        "baseline": "f64b4a1d8d828cdfe38680831ac2496736f16bdb0d26b3d14627e683b2e7c0bd"},
+    "check-identity divric": {
+        "X86_V4": "b6d3ae7563c65cd2e26ed2ef6afc7ab8ed416457f307c51f4401868f094c35dc",
+        "X86_V3": "b6d3ae7563c65cd2e26ed2ef6afc7ab8ed416457f307c51f4401868f094c35dc",
+        "baseline": "b6d3ae7563c65cd2e26ed2ef6afc7ab8ed416457f307c51f4401868f094c35dc"},
+    "check-identity eqpprinc": {
+        "X86_V4": "c049766e4bcb0f623c14403ea5048afff3a1d626a70e1175fe9679d451d936f9",
+        "X86_V3": "c049766e4bcb0f623c14403ea5048afff3a1d626a70e1175fe9679d451d936f9",
+        "baseline": "c049766e4bcb0f623c14403ea5048afff3a1d626a70e1175fe9679d451d936f9"},
+    "check-identity mu-const": {
+        "X86_V4": "7c6e5066e34e7007ed3967c17a5f46b3f1735d05ea7fc61a81a21d628bc76e5a",
+        "X86_V3": "ee5efedaaf5ba0b8d00724a20cf8c1cfb11485fd26672a1d9a38f80c6b6645a5",
+        "baseline": "ee5efedaaf5ba0b8d00724a20cf8c1cfb11485fd26672a1d9a38f80c6b6645a5"},
+    "check-identity conformal-factor": {
+        "X86_V4": "54c163494fe8b07c6cb8eb4efa125db568f3d5f6b61eda66e162d782df0f2afb",
+        "X86_V3": "1fc856daafa47cbd1a8d2e6743e276ae59a63f238d64b96c895a749bee769ffb",
+        "baseline": "1fc856daafa47cbd1a8d2e6743e276ae59a63f238d64b96c895a749bee769ffb"},
+    "check-identity oneill": {
+        "X86_V4": "8fd092bef233f020fc50f153adbe8c349e5e2c266f2faeaa9da216b71c02c24e",
+        "X86_V3": "8fd092bef233f020fc50f153adbe8c349e5e2c266f2faeaa9da216b71c02c24e",
+        "baseline": "8fd092bef233f020fc50f153adbe8c349e5e2c266f2faeaa9da216b71c02c24e"},
+    "verify-example pseudo-hyperbolic --l 4": {
+        "X86_V4": "7d0941a60025425df8ac31605f3ed9a6a3822088cc9f67acd6af6a8c73eea006",
+        "X86_V3": "e628083550104cd8bee52e898886c0f61774272eb0b385cb695bff27c8cdef66",
+        "baseline": "e628083550104cd8bee52e898886c0f61774272eb0b385cb695bff27c8cdef66"},
+    "construct-warped --base pseudo-hyperbolic --l 4": {
+        "X86_V4": "6122c54464ae4a4840c6b88dd03acb1ff8ff15246d10ec3f5fb699f60cae50df",
+        "X86_V3": "6364595ed2d05b75490d0089627f42f61ddffc3c7529c1b047adcfc54a26b8dd",
+        "baseline": "6364595ed2d05b75490d0089627f42f61ddffc3c7529c1b047adcfc54a26b8dd"},
 }
 
 
@@ -698,7 +736,15 @@ def test_catalog_report_bytes_are_pinned(argv, tmp_path, capsys):
     code, out, _ = run_cli(capsys, *(str(dirs[head] / rest) if head in dirs else head
                                      for head, _, rest in words), "--seed", "77")
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == CATALOG_DIGESTS[argv]
+    assert hashlib.sha256(out.encode()).hexdigest() == CATALOG_DIGESTS[argv][kernel_path()]
+
+
+def test_an_unknown_kernel_path_fails_naming_its_fingerprint(monkeypatch):
+    # a host whose kernels round otherwise fails every pin, and says why
+    assert kernel_path() in {"X86_V4", "X86_V3", "baseline"}
+    monkeypatch.setattr(kernel_paths, "PATHS", {})
+    with pytest.raises(pytest.fail.Exception, match=kernel_paths.fingerprint()):
+        kernel_path()
 
 
 def test_construct_warped_runs_mu_field_once(capsys, monkeypatch):
@@ -1025,6 +1071,23 @@ def test_out_of_memory_is_an_input_error(enabled, monkeypatch, capsys):
     assert (code, out) == (2, "")
     assert err.startswith("out of memory: ") and "--points" in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,flags", [
+    (("bianchi",), "--points or --random-metrics"),
+    (("lemma21", "--random-metrics", "100000000", "--points", "1"),
+     "--points or --random-metrics"),
+    (("divric",), "--points")])
+def test_out_of_memory_names_the_flags_the_command_reads(argv, flags, monkeypatch, capsys):
+    # a suite's metrics take memory too: --points 1 is not what to lower
+    def exhausted(*args):
+        raise MemoryError()
+
+    monkeypatch.setattr(idn, "suite_metrics", exhausted)
+    monkeypatch.setattr(so, "default_points", exhausted)
+    code, out, err = run_cli(capsys, "check-identity", *argv)
+    assert (code, out) == (2, "")
+    assert err == f"out of memory: the point arrays do not fit; lower {flags}\n"
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is Linux-only")

@@ -2,6 +2,9 @@
 
 import ast
 import inspect
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -16,7 +19,8 @@ from solitonlab import manifest as mf
 from solitonlab import soliton as so
 from solitonlab import spaces as sp
 
-from oracles import (DegeneratePlaneError, eval_checked, evaluate, riemann_sectional,
+from kernel_paths import SETTINGS
+from oracles import (DegeneratePlaneError, eval_checked, evaluate, gnorm_fsum, riemann_sectional,
                      sample_points_full_batch)
 
 
@@ -337,8 +341,7 @@ def test_gnorm_against_direct_contraction():
     gv, ginv = geo.eval_metric(g, pts)
     tv = geo.eval_sym2_comps(T.comps, pts)
     got = geo.gnorm_sym2(tv, ginv)
-    want = np.sqrt(np.einsum("aik,ajl,aij,akl->a", ginv, ginv, tv, tv))
-    np.testing.assert_array_equal(got, want)
+    assert_near_exact_sums(got, ginv, tv)
     # one list-form call over ranks 0-3 gives, for each residual, the g-norm of
     # the reference interpreter's values, bit for bit
     f = chart.parse("x1*x2 - 0.3")
@@ -396,34 +399,97 @@ def reduction_operands(rank, dim, n, rng, count=1):
     return ginv, tvs[0] if count == 1 else tvs
 
 
-# both sides of numpy's 8,192-element einsum buffer: d**2 terms up to d = 90,
-# d**4 up to d = 9, d**6 up to d = 4.  Above it each residual is np.einsum's
-# own call, and its order already differs at one point, so larger point
-# counts add only time.
-@pytest.mark.parametrize("rank,dim", [(1, d) for d in (*range(1, 13), 91)]
+def as_evaluated(values):
+    """A copy of (N,) + shape values laid out as eval_tensors returns them."""
+    n = len(values)
+    return np.ascontiguousarray(values.reshape(n, -1).T).T.reshape(values.shape)
+
+
+def assert_near_exact_sums(got, ginv, tv, at=None):
+    """got[p], the g-norm of tv[p], within the rounding bound of the exact sum
+    of its terms (oracles.gnorm_fsum), at each point p of `at` (default all).
+
+    A rank-r chain adds each term to the square through at most
+    m = r*d + d**r roundings: one product and d - 1 sums in each of the r
+    factors that carry a raised index, one product and d**r - 1 sums in the
+    last contraction.  So the square is off by at most gamma(m + 2r) times
+    the sum A of the terms' magnitudes, the oracle's 2r product roundings
+    included, and its root by that over the root, or by the root of that
+    (whichever is less), plus each side's square-root rounding.
+    """
+    at = range(len(tv)) if at is None else at
+    r, d, eps = tv.ndim - 1, ginv.shape[1], np.finfo(float).eps
+    want, size = gnorm_fsum(ginv, tv, at)
+    m = r * d + d ** r + 2 * r
+    err = m * eps / (1 - m * eps) * size
+    got = np.asarray(got)[list(at)]
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 / 0 where tv[p] is 0
+        bound = np.fmin(err / want, np.sqrt(err)) + eps * np.maximum(got, want)
+    assert np.all(np.abs(got - want) <= bound), np.max(np.abs(got - want) / bound)
+
+
+# rank 1 and 2 up to d = 12, rank 3 up to d = 6; one point, two, an odd
+# count and counts that span several blocks of points
+@pytest.mark.parametrize("rank,dim", [(1, d) for d in range(1, 13)]
                          + [(2, d) for d in range(1, 13)] + [(3, d) for d in range(1, 7)])
-def test_gnorms_keep_the_bits_of_np_einsum(rank, dim):
-    spec, reduce = EINSUMS[rank]
+def test_gnorms_agree_with_an_exact_sum_of_their_terms(rank, dim):
+    reduce = EINSUMS[rank][1]
     rng = np.random.default_rng(10 * rank + dim)
-    below = dim ** (2 * rank) <= geo._EINSUM_BUFFER
-    for n in (1, 2, 57, 127, 128, 129, 1024) if below else (1, 2, 57):
-        ginv, tvs = reduction_operands(rank, dim, n, rng, count=4)
-        # as eval_tensors returns them, and contiguous
-        tvs[1::2] = [np.ascontiguousarray(tv) for tv in tvs[1::2]]
-        wants = [np.einsum(spec, *[ginv] * rank, tv, tv) for tv in tvs]
-        # 1-4 residuals of one rank in one pass: each keeps its own sums' bits
-        for count in range(1, 5):
-            got = geo._einsum_over_points(spec, ginv, tvs[:count])
-            assert got.shape == (count, n)
-            for row, want in zip(got, wants):
-                np.testing.assert_array_equal(row.view(np.int64), want.view(np.int64))
-    # and each g-norm is the root of its sum, for one residual or a list
-    roots = [np.sqrt(np.clip(want, 0.0, None)) for want in wants]
-    np.testing.assert_array_equal(reduce(tvs[0], ginv), roots[0])
-    norms = reduce(tvs, ginv)
-    assert len(norms) == len(tvs)
-    for norm, root in zip(norms, roots):
-        np.testing.assert_array_equal(norm, root)
+    ginvs, values = reduction_operands(rank, dim, 1024, rng, count=2)
+    if rank == 2:  # every rank-2 residual is symmetric (geometry.sym2)
+        values = [tv + tv.transpose(0, 2, 1) for tv in values]
+    for n in (1, 2, 57, 1024, 20_000):
+        # the first n points, repeated past 1,024, laid out as eval_tensors gives them
+        pick = np.arange(n) % 1024
+        ginv, tvs = ginvs[pick], [as_evaluated(tv[pick]) for tv in values]
+        norms = reduce(tvs, ginv)
+        at = range(n) if n <= 57 else [0, 1, n - 1, *rng.choice(n, 16, replace=False)]
+        for tv, norm in zip(tvs, norms):
+            assert norm.shape == (n,)
+            assert_near_exact_sums(norm, ginv, tv, at)
+        # one residual alone, and each point alone in its own layout, keeps its bits
+        np.testing.assert_array_equal(reduce(tvs[1], ginv), norms[1])
+        for p in at[:3]:
+            alone = reduce(as_evaluated(tvs[0][p:p + 1]), ginv[p:p + 1].copy())
+            np.testing.assert_array_equal(alone, norms[0][p:p + 1])
+
+
+# the operands of the reduction-bits test: ranks 1-3 at d = 3-6, 300 points
+# each, with the reduction's bits printed per (rank, d) by a fresh process
+REDUCE_BITS = """
+import hashlib, sys
+import numpy as np
+from solitonlab import geometry as geo
+ops = np.load(sys.argv[1])
+for rank, reduce in enumerate((geo.gnorm_oneform, geo.gnorm_sym2, geo.gnorm_rank3), 1):
+    for d in range(3, 7):
+        norms = reduce(ops[f"t{rank}_{d}"], ops[f"g{rank}_{d}"])
+        print(rank, d, hashlib.sha256(norms.tobytes()).hexdigest())
+"""
+
+
+def test_gnorm_bits_do_not_depend_on_numpys_simd_kernels(tmp_path):
+    # the reduction calls no BLAS and no kernel that the host's SIMD
+    # extensions select: the same operands give the same bytes on every path
+    rng = np.random.default_rng(21)
+    ops = {}
+    for rank in (1, 2, 3):
+        for d in range(3, 7):
+            ginv, tv = reduction_operands(rank, d, 300, rng)
+            if rank == 2:
+                tv = as_evaluated(tv + tv.transpose(0, 2, 1))
+            ops[f"g{rank}_{d}"], ops[f"t{rank}_{d}"] = ginv, tv
+    np.savez(tmp_path / "ops.npz", **ops)
+    outs = {}
+    for path, setting in SETTINGS.items():
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=setting, PYTHONPATH=os.pathsep.join(
+            p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p))
+        outs[path] = subprocess.run([sys.executable, "-c", REDUCE_BITS, str(tmp_path / "ops.npz")],
+                                    env=env, check=True, capture_output=True,
+                                    text=True).stdout.splitlines()
+    assert len(outs["X86_V4"]) == 12
+    for path, lines in outs.items():
+        assert lines == outs["X86_V4"], path
 
 
 def test_gnorm_temporaries_are_bounded_in_terms_and_points():

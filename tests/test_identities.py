@@ -13,6 +13,8 @@ from solitonlab import geometry as geo
 from solitonlab import identities as idn
 from solitonlab import soliton as so
 
+from kernel_paths import kernel_path
+
 
 def test_random_perturbed_metric_is_spd_on_box():
     rng = np.random.default_rng(17)
@@ -129,26 +131,50 @@ def test_fg_formulas_suite_makes_one_strict_call(monkeypatch):
     assert calls == ["strict"]
 
 
-# stdout SHA-256 of `check-identity <argv> --points 100 --seed 77`, recorded
-# from the suites as they were before their coefficients became parameters
+# stdout SHA-256 of `check-identity <argv> --points 100 --seed 77` per numpy
+# kernel path (kernel_paths.PATHS), recorded with the g-norms as two-operand
+# np.einsum chains
 SUITE_DIGESTS = {
-    "bianchi --dim 3 --random-metrics 4":
-        "b80bc1ef1cf154ebb1b7b7875bde46b74d46088d111ac261074f6a2c698d7646",
-    "fg-formulas --dim 3 --random-metrics 4":
-        "31b3eeab37a564777f080f39779ebb1e031dcf7b1fd4632ad326217044bdfbd3",
-    "lemma21 --dim 3 --random-metrics 4":
-        "c120144288cc35b525a1b598e9540cc9cb246bc1afe4917ed77d163281370b55",
-    "bianchi --dim 4 --random-metrics 1":
-        "cb9d2d4c3c6f945894147505b103222bd410fb76cfc447d904d5925f8ff45117",
-    "fg-formulas --dim 4 --random-metrics 1":
-        "5f82f117b47e98a013e99c8231f5c629455c80f5cce9f9b43986c4b5f9440bf4",
-    "lemma21 --dim 4 --random-metrics 1":
-        "c2cd5bf24d01f1d5cc9583954507dfbbf197865556317fd8871fdf46f3f67d4d",
-    "bianchi --dim 5 --random-metrics 1":
-        "0a8b2a681c5c70dfd07659fbcfc917446694f891aad7d41619d58b07ece43f23",
-    "bianchi": "ee2f6e36b5c08769c10cfbb51563040d95ea563e0e816ef578aacb14405c8a0b",
-    "fg-formulas": "acb303fe3461b92a6e3cb73e968563ae7c299facde411f4d4dbe4bcddded2bfd",
-    "lemma21": "b211d5a00f4c8404ca36983f443ff8ef4fce04d3cca1c9728c5f8cc2551356f2",
+    "bianchi --dim 3 --random-metrics 4": {
+        "X86_V4": "b80bc1ef1cf154ebb1b7b7875bde46b74d46088d111ac261074f6a2c698d7646",
+        "X86_V3": "b80bc1ef1cf154ebb1b7b7875bde46b74d46088d111ac261074f6a2c698d7646",
+        "baseline": "b80bc1ef1cf154ebb1b7b7875bde46b74d46088d111ac261074f6a2c698d7646"},
+    "fg-formulas --dim 3 --random-metrics 4": {
+        "X86_V4": "c30a6364a915714aae78c0e05c21e4a74efec325e345d0041ddbe21b4139629b",
+        "X86_V3": "c30a6364a915714aae78c0e05c21e4a74efec325e345d0041ddbe21b4139629b",
+        "baseline": "c30a6364a915714aae78c0e05c21e4a74efec325e345d0041ddbe21b4139629b"},
+    "lemma21 --dim 3 --random-metrics 4": {
+        "X86_V4": "c120144288cc35b525a1b598e9540cc9cb246bc1afe4917ed77d163281370b55",
+        "X86_V3": "c120144288cc35b525a1b598e9540cc9cb246bc1afe4917ed77d163281370b55",
+        "baseline": "c120144288cc35b525a1b598e9540cc9cb246bc1afe4917ed77d163281370b55"},
+    "bianchi --dim 4 --random-metrics 1": {
+        "X86_V4": "cb9d2d4c3c6f945894147505b103222bd410fb76cfc447d904d5925f8ff45117",
+        "X86_V3": "cb9d2d4c3c6f945894147505b103222bd410fb76cfc447d904d5925f8ff45117",
+        "baseline": "cb9d2d4c3c6f945894147505b103222bd410fb76cfc447d904d5925f8ff45117"},
+    "fg-formulas --dim 4 --random-metrics 1": {
+        "X86_V4": "b804e81cc7bbd1b455630cb9e86778e89224f8dad12826a980ba67bcfafba1ac",
+        "X86_V3": "b804e81cc7bbd1b455630cb9e86778e89224f8dad12826a980ba67bcfafba1ac",
+        "baseline": "b804e81cc7bbd1b455630cb9e86778e89224f8dad12826a980ba67bcfafba1ac"},
+    "lemma21 --dim 4 --random-metrics 1": {
+        "X86_V4": "c2cd5bf24d01f1d5cc9583954507dfbbf197865556317fd8871fdf46f3f67d4d",
+        "X86_V3": "c2cd5bf24d01f1d5cc9583954507dfbbf197865556317fd8871fdf46f3f67d4d",
+        "baseline": "c2cd5bf24d01f1d5cc9583954507dfbbf197865556317fd8871fdf46f3f67d4d"},
+    "bianchi --dim 5 --random-metrics 1": {
+        "X86_V4": "0a8b2a681c5c70dfd07659fbcfc917446694f891aad7d41619d58b07ece43f23",
+        "X86_V3": "0a8b2a681c5c70dfd07659fbcfc917446694f891aad7d41619d58b07ece43f23",
+        "baseline": "0a8b2a681c5c70dfd07659fbcfc917446694f891aad7d41619d58b07ece43f23"},
+    "bianchi": {
+        "X86_V4": "ee2f6e36b5c08769c10cfbb51563040d95ea563e0e816ef578aacb14405c8a0b",
+        "X86_V3": "ee2f6e36b5c08769c10cfbb51563040d95ea563e0e816ef578aacb14405c8a0b",
+        "baseline": "ee2f6e36b5c08769c10cfbb51563040d95ea563e0e816ef578aacb14405c8a0b"},
+    "fg-formulas": {
+        "X86_V4": "acb303fe3461b92a6e3cb73e968563ae7c299facde411f4d4dbe4bcddded2bfd",
+        "X86_V3": "acb303fe3461b92a6e3cb73e968563ae7c299facde411f4d4dbe4bcddded2bfd",
+        "baseline": "acb303fe3461b92a6e3cb73e968563ae7c299facde411f4d4dbe4bcddded2bfd"},
+    "lemma21": {
+        "X86_V4": "b211d5a00f4c8404ca36983f443ff8ef4fce04d3cca1c9728c5f8cc2551356f2",
+        "X86_V3": "b211d5a00f4c8404ca36983f443ff8ef4fce04d3cca1c9728c5f8cc2551356f2",
+        "baseline": "b211d5a00f4c8404ca36983f443ff8ef4fce04d3cca1c9728c5f8cc2551356f2"},
 }
 
 
@@ -157,7 +183,7 @@ def test_suite_report_bytes_are_pinned(argv, capsys):
     code = cli.main(["check-identity", *argv.split(), "--points", "100", "--seed", "77"])
     out = capsys.readouterr().out
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == SUITE_DIGESTS[argv]
+    assert hashlib.sha256(out.encode()).hexdigest() == SUITE_DIGESTS[argv][kernel_path()]
 
 
 def suite_roots(monkeypatch, suite, **kw):
