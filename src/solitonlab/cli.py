@@ -184,15 +184,13 @@ def _conformal_factor(args, tol):
     g, n = S.metric, S.chart.dim
     rho = sp.height_function(S, (0.0, 0.0, 0.0, 1.0)).field
     pts = geo.sample_points(S.chart, args.points, args.seed)
-    inverse = geo.Inverse()
-    reps = [so.conformal_factor_hessian_check(g, rho, pts, tol, inverse)]
     u = so.potential_from_factor(g, rho, pts)
     half_L = geo.half_lie_derivative_metric(g, geo.gradient(g, u))
     comps = geo.sym2(n, lambda i, j: ex.sub(half_L.comps[i][j],
                                             ex.mul(rho.expr, g.comps[i][j])))
-    reps += so.run_checks(g, pts, [("factor-potential", tol, comps)], inverse=inverse)
-    return reps, mf.digest({"identity": "conformal-factor", "points": args.points,
-                            "seed": args.seed})
+    checks = [so.conformal_factor_check(g, rho, tol), ("factor-potential", tol, comps)]
+    return so.run_checks(g, pts, checks), mf.digest(
+        {"identity": "conformal-factor", "points": args.points, "seed": args.seed})
 
 
 _SUITE_READS = ("dim", "random_metrics")

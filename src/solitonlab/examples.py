@@ -4,7 +4,8 @@ Each constructor returns a ready-to-verify structure (or, for the conformal
 fields, a vector field plus an expected-failure flag).  EXAMPLES, the one
 catalog table, pairs every catalog id with its constructor, its default
 parameters, the verdicts its check suite is expected to realize and any
-checks of its own.  run_example executes the suite and reports whether all
+checks of its own.  run_example evaluates a structure's suite and the
+entry's checks in one pass (structure_checks) and reports whether all
 expectations were met — including the one construction that is supposed to
 fail its conformal check and does.  `run_example` and `build_structure` reach
 the constructors through one memo on the entry and its resolved parameters,
@@ -133,7 +134,11 @@ def _pseudo_hyperbolic_base(n, k, A, l):
     """
     s = math.sqrt(-k)
     if l > 0:
-        t0 = math.atanh(-A / math.sqrt(A * A + l)) / s
+        r = -A / math.sqrt(A * A + l)
+        if abs(r) >= 1.0:
+            raise ValueError(f"l = {l:g} is below the rounding of A^2 = {A * A:g}, so f' "
+                             "has no zero to bound the box; give l = 0 or a larger l")
+        t0 = math.atanh(r) / s
         box = (t0 + 0.15, t0 + 2.15) if A > 0 else (t0 - 2.15, t0 - 0.15)
     else:
         box = (-1.5, 1.5)
@@ -247,7 +252,7 @@ class ExampleSpec(geo.Frozen):
                  structure: bool = True,
                  classification: Callable = lambda p: None,   # None: any class
                  trivial: Callable = lambda p: False,
-                 checks: Callable = None,
+                 checks: Callable = lambda s, p: (),
                  exclusive: tuple = ()):                      # parameter pairs not both given
         vars(self).update(example_id=example_id, build=build, defaults=defaults,
                           structure=structure, classification=classification,
@@ -313,62 +318,52 @@ def build_structure(example_id: str, params=None) -> so.SolitonStructure:
 
 
 class ExampleRun:
-    def __init__(self, example_id: str, params: dict, checks: list,
-                 classification: str = None, trivial: bool = None,
-                 triviality: so.TrivialityVerdict = None, passed: bool = False,
-                 structure: so.SolitonStructure = None, notes: list = None):
-        self.example_id = example_id
-        self.params = params
-        self.checks = checks
-        self.classification = classification
-        self.trivial = trivial
-        self.triviality = triviality
-        self.passed = passed
-        self.structure = structure
-        self.notes = [] if notes is None else notes
+    """run_example's result: the entry and its parameters, which run_example
+    fills in with its reports, verdicts, structure and notes."""
+
+    def __init__(self, example_id: str, params: dict):
+        self.example_id, self.params = example_id, params
+        self.checks, self.notes, self.passed = [], [], False
+        self.classification = self.trivial = self.triviality = self.structure = None
 
 
 def structure_checks(s: so.SolitonStructure, pts, tol: float, divric: bool = True,
-                     inverse: geo.Inverse = None):
-    """The declared suite for a structure, in two stages of one evaluation
-    each, and its triviality verdict: (reports, TrivialityVerdict).
-
-    Stage 1 is the defining residual(s) at `tol`, evaluated together with the
-    metric and the fields of the triviality verdict.  Stage 2, the identities
-    the form makes applicable, runs only when stage 1's soliton residual
-    passes; their prechecks read the stage-1 reports, and mu-constancy joins
-    them when the verdict finds lambda constant.  Both stages reduce with the
-    metric's inverse that stage 1 computes, kept in `inverse` (a fresh
-    geo.Inverse when not given), so a caller that passes its own hands that
-    inverse on to its further checks at `pts`.  `divric=False` leaves the
-    divergence identity out (the manifest report does not list it).
+                     checks=()):
+    """The declared suite for a structure, then the entry's own `checks`,
+    and its triviality verdict, from one so.run_checks call: (reports,
+    TrivialityVerdict).  The call evaluates the defining residual(s) at
+    `tol`, the identities the form makes applicable, `checks`, and the
+    fields the rest is decided from: the verdict's, and for h = -m/u the
+    probe h u + m and mu.  The identities are reported only when the soliton
+    residual passes; their prechecks read the defining reports, and
+    mu-constancy joins them when the verdict finds lambda constant.
+    `divric=False` leaves the divergence identity out (the manifest report
+    does not list it).
     """
     pts = geo.points_array(pts)
-    inverse = geo.Inverse() if inverse is None else inverse
-    stage1 = [so.soliton_check(s, tol)]
+    defining = [so.soliton_check(s, tol)]
     if s.is_gradient:
-        stage1.append(so.soliton_check(s, tol, gradient=True))
-    vals = geo.gnorms(s.metric, [c[2] for c in stage1] + so.triviality_fields(s), pts,
-                      inverse)
-    reports = [so._report(name, t, pts, r) for (name, t, _), r in zip(stage1, vals)]
-    verdict = so.triviality_verdict(s, vals[len(stage1):], tol)
+        defining.append(so.soliton_check(s, tol, gradient=True))
+    identities = [so.divric_check(s)] if divric else []
+    fields = so.triviality_fields(s)
+    neg = s.h_form == so.FORM_NEG_M_OVER_U
+    if neg:
+        identities.append(so.eqpprinc_check(s))
+        fields += [so.neg_form_probe(s), so.mu_scalar_field(s).expr]
+    out = so.run_checks(s.metric, pts, [*defining, *identities, *checks], fields=fields)
+    k, j = len(defining), len(defining) + len(identities)
+    reports, found, own, vals = out[:k], out[k:j], out[j:-len(fields)], out[-len(fields):]
+    verdict = so.triviality_verdict(s, vals[:3], tol)
     if not reports[0].passed:
-        return reports, verdict
-    stage2, mu = [], None   # (check, its report's metadata)
+        return reports + own, verdict
     if divric:
-        stage2.append((so.divric_check(s), {"precheck_sup": reports[0].sup}))
-    if s.h_form == so.FORM_NEG_M_OVER_U:
-        m = so.neg_form_m(s, pts)
-        meta = {"precheck_sup": so.verified_sup(reports[1]), "m": m}
-        if verdict.lambda_spread < so.LAMBDA_SPREAD_TOL:
-            mu = so.mu_report(s, pts, m)
-        stage2.append((so.eqpprinc_check(s), meta))
-    vals = geo.gnorms(s.metric, [c[2] for c, _ in stage2], pts, inverse) if stage2 else []
-    second = [so._report(name, t, pts, r, **md)
-              for ((name, t, _), md), r in zip(stage2, vals)]
-    if mu is not None:
-        second.insert(len(second) - 1, mu)  # listed before eqpprinc-identity
-    return reports + second, verdict
+        found[0].metadata["precheck_sup"] = reports[0].sup
+    if neg:
+        m = so.neg_form_m(s, vals[3])
+        found[-1].metadata.update(precheck_sup=so.verified_sup(reports[1]), m=m)
+        if verdict.lambda_spread < so.LAMBDA_SPREAD_TOL:  # listed before eqpprinc-identity
+            found.insert(len(found) - 1, so.mu_report(pts, m, vals[2], vals[4]))
+    return reports + found + own, verdict
 
 
 def run_example(example_id: str, params=None, count: int = 200,
@@ -377,7 +372,7 @@ def run_example(example_id: str, params=None, count: int = 200,
     expected verdicts (an expected failure that fails counts as success)."""
     spec = _spec(example_id)
     p = spec.params(params)
-    run = ExampleRun(example_id, p, [])
+    run = ExampleRun(example_id, p)
     expect_fail, missed = (), []
     built = _construct(example_id, tuple(p.items()))
 
@@ -394,10 +389,7 @@ def run_example(example_id: str, params=None, count: int = 200,
         s = built
         pts = so.default_points(s, count, seed)
         run.structure = s
-        inverse = geo.Inverse()
-        run.checks, tv = structure_checks(s, pts, tol, inverse=inverse)
-        if spec.checks is not None:
-            run.checks += so.run_checks(s.metric, pts, spec.checks(s, p), inverse=inverse)
+        run.checks, tv = structure_checks(s, pts, tol, checks=spec.checks(s, p))
         run.triviality, run.trivial, run.classification = tv, tv.trivial, tv.classification
         want = spec.classification(p)
         if want is not None and run.classification != want:

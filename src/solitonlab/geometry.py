@@ -22,12 +22,12 @@ rule is written: every symmetric 2-tensor in the package is built by it.
 at the points in one pass; `gnorms`, the one reduction, evaluates the metric
 and a list of residuals through it and returns their g-norms, sqrt(g^{ik}
 g^{jl} T_ij T_kl) at rank 2 and alike at ranks 1 and 3; a rank-0 residual's
-values come back signed.  An `Inverse` hands the metric's numeric inverse
-from one gnorms call to the next at one point set, so a command inverts
-each metric once per point set.  The g-norms are two-operand np.einsum
-chains over blocks of points (_gnorm), with no BLAS call, so their bits do
-not depend on the host's SIMD kernels; the rank-2 chain, Σ_ij A_ij A_ji
-with A = g⁻¹T, is the g-norm of a symmetric T, as `sym2` builds them all.
+values come back signed.  A command reduces each point set in one gnorms
+call, so it inverts each metric once per point set.  The g-norms are
+two-operand np.einsum chains over blocks of points (_gnorm), with no BLAS
+call, so their bits do not depend on the host's SIMD kernels; the rank-2
+chain, Σ_ij A_ij A_ji with A = g⁻¹T, is the g-norm of a symmetric T, as
+`sym2` builds them all.
 `sample_points` filters each seeded batch with one masked pass over the
 domain predicates and the metric, then eigen-tests the metric at as many
 admissible draws as it still wants, and at the rest only when one fails.
@@ -637,45 +637,20 @@ def gnorm_rank3(av, ginv: np.ndarray):
     return _gnorm(av, ginv, square)
 
 
-class Inverse:
-    """The numeric inverse of one metric at one point set, handed from one
-    gnorms call to the next.
-
-    A command that reduces one point set in several gnorms calls gives each
-    the same Inverse.  The first call with a residual of rank 1 or more
-    inverts the metric values of its own strict evaluation and keeps them
-    here; a later call on the same metric object reads them, and evaluates
-    only its residuals.  The caller makes one per point set and drops it
-    with the command, so no inverse outlives the command.
-    """
-
-    __slots__ = ("metric", "values")
-
-    def __init__(self):
-        self.metric = self.values = None
-
-
-def gnorms(g: MetricField, residuals, points, inverse: Inverse = None) -> list:
+def gnorms(g: MetricField, residuals, points) -> list:
     """g-norm of each residual at each point: one (N,) array per residual.
 
     A residual is one expression (rank 0, its values returned signed) or
     nested n-tuples of them (ranks 1-3, reduced with the metric's inverse).
     One eval_tensors call evaluates the metric first, when some residual
-    has rank 1 or more and `inverse` holds none of g at these points, and
-    then the residuals, so the metric raises before any of them.  The
-    residuals of one rank are reduced together, in one gnorm_* pass.  A
-    g-norm that overflows raises DomainError at its first such point.
-    Every residual check reduces through here.
+    has rank 1 or more, and then the residuals, so the metric raises before
+    any of them.  The residuals of one rank are reduced together, in one
+    gnorm_* pass.  A g-norm that overflows raises DomainError at its first
+    such point.  Every residual check reduces through here.
     """
-    ranked = not all(isinstance(r, ex.Expression) for r in residuals)
-    ginv = (inverse.values if ranked and inverse is not None and inverse.metric is g
-            else None)
-    head = [g.comps] if ranked and ginv is None else []
+    head = [] if all(isinstance(r, ex.Expression) for r in residuals) else [g.comps]
     norms = eval_tensors(g.chart, head + list(residuals), points)
-    if head:
-        ginv = np.linalg.inv(norms.pop(0))
-        if inverse is not None:
-            inverse.metric, inverse.values = g, ginv
+    ginv = np.linalg.inv(norms.pop(0)) if head else None
     for ndim, reduce in enumerate((gnorm_oneform, gnorm_sym2, gnorm_rank3), 2):
         at = [i for i, tv in enumerate(norms) if tv.ndim == ndim]
         if at:

@@ -8,12 +8,13 @@ function lambda, satisfying
     Ric + h Hess u    = lambda g          (gradient form)
 
 when the structure is genuine.  A check is a (name, tol, residual) triple;
-run_checks evaluates a list of them together at sampled points and returns
-their ResidualReports.  The builders of a structure's fields and checks
-(derive, soliton_check, divric_check, eqpprinc_check, mu_scalar_field) are
-memoized with lru_cache on the frozen structure and their other arguments,
-and return frozen fields or tuples of interned nodes, so a repeated call
-builds nothing and no caller can change a cached value.  Sign convention:
+run_checks evaluates a list of them, and any fields whose verdicts its
+caller decides (such as the h = -m/u probe and mu), in one pass at sampled
+points.  The builders of fields and checks (derive, soliton_check,
+divric_check, eqpprinc_check, conformal_factor_check, mu_scalar_field) are
+memoized with lru_cache on their frozen arguments, and return frozen fields
+or tuples of interned nodes, so a repeated call builds nothing and no caller
+can change a cached value.  Sign convention:
 the soliton is expanding when lambda < 0, steady when lambda = 0, shrinking
 when lambda > 0.
 
@@ -149,15 +150,14 @@ def default_points(s, count: int = 200, seed: int = 42) -> np.ndarray:
 # residual operators
 
 
-def run_checks(g: MetricField, points, checks, *, inverse: geo.Inverse = None,
-               **metadata) -> list:
-    """One ResidualReport per (name, tol, residual) check, in order, from one
-    geo.gnorms call; each report gets its own copy of `metadata`.  `inverse`
-    hands the metric's inverse at these points to and from the other
-    reductions of the caller's point set (see geo.Inverse)."""
+def run_checks(g: MetricField, points, checks, *, fields=(), **metadata) -> list:
+    """One ResidualReport per (name, tol, residual) check, in order, each with
+    its own copy of `metadata`, then the gnorms values of each of `fields`,
+    whose verdicts the caller decides: all from one geo.gnorms call."""
     pts = geo.points_array(points)
-    res = geo.gnorms(g, [c[2] for c in checks], pts, inverse)
-    return [_report(name, tol, pts, r, **metadata) for (name, tol, _), r in zip(checks, res)]
+    res = geo.gnorms(g, [c[2] for c in checks] + list(fields), pts)
+    return [_report(name, tol, pts, r, **metadata)
+            for (name, tol, _), r in zip(checks, res)] + res[len(checks):]
 
 
 @lru_cache(maxsize=None)
@@ -296,17 +296,21 @@ def conformal_killing_check(g: MetricField, X: VectorField, points,
     return ConformalVerdict(sup0 <= tol, sup0, rho_vals, rho, S0, pts, norms)
 
 
-def conformal_factor_hessian_check(g: MetricField, rho: ScalarField, points,
-                                   tol: float = 1e-9,
-                                   inverse: geo.Inverse = None) -> ResidualReport:
-    """g-norm of Hess rho + (R/(n(n-1))) rho g (the conformal-factor equation);
-    `inverse` as in run_checks."""
+@lru_cache(maxsize=None)
+def conformal_factor_check(g: MetricField, rho: ScalarField, tol: float = 1e-9):
+    """The check Hess rho + (R/(n(n-1))) rho g = 0 (the conformal-factor equation)."""
     n = g.chart.dim
     hess = geo.hessian(g, rho)
     scal = geo.scalar_curvature(g)
     coef = ex.mul(ex.div(scal.expr, ex.const(n * (n - 1))), rho.expr)
     T = geo.sym2(n, lambda i, j: ex.add(hess.comps[i][j], ex.mul(coef, g.comps[i][j])))
-    return run_checks(g, points, [("conformal-factor-hessian", tol, T)], inverse=inverse)[0]
+    return "conformal-factor-hessian", tol, T
+
+
+def conformal_factor_hessian_check(g: MetricField, rho: ScalarField, points,
+                                   tol: float = 1e-9) -> ResidualReport:
+    """g-norm of Hess rho + (R/(n(n-1))) rho g at the points."""
+    return run_checks(g, points, [conformal_factor_check(g, rho, tol)])[0]
 
 
 def potential_from_factor(g: MetricField, rho: ScalarField, points) -> ScalarField:
@@ -360,13 +364,19 @@ def divric_identity_residual(s: SolitonStructure, points, tol: float = 1e-7) -> 
     return rep
 
 
-def neg_form_m(s: SolitonStructure, points) -> float:
-    """The m of a structure declared h = -m/u, once h u + m = 0 at the points."""
+def neg_form_probe(s: SolitonStructure) -> ex.Expression:
+    """h u + m, which vanishes where h = -m/u; PreconditionError, before any
+    evaluation, unless the structure declares that form."""
     if s.h_form != FORM_NEG_M_OVER_U:
         raise PreconditionError("this check needs the declared form h = -m/u")
+    return ex.add(ex.mul(s.h.expr, s.potential.expr), ex.const(float(s.m)))
+
+
+def neg_form_m(s: SolitonStructure, probe) -> float:
+    """The m of a structure declared h = -m/u, once `probe`, the values of
+    neg_form_probe(s) at the points, vanishes there."""
     m = float(s.m)
-    probe = ex.add(ex.mul(s.h.expr, s.potential.expr), ex.const(m))
-    dev = float(np.max(np.abs(geo.gnorms(s.metric, [probe], points)[0])))
+    dev = float(np.max(np.abs(probe)))
     if dev > 1e-8 * max(1.0, m):
         raise PreconditionError(
             f"declared form h = -m/u is inconsistent with h (deviation {dev:.3e})")
@@ -386,10 +396,9 @@ def mu_scalar_field(s: SolitonStructure) -> ScalarField:
     return ScalarField(g.chart, mu)
 
 
-def mu_report(s: SolitonStructure, points, m: float, tol: float = 1e-9) -> ResidualReport:
-    """The report of mu_field, for a structure whose h = -m/u was checked."""
-    pts = geo.points_array(points)
-    lam, mu_vals = geo.eval_tensors(s.chart, [s.lam.expr, mu_scalar_field(s).expr], pts)
+def mu_report(pts, m: float, lam, mu_vals, tol: float = 1e-9) -> ResidualReport:
+    """The report of mu_field from the values of lambda and of mu_scalar_field
+    at the points, for a structure whose h = -m/u was checked."""
     lam_mean, lam_spread = _mean_spread(lam)
     if lam_spread >= LAMBDA_SPREAD_TOL:
         raise PreconditionError(
@@ -406,7 +415,10 @@ def mu_field(s: SolitonStructure, points, tol: float = 1e-9) -> ResidualReport:
     Needs the declared form h = -m/u and constant lambda; the report carries
     the mu estimate (mean over points) and the max deviation from it.
     """
-    return mu_report(s, points, neg_form_m(s, points), tol)
+    pts = geo.points_array(points)
+    dev, lam, mu = geo.gnorms(s.metric, [neg_form_probe(s), s.lam.expr,
+                                         mu_scalar_field(s).expr], pts)
+    return mu_report(pts, neg_form_m(s, dev), lam, mu, tol)
 
 
 @lru_cache(maxsize=None)
@@ -433,10 +445,10 @@ def eqpprinc_residual(s: SolitonStructure, points, tol: float = 1e-8) -> Residua
     """g-norm of the 1-form
     d((n-2)/m u^2 lambda - u lap u - (m-1)|grad u|^2) - ((m+n-2)/m) lambda d(u^2),
     which vanishes on gradient (-m/u)-almost structures."""
-    m = neg_form_m(s, points)
-    pre, rep = run_checks(s.metric, points, [soliton_check(s, PRECHECK_TOL, gradient=True),
-                                             eqpprinc_check(s, tol)], m=m)
-    rep.metadata["precheck_sup"] = verified_sup(pre)
+    probe = neg_form_probe(s)
+    pre, rep, dev = run_checks(s.metric, points, [
+        soliton_check(s, PRECHECK_TOL, gradient=True), eqpprinc_check(s, tol)], fields=[probe])
+    rep.metadata.update(m=neg_form_m(s, dev), precheck_sup=verified_sup(pre))
     return rep
 
 

@@ -249,8 +249,8 @@ def test_overflowing_gnorm_is_an_expression_error(argv):
 
 def test_stage_one_report_gates_stage_two(tmp_path, capsys):
     # lambda off by 1e-7: the defining residuals are 1.7e-7, so the suite
-    # stops after stage 1 at the default tolerance, and at 1e-5 runs eqpprinc,
-    # whose precheck reads the passing stage-1 report
+    # reports them alone at the default tolerance, and at 1e-5 also eqpprinc,
+    # whose precheck reads the passing defining report
     doc = json.loads((ROOT / "perfbench" / "manifests" / "shell-neg-m-over-u.json")
                      .read_text())
     doc["lambda"] = "1e-7 - 4.0/(x1^2 + x2^2 + x3^2 + tau)"

@@ -1,5 +1,7 @@
 # the worked-example catalog and its suite runner
 
+import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -171,6 +173,30 @@ def test_pseudo_hyperbolic_product_keeps_a_hyperbolic_fiber_for_tiny_l(n):
                                rtol=1e-12)
 
 
+@pytest.mark.parametrize("argv", [
+    "verify-example pseudo-hyperbolic --l 1e-16",
+    "check-identity oneill --l 1e-17",
+    "verify-example pseudo-hyperbolic --A 1e10 --l 1e3",
+    "construct-warped --base pseudo-hyperbolic --A -2 --l 1e-16",
+])
+def test_l_below_the_rounding_of_a_squared_is_refused_by_name(argv, capsys):
+    # sqrt(A^2 + l) rounds to |A|, so the zero of f' that bounds the box,
+    # artanh(-A/sqrt(A^2 + l))/s, would be artanh(+-1)
+    assert cli.main(argv.split()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: l = ") and "rounding of A^2" in err
+
+
+def test_smallest_accepted_l_keeps_its_box():
+    # one step above the refusal, the box still sits past the zero of f'
+    W, _ = exm.pseudo_hyperbolic_product(3, -1.0, 1.0, 4e-16)
+    (lo, hi), = W.chart.box[:1]
+    t0 = math.atanh(-1.0 / math.sqrt(1.0 + 4e-16))
+    assert (lo, hi) == (t0 + 0.15, t0 + 2.15)
+    with pytest.raises(ValueError, match="l = 1e-16 is below the rounding of A"):
+        exm.pseudo_hyperbolic_product(3, -1.0, 1.0, 1e-16)
+
+
 def test_pseudo_hyperbolic_rejections():
     with pytest.raises(ValueError, match="n >= 3"):
         exm.example_pseudo_hyperbolic(2, -1.0, 1.0, 0.0, m=2.0)
@@ -244,17 +270,20 @@ def test_structure_checks_evaluate_each_defining_residual_once(monkeypatch):
     reps, _ = exm.structure_checks(s, pts, 1e-8)
     assert [r.name for r in reps] == ["soliton-residual", "gradient-soliton-residual",
                                       "divric-identity", "eqpprinc-identity"]
-    # stage 1 with the triviality fields, the h = -m/u probe and stage 2
-    assert len(calls) == 3
+    # the defining residuals, the identities, the triviality fields, the
+    # h = -m/u probe and mu, all in one pass
+    assert len(calls) == 1
+    scalars = [so.divric_check(s)[2], so.neg_form_probe(s), so.mu_scalar_field(s).expr,
+               *so.triviality_fields(s)[1:]]
+    assert set(scalars + list(so.eqpprinc_check(s)[2])) <= set(calls[0])
     for check in (so.soliton_check(s), so.soliton_check(s, gradient=True)):
-        roots = {e for row in check[2] for e in row}
-        assert sum(bool(roots & set(c)) for c in calls) == 1
-    # the prechecks read the stage-1 reports
+        assert {e for row in check[2] for e in row} <= set(calls[0])
+    # the prechecks read the defining reports
     assert reps[2].metadata["precheck_sup"] == reps[0].sup
     assert reps[3].metadata["precheck_sup"] == reps[1].sup
 
 
-def test_triviality_conformal_and_mu_make_one_strict_call_each(monkeypatch):
+def test_triviality_conformal_and_mu_field_make_one_strict_call_each(monkeypatch):
     s = exm.build_structure("neg-m-sphere")
     ph = exm.build_structure("pseudo-hyperbolic")
     spec = exm.EXAMPLES["euclidean-conformal-corrected"]
@@ -266,7 +295,7 @@ def test_triviality_conformal_and_mu_make_one_strict_call_each(monkeypatch):
     counts = []
     for run in (lambda: so.triviality_check(s, pts_s),
                 lambda: so.conformal_killing_check(g, X, pts_e),
-                lambda: so.mu_report(ph, pts_ph, ph.m)):
+                lambda: so.mu_field(ph, pts_ph)):
         calls.clear()
         run()
         counts.append(len(calls))
@@ -280,37 +309,87 @@ def test_classify_makes_two_strict_calls(monkeypatch, capsys):
     assert len(calls) == 2
 
 
-@pytest.mark.parametrize("argv, count", [
-    # the sampler's strict pass, stage 1 with the triviality fields, then the
-    # h = -m/u probe and stage 2
-    (("verify-example", "neg-m-sphere"), 4),
-    # as neg-m-sphere, plus mu and the Hessian equation; make_warped's pass
-    # over the warping function belongs to the construction, which a warm call
-    # takes from the catalog's memo
-    (("verify-example", "pseudo-hyperbolic"), 6),
-    (("verify-example", "space-form-gradient"), 3),
-    (("verify-example", "euclidean-gradient"), 3),
-    (("verify-manifest", str(MANIFESTS / "shell-neg-m-over-u.json")), 4),
-    # h = m/u and no divergence identity: no stage 2
-    (("verify-manifest", str(MANIFESTS / "flat-m-over-u.json")), 2),
-    # the sampler's pass, then the precheck and the identity in one pass
-    (("check-identity", "divric"), 2),
-    (("check-identity", "eqpprinc"), 3),
-], ids=lambda v: v if isinstance(v, int) else " ".join(Path(a).name for a in v))
-def test_structure_commands_make_one_strict_call_per_stage(argv, count, monkeypatch,
-                                                           capsys):
+@pytest.mark.parametrize("argv", [
+    # the sampler's strict pass over h, lambda and u, then one suite pass:
+    # pseudo-hyperbolic's also holds mu and the entry's Hessian equation, and
+    # make_warped's pass over the warping function belongs to the
+    # construction, which a warm call takes from the catalog's memo
+    ("verify-example", "neg-m-sphere"),
+    ("verify-example", "pseudo-hyperbolic"),
+    ("verify-example", "space-form-gradient"),
+    ("verify-example", "euclidean-gradient"),
+    ("verify-manifest", str(MANIFESTS / "shell-neg-m-over-u.json")),
+    ("verify-manifest", str(MANIFESTS / "flat-m-over-u.json")),
+    # the identity, its precheck and the h = -m/u probe (with lambda and mu)
+    ("check-identity", "divric"),
+    ("check-identity", "eqpprinc"),
+    ("check-identity", "mu-const"),
+    # no metric to sample on: R's pass (rank 0), then both checks in one
+    ("check-identity", "conformal-factor"),
+], ids=lambda v: " ".join(Path(a).name for a in v))
+def test_structure_commands_make_two_strict_calls(argv, monkeypatch, capsys):
     assert cli.main([*argv, "--points", "40", "--seed", "1"]) == 0
     calls = strict_calls(monkeypatch)
     assert cli.main([*argv, "--points", "40"]) == 0
-    assert len(calls) == count
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("name", ["eqpprinc", "mu-const"])
+def test_a_form_precondition_is_refused_before_the_check_is_evaluated(name, monkeypatch,
+                                                                      capsys):
+    calls = strict_calls(monkeypatch)
+    argv = ["check-identity", name, "--example", "space-form-gradient", "--points", "40"]
+    assert cli.main(argv) == 2
+    assert len(calls) == 1  # the sampler's pass over h, lambda and u only
+    assert capsys.readouterr().err == ("precondition not met: this check needs "
+                                       "the declared form h = -m/u\n")
+
+
+def test_an_identity_that_faults_is_an_input_error_when_the_residual_fails(tmp_path,
+                                                                          capsys):
+    # lambda gains 1e145 sin(1e15 x1): the soliton residual fails at about
+    # 1.7e145, while eqpprinc-identity's d(lambda) terms near 1e160 overflow
+    # their g-norm.  The suite's one pass evaluates the identity whether or
+    # not the residual passes, so the command names the fault
+    doc = json.loads((MANIFESTS / "shell-neg-m-over-u.json").read_text(encoding="utf-8"))
+    doc["lambda"] += " + 1e145*sin(1e15*x1)"
+    path = tmp_path / "faulting.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["verify-manifest", str(path), "--points", "40"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "expression error: non-finite g-norm at point index 0\n"
+
+
+STRUCTURE_IDS = [i for i, spec in exm.EXAMPLES.items() if spec.structure]
+
+
+@pytest.mark.parametrize("seed", [3, 42])
+@pytest.mark.parametrize("example_id", STRUCTURE_IDS)
+def test_a_structure_gets_one_suite_from_the_catalog_and_from_a_manifest(
+        example_id, seed, tmp_path, capsys):
+    spec = exm.EXAMPLES[example_id]
+    s = exm.build_structure(example_id)
+    own = {name for name, _, _ in spec.checks(s, spec.params())}
+    path = tmp_path / "structure.json"
+    mf.write(mf.structure_to_dict(s), str(path))
+    docs = []
+    for argv in (["verify-example", example_id], ["verify-manifest", str(path)]):
+        assert cli.main([*argv, "--points", "40", "--seed", str(seed)]) == 0
+        docs.append(json.loads(capsys.readouterr().out))
+    catalog, manifest = docs
+    assert manifest["checks"] == [c for c in catalog["checks"]
+                                  if c["name"] not in own | {"divric-identity"}]
+    for key in ("classification", "trivial", "manifest_digest"):
+        assert manifest[key] == catalog[key]
 
 
 @pytest.mark.parametrize("argv", [
-    # stage 1's inverse serves stage 2 and the entry's Hessian equation
+    # one suite pass holds the identities and the entry's Hessian equation
     ("verify-example", "pseudo-hyperbolic"),
     ("verify-example", "neg-m-sphere"),
     ("verify-manifest", str(MANIFESTS / "shell-neg-m-over-u.json")),
-    # the factor's Hessian equation hands its inverse to factor-potential
+    # R is rank 0; the factor's Hessian equation and factor-potential share a pass
     ("check-identity", "conformal-factor"),
     ("check-identity", "divric"),
     ("classify", "--example", "neg-m-sphere"),
@@ -349,7 +428,7 @@ def test_structure_checks_verdict_equals_triviality_check(source):
 
 def test_stage_two_runs_when_stage_one_passes_at_its_own_tolerance():
     # lambda off by 1e-7 leaves the defining residuals near 1.7e-7: past the
-    # identities' own 1e-8 prechecks, within a stage-1 tolerance of 1e-5
+    # identities' own 1e-8 prechecks, within a suite tolerance of 1e-5
     s = exm.build_structure("neg-m-sphere")
     shifted = so.SolitonStructure(
         s.metric, s.h, geo.ScalarField(s.chart, ex.add(s.lam.expr, ex.const(1e-7))),

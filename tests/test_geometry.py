@@ -521,41 +521,31 @@ def inv_calls(monkeypatch):
     return calls
 
 
-def test_an_inverse_passes_from_one_gnorms_call_to_the_next(monkeypatch):
+def test_one_gnorms_call_inverts_once_and_keeps_each_residuals_bits(monkeypatch):
     chart, g = perturbed_metric(2, seed=13)
     pts = np.random.default_rng(3).uniform(-1, 1, size=(12, 2))
     T = geo.sym_rows([chart.parse("x1"), ex.ONE, chart.parse("x2^2")])
     w = [chart.parse("x1^2"), chart.parse("sin(x2)")]
     alone = [geo.gnorms(g, [r], pts)[0] for r in (T, w)]
     calls = inv_calls(monkeypatch)
-    inverse = geo.Inverse()
-    # a rank-0 call leaves it empty; the first ranked call fills it
-    geo.gnorms(g, [chart.parse("x1")], pts, inverse)
-    assert inverse.values is None and calls == []
-    first = geo.gnorms(g, [T], pts, inverse)
-    assert inverse.metric is g and calls == [12]
-    second = geo.gnorms(g, [w], pts, inverse)
+    # a rank-0 call inverts nothing; a call with ranked residuals inverts once
+    geo.gnorms(g, [chart.parse("x1")], pts)
+    assert calls == []
+    together = geo.gnorms(g, [T, chart.parse("x1"), w], pts)
     assert calls == [12]
-    for got, want in zip(first + second, alone):
+    for got, want in zip(together[::2], alone):
         np.testing.assert_array_equal(got, want)
-    # another metric is inverted afresh, and then held in its place
-    _, h = perturbed_metric(2, seed=14)
-    np.testing.assert_array_equal(geo.gnorms(h, [T], pts, inverse)[0],
-                                  geo.gnorms(h, [T], pts)[0])
-    assert inverse.metric is h and calls == [12, 12, 12]
 
 
-def test_a_faulting_metric_raises_before_any_residual_and_keeps_no_inverse():
+def test_a_faulting_metric_raises_before_any_residual():
     chart = geo.Chart(("x1", "x2"), ((-1.0, 1.0), (-1.0, 1.0)))
     g0 = geo.MetricField(chart, geo.sym_rows([chart.parse("1/x1"), ex.ZERO, ex.ONE]))
     at_zero = np.array([[0.5, 0.5], [0.0, 0.25]])
     # the residual faults at point 0, the metric only at point 1
     early = chart.parse("ln(x2 - 0.6)")
-    inverse = geo.Inverse()
     for residuals in ([[early, ex.ONE]], [early, [ex.ONE, ex.ONE]]):
         with pytest.raises(ex.DomainError, match="division by zero at point index 1"):
-            geo.gnorms(g0, residuals, at_zero, inverse)
-        assert inverse.values is None
+            geo.gnorms(g0, residuals, at_zero)
 
 
 def test_overflowing_rank3_gnorm_is_a_domain_error_without_a_warning():
