@@ -169,6 +169,9 @@ def pseudo_hyperbolic_product(n, k, A, l):
         raise ValueError("A must be nonzero")
     if l < 0:
         raise ValueError("l must be nonnegative")
+    if not all(map(math.isfinite, (A * A + l, A / math.sqrt(-k), math.sqrt((A * A + l) / -k)))):
+        raise ValueError(f"k = {k:g}, A = {A:g}, l = {l:g} overflow the profile's constants: "
+                         "A^2 + l, A/sqrt(-k) and sqrt((A^2 + l)/-k) must be finite")
     chart, f, u_expr = _pseudo_hyperbolic_base(n, k, A, l)
     fiber = so.einstein_fiber(n - 1, -(n - 2) * l)
     return sp.make_warped((chart, sp.line_metric(chart)), fiber, f), u_expr
@@ -221,10 +224,7 @@ def example_neg_m_sphere(n, m, a, b) -> so.SolitonStructure:
 
 def _hessian_equation(s: so.SolitonStructure, p: dict) -> list:
     """Hess u + k u g = 0 characterizes the pseudo-hyperbolic potential."""
-    g, ku = s.metric, ex.mul(ex.const(float(p["k"])), s.potential.expr)
-    hess = geo.hessian(g, s.potential)
-    T = geo.sym2(g.chart.dim, lambda i, j: ex.add(
-        hess.comps[i][j], ex.mul(ku, g.comps[i][j])))
+    T = so.hessian_equation(s.metric, s.potential, ex.const(float(p["k"])))
     return [("potential-hessian-equation", HESSIAN_EQ_TOL, T)]
 
 

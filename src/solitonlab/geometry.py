@@ -19,18 +19,18 @@ tensors store the full matrix with mirrored upper-triangle nodes, so stored
 symmetry is exact by construction.  `sym2` is the one place that storage
 rule is written: every symmetric 2-tensor in the package is built by it.
 `eval_tensors`, the one strict evaluator, evaluates rank-0 to rank-3 tensors
-at the points in one pass; `gnorms`, the one reduction, evaluates the metric
-and a list of residuals through it and returns their g-norms, sqrt(g^{ik}
-g^{jl} T_ij T_kl) at rank 2 and alike at ranks 1 and 3; a rank-0 residual's
-values come back signed.  A command reduces each point set in one gnorms
-call, so it inverts each metric once per point set.  The g-norms are
-two-operand np.einsum chains over blocks of points (_gnorm), with no BLAS
-call, so their bits do not depend on the host's SIMD kernels; the rank-2
-chain, Σ_ij A_ij A_ji with A = g⁻¹T, is the g-norm of a symmetric T, as
-`sym2` builds them all.
+at the points in one pass; `gnorms`, the one reduction, evaluates the
+inverse_metric entries and a list of residuals through it and returns their
+g-norms, sqrt(g^{ik} g^{jl} T_ij T_kl) at rank 2 and alike at ranks 1 and 3;
+a rank-0 residual's values come back signed.  No numeric inverse is taken.
+The g-norms are two-operand np.einsum chains over blocks of points (_gnorm),
+with no BLAS or LAPACK call, so their bits depend on neither the host's SIMD
+kernels nor OpenBLAS's; the rank-2 chain, Σ_ij A_ij A_ji with A = g⁻¹T, is
+the g-norm of a symmetric T, as `sym2` builds them all.
 `sample_points` filters each seeded batch with one masked pass over the
-domain predicates and the metric, then eigen-tests the metric at as many
-admissible draws as it still wants, and at the rest only when one fails.
+domain predicates and the metric, then eigen-tests the metric (whose LAPACK
+bits only decide which draws are kept) at as many admissible draws as it
+still wants, and at the rest only when one fails.
 """
 
 from __future__ import annotations
@@ -270,28 +270,32 @@ def _det(rows, idx_rows, idx_cols, memo):
 
 @lru_cache(maxsize=None)
 def metric_determinant(g: MetricField) -> ScalarField:
-    n = g.chart.dim
-    idx = tuple(range(n))
+    idx = tuple(range(g.chart.dim))
     return ScalarField(g.chart, _det(g.comps, idx, idx, {}))
 
 
 @lru_cache(maxsize=None)
-def inverse_metric(g: MetricField):
-    """Contravariant components g^{ij} as an n x n symmetric expression array."""
-    n = g.chart.dim
+def _inverse(comps):
+    """inverse_metric's cofactor rows, memoized on the components: lane charts do not hash."""
+    n = len(comps)
     idx = tuple(range(n))
     memo: dict = {}
-    det = _det(g.comps, idx, idx, memo)
+    det = _det(comps, idx, idx, memo)
 
     def entry(i, j):
         sub_rows = tuple(r for r in idx if r != j)
         sub_cols = tuple(c for c in idx if c != i)
-        cof = _det(g.comps, sub_rows, sub_cols, memo) if n > 1 else ex.ONE
+        cof = _det(comps, sub_rows, sub_cols, memo) if n > 1 else ex.ONE
         if (i + j) % 2:
             cof = ex.neg(cof)
         return ex.div(cof, det)
 
     return sym2(n, entry)
+
+
+def inverse_metric(g: MetricField):
+    """Contravariant components g^{ij} as an n x n symmetric expression array."""
+    return _inverse(g.comps)
 
 
 # ---------------------------------------------------------------------------
@@ -342,17 +346,16 @@ def riemann_up(g: MetricField):
     """R[l][k][i][j]: component along ∂_l of R(∂_i, ∂_j)∂_k."""
     n = g.chart.dim
     gam = christoffel(g)
-    out = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for l in range(n):
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    t1 = ex.differentiate(gam[l][j][k], i)
-                    t2 = ex.differentiate(gam[l][i][k], j)
-                    t3 = ex.nsum(ex.mul(gam[l][i][p], gam[p][j][k]) for p in range(n))
-                    t4 = ex.nsum(ex.mul(gam[l][j][p], gam[p][i][k]) for p in range(n))
-                    out[l][k][i][j] = ex.sub(ex.add(ex.sub(t1, t2), t3), t4)
-    return tuple(tuple(tuple(tuple(r) for r in m) for m in b) for b in out)
+
+    def entry(l, k, i, j):
+        t1 = ex.differentiate(gam[l][j][k], i)
+        t2 = ex.differentiate(gam[l][i][k], j)
+        t3 = ex.nsum(ex.mul(gam[l][i][p], gam[p][j][k]) for p in range(n))
+        t4 = ex.nsum(ex.mul(gam[l][j][p], gam[p][i][k]) for p in range(n))
+        return ex.sub(ex.add(ex.sub(t1, t2), t3), t4)
+
+    return tuple(tuple(tuple(tuple(entry(l, k, i, j) for j in range(n)) for i in range(n))
+                       for k in range(n)) for l in range(n))
 
 
 @lru_cache(maxsize=None)
@@ -419,19 +422,15 @@ def covariant_derivative_sym2(g: MetricField, T: SymTensorField):
     """∇_a T_ij as a rank-(0,3) nested tuple D[a][i][j]."""
     n = g.chart.dim
     gam = christoffel(g)
-    out = []
-    for a in range(n):
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                d = ex.differentiate(T.comps[i][j], a)
-                c1 = ex.nsum(ex.mul(gam[p][a][i], T.comps[p][j]) for p in range(n))
-                c2 = ex.nsum(ex.mul(gam[p][a][j], T.comps[i][p]) for p in range(n))
-                row.append(ex.sub(ex.sub(d, c1), c2))
-            rows.append(tuple(row))
-        out.append(tuple(rows))
-    return tuple(out)
+
+    def entry(a, i, j):
+        d = ex.differentiate(T.comps[i][j], a)
+        c1 = ex.nsum(ex.mul(gam[p][a][i], T.comps[p][j]) for p in range(n))
+        c2 = ex.nsum(ex.mul(gam[p][a][j], T.comps[i][p]) for p in range(n))
+        return ex.sub(ex.sub(d, c1), c2)
+
+    return tuple(tuple(tuple(entry(a, i, j) for j in range(n)) for i in range(n))
+                 for a in range(n))
 
 
 @lru_cache(maxsize=None)
@@ -570,16 +569,12 @@ def eval_sym2_comps(comps, points) -> np.ndarray:
     evaluated with their chart's values by eval_metric or eval_tensors.
     """
     n = len(comps)
-    flat = [comps[i][j] for i in range(n) for j in range(n)]
-    pts = points_array(points)
-    vals = ex.eval_many(flat, pts)
-    return vals.T.reshape(-1, n, n)
+    return ex.eval_many([e for r in comps for e in r], points_array(points)).T.reshape(-1, n, n)
 
 
 def eval_metric(g: MetricField, points):
-    """Metric values and numeric inverses: pair of (N, n, n) arrays."""
-    gv = eval_tensors(g.chart, [g.comps], points)[0]
-    return gv, np.linalg.inv(gv)
+    """Metric and inverse_metric values, (N, n, n) each, in one pass: no numeric inverse."""
+    return tuple(eval_tensors(g.chart, [g.comps, _inverse(g.comps)], points))
 
 
 # floats in one block of a g-norm chain's operands or temporaries (256 kB)
@@ -642,15 +637,16 @@ def gnorms(g: MetricField, residuals, points) -> list:
 
     A residual is one expression (rank 0, its values returned signed) or
     nested n-tuples of them (ranks 1-3, reduced with the metric's inverse).
-    One eval_tensors call evaluates the metric first, when some residual
-    has rank 1 or more, and then the residuals, so the metric raises before
-    any of them.  The residuals of one rank are reduced together, in one
-    gnorm_* pass.  A g-norm that overflows raises DomainError at its first
-    such point.  Every residual check reduces through here.
+    One eval_tensors call evaluates the inverse_metric entries first, when
+    some residual has rank 1 or more, and then the residuals, so the metric
+    raises before any of them; no numeric inverse (LAPACK) is taken.  The
+    residuals of one rank are reduced together, in one gnorm_* pass.  A
+    g-norm that overflows raises DomainError at its first such point.
+    Every residual check reduces through here.
     """
-    head = [] if all(isinstance(r, ex.Expression) for r in residuals) else [g.comps]
+    head = [] if all(isinstance(r, ex.Expression) for r in residuals) else [_inverse(g.comps)]
     norms = eval_tensors(g.chart, head + list(residuals), points)
-    ginv = np.linalg.inv(norms.pop(0)) if head else None
+    ginv = norms.pop(0) if head else None
     for ndim, reduce in enumerate((gnorm_oneform, gnorm_sym2, gnorm_rank3), 2):
         at = [i for i, tv in enumerate(norms) if tv.ndim == ndim]
         if at:

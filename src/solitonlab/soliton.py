@@ -296,15 +296,19 @@ def conformal_killing_check(g: MetricField, X: VectorField, points,
     return ConformalVerdict(sup0 <= tol, sup0, rho_vals, rho, S0, pts, norms)
 
 
+def hessian_equation(g: MetricField, phi: ScalarField, c: ex.Expression):
+    """The rows of Hess phi + (c phi) g, for a coefficient expression c."""
+    hess, coef = geo.hessian(g, phi), ex.mul(c, phi.expr)
+    return geo.sym2(g.chart.dim, lambda i, j: ex.add(
+        hess.comps[i][j], ex.mul(coef, g.comps[i][j])))
+
+
 @lru_cache(maxsize=None)
 def conformal_factor_check(g: MetricField, rho: ScalarField, tol: float = 1e-9):
     """The check Hess rho + (R/(n(n-1))) rho g = 0 (the conformal-factor equation)."""
     n = g.chart.dim
-    hess = geo.hessian(g, rho)
-    scal = geo.scalar_curvature(g)
-    coef = ex.mul(ex.div(scal.expr, ex.const(n * (n - 1))), rho.expr)
-    T = geo.sym2(n, lambda i, j: ex.add(hess.comps[i][j], ex.mul(coef, g.comps[i][j])))
-    return "conformal-factor-hessian", tol, T
+    c = ex.div(geo.scalar_curvature(g).expr, ex.const(n * (n - 1)))
+    return "conformal-factor-hessian", tol, hessian_equation(g, rho, c)
 
 
 def conformal_factor_hessian_check(g: MetricField, rho: ScalarField, points,

@@ -640,6 +640,22 @@ def test_construct_warped_names_the_condition_number_cap(capsys):
                    "positive definite or over the condition-number cap 1e+08\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify-example", "pseudo-hyperbolic", "--A", "1e200", "--l", "1"),
+    ("verify-example", "pseudo-hyperbolic", "--A", "1e160", "--l", "1e300"),
+    ("verify-example", "pseudo-hyperbolic", "--k", "-1e-320"),
+    ("check-identity", "oneill", "--A", "1e200"),
+    ("construct-warped", "--base", "pseudo-hyperbolic", "--A", "1e200"),
+], ids=" ".join)
+def test_overflowing_pseudo_hyperbolic_constants_name_k_a_and_l(argv, capsys):
+    # finite flags whose profile constants A^2 + l, A/sqrt(-k) or
+    # sqrt((A^2 + l)/-k) overflow are refused by name, before any build
+    code, out, err = run_cli(capsys, *argv, "--points", "5")
+    assert (code, out) == (2, "")
+    assert err.startswith("invalid input: k = ") and ", A = " in err and ", l = " in err
+    assert "overflow the profile's constants" in err
+
+
 @pytest.mark.parametrize("params", [("--k", "-16", "--A", "10", "--l", "4"),
                                     ("--k", "-25", "--A", "20", "--l", "5")])
 def test_oneill_passes_at_scale(params, capsys):
@@ -656,12 +672,13 @@ def test_oneill_passes_at_scale(params, capsys):
 # hyperbolic one, and its construct-warped product a round fiber renamed to y1, y2.
 # One digest per numpy kernel path (kernel_paths.PATHS): exp, log, sinh, cosh and
 # power round apart between them, and so do some printed sups.  Recorded with
-# the g-norms as two-operand np.einsum chains.
+# the g-norms as two-operand np.einsum chains over the evaluated inverse_metric
+# entries, with no LAPACK call, so OpenBLAS's kernel choice moves no digest.
 CATALOG_DIGESTS = {
     "verify-example space-form-gradient --points 200": {
-        "X86_V4": "cd4728eff5465186ae5ad19990a92cff28a758ed778e758b9ade21d3d5b9e4a4",
-        "X86_V3": "cd4728eff5465186ae5ad19990a92cff28a758ed778e758b9ade21d3d5b9e4a4",
-        "baseline": "cd4728eff5465186ae5ad19990a92cff28a758ed778e758b9ade21d3d5b9e4a4"},
+        "X86_V4": "4371a2183615777bc15e00261a9e083ff72fda99b29b785022de9e7457e2bd23",
+        "X86_V3": "4371a2183615777bc15e00261a9e083ff72fda99b29b785022de9e7457e2bd23",
+        "baseline": "4371a2183615777bc15e00261a9e083ff72fda99b29b785022de9e7457e2bd23"},
     "verify-example euclidean-gradient --points 200": {
         "X86_V4": "52086676405d1c3398e8a98415d6e3a6a895b687a18ab6bc06ffe643a695c3d8",
         "X86_V3": "52086676405d1c3398e8a98415d6e3a6a895b687a18ab6bc06ffe643a695c3d8",
@@ -675,13 +692,13 @@ CATALOG_DIGESTS = {
         "X86_V3": "f0d1b988e9a075edd25f2c6c937ec4047ecb28a7feb9e6c4384f4dc5cbf17b18",
         "baseline": "f0d1b988e9a075edd25f2c6c937ec4047ecb28a7feb9e6c4384f4dc5cbf17b18"},
     "verify-example pseudo-hyperbolic --points 200": {
-        "X86_V4": "13b0abd76e6cc4d8bebbb0e01b588c000b98f47dc5c4181e108a475d569160b2",
-        "X86_V3": "efea0919f1a56bcb9d7493d817311ab7703c4981435b5dbc6c5f882b16fa3fb9",
-        "baseline": "efea0919f1a56bcb9d7493d817311ab7703c4981435b5dbc6c5f882b16fa3fb9"},
+        "X86_V4": "2c8faecedb6534c244d8af39eedfe2e5ec80285da67226e2497be9d5a752483a",
+        "X86_V3": "9875eb1279e0c96c3b2f39ae2dff170c86750331d140dd1f0cfb5b59a6bd53fd",
+        "baseline": "9875eb1279e0c96c3b2f39ae2dff170c86750331d140dd1f0cfb5b59a6bd53fd"},
     "verify-example neg-m-sphere --points 200": {
-        "X86_V4": "aedd8da9bbed6c2f6f982a99aa4575fe70c3ad91336c1ed89be404b18a738e63",
-        "X86_V3": "aedd8da9bbed6c2f6f982a99aa4575fe70c3ad91336c1ed89be404b18a738e63",
-        "baseline": "aedd8da9bbed6c2f6f982a99aa4575fe70c3ad91336c1ed89be404b18a738e63"},
+        "X86_V4": "e8f1b5c3b57714721d11ef5017a517fa1c92ef4e5e2c22e2e84604777bb3db1b",
+        "X86_V3": "e8f1b5c3b57714721d11ef5017a517fa1c92ef4e5e2c22e2e84604777bb3db1b",
+        "baseline": "e8f1b5c3b57714721d11ef5017a517fa1c92ef4e5e2c22e2e84604777bb3db1b"},
     "verify-manifest MANIFESTS/flat-m-over-u.json": {
         "X86_V4": "5313376f0db97ef1e32343005923b988dbcfac64b90a69839c27b0d272cd591d",
         "X86_V3": "5313376f0db97ef1e32343005923b988dbcfac64b90a69839c27b0d272cd591d",
@@ -703,17 +720,17 @@ CATALOG_DIGESTS = {
         "X86_V3": "b6d3ae7563c65cd2e26ed2ef6afc7ab8ed416457f307c51f4401868f094c35dc",
         "baseline": "b6d3ae7563c65cd2e26ed2ef6afc7ab8ed416457f307c51f4401868f094c35dc"},
     "check-identity eqpprinc": {
-        "X86_V4": "c049766e4bcb0f623c14403ea5048afff3a1d626a70e1175fe9679d451d936f9",
-        "X86_V3": "c049766e4bcb0f623c14403ea5048afff3a1d626a70e1175fe9679d451d936f9",
-        "baseline": "c049766e4bcb0f623c14403ea5048afff3a1d626a70e1175fe9679d451d936f9"},
+        "X86_V4": "8985e4dd3ba9bbdd391a4cea8903e2c834fef930b084b2aa205e0e47b4f3a567",
+        "X86_V3": "8985e4dd3ba9bbdd391a4cea8903e2c834fef930b084b2aa205e0e47b4f3a567",
+        "baseline": "8985e4dd3ba9bbdd391a4cea8903e2c834fef930b084b2aa205e0e47b4f3a567"},
     "check-identity mu-const": {
         "X86_V4": "7c6e5066e34e7007ed3967c17a5f46b3f1735d05ea7fc61a81a21d628bc76e5a",
         "X86_V3": "ee5efedaaf5ba0b8d00724a20cf8c1cfb11485fd26672a1d9a38f80c6b6645a5",
         "baseline": "ee5efedaaf5ba0b8d00724a20cf8c1cfb11485fd26672a1d9a38f80c6b6645a5"},
     "check-identity conformal-factor": {
-        "X86_V4": "54c163494fe8b07c6cb8eb4efa125db568f3d5f6b61eda66e162d782df0f2afb",
-        "X86_V3": "1fc856daafa47cbd1a8d2e6743e276ae59a63f238d64b96c895a749bee769ffb",
-        "baseline": "1fc856daafa47cbd1a8d2e6743e276ae59a63f238d64b96c895a749bee769ffb"},
+        "X86_V4": "153b2f3022c0b8b30cc6c0f5da12d51d4ac7fe6bfac4bb178077f1393c2baa40",
+        "X86_V3": "6ad547c864b9c34111c289f5ad61393f628ced370c7073f137549fac1ee850c2",
+        "baseline": "6ad547c864b9c34111c289f5ad61393f628ced370c7073f137549fac1ee850c2"},
     "check-identity oneill": {
         "X86_V4": "8fd092bef233f020fc50f153adbe8c349e5e2c266f2faeaa9da216b71c02c24e",
         "X86_V3": "8fd092bef233f020fc50f153adbe8c349e5e2c266f2faeaa9da216b71c02c24e",
@@ -723,9 +740,9 @@ CATALOG_DIGESTS = {
         "X86_V3": "e628083550104cd8bee52e898886c0f61774272eb0b385cb695bff27c8cdef66",
         "baseline": "e628083550104cd8bee52e898886c0f61774272eb0b385cb695bff27c8cdef66"},
     "construct-warped --base pseudo-hyperbolic --l 4": {
-        "X86_V4": "6122c54464ae4a4840c6b88dd03acb1ff8ff15246d10ec3f5fb699f60cae50df",
-        "X86_V3": "6364595ed2d05b75490d0089627f42f61ddffc3c7529c1b047adcfc54a26b8dd",
-        "baseline": "6364595ed2d05b75490d0089627f42f61ddffc3c7529c1b047adcfc54a26b8dd"},
+        "X86_V4": "a832e47ec186721b50c8c3c41a8871a43e620d31a6c13a5574399effecbc27ce",
+        "X86_V3": "e007cebe45d39d1b8bea014458c89cdf172cda7a9d07304682ac063e28b35abc",
+        "baseline": "e007cebe45d39d1b8bea014458c89cdf172cda7a9d07304682ac063e28b35abc"},
 }
 
 

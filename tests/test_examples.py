@@ -393,18 +393,18 @@ def test_a_structure_gets_one_suite_from_the_catalog_and_from_a_manifest(
     ("check-identity", "conformal-factor"),
     ("check-identity", "divric"),
     ("classify", "--example", "neg-m-sphere"),
+    # metrics bound in lanes, a warped product, and the construction's checks
+    ("check-identity", "bianchi", "--dim", "3", "--random-metrics", "4"),
+    ("check-identity", "oneill"),
+    ("construct-warped", "--base", "pseudo-hyperbolic"),
 ], ids=lambda v: " ".join(Path(a).name for a in v))
-def test_a_command_inverts_its_metric_once(argv, monkeypatch, capsys):
-    calls = []
-    inv = np.linalg.inv
+def test_a_command_calls_no_numeric_inverse(argv, monkeypatch, capsys):
+    # every g-norm reduces with the evaluated inverse_metric rows
+    def refused(a):
+        raise AssertionError(f"np.linalg.inv called on a {np.shape(a)} array")
 
-    def recorded(a):
-        calls.append(a.shape)
-        return inv(a)
-
-    monkeypatch.setattr(np.linalg, "inv", recorded)
+    monkeypatch.setattr(np.linalg, "inv", refused)
     assert cli.main([*argv, "--points", "40"]) == 0
-    assert len(calls) == 1 and calls[0][0] == 40
 
 
 VECTOR_FIELD_MANIFEST = {

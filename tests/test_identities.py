@@ -1,7 +1,11 @@
 # universal identity suites on random perturbed metrics
 
 import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,16 +137,16 @@ def test_fg_formulas_suite_makes_one_strict_call(monkeypatch):
 
 # stdout SHA-256 of `check-identity <argv> --points 100 --seed 77` per numpy
 # kernel path (kernel_paths.PATHS), recorded with the g-norms as two-operand
-# np.einsum chains
+# np.einsum chains over the evaluated inverse_metric entries
 SUITE_DIGESTS = {
     "bianchi --dim 3 --random-metrics 4": {
         "X86_V4": "b80bc1ef1cf154ebb1b7b7875bde46b74d46088d111ac261074f6a2c698d7646",
         "X86_V3": "b80bc1ef1cf154ebb1b7b7875bde46b74d46088d111ac261074f6a2c698d7646",
         "baseline": "b80bc1ef1cf154ebb1b7b7875bde46b74d46088d111ac261074f6a2c698d7646"},
     "fg-formulas --dim 3 --random-metrics 4": {
-        "X86_V4": "c30a6364a915714aae78c0e05c21e4a74efec325e345d0041ddbe21b4139629b",
-        "X86_V3": "c30a6364a915714aae78c0e05c21e4a74efec325e345d0041ddbe21b4139629b",
-        "baseline": "c30a6364a915714aae78c0e05c21e4a74efec325e345d0041ddbe21b4139629b"},
+        "X86_V4": "2612452426ea0ac065f8e775928dd9ff1e2d6c8577c7d97ca66c91c64f0392ef",
+        "X86_V3": "2612452426ea0ac065f8e775928dd9ff1e2d6c8577c7d97ca66c91c64f0392ef",
+        "baseline": "2612452426ea0ac065f8e775928dd9ff1e2d6c8577c7d97ca66c91c64f0392ef"},
     "lemma21 --dim 3 --random-metrics 4": {
         "X86_V4": "c120144288cc35b525a1b598e9540cc9cb246bc1afe4917ed77d163281370b55",
         "X86_V3": "c120144288cc35b525a1b598e9540cc9cb246bc1afe4917ed77d163281370b55",
@@ -152,9 +156,9 @@ SUITE_DIGESTS = {
         "X86_V3": "cb9d2d4c3c6f945894147505b103222bd410fb76cfc447d904d5925f8ff45117",
         "baseline": "cb9d2d4c3c6f945894147505b103222bd410fb76cfc447d904d5925f8ff45117"},
     "fg-formulas --dim 4 --random-metrics 1": {
-        "X86_V4": "b804e81cc7bbd1b455630cb9e86778e89224f8dad12826a980ba67bcfafba1ac",
-        "X86_V3": "b804e81cc7bbd1b455630cb9e86778e89224f8dad12826a980ba67bcfafba1ac",
-        "baseline": "b804e81cc7bbd1b455630cb9e86778e89224f8dad12826a980ba67bcfafba1ac"},
+        "X86_V4": "dc2c3336bcfacca5e60236d837d469e0df0e4b1a005463afc21c7f5a0b4aa580",
+        "X86_V3": "dc2c3336bcfacca5e60236d837d469e0df0e4b1a005463afc21c7f5a0b4aa580",
+        "baseline": "dc2c3336bcfacca5e60236d837d469e0df0e4b1a005463afc21c7f5a0b4aa580"},
     "lemma21 --dim 4 --random-metrics 1": {
         "X86_V4": "c2cd5bf24d01f1d5cc9583954507dfbbf197865556317fd8871fdf46f3f67d4d",
         "X86_V3": "c2cd5bf24d01f1d5cc9583954507dfbbf197865556317fd8871fdf46f3f67d4d",
@@ -184,6 +188,23 @@ def test_suite_report_bytes_are_pinned(argv, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == SUITE_DIGESTS[argv][kernel_path()]
+
+
+def test_suite_report_bytes_do_not_depend_on_openblas_kernels():
+    # OpenBLAS picks its kernels at run time, unseen by NPY_DISABLE_CPU_FEATURES
+    # and by kernel_paths' fingerprint: no report byte may depend on that choice
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(geo.__file__).resolve().parents[1]), env.get("PYTHONPATH")) if p)
+    for argv in ("fg-formulas --dim 4 --random-metrics 1", "fg-formulas"):
+        outs = {core: subprocess.run(
+            [sys.executable, "-m", "solitonlab.cli", "check-identity", *argv.split(),
+             "--points", "100", "--seed", "77"],
+            env=env if core is None else dict(env, OPENBLAS_CORETYPE=core),
+            check=True, capture_output=True).stdout
+            for core in (None, "Haswell", "Sandybridge", "Prescott")}
+        for core, out in outs.items():
+            assert out == outs[None], (argv, core)
 
 
 def suite_roots(monkeypatch, suite, **kw):
